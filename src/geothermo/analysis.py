@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import mpmath as mp
 import numpy as np
 
-from .errors import (DegenerateMetric, DomainViolation, EmptyGrid,
-                     GeothermoError, NonFinite, PreconditionFailure)
+from .errors import (EmptyGrid, GeothermoError, NonFinite,
+                     PreconditionFailure)
 from .geometry import curvature_at, metric_at, natural_metric, ricci_scalar
-from .jets import EPS, MAX_ORDER, Jet4, default_fd_step, fd_partial
+from .jets import EPS, Jet4, fd_partial
 from .systems import SystemSpec, get_system
 from .transforms import u_from_vP
 
@@ -63,20 +64,10 @@ class GridSpec:
             a if isinstance(a, Axis) else Axis(*a) for a in self.axes))
 
     def points(self):
-        vals = [a.values() for a in self.axes]
+        vals = [a.values().tolist() for a in self.axes]
         if any(len(v) == 0 for v in vals) or not vals:
             raise EmptyGrid("grid has no points")
-        pts = []
-
-        def rec(prefix, rest):
-            if not rest:
-                pts.append(tuple(prefix))
-                return
-            for v in rest[0]:
-                rec(prefix + [float(v)], rest[1:])
-
-        rec([], vals)
-        return pts
+        return list(product(*vals))
 
     def shape(self):
         return tuple(a.count for a in self.axes)
@@ -159,23 +150,31 @@ def invariance_report(spec_a: SystemSpec, spec_b: SystemSpec, map_ab,
     ``map_ab`` sends a spec_a point to the corresponding spec_b point.
     Per-point evaluation errors are excluded from the maxima and counted.
     """
+    pts = grid.points()
+    ra = curvature_at(spec_a, np.array(pts)).ricci_scalar
+    mapped = {}
+    for i, x in enumerate(pts):
+        if math.isnan(ra[i]):
+            continue
+        try:
+            mapped[i] = [float(c) for c in map_ab(list(x))]
+        except GeothermoError:
+            continue
+    rb = (curvature_at(spec_b, np.array(list(mapped.values())),
+                       check_domain=False).ricci_scalar.tolist()
+          if mapped else [])
     rows = []
-    failures = 0
     max_abs = 0.0
     max_rel = 0.0
-    for x in grid.points():
-        try:
-            ra = curvature_at(spec_a, x).ricci_scalar
-            xb = map_ab(list(x))
-            rb = curvature_at(spec_b, xb, check_domain=False).ricci_scalar
-        except GeothermoError:
-            failures += 1
+    for i, r_b in zip(mapped, rb):
+        if math.isnan(r_b):
             continue
-        d = abs(ra - rb)
-        rows.append((x, ra, rb, d))
+        x, r_a = pts[i], float(ra[i])
+        d = abs(r_a - r_b)
+        rows.append((x, r_a, r_b, d))
         max_abs = max(max_abs, d)
-        max_rel = max(max_rel, d / (1.0 + abs(ra)))
-    return InvarianceReport(rows, max_abs, max_rel, failures)
+        max_rel = max(max_rel, d / (1.0 + abs(r_a)))
+    return InvarianceReport(rows, max_abs, max_rel, len(pts) - len(rows))
 
 
 # ---- singularity scan ----------------------------------------------------
@@ -202,11 +201,11 @@ class ScanReport:
     failures: int = 0
 
 
-def _scan_eval(spec, evaluator, x):
+def _scan_eval(spec, evaluator, points):
+    """R at each row of ``points``; NaN where the point fails."""
     if evaluator is not None:
-        return float(evaluator(x))
-    res = curvature_at(spec, x)
-    return res.ricci_scalar
+        return np.asarray(evaluator(points), dtype=float)
+    return curvature_at(spec, points).ricci_scalar
 
 
 def singularity_scan(spec: SystemSpec, grid: GridSpec,
@@ -219,113 +218,94 @@ def singularity_scan(spec: SystemSpec, grid: GridSpec,
     sign at large magnitude (a pole crossing).  Each candidate segment is
     bisected toward 1/|R| -> 0 to a 1e-6 coordinate tolerance.
 
-    ``evaluator`` optionally replaces the pipeline (a callable point -> R),
-    e.g. for scans in non-fundamental coordinates such as (v, P).
+    ``evaluator`` optionally replaces the pipeline, e.g. for scans in
+    non-fundamental coordinates such as (v, P): it maps a (batch, n) array of
+    points to their R values, NaN where a point fails.
     """
     pts = grid.points()
-    values = {}
-    nonfinite = {}
-    failures = 0
-    for x in pts:
-        try:
-            r = _scan_eval(spec, evaluator, x)
-        except GeothermoError:
-            r = math.nan
-            failures += 1
-        values[x] = r
-        nonfinite[x] = not math.isfinite(r) or abs(r) > blowup_threshold
+    R = _scan_eval(spec, evaluator, np.array(pts))
+    failures = int(np.count_nonzero(np.isnan(R)))
+    flagged = ~np.isfinite(R) | (np.abs(R) > blowup_threshold)
+    values = dict(zip(pts, R.tolist()))
+    nonfinite = dict(zip(pts, flagged.tolist()))
 
     shape = grid.shape()
-    idx_of = {x: i for i, x in enumerate(pts)}
-
-    def neighbor(x, axis):
-        # next grid point along `axis`, or None at the boundary
-        i = idx_of[x]
-        stride = 1
-        for a in range(len(shape) - 1, axis, -1):
-            stride *= shape[a]
-        pos = (i // stride) % shape[axis]
-        if pos + 1 >= shape[axis]:
-            return None
-        return pts[i + stride]
-
-    def prev_neighbor(x, axis):
-        i = idx_of[x]
-        stride = 1
-        for a in range(len(shape) - 1, axis, -1):
-            stride *= shape[a]
-        pos = (i // stride) % shape[axis]
-        if pos == 0:
-            return None
-        return pts[i - stride]
-
-    candidates = []
-    for x in pts:
+    V = R.reshape(shape)
+    index = np.arange(len(pts)).reshape(shape)
+    found = []      # (grid index of x, axis, kind, segment ends)
+    with np.errstate(all="ignore"):
         for axis in range(len(shape)):
-            y = neighbor(x, axis)
-            if y is None:
-                continue
-            r0, r1 = values[x], values[y]
-            if math.isnan(r0) or math.isnan(r1):
-                continue
-            a0, a1 = abs(r0), abs(r1)
+            # neighbours along `axis` are consecutive rows of these views
+            v, idx = np.moveaxis(V, axis, 0), np.moveaxis(index, axis, 0)
+            r0, r1 = v[:-1], v[1:]
+            a0, a1 = np.abs(r0), np.abs(r1)
+            big, small = np.maximum(a0, a1), np.minimum(a0, a1)
+            ratio = big / np.maximum(small, 1e-300)
             crossed = (a0 > blowup_threshold) != (a1 > blowup_threshold)
-            jumped = (min(a0, a1) > 0.0
-                      and math.log10(max(a0, a1) / max(min(a0, a1), 1e-300))
-                      > JUMP_DECADES and max(a0, a1) > 1e3)
-            flipped = (r0 * r1 < 0.0 and max(a0, a1) > 1e3
-                       and max(a0, a1) / max(min(a0, a1), 1e-300) > 10.0)
-            if crossed or jumped or flipped:
-                candidates.append((x, y, axis))
+            jumped = ((small > 0.0) & (np.log10(ratio) > JUMP_DECADES)
+                      & (big > 1e3))
+            flipped = (r0 * r1 < 0.0) & (big > 1e3) & (ratio > 10.0)
+            both = ~np.isnan(r0) & ~np.isnan(r1)
+            edge = both & (crossed | jumped | flipped)
+            found += [(a, axis, 0, (a, b)) for a, b in zip(
+                idx[:-1][edge].tolist(), idx[1:][edge].tolist())]
             # interior local maximum of |R|: a pole between coarse nodes
             # may not produce a two-decade jump, so bracket it explicitly
-            p = prev_neighbor(x, axis)
-            if p is not None and not math.isnan(values[p]):
-                if a0 > 1e2 and a0 > abs(values[p]) and a0 >= a1:
-                    candidates.append((p, y, axis))
+            rp = v[:-2]
+            peak = (both[1:] & ~np.isnan(rp) & (a0[1:] > 1e2)
+                    & (a0[1:] > np.abs(rp)) & (a0[1:] >= a1[1:]))
+            found += [(x, axis, 1, (p, y)) for p, x, y in zip(
+                idx[:-2][peak].tolist(), idx[1:-1][peak].tolist(),
+                idx[2:][peak].tolist())]
+    found.sort(key=lambda c: c[:3])
+    candidates = [(pts[a], pts[b], axis) for _, axis, _, (a, b) in found]
 
-    detections = []
-    for x, y, axis in candidates:
-        refined = _refine_segment(spec, evaluator, x, y, axis,
-                                  blowup_threshold)
-        if refined is not None:
-            detections.append(Detection(segment=(x, y), refined=refined,
-                                        axis=axis))
-
+    refined = _refine_segment(spec, evaluator, candidates, blowup_threshold)
+    detections = [Detection(segment=(x, y), refined=r, axis=axis)
+                  for (x, y, axis), r in zip(candidates, refined)
+                  if r is not None]
     detections = _merge_detections(detections)
     return ScanReport(grid=grid, values=values, nonfinite=nonfinite,
                       detections=detections, failures=failures)
 
 
-def _refine_segment(spec, evaluator, x0, x1, axis, blowup_threshold):
-    """Ternary search on [x0, x1] toward the |R| maximum (1/|R| -> 0).
+def _refine_segment(spec, evaluator, segments, blowup_threshold):
+    """Ternary search toward the |R| maximum (1/|R| -> 0), all segments in
+    lockstep.
 
-    Returns None when the refined maximum stays below ``blowup_threshold``
-    (a smooth local bump rather than a pole).
+    ``segments`` holds (x0, x1, axis) triples; the result holds, per
+    segment, the refined point, or None when the refined maximum stays below
+    ``blowup_threshold`` (a smooth local bump rather than a pole).
     """
-    lo, hi = list(x0), list(x1)
+    if not segments:
+        return []
+    lo = np.array([s[0] for s in segments], dtype=float)
+    hi = np.array([s[1] for s in segments], dtype=float)
+    rows = np.arange(len(segments))
+    axis = np.array([s[2] for s in segments])
 
-    def absr(pt):
-        try:
-            r = _scan_eval(spec, evaluator, tuple(pt))
-        except GeothermoError:
-            return math.inf     # landing on the pole itself
-        return abs(r) if math.isfinite(r) else math.inf
+    def absr(points):
+        r = np.abs(_scan_eval(spec, evaluator, points))
+        r[~np.isfinite(r)] = math.inf     # landing on the pole itself
+        return r
 
-    span = abs(hi[axis] - lo[axis])
-    scale = max(1.0, abs(lo[axis]), abs(hi[axis]))
-    while span > REFINE_TOL * scale:
-        t1 = [a + (b - a) / 3.0 for a, b in zip(lo, hi)]
-        t2 = [a + 2.0 * (b - a) / 3.0 for a, b in zip(lo, hi)]
-        if absr(t1) < absr(t2):
-            lo = t1
-        else:
-            hi = t2
-        span = abs(hi[axis] - lo[axis])
-    best = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    if absr(best) < blowup_threshold:
-        return None
-    return tuple(best)
+    scale = np.maximum(1.0, np.maximum(np.abs(lo[rows, axis]),
+                                       np.abs(hi[rows, axis])))
+    active = np.abs(hi - lo)[rows, axis] > REFINE_TOL * scale
+    while active.any():
+        live = np.flatnonzero(active)
+        a, b = lo[live], hi[live]
+        t1 = a + (b - a) / 3.0
+        t2 = a + 2.0 * (b - a) / 3.0
+        r = absr(np.concatenate([t1, t2]))
+        left = r[:len(live)] < r[len(live):]
+        lo[live[left]] = t1[left]
+        hi[live[~left]] = t2[~left]
+        span = np.abs(hi[live] - lo[live])[np.arange(len(live)), axis[live]]
+        active[live] = span > REFINE_TOL * scale[live]
+    best = 0.5 * (lo + hi)
+    keep = absr(best) >= blowup_threshold
+    return [tuple(p) if k else None for p, k in zip(best.tolist(), keep)]
 
 
 def _merge_detections(detections, tol=1e-4):
@@ -348,13 +328,19 @@ def _merge_detections(detections, tol=1e-4):
 
 
 def vdw_vP_evaluator(a: float = 1.0, b: float = 1.0):
-    """R as a function of (v, P): eliminate u and run the entropy pipeline."""
+    """R as a function of (v, P): eliminate u and run the entropy pipeline.
+
+    The evaluator maps a (batch, 2) array of (v, P) points to R, NaN where
+    a point fails.
+    """
     spec = get_system("vdw_s", a=a, b=b)
 
-    def ev(pt):
-        v, P = float(pt[0]), float(pt[1])
-        u = u_from_vP(v, P, a, b)
-        return curvature_at(spec, (u, v)).ricci_scalar
+    def ev(points):
+        v, P = points[:, 0], points[:, 1]
+        u = np.full(len(points), math.nan)    # v <= b is out of the domain
+        ok = v > b
+        u[ok] = u_from_vP(v[ok], P[ok], a, b)
+        return curvature_at(spec, np.column_stack([u, v])).ricci_scalar
 
     return ev
 
@@ -426,7 +412,9 @@ def locus_numerator_check(a: float, b: float, critical_points):
 
 def constant_curvature_check(spec: SystemSpec, grid: GridSpec):
     """(mean R, max |R - mean|) over an in-domain grid."""
-    vals = [curvature_at(spec, x).ricci_scalar for x in grid.points()]
+    res = curvature_at(spec, np.array(grid.points()))
+    res.faults.raise_first()
+    vals = res.ricci_scalar.tolist()
     mean = sum(vals) / len(vals)
     spread = max(abs(v - mean) for v in vals)
     return mean, spread
@@ -435,19 +423,15 @@ def constant_curvature_check(spec: SystemSpec, grid: GridSpec):
 def degeneracy_sweep(alpha_values, beta_values, grid: GridSpec,
                      s0: float = 1.0, C: float = 1.0):
     """min |det g| of the dark-fluid entropy metric per (alpha, beta) cell."""
-    pts = grid.points()       # raises EmptyGrid up front
+    pts = np.array(grid.points())       # raises EmptyGrid up front
     rows = []
     for al in alpha_values:
         for be in beta_values:
             spec = get_system("chap_s", alpha=float(al), beta=float(be),
                               s0=s0, C=C)
-            best = math.inf
-            for x in pts:
-                try:
-                    m = metric_at(spec, x, check_degenerate=False)
-                except GeothermoError:
-                    continue
-                best = min(best, abs(m.det))
+            m = metric_at(spec, pts, check_degenerate=False)
+            dets = np.abs(m.det[m.faults.ok])
+            best = float(dets.min()) if len(dets) else math.inf
             rows.append((float(al), float(be), best))
     return rows
 

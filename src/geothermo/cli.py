@@ -9,18 +9,17 @@ Exit codes: 1 usage/parse errors, 2 domain violations, 3 degenerate metric,
 
 All CSV output is deterministic: floats at 17 significant digits, '\n' line
 endings, fixed iteration order, and a '#' header line recording the recipe
-parameters.  GEOTHERMO_THREADS caps the evaluation thread pool (0 = auto,
-unset or 1 = sequential).
+parameters.  Grids and figure rows are evaluated as batches;
+GEOTHERMO_THREADS (0 = auto, unset or 1 = sequential) caps the thread pool
+that maps over those batches.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,6 +56,8 @@ def _map(fn, items):
     n = _threads()
     if n <= 1 or len(items) < 4:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor   # only when threaded
+
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
 
@@ -259,21 +260,25 @@ def _vdw_figure_rows(which):
     vdw_F = get_system("vdw_F")
     vrs = np.linspace(VDW_VR_RANGE[0], VDW_VR_RANGE[1], VDW_SAMPLES)
 
-    def row(v_r):
+    def curvature(spec, *columns):
+        res = curvature_at(spec, np.column_stack(columns))
+        res.faults.raise_first()
+        return res.ricci_scalar
+
+    def rows(v_r):
         v = 3.0 * b * v_r
         u = transforms.u_from_vP(v, P, a, b)
-        Rs = curvature_at(vdw_s, (u, v)).ricci_scalar
+        s = evaluate(vdw_s, np.column_stack([u, v]))
+        Ru = curvature(vdw_u, s, v)
         if which == "vdW1":
-            s = evaluate(vdw_s, (u, v))
-            Ru = curvature_at(vdw_u, (s, v)).ricci_scalar
-            return (v_r, Rs, Ru)
-        T = jet_eval(vdw_s.field, (u, v), 1).grad[0] ** -1.0
-        s = evaluate(vdw_s, (u, v))
-        Ru = curvature_at(vdw_u, (s, v)).ricci_scalar
-        RF = curvature_at(vdw_F, (T, v)).ricci_scalar
-        return (v_r, Ru, RF)
+            cols = (v_r, curvature(vdw_s, u, v), Ru)
+        else:
+            T = jet_eval(vdw_s.field, np.column_stack([u, v]), 1).grad[:, 0]
+            cols = (v_r, Ru, curvature(vdw_F, T ** -1.0, v))
+        return list(zip(*(c.tolist() for c in cols)))
 
-    return _map(row, (float(v) for v in vrs))
+    # one batch for the whole figure; _map still validates GEOTHERMO_THREADS
+    return [row for part in _map(rows, [vrs]) for row in part]
 
 
 def _ising_figure_rows():

@@ -11,8 +11,11 @@ operands, so the same program serves plain evaluation and jet differentiation.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import jets
 from .errors import ParseError, UnboundParameter, UnknownIdentifier
@@ -253,35 +256,47 @@ class ScalarField:
             raise UnboundParameter(sorted(missing)[0])
         self.ast = ast
         self.param_values = {k: float(v) for k, v in param_values.items()}
+        self._fn = _compile(ast.root, self.param_values)
 
     def __call__(self, values):
-        return self._eval(self.ast.root, values)
+        return self._fn(values)
 
-    def _eval(self, node, values):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            return values[node.index]
-        if isinstance(node, Param):
-            return self.param_values[node.name]
-        if isinstance(node, Neg):
-            return -self._eval(node.child, values)
-        if isinstance(node, Bin):
-            left = self._eval(node.left, values)
-            right = self._eval(node.right, values)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            return jets.power(left, right)
-        if isinstance(node, Call):
-            fn, _ = FUNCTIONS[node.fn]
-            return fn(*(self._eval(a, values) for a in node.args))
-        raise TypeError(f"unknown node {node!r}")
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": jets.divide,
+    "^": jets.power,
+}
+
+
+def _compile(node, params: dict):
+    """Closure evaluating ``node`` on a value sequence (floats or Jets)."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda values: value
+    if isinstance(node, Var):
+        return operator.itemgetter(node.index)
+    if isinstance(node, Param):
+        value = params[node.name]
+        return lambda values: value
+    if isinstance(node, Neg):
+        child = _compile(node.child, params)
+        return lambda values: -child(values)
+    if isinstance(node, Bin):
+        op = _BINARY[node.op]
+        left = _compile(node.left, params)
+        right = _compile(node.right, params)
+        return lambda values: op(left(values), right(values))
+    if isinstance(node, Call):
+        fn, _ = FUNCTIONS[node.fn]
+        args = [_compile(a, params) for a in node.args]
+        if len(args) == 1:
+            (arg,) = args
+            return lambda values: fn(arg(values))
+        return lambda values: fn(*(a(values) for a in args))
+    raise TypeError(f"unknown node {node!r}")
 
 
 def compile_relation(ast: RelationAst, param_values: dict) -> ScalarField:
@@ -290,11 +305,11 @@ def compile_relation(ast: RelationAst, param_values: dict) -> ScalarField:
 
 
 _CMP = {
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "!=": lambda a, b: a != b,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "!=": operator.ne,
 }
 
 
@@ -306,11 +321,37 @@ class Predicate:
         self.left = left_ast
         self.op = op
         self.right = right_ast
+        self._bound = None      # (params key, left closure, right closure)
+
+    def _sides(self, param_values: dict):
+        key = tuple(sorted(param_values.items()))
+        bound = self._bound
+        if bound is None or bound[0] != key:
+            bound = (key, ScalarField(self.left, param_values),
+                     ScalarField(self.right, param_values))
+            self._bound = bound
+        return bound[1], bound[2]
 
     def holds(self, values, param_values: dict) -> bool:
-        lhs = ScalarField(self.left, param_values)(values)
-        rhs = ScalarField(self.right, param_values)(values)
-        return _CMP[self.op](lhs, rhs)
+        left, right = self._sides(param_values)
+        return _CMP[self.op](left(values), right(values))
+
+    def mask(self, points, param_values: dict):
+        """Evaluate at each row of a (batch, n) array.
+
+        Returns (holds, faults): ``holds`` is False wherever a side could
+        not be evaluated, and ``faults`` records why.
+        """
+        left, right = self._sides(param_values)
+        size, n = points.shape
+        faults = jets.Faults(size)
+        args = [jets.Jet.variable(n, 0, i, points[:, i], faults)
+                for i in range(n)]
+        with np.errstate(all="ignore"):
+            sides = [out.value if isinstance(out, jets.Jet) else out
+                     for out in (left(args), right(args))]
+            holds = _CMP[self.op](*sides)
+        return np.logical_and(holds, faults.ok), faults
 
     def __str__(self):
         return self.source

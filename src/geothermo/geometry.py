@@ -16,40 +16,60 @@ Ricci_{sigma nu} = R^rho_{sigma rho nu}, R = g^{sigma nu} Ricci_{sigma nu}.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateMetric, NonFinite, SingularPrefactor
-from .jets import Jet4, jet_eval
+from .jets import Faults, Jet4, jet_eval
 from .systems import SystemSpec, domain_check
-from .errors import DomainViolation
 
 DEGENERACY_RTOL = 1e-12      # |det g| < rtol * max|g_ab|^2 flags degeneracy
 PREFACTOR_ATOL = 1e-13       # |E^j Phi_j| below this (times scale) is singular
 NONFINITE_R = 1e12           # |R| beyond this is reported, not trusted
+CHUNK = 64                   # points per pass of the batched pipeline
+
+
+def _unbatch(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass
 class MetricTensor:
+    """g, dg, ddg at one point, or at a batch of points (leading axis)."""
+
     at: np.ndarray
     g: np.ndarray          # (n, n)
     dg: np.ndarray         # (c, a, b) = d_c g_ab
     ddg: np.ndarray        # (d, c, a, b) = d_d d_c g_ab
-    det: float
-    conformal_factor: float
+    det: object
+    conformal_factor: object
+    faults: Faults | None = None
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.g)))
+    def scale(self):
+        g = self.g
+        return _unbatch(np.abs(g).reshape(g.shape[:-2] + (-1,)).max(axis=-1))
 
-    def is_degenerate(self) -> bool:
+    def is_degenerate(self):
         s = self.scale()
-        return abs(self.det) < DEGENERACY_RTOL * max(s * s, 1e-300)
+        out = np.abs(self.det) < DEGENERACY_RTOL * np.maximum(s * s, 1e-300)
+        return bool(out) if np.ndim(out) == 0 else out
+
+    def point(self, i: int) -> "MetricTensor":
+        return MetricTensor(at=self.at[i], g=self.g[i], dg=self.dg[i],
+                            ddg=self.ddg[i], det=float(self.det[i]),
+                            conformal_factor=float(self.conformal_factor[i]))
+
+    def batch(self) -> "MetricTensor":
+        return MetricTensor(at=self.at[None], g=self.g[None],
+                            dg=self.dg[None], ddg=self.ddg[None],
+                            det=np.array([self.det]),
+                            conformal_factor=np.array([self.conformal_factor]),
+                            faults=Faults(1))
 
 
 @dataclass
@@ -60,14 +80,47 @@ class ChristoffelArray:
 
 @dataclass
 class CurvatureResult:
+    """Ricci scalar and diagnostics at one point or a batch of points.
+
+    For a batch every field has a leading batch axis, ``ricci_scalar`` is
+    NaN at the points that failed, and ``faults`` records why.
+    """
+
     at: np.ndarray
-    ricci_scalar: float
-    det_g: float
-    degenerate: bool
-    conformal_factor: float
-    nonfinite: bool = False
+    ricci_scalar: object
+    det_g: object
+    degenerate: object
+    conformal_factor: object
+    nonfinite: object = False
     sign_factor: int | None = None     # filled by oracle harnesses
-    cross_check_dev: float | None = None  # 2D identity residual, diagnostics
+    cross_check_dev: object = None     # 2D identity residual, diagnostics
+    faults: Faults | None = None
+
+    def point(self, i: int) -> "CurvatureResult":
+        dev = self.cross_check_dev
+        return CurvatureResult(
+            at=self.at[i], ricci_scalar=float(self.ricci_scalar[i]),
+            det_g=float(self.det_g[i]), degenerate=bool(self.degenerate[i]),
+            conformal_factor=float(self.conformal_factor[i]),
+            nonfinite=bool(self.nonfinite[i]),
+            cross_check_dev=None if dev is None else float(dev[i]))
+
+    @classmethod
+    def concat(cls, parts):
+        if len(parts) == 1:
+            return parts[0]
+        dev = [p.cross_check_dev for p in parts]
+
+        def cat(name):
+            return np.concatenate([getattr(p, name) for p in parts])
+
+        return cls(at=cat("at"), ricci_scalar=cat("ricci_scalar"),
+                   det_g=cat("det_g"), degenerate=cat("degenerate"),
+                   conformal_factor=cat("conformal_factor"),
+                   nonfinite=cat("nonfinite"),
+                   cross_check_dev=None if dev[0] is None
+                   else np.concatenate(dev),
+                   faults=Faults.concat([p.faults for p in parts]))
 
 
 def natural_metric(jet: Jet4, x, excluded_index: int,
@@ -77,148 +130,196 @@ def natural_metric(jet: Jet4, x, excluded_index: int,
     Raises SingularPrefactor when some E^j Phi_j in the conformal sum
     vanishes, and (by default) DegenerateMetric when |det g| is below the
     degeneracy threshold; pass ``check_degenerate=False`` to inspect the
-    degenerate tensor instead.
+    degenerate tensor instead.  For a batched ``jet`` (``x`` of shape
+    (batch, n)) these failures go to the batch's fault record and the
+    result is a batched MetricTensor.
     """
-    x = np.asarray([float(c) for c in x])
-    n = jet.n
     if jet.order < 4:
         raise ValueError("natural_metric needs a jet of order 4")
+    single = np.ndim(jet.value) == 0
+    if single:
+        jet = jet.batch()
+    x = np.asarray(x, dtype=float).reshape(-1, jet.n)
+    faults = jet.faults if jet.faults is not None else Faults(len(x))
+    n = jet.n
     G, H, T3, F4 = jet.grad, jet.hess, jet.third, jet.fourth
 
     js = [j for j in range(n) if j != excluded_index]
-    w = np.array([x[j] * G[j] for j in js])
-    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
-    if np.any(np.abs(w) < PREFACTOR_ATOL * scale):
-        bad = js[int(np.argmin(np.abs(w)))]
-        raise SingularPrefactor(
-            f"E^{bad} * dPhi/dE^{bad} = {w[int(np.argmin(np.abs(w)))]:.3e} "
+    w = x[:, js] * G[:, js]
+    aw = np.abs(w)
+    scale = np.maximum(1.0, aw.max(axis=1, initial=0.0))
+    small = aw < PREFACTOR_ATOL * scale[:, None]
+
+    def prefactor(i):
+        k = int(np.argmin(aw[i]))
+        return SingularPrefactor(
+            f"E^{js[k]} * dPhi/dE^{js[k]} = {w[i, k]:.3e} "
             "vanishes in the conformal sum")
 
-    # conformal factor and its first/second coordinate derivatives
-    c = float(np.sum(1.0 / w))
-    dc = np.zeros(n)
-    ddc = np.zeros((n, n))
-    for idx, j in enumerate(js):
-        wj = w[idx]
-        dw = np.array([(G[j] if a == j else 0.0) + x[j] * H[j, a]
-                       for a in range(n)])
-        ddw = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                ddw[a, b] = ((H[j, b] if a == j else 0.0)
-                             + (H[j, a] if b == j else 0.0)
-                             + x[j] * T3[j, a, b])
-        dc += -dw / wj ** 2
-        ddc += 2.0 * np.outer(dw, dw) / wj ** 3 - ddw / wj ** 2
+    faults.flag(small.any(axis=1), prefactor)
 
-    g = c * H
-    dg = np.empty((n, n, n))
-    ddg = np.empty((n, n, n, n))
-    for cc in range(n):
-        dg[cc] = dc[cc] * H + c * T3[:, :, cc]
-    for d in range(n):
-        for cc in range(n):
-            ddg[d, cc] = (ddc[cc, d] * H + dc[cc] * T3[:, :, d]
-                          + dc[d] * T3[:, :, cc] + c * F4[:, :, cc, d])
+    with np.errstate(all="ignore"):
+        # conformal factor and its first/second coordinate derivatives
+        c = np.sum(1.0 / w, axis=1)
+        dc = np.zeros((len(x), n))
+        ddc = np.zeros((len(x), n, n))
+        for idx, j in enumerate(js):
+            wj = w[:, idx, None]
+            dw = x[:, j, None] * H[:, j, :]
+            dw[:, j] += G[:, j]
+            ddw = np.zeros((len(x), n, n))
+            ddw[:, j, :] += H[:, j, :]
+            ddw[:, :, j] += H[:, j, :]
+            ddw += x[:, j, None, None] * T3[:, j]
+            dc += -dw / wj ** 2
+            ddc += (2.0 * (dw[:, :, None] * dw[:, None, :]) / wj[..., None] ** 3
+                    - ddw / wj[..., None] ** 2)
 
-    det = float(np.linalg.det(g))
-    m = MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=det, conformal_factor=c)
-    if check_degenerate and m.is_degenerate():
-        raise DegenerateMetric(
-            f"|det g| = {abs(det):.3e} below degeneracy threshold", metric=m)
+        cb = c[:, None, None]
+        g = cb * H
+        T3c = T3.transpose(0, 3, 1, 2)     # [z, c, a, b] = T3[z, a, b, c]
+        # dg[z, c] = dc_c H + c T3[..., c]
+        dg = dc[:, :, None, None] * H[:, None] + cb[:, None] * T3c
+        # ddg[z, d, c] = ddc_cd H + dc_c T3[..., d] + dc_d T3[..., c]
+        #                + c F4[..., c, d]
+        ddg = (ddc.transpose(0, 2, 1)[..., None, None] * H[:, None, None]
+               + dc[:, None, :, None, None] * T3c[:, :, None]
+               + dc[:, :, None, None, None] * T3c[:, None]
+               + cb[:, None, None] * F4.transpose(0, 4, 3, 1, 2))
+        det = np.linalg.det(g)
+    m = MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=det, conformal_factor=c,
+                     faults=faults)
+    if check_degenerate:
+        _flag_degenerate(m, "|det g| = {:.3e} below degeneracy threshold")
+    if single:
+        faults.raise_first()
+        return m.point(0)
     return m
 
 
-def metric_determinant(m: MetricTensor) -> float:
-    return m.det
+def _flag_degenerate(m: MetricTensor, message: str):
+    degenerate = m.is_degenerate()
+    m.faults.flag(degenerate, lambda i: DegenerateMetric(
+        message.format(abs(m.det[i])), metric=m.point(i)))
+    return degenerate
+
+
+def _connection(m: MetricTensor):
+    """Inverse metric and connection of a batched metric, with degenerate
+    or failed points masked so that one of them cannot abort the batch.
+
+    Returns (degeneracy mask, inverse metric, connection)."""
+    degenerate = _flag_degenerate(m, "metric is degenerate")
+    m.faults.flag(~np.isfinite(m.g.reshape(len(m.g), -1)).all(axis=1),
+                  lambda i: NonFinite("metric is not finite"))
+    ok = m.faults.ok
+    g = m.g if ok.all() else np.where(ok[:, None, None], m.g, np.eye(m.n))
+    ginv = np.linalg.inv(g)
+    # dg[c,a,b] = d_c g_ab ; bracket[b,c,d] = d_b g_dc + d_c g_db - d_d g_bc
+    dg = m.dg
+    bracket = (dg.transpose(0, 1, 3, 2) + dg.transpose(0, 3, 1, 2)
+               - dg.transpose(0, 2, 3, 1))
+    gamma = 0.5 * np.einsum("zad,zbcd->zabc", ginv, bracket)
+
+    dginv = -ginv[:, None] @ dg @ ginv[:, None]
+    ddg = m.ddg     # (e, b, c, d) = d_e bracket[b,c,d]
+    dbracket = (ddg.transpose(0, 1, 2, 4, 3) + ddg.transpose(0, 1, 4, 2, 3)
+                - ddg.transpose(0, 1, 3, 4, 2))
+    dgamma = 0.5 * (np.einsum("zead,zbcd->zeabc", dginv, bracket)
+                    + np.einsum("zad,zebcd->zeabc", ginv, dbracket))
+    return degenerate, ginv, ChristoffelArray(gamma=gamma, dgamma=dgamma)
 
 
 def christoffel(m: MetricTensor) -> ChristoffelArray:
     """Levi-Civita connection and its first coordinate derivatives."""
-    if m.is_degenerate():
-        raise DegenerateMetric("metric is degenerate", metric=m)
-    n = m.n
-    ginv = np.linalg.inv(m.g)
-    # dg[c,a,b] = d_c g_ab ; bracket[b,c,d] = d_b g_dc + d_c g_db - d_d g_bc
-    dg = m.dg
-    bracket = np.empty((n, n, n))
-    for b in range(n):
-        for c in range(n):
-            for d in range(n):
-                bracket[b, c, d] = dg[b, d, c] + dg[c, d, b] - dg[d, b, c]
-    gamma = 0.5 * np.einsum("ad,bcd->abc", ginv, bracket)
-
-    dginv = np.empty((n, n, n))
-    for e in range(n):
-        dginv[e] = -ginv @ dg[e] @ ginv
-    dbracket = np.empty((n, n, n, n))   # (e, b, c, d) = d_e bracket[b,c,d]
-    ddg = m.ddg
-    for e in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    dbracket[e, b, c, d] = (ddg[e, b, d, c] + ddg[e, c, d, b]
-                                            - ddg[e, d, b, c])
-    dgamma = 0.5 * (np.einsum("ead,bcd->eabc", dginv, bracket)
-                    + np.einsum("ad,ebcd->eabc", ginv, dbracket))
-    return ChristoffelArray(gamma=gamma, dgamma=dgamma)
-
-
-def riemann_down(m: MetricTensor, ch: ChristoffelArray) -> np.ndarray:
-    """Fully covariant Riemann tensor R_{abcd}."""
-    up = riemann_up(ch)
-    return np.einsum("ae,ebcd->abcd", m.g, up)
+    single = m.g.ndim == 2
+    mb = m.batch() if single else replace(
+        m, faults=m.faults if m.faults is not None else Faults(len(m.g)))
+    with np.errstate(all="ignore"):
+        _, _, ch = _connection(mb)
+    if single:
+        mb.faults.raise_first()
+        return ChristoffelArray(gamma=ch.gamma[0], dgamma=ch.dgamma[0])
+    return ch
 
 
 def riemann_up(ch: ChristoffelArray) -> np.ndarray:
-    """R^rho_{sigma mu nu} from Gamma and dGamma."""
+    """R^rho_{sigma mu nu} from Gamma and dGamma (any leading batch axes)."""
     gamma, dgamma = ch.gamma, ch.dgamma
-    # d_mu Gamma^rho_{nu sigma} is dgamma[mu, rho, nu, sigma]
-    t1 = np.einsum("mrns->rsmn", dgamma)
-    t2 = np.einsum("nrms->rsmn", dgamma)
-    t3 = np.einsum("rml,lns->rsmn", gamma, gamma)
-    t4 = np.einsum("rnl,lms->rsmn", gamma, gamma)
-    return t1 - t2 + t3 - t4
+    # d_mu Gamma^rho_{nu sigma} is dgamma[mu, rho, nu, sigma]; the second
+    # and fourth terms are the first and third with mu and nu swapped
+    t1 = np.einsum("...mrns->...rsmn", dgamma)
+    t3 = np.einsum("...rml,...lns->...rsmn", gamma, gamma)
+    return t1 - np.swapaxes(t1, -1, -2) + t3 - np.swapaxes(t3, -1, -2)
 
 
 def ricci_scalar(m: MetricTensor) -> CurvatureResult:
-    """Ricci scalar of the natural metric with degeneracy/blow-up flags."""
-    if m.is_degenerate():
-        raise DegenerateMetric("metric is degenerate", metric=m)
+    """Ricci scalar of the natural metric with degeneracy/blow-up flags.
+
+    A single-point metric raises on failure; a batched one records the
+    failures in its fault record and leaves R = NaN there.
+    """
+    single = m.g.ndim == 2
+    if single:
+        m = m.batch()
+    elif m.faults is None:
+        m = replace(m, faults=Faults(len(m.g)))
+    faults = m.faults
     n = m.n
-    ch = christoffel(m)
-    up = riemann_up(ch)
-    ricci = np.einsum("rsrn->sn", up)
-    ginv = np.linalg.inv(m.g)
-    R = float(np.einsum("sn,sn->", ginv, ricci))
+    with np.errstate(all="ignore"):
+        degenerate, ginv, ch = _connection(m)
+        up = riemann_up(ch)
+        ricci = np.einsum("zrsrn->zsn", up)
+        R = np.einsum("zsn,zsn->z", ginv, ricci)
 
-    cross_dev = None
-    if n == 2:
-        down = np.einsum("ae,ebcd->abcd", m.g, up)
-        R2 = 2.0 * down[0, 1, 0, 1] / m.det
-        cross_dev = abs(R - R2)
+        cross_dev = None
+        if n == 2:
+            down0101 = np.einsum("ze,ze->z", m.g[:, 0, :], up[:, :, 1, 0, 1])
+            cross_dev = np.abs(R - 2.0 * down0101 / m.det)
 
-    nonfinite = not math.isfinite(R) or abs(R) > NONFINITE_R
-    if not math.isfinite(R):
-        raise NonFinite("Ricci scalar is not finite")
-    return CurvatureResult(at=m.at, ricci_scalar=R, det_g=m.det,
-                           degenerate=False, conformal_factor=m.conformal_factor,
-                           nonfinite=nonfinite, cross_check_dev=cross_dev)
+    finite = np.isfinite(R)
+    faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
+    R = np.where(faults.ok, R, np.nan)
+    res = CurvatureResult(at=m.at, ricci_scalar=R, det_g=m.det,
+                          degenerate=degenerate,
+                          conformal_factor=m.conformal_factor,
+                          nonfinite=~finite | (np.abs(R) > NONFINITE_R),
+                          cross_check_dev=cross_dev, faults=faults)
+    if single:
+        faults.raise_first()
+        return res.point(0)
+    return res
 
 
 def curvature_at(spec: SystemSpec, x, check_domain: bool = True) -> CurvatureResult:
-    """Full pipeline: domain check, order-4 jet, metric, Ricci scalar."""
-    if check_domain:
-        violated = domain_check(spec, x)
-        if violated:
-            raise DomainViolation(
-                f"{spec.id}: point {tuple(x)} violates {violated}", violated)
-    jet = jet_eval(spec.field, x, 4)
-    m = natural_metric(jet, x, spec.excluded_index)
-    return ricci_scalar(m)
+    """Full pipeline: domain check, order-4 jet, metric, Ricci scalar.
+
+    ``x`` is one point (a failure raises) or a (batch, n) array of points,
+    evaluated in chunks of CHUNK; a batched result records each point's
+    failure instead of raising.
+    """
+    points = np.asarray(x, dtype=float)
+    if points.ndim == 1:
+        res = _curvature_chunk(spec, points[None], check_domain)
+        error = res.faults.errors.pop(0, None)
+        if error is not None:
+            del res, points     # a raised exception keeps this frame alive
+            raise error
+        return res.point(0)
+    return CurvatureResult.concat([
+        _curvature_chunk(spec, points[i:i + CHUNK], check_domain)
+        for i in range(0, len(points), CHUNK)])
+
+
+def _curvature_chunk(spec, points, check_domain):
+    faults = (domain_check(spec, points) if check_domain
+              else Faults(len(points)))
+    jet = jet_eval(spec.field, points, 4, faults)
+    return ricci_scalar(natural_metric(jet, points, spec.excluded_index))
 
 
 def metric_at(spec: SystemSpec, x, check_degenerate: bool = True) -> MetricTensor:
+    """Natural metric at one point, or at a (batch, n) array of points."""
     jet = jet_eval(spec.field, x, 4)
     return natural_metric(jet, x, spec.excluded_index,
                           check_degenerate=check_degenerate)

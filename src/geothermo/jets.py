@@ -1,9 +1,19 @@
 """Truncated Taylor (jet) arithmetic and the finite-difference oracle.
 
-A :class:`Jet` is a multivariate Taylor polynomial of a scalar field around a
-point, truncated at a total degree (at most 4 here).  Propagating jets through
-an expression yields the exact partial derivatives of the expression at the
-expansion point, which is what the metric/curvature pipeline consumes.
+A :class:`Jet` is a multivariate Taylor polynomial of a scalar field,
+truncated at a total degree (at most 4 here), held for a whole batch of
+expansion points at once: its coefficients are a dense array of shape
+(monomials, batch).  Propagating jets through an expression yields the exact
+partial derivatives of the expression at every point of the batch, which is
+what the metric/curvature pipeline consumes.  A single point is a batch of
+one.
+
+Products go through precomputed index tables (forward propagation of
+truncated Taylor coefficients; Griewank, Utke & Walther, Math. Comp. 69,
+2000).  A point whose evaluation fails (a logarithm of a non-positive value,
+an overflow, a zero denominator) is recorded in the batch's :class:`Faults`
+and the rest of the batch carries on; a jet without a fault record raises at
+once instead.
 
 The independent check is :func:`fd_partial`: nested central finite differences,
 sharing no code with the jet propagation.
@@ -13,109 +23,268 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .errors import DomainViolation, NonFinite
+from .errors import DomainViolation, NonFinite, SingularDenominator
 
 EPS = sys.float_info.epsilon
 MAX_ORDER = 4
 
+# Taylor coefficients are carried in extended precision (80-bit on x86;
+# plain double where the platform has no wider type) and rounded to float64
+# when the derivatives leave the jet.  The curvature of float ising_f near
+# T = 0.5, H = 2 lives in a term about 1e-6 of the leading ones, so the
+# rounding of double-precision products and sums reaches the oracle
+# tolerance there.  Element-wise long double functions also come from the C
+# library, point by point, so a point's value does not depend on the batch
+# it is evaluated in.
+DTYPE = np.longdouble
 
-def _unit_index(nvars: int, i: int) -> tuple:
-    k = [0] * nvars
-    k[i] = 1
-    return tuple(k)
+# per-degree constants of the univariate series, one row per degree k
+_K = np.arange(MAX_ORDER + 1, dtype=float)[:, None]
+_SIGN = (-1.0) ** _K
+_INV_FACTORIAL = np.array([1.0 / math.factorial(k)
+                           for k in range(MAX_ORDER + 1)])[:, None]
+
+
+class Faults:
+    """First failure of each point of a batch.
+
+    ``ok[i]`` turns False when point ``i`` fails, and ``errors[i]`` keeps the
+    exception a single-point evaluation raises there.  Later failures of a
+    point are ignored, so the record matches what a point-by-point run of
+    the same steps would raise.
+    """
+
+    __slots__ = ("ok", "errors")
+
+    def __init__(self, size: int):
+        self.ok = np.ones(size, dtype=bool)
+        self.errors = {}
+
+    def flag(self, mask, make):
+        """Fail every point in ``mask`` that has not failed yet with make(i)."""
+        new = mask & self.ok
+        if new.any():
+            for i in np.flatnonzero(new).tolist():
+                self.errors[i] = make(i)
+            self.ok &= ~new
+
+    def fail(self, i: int, exc: Exception):
+        if self.ok[i]:
+            self.ok[i] = False
+            self.errors[i] = exc
+
+    def raise_first(self):
+        """Raise the failure of the lowest-numbered failed point, if any.
+
+        The record lets go of the exception first: a raised exception keeps
+        the frames it passed through alive, and through them this record,
+        so holding on to it would form a reference cycle.
+        """
+        if self.errors:
+            raise self.errors.pop(min(self.errors))
+
+    @classmethod
+    def concat(cls, parts):
+        out = cls(0)
+        out.ok = np.concatenate([p.ok for p in parts])
+        offset = 0
+        for p in parts:
+            out.errors.update((offset + i, e) for i, e in p.errors.items())
+            offset += len(p.ok)
+        return out
+
+
+def _at(values, i):
+    """Entry ``i`` of a per-point array that may be broadcast from one."""
+    return float(values[i if values.shape[0] > 1 else 0])
+
+
+class _Tables:
+    """Monomials of total degree <= order in ``nvars`` variables.
+
+    Monomials are numbered by degree; within a degree they follow the sorted
+    index tuples of ``combinations_with_replacement``, so the degree-1
+    monomial of variable i is number 1 + i.  Coefficient arrays carry one
+    more row, number ``size``, that is always zero: the product tables pad
+    with it.
+    """
+
+    def __init__(self, nvars: int, order: int):
+        combos = [c for d in range(order + 1)
+                  for c in combinations_with_replacement(range(nvars), d)]
+        exps = [tuple(c.count(v) for v in range(nvars)) for c in combos]
+        number = {e: k for k, e in enumerate(exps)}
+        self.size = len(exps)
+        self.exps = exps
+        self.degree = [len(c) for c in combos]
+        # products a_i * b_j landing on monomial k, in (k, i, j) order
+        pairs = sorted((number[tuple(x + y for x, y in zip(ei, ej))], i, j)
+                       for i, ei in enumerate(exps) for j, ej in enumerate(exps)
+                       if self.degree[i] + self.degree[j] <= order)
+        self.mul = self._product(pairs)
+        # the same for a right factor without constant term (series
+        # composition multiplies by the zero-value part of its argument)
+        self.mul_shift = self._product([p for p in pairs if p[2] != 0])
+        # formal partial derivative d/dx_v: coefficient k -> k - e_v
+        self.deriv = []
+        for v in range(nvars):
+            src = [k for k, e in enumerate(exps) if e[v] > 0]
+            dst = [number[e[:v] + (e[v] - 1,) + e[v + 1:]]
+                   for e in (exps[k] for k in src)]
+            factor = np.array([float(exps[k][v]) for k in src])[:, None]
+            self.deriv.append((np.array(src, dtype=np.intp),
+                               np.array(dst, dtype=np.intp), factor))
+        # Taylor coefficient -> partial derivative, and the monomial behind
+        # every entry of the symmetric derivative tensors of degree 1..order
+        self.weights = np.array([float(math.prod(math.factorial(x) for x in e))
+                                 for e in exps])[:, None]
+        self.tensor_index = np.array(
+            [number[tuple(p.count(v) for v in range(nvars))]
+             for d in range(1, order + 1)
+             for p in product(range(nvars), repeat=d)], dtype=np.intp)
+        # poly_eval sums terms by (degree, exponent tuple)
+        self.eval_order = sorted(range(self.size),
+                                 key=lambda k: (self.degree[k], exps[k]))
+
+    def _product(self, pairs):
+        """Gather tables (rank, monomial) of a product: column k lists the
+        pairs that land on monomial k, padded with the zero row.  Summing
+        the gathered products over the rank axis adds each monomial's terms
+        in (i, j) order, whatever the batch size."""
+        groups = [[] for _ in range(self.size + 1)]
+        for k, i, j in pairs:
+            groups[k].append((i, j))
+        left = np.full((max(map(len, groups)), self.size + 1), self.size,
+                       dtype=np.intp)
+        right = left.copy()
+        for k, group in enumerate(groups):
+            for rank, (i, j) in enumerate(group):
+                left[rank, k], right[rank, k] = i, j
+        return left, right
+
+
+@lru_cache(maxsize=None)
+def _tables(nvars: int, order: int) -> _Tables:
+    return _Tables(nvars, order)
 
 
 class Jet:
-    """Multivariate Taylor polynomial truncated at total degree ``order``.
+    """Multivariate Taylor polynomials truncated at total degree ``order``.
 
-    Coefficients are stored sparsely as ``{exponent-tuple: float}``; the
-    coefficient of a monomial ``prod (x_i - x0_i)^k_i`` is the mixed partial
-    divided by ``prod k_i!``.
+    ``c[k, b]`` is the coefficient of monomial k (see :class:`_Tables`) at
+    point b of the batch: the mixed partial divided by ``prod k_i!``.  The
+    last row of ``c`` is zero.
+    ``faults`` is the batch's failure record; without one, an operation that
+    fails at any point raises.
     """
 
-    __slots__ = ("nvars", "order", "coeffs")
+    __slots__ = ("nvars", "order", "c", "faults")
+    __array_ufunc__ = None      # ndarray (op) Jet defers to the Jet
 
-    def __init__(self, nvars: int, order: int, coeffs: dict | None = None):
+    def __init__(self, nvars: int, order: int, c, faults=None):
         self.nvars = nvars
         self.order = order
-        self.coeffs = coeffs if coeffs is not None else {}
+        self.c = c
+        self.faults = faults
 
     @classmethod
-    def constant(cls, nvars: int, order: int, value: float) -> "Jet":
-        zero = (0,) * nvars
-        return cls(nvars, order, {zero: float(value)} if value != 0.0 else {zero: 0.0})
+    def constant(cls, nvars: int, order: int, value, faults=None) -> "Jet":
+        value = np.asarray(value, dtype=DTYPE).reshape(-1)
+        c = np.zeros((_tables(nvars, order).size + 1, value.shape[0]),
+                     dtype=DTYPE)
+        c[0] = value
+        return cls(nvars, order, c, faults)
 
     @classmethod
-    def variable(cls, nvars: int, order: int, index: int, value: float) -> "Jet":
-        coeffs = {(0,) * nvars: float(value)}
+    def variable(cls, nvars: int, order: int, index: int, value,
+                 faults=None) -> "Jet":
+        out = cls.constant(nvars, order, value, faults)
         if order >= 1:
-            coeffs[_unit_index(nvars, index)] = 1.0
-        return cls(nvars, order, coeffs)
+            out.c[1 + index] = 1.0
+        return out
 
     @property
-    def value(self) -> float:
-        return self.coeffs.get((0,) * self.nvars, 0.0)
+    def value(self) -> np.ndarray:
+        """Values at the expansion points, shape (batch,)."""
+        return self.c[0]
 
-    def _like(self, coeffs: dict) -> "Jet":
-        return Jet(self.nvars, self.order, coeffs)
+    @property
+    def size(self) -> int:
+        return self.c.shape[1]
+
+    def _like(self, c, other=None) -> "Jet":
+        faults = self.faults
+        if faults is None and other is not None:
+            faults = other.faults
+        return Jet(self.nvars, self.order, c, faults)
+
+    def _flag(self, mask, make):
+        if self.faults is not None:
+            self.faults.flag(mask, make)
+        elif mask.any():
+            raise make(int(np.flatnonzero(mask)[0]))
 
     # ---- ring operations -------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            out = dict(self.coeffs)
-            zero = (0,) * self.nvars
-            out[zero] = out.get(zero, 0.0) + float(other)
-            return self._like(out)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
+    def _shift(self, k):
+        """self + k for a constant k (a float or one value per point)."""
+        c = self.c
+        if not isinstance(k, float):
+            k = np.asarray(k, dtype=DTYPE)
+            if k.ndim and k.shape[-1] != c.shape[1]:
+                c = np.broadcast_to(c, (c.shape[0], k.shape[-1]))
+        out = c.copy()
+        out[0] += k
         return self._like(out)
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return self._like(self.c + other.c, other)
+        return self._shift(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
+        return self._like(-self.c)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -float(other))
+        if isinstance(other, Jet):
+            return self._like(self.c - other.c, other)
+        return self._shift(-other if isinstance(other, float)
+                           else -np.asarray(other, dtype=DTYPE))
 
     def __rsub__(self, other):
-        return (-self) + float(other)
+        return (-self)._shift(other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            f = float(other)
-            return self._like({k: c * f for k, c in self.coeffs.items()})
-        order = self.order
-        out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            if c1 == 0.0:
-                continue
-            d1 = sum(k1)
-            for k2, c2 in other.coeffs.items():
-                if c2 == 0.0 or d1 + sum(k2) > order:
-                    continue
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, 0.0) + c1 * c2
-        zero = (0,) * self.nvars
-        out.setdefault(zero, 0.0)
-        return self._like(out)
+            if not isinstance(other, float):
+                other = np.asarray(other, dtype=DTYPE)
+            return self._like(self.c * other)
+        if self.order == 0:
+            return self._like(self.c * other.c, other)
+        i, j = _tables(self.nvars, self.order).mul
+        return self._like(np.add.reduce(self.c[i] * other.c[j], axis=0),
+                          other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self * (1.0 / float(other))
-        return self * other._reciprocal()
+        if isinstance(other, Jet):
+            return self * other._reciprocal()
+        other = np.asarray(other, dtype=DTYPE)
+        self._flag(np.atleast_1d(other == 0.0), lambda i: SingularDenominator(
+            "jet division by zero value"))
+        return self * (1.0 / other)
 
     def __rtruediv__(self, other):
-        return self._reciprocal() * float(other)
+        return self._reciprocal() * other
 
     def __pow__(self, exponent):
         if isinstance(exponent, Jet):
@@ -125,99 +294,102 @@ class Jet:
         if r == int(r) and abs(r) <= 64:
             return self._int_pow(int(r))
         u0 = self.value
-        if u0 <= 0.0:
-            raise DomainViolation(
-                f"fractional power of non-positive base {u0!r}")
-        series = [u0 ** r]
-        fac = 1.0
+        self._flag(u0 <= 0.0, lambda i: DomainViolation(
+            f"fractional power of non-positive base {_at(u0, i)!r}"))
+        facs = [1.0]
         for k in range(1, self.order + 1):
-            fac *= (r - (k - 1)) / k
-            series.append(fac * u0 ** (r - k))
-        return self._compose(series)
+            facs.append(facs[-1] * ((r - (k - 1)) / k))
+        k = _K[:self.order + 1]
+        return self._compose(np.array(facs)[:, None] * u0 ** (r - k))
 
     def _int_pow(self, m: int) -> "Jet":
         if m < 0:
             return self._reciprocal()._int_pow(-m)
-        result = Jet.constant(self.nvars, self.order, 1.0)
+        result = None
         base = self
         while m:
             if m & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             m >>= 1
+            if m:
+                base = base * base
+        if result is None:
+            return Jet.constant(self.nvars, self.order,
+                                np.ones(self.size), self.faults)
         return result
 
     def _reciprocal(self) -> "Jet":
         u0 = self.value
-        if u0 == 0.0:
-            raise ZeroDivisionError("jet division by zero value")
-        series = [(-1.0) ** k / u0 ** (k + 1) for k in range(self.order + 1)]
-        return self._compose(series)
+        self._flag(u0 == 0.0, lambda i: SingularDenominator(
+            "jet division by zero value"))
+        k = _K[:self.order + 1]
+        return self._compose(_SIGN[:self.order + 1] / u0 ** (k + 1.0))
 
     # ---- analytic functions ----------------------------------------------
 
-    def _compose(self, series: list) -> "Jet":
+    def _compose(self, series) -> "Jet":
         """Substitute the zero-value part of self into a univariate series.
 
-        ``series[k]`` must equal f^(k)(value)/k!.
+        ``series[k]`` must equal f^(k)(value)/k!, one value per point:
+        an array of shape (order + 1, batch).
         """
-        delta = dict(self.coeffs)
-        delta[(0,) * self.nvars] = 0.0
-        d = self._like(delta)
-        result = Jet.constant(self.nvars, self.order, series[-1])
-        for k in range(len(series) - 2, -1, -1):
-            result = result * d + series[k]
-        return result
+        c = self.c
+        out = c * series[-1]
+        if self.order == 0:
+            out[0] = series[0]
+            return self._like(out)
+        # Horner in the zero-value part d of self: the products skip the
+        # constant slot of d, which is zero
+        i, j = _tables(self.nvars, self.order).mul_shift
+        out[0] = series[-2]
+        for k in range(self.order - 2, -1, -1):
+            out = np.add.reduce(out[i] * c[j], axis=0)
+            out[0] = series[k]
+        return self._like(out)
+
+    def _overflow(self, name, *values):
+        x = self.value
+        bad = ~np.isfinite(values[0])
+        for v in values[1:]:
+            bad |= ~np.isfinite(v)
+        self._flag(bad & np.isfinite(x), lambda i: NonFinite(
+            f"{name} overflow at {_at(x, i)!r}"))
 
     def ln(self) -> "Jet":
         u0 = self.value
-        if u0 <= 0.0:
-            raise DomainViolation(f"ln of non-positive argument {u0!r}")
-        series = [math.log(u0)]
-        for k in range(1, self.order + 1):
-            series.append((-1.0) ** (k - 1) / (k * u0 ** k))
+        self._flag(u0 <= 0.0, lambda i: DomainViolation(
+            f"ln of non-positive argument {_at(u0, i)!r}"))
+        series = np.empty((self.order + 1, len(u0)), dtype=DTYPE)
+        series[0] = np.log(u0)
+        k = _K[1:self.order + 1]
+        series[1:] = _SIGN[:self.order] / (k * u0 ** k)
         return self._compose(series)
 
     def exp(self) -> "Jet":
-        try:
-            e0 = math.exp(self.value)
-        except OverflowError as exc:
-            raise NonFinite(f"exp overflow at {self.value!r}") from exc
-        series = [e0]
-        fac = 1.0
-        for k in range(1, self.order + 1):
-            fac /= k
-            series.append(e0 * fac)
-        return self._compose(series)
+        e0 = np.exp(self.value)
+        self._overflow("exp", e0)
+        return self._compose(e0 * _INV_FACTORIAL[:self.order + 1])
 
     def sqrt(self) -> "Jet":
-        if self.value <= 0.0:
-            raise DomainViolation(f"sqrt of non-positive argument {self.value!r}")
+        u0 = self.value
+        self._flag(u0 <= 0.0, lambda i: DomainViolation(
+            f"sqrt of non-positive argument {_at(u0, i)!r}"))
         return self ** 0.5
 
-    def sinh(self) -> "Jet":
-        try:
-            s0, c0 = math.sinh(self.value), math.cosh(self.value)
-        except OverflowError as exc:
-            raise NonFinite(f"sinh overflow at {self.value!r}") from exc
-        series, fac = [], 1.0
-        for k in range(self.order + 1):
-            if k:
-                fac /= k
-            series.append((s0 if k % 2 == 0 else c0) * fac)
+    def _hyperbolic(self, name, even, odd):
+        self._overflow(name, even, odd)
+        series = np.empty((self.order + 1, len(even)), dtype=DTYPE)
+        series[0::2] = even * _INV_FACTORIAL[0:self.order + 1:2]
+        series[1::2] = odd * _INV_FACTORIAL[1:self.order + 1:2]
         return self._compose(series)
 
+    def sinh(self) -> "Jet":
+        x = self.value
+        return self._hyperbolic("sinh", np.sinh(x), np.cosh(x))
+
     def cosh(self) -> "Jet":
-        try:
-            s0, c0 = math.sinh(self.value), math.cosh(self.value)
-        except OverflowError as exc:
-            raise NonFinite(f"cosh overflow at {self.value!r}") from exc
-        series, fac = [], 1.0
-        for k in range(self.order + 1):
-            if k:
-                fac /= k
-            series.append((c0 if k % 2 == 0 else s0) * fac)
-        return self._compose(series)
+        x = self.value
+        return self._hyperbolic("cosh", np.cosh(x), np.sinh(x))
 
     def tanh(self) -> "Jet":
         return self.sinh() / self.cosh()
@@ -226,38 +398,37 @@ class Jet:
 
     def deriv(self, i: int) -> "Jet":
         """Formal partial derivative with respect to variable ``i``."""
-        out = {}
-        for k, c in self.coeffs.items():
-            if k[i] == 0 or c == 0.0:
-                continue
-            kk = list(k)
-            kk[i] -= 1
-            out[tuple(kk)] = c * k[i]
-        out.setdefault((0,) * self.nvars, 0.0)
+        src, dst, factor = _tables(self.nvars, self.order).deriv[i]
+        out = np.zeros_like(self.c)
+        out[dst] = self.c[src] * factor
         return self._like(out)
 
     def poly_eval(self, deltas: list):
-        """Evaluate the polynomial at displacements ``deltas`` from its center.
+        """Evaluate the polynomials at displacements ``deltas`` from their
+        centers.
 
         Each delta may be a Jet (in any ambient jet space) or a float; all
-        deltas must have value zero so truncation is exact.
+        deltas must have value zero so truncation is exact.  Coefficients
+        are per point, so a batch of polynomials evaluates against a batch
+        of displacements point by point.
         """
-        terms = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        powers = [dict() for _ in range(self.nvars)]
+        t = _tables(self.nvars, self.order)
+        powers = {}
         result = None
-        for k, c in terms:
-            if c == 0.0 and sum(k) > 0:
+        for k in t.eval_order:
+            coef = self.c[k]
+            if t.degree[k] and not coef.any():
                 continue
-            term = c
-            for i, ki in enumerate(k):
+            term = coef
+            for i, ki in enumerate(t.exps[k]):
                 if ki == 0:
                     continue
-                p = powers[i].get(ki)
+                p = powers.get((i, ki))
                 if p is None:
                     p = deltas[i]
                     for _ in range(ki - 1):
                         p = p * deltas[i]
-                    powers[i][ki] = p
+                    powers[i, ki] = p
                 term = p * term
             result = term if result is None else result + term
         return result if result is not None else 0.0
@@ -265,71 +436,107 @@ class Jet:
 
 @dataclass
 class Jet4:
-    """Value and symmetric partial-derivative arrays through order 4."""
+    """Value and symmetric partial-derivative arrays through order 4.
 
-    value: float
+    For a batch every array carries a leading batch axis (``value`` has
+    shape (batch,)), and ``faults`` records the points that failed.
+    """
+
+    value: object
     grad: np.ndarray
     hess: np.ndarray
     third: np.ndarray
     fourth: np.ndarray
     order: int = MAX_ORDER
+    faults: Faults | None = None
 
     @property
     def n(self) -> int:
-        return len(self.grad)
+        return self.grad.shape[-1]
+
+    def point(self, i: int) -> "Jet4":
+        """Point ``i`` of a batch as a single-point Jet4."""
+        return Jet4(float(self.value[i]), self.grad[i], self.hess[i],
+                    self.third[i], self.fourth[i], self.order)
+
+    def batch(self) -> "Jet4":
+        """A single-point Jet4 as a batch of one."""
+        return replace(self, value=np.array([self.value]),
+                       grad=self.grad[None], hess=self.hess[None],
+                       third=self.third[None], fourth=self.fourth[None],
+                       faults=Faults(1))
 
 
-def _as_jet(result, nvars: int, order: int) -> Jet:
-    if isinstance(result, Jet):
-        return result
-    return Jet.constant(nvars, order, float(result))
+def _as_jet(result, nvars: int, order: int, size: int, faults) -> Jet:
+    if not isinstance(result, Jet):
+        result = Jet.constant(nvars, order, result, faults)
+    if result.size != size:
+        result = Jet(nvars, order,
+                     np.broadcast_to(result.c, (result.c.shape[0], size)),
+                     result.faults)
+    return result
 
 
-def jet_poly(field, x, order: int = MAX_ORDER) -> Jet:
-    """Raw truncated Taylor polynomial of ``field`` around ``x``."""
-    x = [float(c) for c in x]
-    n = len(x)
-    args = [Jet.variable(n, order, i, x[i]) for i in range(n)]
-    return _as_jet(field(args), n, order)
+def jet_poly(field, x, order: int = MAX_ORDER, faults=None) -> Jet:
+    """Raw truncated Taylor polynomial of ``field`` around ``x``.
+
+    ``x`` is one point, or a (batch, n) array of points.  Failures are
+    recorded in ``faults`` when given; otherwise the first one raises.
+    """
+    x = np.asarray(x, dtype=float)
+    points = x.reshape(-1, x.shape[-1])
+    n, size = points.shape[1], points.shape[0]
+    args = [Jet.variable(n, order, i, points[:, i], faults) for i in range(n)]
+    return _as_jet(field(args), n, order, size, faults)
 
 
-def jet_eval(field, x, order: int = MAX_ORDER) -> Jet4:
-    """Evaluate ``field`` and its partials through ``order`` at point ``x``.
+def jet_eval(field, x, order: int = MAX_ORDER, faults=None) -> Jet4:
+    """Evaluate ``field`` and its partials through ``order``.
 
     ``field`` is any callable accepting a sequence of Jets (or floats) and
     combining them with arithmetic and the analytic functions above.  Unused
     higher-order slots of the result are zero-filled.
+
+    For a single point ``x`` the result is a single-point Jet4 and a failure
+    raises.  For a (batch, n) array the result carries a leading batch axis
+    and a fault record (``faults``, or a new one) instead of raising.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
-    x = [float(c) for c in x]
-    n = len(x)
-    jet = jet_poly(field, x, order)
-
-    value = jet.value
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    third = np.zeros((n, n, n))
-    fourth = np.zeros((n, n, n, n))
-    for k, c in jet.coeffs.items():
-        deg = sum(k)
-        if deg == 0 or deg > order:
+    x = np.asarray(x, dtype=float)
+    points = x.reshape(-1, x.shape[-1])
+    size, n = points.shape
+    record = Faults(size) if faults is None else faults
+    t = _tables(n, order)
+    with np.errstate(all="ignore"):
+        jet = jet_poly(field, points, order, record)
+        derivs = (jet.c[:-1] * t.weights).T.astype(float)
+    record.flag(~np.isfinite(derivs).all(axis=1), lambda i: NonFinite(
+        _coefficient_message(t, derivs[i])))
+    value = derivs[:, 0].copy()
+    entries = derivs[:, t.tensor_index]
+    tensors, start = [], 0
+    for d in range(1, MAX_ORDER + 1):
+        shape = (size,) + (n,) * d
+        if d > order:
+            tensors.append(np.zeros(shape))
             continue
-        if not math.isfinite(c):
-            raise NonFinite(f"non-finite Taylor coefficient for index {k}")
-        d = c * math.prod(math.factorial(ki) for ki in k)
-        idx = tuple(i for i, ki in enumerate(k) for _ in range(ki))
-        target = (grad, hess, third, fourth)[deg - 1]
-        # fill every permutation so the arrays are symmetric by construction
-        seen = set()
-        for perm in product(range(n), repeat=deg):
-            if tuple(sorted(perm)) == idx and perm not in seen:
-                target[perm] = d
-                seen.add(perm)
-    if not math.isfinite(value):
-        raise NonFinite("non-finite field value")
-    return Jet4(value=value, grad=grad, hess=hess, third=third, fourth=fourth,
-                order=order)
+        stop = start + n ** d
+        tensors.append(entries[:, start:stop].reshape(shape))
+        start = stop
+    out = Jet4(value, *tensors, order=order, faults=record)
+    if x.ndim == 1:
+        record.raise_first()
+        return out.point(0)
+    return out
+
+
+def _coefficient_message(t, column):
+    bad = ~np.isfinite(column)
+    for k in range(1, len(column)):
+        if bad[k]:
+            return f"non-finite Taylor coefficient for index {t.exps[k]}"
+    return "non-finite field value"
 
 
 # Dispatch wrappers usable on floats and Jets alike; evaluators written
@@ -385,6 +592,13 @@ def power(x, y):
     if x == 0.0 and y < 0.0:
         raise DomainViolation("zero base with negative exponent")
     return _float_guard(lambda b: b ** y, "pow", x)
+
+
+def divide(x, y):
+    """x / y with a zero float denominator reported as SingularDenominator."""
+    if not isinstance(y, Jet) and not isinstance(x, Jet) and y == 0.0:
+        raise SingularDenominator(f"division of {x!r} by zero")
+    return x / y
 
 
 def default_fd_step(x_a: float, total_order: int) -> float:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import SingularDenominator
 from .geometry import curvature_at, metric_at
 from .systems import SystemSpec
@@ -214,22 +216,25 @@ def oracle_vs_pipeline(id: str, spec: SystemSpec, grid):
     with a ``points()`` method is also accepted).
     """
     pts = grid.points() if hasattr(grid, "points") else grid
+    pts = [tuple(float(c) for c in x) for x in pts]
+    if not pts:
+        raise ValueError("empty grid")
     point_map = _POINT_MAPS.get(id, _identity_map)
-    use_det = (id == "chap_det")
+    if id == "chap_det":
+        res = metric_at(spec, np.array(pts), check_degenerate=False)
+        pipeline = res.det
+    else:
+        res = curvature_at(spec, np.array(pts))
+        pipeline = res.ricci_scalar
 
     sign = None
     worst = 0.0
-    seen = False
-    for x in pts:
-        if use_det:
-            pipeline = metric_at(spec, x, check_degenerate=False).det
-        else:
-            pipeline = curvature_at(spec, x).ricci_scalar
+    for i, x in enumerate(pts):
+        if i in res.faults.errors:
+            raise res.faults.errors[i]
+        got = float(pipeline[i])
         ref = oracle_eval(id, point_map(spec, x), spec.params)
         if sign is None:
-            sign = 1 if abs(pipeline - ref) <= abs(pipeline + ref) else -1
-        worst = max(worst, abs(pipeline - sign * ref) / (1.0 + abs(ref)))
-        seen = True
-    if not seen:
-        raise ValueError("empty grid")
+            sign = 1 if abs(got - ref) <= abs(got + ref) else -1
+        worst = max(worst, abs(got - sign * ref) / (1.0 + abs(ref)))
     return sign, worst

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import dsl
-from .errors import DomainViolation
+from .errors import DomainViolation, GeothermoError
+from .jets import Faults, jet_eval
 
 EXTENSIVE = "extensive"
 INTENSIVE = "intensive"
@@ -41,6 +44,17 @@ class ImplicitPredicate:
 
     def holds(self, values, param_values):
         return self.fn(values)
+
+    def mask(self, points, param_values):
+        """Evaluate point by point; see :meth:`dsl.Predicate.mask`."""
+        faults = Faults(len(points))
+        holds = np.zeros(len(points), dtype=bool)
+        for i, row in enumerate(points.tolist()):
+            try:
+                holds[i] = self.fn(row)
+            except GeothermoError as exc:
+                faults.fail(i, exc)
+        return holds, faults
 
     def __str__(self):
         return self.description
@@ -75,22 +89,60 @@ class SystemSpec:
 
 
 def domain_check(spec: SystemSpec, x):
-    """Return the list of violated domain predicates ([] means pass)."""
-    if len(x) != spec.n:
+    """Violated domain predicates of a point, or the failures of a batch.
+
+    For one point, returns the list of violated predicates ([] means pass).
+    For a (batch, n) array, returns a :class:`Faults` record in which every
+    point outside the domain fails with DomainViolation.  As for one point,
+    a predicate that cannot be evaluated for a reason other than a domain
+    violation fails the point with that error instead.
+    """
+    points = np.asarray(x, dtype=float)
+    if points.shape[-1:] != (spec.n,):
         raise ValueError(f"point has dimension {len(x)}, spec needs {spec.n}")
-    violated = []
-    for pred in spec.domain:
-        try:
-            ok = pred.holds(list(x), spec.params)
-        except DomainViolation:
-            ok = False
-        if not ok:
-            violated.append(str(pred))
-    return violated
+    if points.ndim == 1:
+        violated = []
+        for pred in spec.domain:
+            try:
+                ok = pred.holds(list(x), spec.params)
+            except DomainViolation:
+                ok = False
+            if not ok:
+                violated.append(str(pred))
+        return violated
+
+    faults = Faults(len(points))
+    violated = np.zeros((len(points), len(spec.domain)), dtype=bool)
+    for p, pred in enumerate(spec.domain):
+        holds, pred_faults = pred.mask(points, spec.params)
+        for i, exc in sorted(pred_faults.errors.items()):
+            if not isinstance(exc, DomainViolation):
+                faults.fail(i, exc)
+        violated[:, p] = ~holds
+
+    def violation(i):
+        names = [str(pred) for pred, bad in zip(spec.domain, violated[i])
+                 if bad]
+        point = tuple(float(c) for c in points[i])
+        return DomainViolation(f"{spec.id}: point {point} violates {names}",
+                               names)
+
+    faults.flag(violated.any(axis=1), violation)
+    return faults
 
 
-def evaluate(spec: SystemSpec, x) -> float:
-    """Phi(x); raises DomainViolation outside the validity domain."""
+def evaluate(spec: SystemSpec, x):
+    """Phi(x); raises DomainViolation outside the validity domain.
+
+    ``x`` is one point (float result) or a (batch, n) array (array result;
+    the first failing point raises).
+    """
+    points = np.asarray(x, dtype=float)
+    if points.ndim == 2:
+        faults = domain_check(spec, points)
+        value = jet_eval(spec.field, points, 0, faults).value
+        faults.raise_first()
+        return value
     violated = domain_check(spec, x)
     if violated:
         raise DomainViolation(

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import systems
-from .errors import (DomainViolation, InversionFailure, NonFinite,
-                     PreconditionFailure)
-from .jets import Jet, jet_eval, jet_poly
+from .errors import (DomainViolation, GeothermoError, InversionFailure,
+                     NonFinite, PreconditionFailure, SingularDenominator)
+from .jets import Faults, Jet, jet_eval, jet_poly
 from .systems import (EXTENSIVE, INTENSIVE, Coordinate, ImplicitPredicate,
                       SystemSpec, domain_check, evaluate)
 
@@ -86,7 +86,8 @@ def _newton_solve(f, df, seed, lo, hi):
     def safe(fn, z):
         try:
             val = fn(z)
-        except (DomainViolation, NonFinite, ZeroDivisionError, OverflowError):
+        except (DomainViolation, NonFinite, SingularDenominator,
+                ZeroDivisionError, OverflowError):
             return None
         return val if math.isfinite(val) else None
 
@@ -179,6 +180,7 @@ class _ImplicitField:
     def __init__(self, base: SystemSpec, slot: int):
         self.base = base
         self.slot = slot
+        self._last = None   # (point, base point, exception) of base_point
 
     # -- float level
 
@@ -190,6 +192,25 @@ class _ImplicitField:
 
     def _residual_deriv(self, z, new_values):
         raise NotImplementedError
+
+    def base_point(self, new_values):
+        """:meth:`solve_base_point`, remembering the last point solved.
+
+        The domain predicate and the field solve the same point one after
+        the other; the second call replays the first one's result or
+        exception.
+        """
+        key = tuple(float(v) for v in new_values)
+        last = self._last
+        if last is None or last[0] != key:
+            try:
+                last = (key, self.solve_base_point(list(key)), None)
+            except GeothermoError as exc:
+                last = (key, None, exc)
+            self._last = last
+        if last[2] is not None:
+            raise last[2]
+        return list(last[1])
 
     def solve_base_point(self, new_values):
         """Recover the base-representation point behind ``new_values``."""
@@ -215,17 +236,29 @@ class _ImplicitField:
         if not jet_args:
             return self._float_value([float(a) for a in args])
         ambient = jet_args[0]
-        nvars, order = ambient.nvars, ambient.order
-        args = [a if isinstance(a, Jet) else Jet.constant(nvars, order, float(a))
-                for a in args]
-        y0 = [a.value for a in args]
-        base_pt = self.solve_base_point(y0)
+        nvars, order, faults = ambient.nvars, ambient.order, ambient.faults
+        size = max(a.size for a in jet_args)
+        args = [a if isinstance(a, Jet)
+                else Jet.constant(nvars, order, a, faults) for a in args]
+        y0 = np.column_stack([np.broadcast_to(a.value, (size,))
+                              for a in args])
+        # one Newton solve per point; a point that fails stays NaN
+        record = faults if faults is not None else Faults(size)
+        base_pts = np.full_like(y0, math.nan)
+        for i, row in enumerate(y0.tolist()):
+            if record.ok[i]:
+                try:
+                    base_pts[i] = self.base_point(row)
+                except GeothermoError as exc:
+                    record.fail(i, exc)
+        if faults is None:
+            record.raise_first()
         # the polynomial needs at least order 2 so the Newton denominator
         # (a second derivative of the base potential) has a constant term
-        poly = jet_poly(self.base.field, base_pt, max(order, 2))
-        deltas_rest = [args[j] - y0[j] for j in range(len(args))]
-        z = Jet.constant(nvars, order, base_pt[self.slot])
-        z0 = base_pt[self.slot]
+        poly = jet_poly(self.base.field, base_pts, max(order, 2), faults)
+        deltas_rest = [args[j] - y0[:, j] for j in range(len(args))]
+        z0 = base_pts[:, self.slot]
+        z = Jet.constant(nvars, order, z0, faults)
         num_poly, den_poly = self._newton_polys(poly)
         for _ in range(JET_NEWTON_STEPS):
             ds = _with_slot(deltas_rest, self.slot, z - z0)
@@ -259,7 +292,7 @@ class _PartialLegendreField(_ImplicitField):
         return jet_eval(self.base.field, pt, 2).hess[self.slot, self.slot]
 
     def _float_value(self, values):
-        pt = self.solve_base_point(values)
+        pt = self.base_point(values)
         return evaluate(self.base, pt) - values[self.slot] * pt[self.slot]
 
     def _newton_polys(self, poly):
@@ -287,7 +320,7 @@ class _InverseRepresentationField(_ImplicitField):
         return jet_eval(self.base.field, pt, 1).grad[self.slot]
 
     def _float_value(self, values):
-        return self.solve_base_point(values)[self.slot]
+        return self.base_point(values)[self.slot]
 
     def _newton_polys(self, poly):
         return poly, poly.deriv(self.slot)
@@ -314,7 +347,8 @@ def _monotone_samples(spec: SystemSpec, slot: int, value_fn):
             continue
         try:
             val = value_fn(pt)
-        except (DomainViolation, NonFinite, ZeroDivisionError):
+        except (DomainViolation, NonFinite, SingularDenominator,
+                ZeroDivisionError):
             continue
         if math.isfinite(val):
             samples.append((float(z), float(val)))
@@ -401,7 +435,7 @@ def partial_legendre(spec: SystemSpec, slot: int, solve: str = "auto") -> System
 
     def in_preimage(values):
         try:
-            field.solve_base_point(list(values))
+            field.base_point(values)
         except (DomainViolation, NonFinite, InversionFailure):
             return False
         return True
@@ -518,7 +552,7 @@ def invert_representation(spec: SystemSpec, target_slot: int,
 
     def in_preimage(values):
         try:
-            field.solve_base_point(list(values))
+            field.base_point(values)
         except (DomainViolation, NonFinite, InversionFailure):
             return False
         return True
@@ -557,9 +591,9 @@ def to_vP(spec_vdw_s: SystemSpec, u: float, v: float):
     return v, P
 
 
-def u_from_vP(v: float, P: float, a: float = 1.0, b: float = 1.0) -> float:
-    """Inverse of :func:`to_vP` at fixed v."""
-    if not v > b:
+def u_from_vP(v, P, a: float = 1.0, b: float = 1.0):
+    """Inverse of :func:`to_vP` at fixed v (floats or arrays of points)."""
+    if not np.all(np.asarray(v) > b):
         raise DomainViolation(f"v = {v} must exceed b = {b}", [f"v > {b}"])
     return (3.0 * P * v * v * (v - b) + a * v - 3.0 * a * b) / (2.0 * v * v)
 

@@ -124,7 +124,7 @@ def test_ising_scan_no_interior_singularities():
     grid = an.GridSpec((("T", 0.4, 10.0, 8), ("H", 0.5, 2.0, 3)))
     rep = an.singularity_scan(
         spec, grid, blowup_threshold=1e18,
-        evaluator=lambda pt: an.ising_curvature(pt[0], pt[1]))
+        evaluator=lambda pts: [an.ising_curvature(T, H) for T, H in pts])
     assert rep.detections == []
     assert all(math.isfinite(r) for r in rep.values.values())
 

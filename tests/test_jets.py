@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geothermo.errors import DomainViolation, NonFinite
+from geothermo.errors import DomainViolation, NonFinite, SingularDenominator
 from geothermo.jets import (Jet, default_fd_step, fd_partial, jet_eval,
                             jet_poly)
 from geothermo import jets
@@ -107,14 +107,15 @@ def test_default_fd_step_scales():
 
 def test_jet_poly_deriv_and_eval():
     p = jet_poly(f_mixed, (2.0, 1.0), 4)
+    assert p.c.shape == (15 + 1, 1)       # 15 monomials, one point
     ps = p.deriv(0)
     j = jet_eval(f_mixed, (2.0, 1.0), 4)
-    assert ps.value == pytest.approx(j.grad[0])
+    assert ps.value[0] == pytest.approx(j.grad[0])
     # polynomial evaluation at a float displacement approximates the field
     du = 1e-3
     shifted = p.poly_eval([du, 0.0])
     truth = f_mixed([2.0 + du, 1.0])
-    assert shifted == pytest.approx(truth, abs=1e-14)
+    assert shifted[0] == pytest.approx(truth, abs=1e-14)
 
 
 def test_division_and_int_pow():
@@ -127,6 +128,56 @@ def test_constant_and_variable_constructors():
     c = Jet.constant(2, 4, 5.0)
     v = Jet.variable(2, 4, 1, 3.0)
     s = c * v + v
-    assert s.value == pytest.approx(18.0)
-    assert s.deriv(1).value == pytest.approx(6.0)
-    assert s.deriv(0).value == 0.0
+    assert s.value[0] == pytest.approx(18.0)
+    assert s.deriv(1).value[0] == pytest.approx(6.0)
+    assert s.deriv(0).value[0] == 0.0
+
+
+# ---- dense batched layout ------------------------------------------------
+
+
+def test_batch_of_points_matches_single_points():
+    pts = np.array([[2.0, 1.0], [1.7, 0.9], [0.8, 1.6]])
+    batch = jet_eval(f_mixed, pts, 4)
+    assert batch.value.shape == (3,)
+    assert batch.fourth.shape == (3, 2, 2, 2, 2)
+    for i, x in enumerate(pts):
+        one = jet_eval(f_mixed, x, 4)
+        assert batch.value[i] == one.value
+        for name in ("grad", "hess", "third", "fourth"):
+            assert np.array_equal(getattr(batch, name)[i], getattr(one, name))
+
+
+def test_batch_constants_broadcast():
+    v = Jet.variable(2, 4, 0, np.array([1.0, 2.0, 3.0]))
+    s = Jet.constant(2, 4, 2.0) * v + 1.0
+    assert s.size == 3
+    assert np.array_equal(s.value, [3.0, 5.0, 7.0])
+    assert np.array_equal(s.deriv(0).value, [2.0, 2.0, 2.0])
+    # per-point constants shift each point by its own value
+    t = v + np.array([10.0, 20.0, 30.0])
+    assert np.array_equal(t.value, [11.0, 22.0, 33.0])
+
+
+def test_batch_failures_are_per_point():
+    pts = np.array([[2.0, 1.0], [-1.0, 1.0], [1.0, 1.0]])
+    batch = jet_eval(lambda a: jets.ln(a[0]) + 1.0 / (a[0] - a[1]), pts, 4)
+    assert list(batch.faults.ok) == [True, False, False]
+    assert isinstance(batch.faults.errors[1], DomainViolation)
+    assert isinstance(batch.faults.errors[2], SingularDenominator)
+    one = jet_eval(lambda a: jets.ln(a[0]) + 1.0 / (a[0] - a[1]), pts[0], 4)
+    assert batch.grad[0, 1] == one.grad[1]
+
+
+def test_jet_without_fault_record_raises():
+    with pytest.raises(SingularDenominator):
+        Jet.constant(1, 2, 0.0)._reciprocal()
+    with pytest.raises(DomainViolation):
+        Jet.variable(1, 2, 0, np.array([1.0, -1.0])).ln()
+
+
+def test_overflow_is_nonfinite():
+    with pytest.raises(NonFinite):
+        jet_eval(lambda a: jets.exp(a[0]), (800.0,), 2)
+    with pytest.raises(NonFinite):
+        jet_eval(lambda a: jets.cosh(a[0]), (-800.0,), 2)
