@@ -6,9 +6,9 @@ states; curvature is computed through truncated Taylor-jet arithmetic and
 cross-checked against finite differences and closed-form references.
 """
 
-from .errors import (DegenerateMetric, DomainViolation, EmptyGrid,
-                     GeothermoError, InversionFailure, NonFinite, ParseError,
-                     PreconditionFailure, SingularDenominator,
+from .errors import (DefinitionError, DegenerateMetric, DomainViolation,
+                     EmptyGrid, GeothermoError, InversionFailure, NonFinite,
+                     ParseError, PreconditionFailure, SingularDenominator,
                      SingularPrefactor, UnboundParameter, UnknownIdentifier)
 from .geometry import (CurvatureResult, MetricTensor, christoffel,
                        curvature_at, metric_at, natural_metric, ricci_scalar)
@@ -24,6 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GeothermoError", "DomainViolation", "NonFinite", "ParseError",
+    "DefinitionError",
     "UnknownIdentifier", "UnboundParameter", "SingularPrefactor",
     "DegenerateMetric", "InversionFailure", "SingularDenominator",
     "PreconditionFailure", "EmptyGrid",

@@ -5,19 +5,22 @@ representations, singularity scans with bisection refinement against the
 analytic van der Waals phase-transition locus, constant-curvature and
 degeneracy sweeps, and the qualitative Ising curvature profile.
 
-The Ising profile runs in extended precision (mpmath): below T ~ 0.3 the
-interaction term exp(-4J/T) is smaller than the double-precision cancellation
-floor of the surrounding hyperbolic terms, and the curvature — which lives
-entirely in that term — cannot be resolved with float64.
+The Ising profile runs in extended precision: below T ~ 0.3 the interaction
+term exp(-4J/T) is smaller than the double-precision cancellation floor of
+the surrounding hyperbolic terms, and the curvature — which lives entirely
+in that term — cannot be resolved with float64.  Extended precision is the
+same jet/metric/curvature pipeline as everywhere else, run on mpmath numbers
+(``curvature_at(spec, x, dps=...)``) at the digits :func:`ising_dps` asks
+for, not a separate copy of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (EmptyGrid, GeothermoError, NonFinite,
@@ -514,101 +517,17 @@ class IsingProfile:
 
 
 def _mp_ising_R(J, H, T, dps):
-    """Ricci scalar of the Ising free-energy metric at (T, H), in mpmath.
+    """Ricci scalar of the Ising free energy at (T, H): the shared pipeline
+    in mpmath at ``dps`` digits.  No domain check: the guards of
+    :func:`ising_curvature` stand in for it, and R is even in H."""
+    spec = _ising_spec(float(J))
+    return curvature_at(spec, (T, H), check_domain=False,
+                        dps=dps).ricci_scalar
 
-    Same conformal-Hessian assembly as the float pipeline, with all
-    derivatives taken by mpmath's arbitrary-precision differentiator.
-    """
-    with mp.workdps(dps):
-        Jm = mp.mpf(J)
 
-        def f(t, h):
-            return -t * mp.log(mp.cosh(h / t)
-                               + mp.sqrt(mp.sinh(h / t)**2
-                                         + mp.exp(-4 * Jm / t)))
-
-        x = (mp.mpf(T), mp.mpf(H))
-        n = 2
-        cache = {}
-
-        def d(*orders):
-            if orders not in cache:
-                cache[orders] = mp.diff(f, x, orders)
-            return cache[orders]
-
-        G = [d(1, 0), d(0, 1)]
-        Hs = [[d(2, 0), d(1, 1)], [d(1, 1), d(0, 2)]]
-        T3 = [[[None] * n for _ in range(n)] for _ in range(n)]
-        F4 = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    ct = (i == 1) + (j == 1) + (k == 1)
-                    T3[i][j][k] = d(3 - ct, ct)
-                    for l in range(n):
-                        cf = ct + (l == 1)
-                        F4[i][j][k][l] = d(4 - cf, cf)
-
-        # excluded slot 0 (the T/s pair); conformal sum over H only
-        w = x[1] * G[1]
-        c = 1 / w
-        dw = [x[1] * Hs[1][0], G[1] + x[1] * Hs[1][1]]
-        ddw = [[x[1] * T3[1][0][0],
-                Hs[1][0] + x[1] * T3[1][0][1]],
-               [Hs[1][0] + x[1] * T3[1][1][0],
-                2 * Hs[1][1] + x[1] * T3[1][1][1]]]
-        dc = [-dw[a] / w**2 for a in range(n)]
-        ddc = [[2 * dw[a] * dw[b] / w**3 - ddw[a][b] / w**2
-                for b in range(n)] for a in range(n)]
-
-        g = [[c * Hs[a][b] for b in range(n)] for a in range(n)]
-        dg = [[[dc[e] * Hs[a][b] + c * T3[a][b][e]
-                for b in range(n)] for a in range(n)] for e in range(n)]
-        ddg = [[[[ddc[e][f_] * Hs[a][b] + dc[e] * T3[a][b][f_]
-                  + dc[f_] * T3[a][b][e] + c * F4[a][b][e][f_]
-                  for b in range(n)] for a in range(n)]
-                for f_ in range(n)] for e in range(n)]
-
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        ginv = [[g[1][1] / det, -g[0][1] / det],
-                [-g[1][0] / det, g[0][0] / det]]
-        dginv = []
-        for e in range(n):
-            m_ = dg[e]
-            tmp = [[-sum(ginv[a][i] * m_[i][j] * ginv[j][b]
-                         for i in range(n) for j in range(n))
-                    for b in range(n)] for a in range(n)]
-            dginv.append(tmp)
-
-        def bracket(b_, c_, d_):
-            return dg[b_][d_][c_] + dg[c_][d_][b_] - dg[d_][b_][c_]
-
-        def dbracket(e_, b_, c_, d_):
-            return (ddg[e_][b_][d_][c_] + ddg[e_][c_][d_][b_]
-                    - ddg[e_][d_][b_][c_])
-
-        gamma = [[[sum(ginv[a][dd] * bracket(b_, c_, dd) for dd in range(n)) / 2
-                   for c_ in range(n)] for b_ in range(n)] for a in range(n)]
-        dgamma = [[[[(sum(dginv[e][a][dd] * bracket(b_, c_, dd)
-                          for dd in range(n))
-                      + sum(ginv[a][dd] * dbracket(e, b_, c_, dd)
-                            for dd in range(n))) / 2
-                     for c_ in range(n)] for b_ in range(n)]
-                   for a in range(n)] for e in range(n)]
-
-        def riem_up(r, s, mu, nu):
-            t = dgamma[mu][r][nu][s] - dgamma[nu][r][mu][s]
-            for l in range(n):
-                t += gamma[r][mu][l] * gamma[l][nu][s]
-                t -= gamma[r][nu][l] * gamma[l][mu][s]
-            return t
-
-        R = mp.mpf(0)
-        for s in range(n):
-            for nu in range(n):
-                ricci = sum(riem_up(r, s, r, nu) for r in range(n))
-                R += ginv[s][nu] * ricci
-        return float(R)
+@lru_cache(maxsize=8)
+def _ising_spec(J):
+    return get_system("ising_f", J=J)
 
 
 def ising_dps(J, H, T):

@@ -172,6 +172,7 @@ def cmd_curvature(args) -> int:
         "det_g": res.det_g,
         "conformal_factor": res.conformal_factor,
         "degenerate": res.degenerate,
+        "nonfinite": res.nonfinite,
         "sign_factor": res.sign_factor,
     }
     print(json.dumps(doc, sort_keys=True))

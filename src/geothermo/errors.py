@@ -22,12 +22,19 @@ class NonFinite(GeothermoError):
 
 
 class ParseError(GeothermoError):
-    """Syntax error in a relation source string."""
+    """Syntax error in a relation source string (``position`` None when the
+    error has no place in one)."""
 
-    def __init__(self, message, position, expected=None):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message, position=None, expected=None):
+        super().__init__(message if position is None
+                         else f"{message} (at position {position})")
         self.position = position
         self.expected = tuple(expected) if expected else ()
+
+
+class DefinitionError(ParseError, ValueError):
+    """A malformed system-definition document.  It is also a ValueError,
+    which ``from_definition`` raised for such documents before."""
 
 
 class UnknownIdentifier(GeothermoError):

@@ -12,16 +12,22 @@ the Levi-Civita connection and the Riemann tensor need.
 Curvature conventions:  R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma}
 - d_nu Gamma^rho_{mu sigma} + Gamma Gamma - Gamma Gamma,
 Ricci_{sigma nu} = R^rho_{sigma rho nu}, R = g^{sigma nu} Ricci_{sigma nu}.
+
+Every stage runs on the numbers of the jet it is given: float64, or mpmath
+numbers in object arrays (``curvature_at(..., dps=...)``), whose backend
+(:func:`jets.backend_of`) supplies the determinant, the inverse and the
+finiteness test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateMetric, NonFinite, SingularPrefactor
-from .jets import Faults, Jet4, jet_eval
+from .jets import MPMATH, Faults, Jet4, backend_of, jet_eval
 from .systems import SystemSpec, domain_check
 
 DEGENERACY_RTOL = 1e-12      # |det g| < rtol * max|g_ab|^2 flags degeneracy
@@ -60,9 +66,10 @@ class MetricTensor:
         return bool(out) if np.ndim(out) == 0 else out
 
     def point(self, i: int) -> "MetricTensor":
+        # tolist() gives Python floats, or the mpmath numbers themselves
         return MetricTensor(at=self.at[i], g=self.g[i], dg=self.dg[i],
-                            ddg=self.ddg[i], det=float(self.det[i]),
-                            conformal_factor=float(self.conformal_factor[i]))
+                            ddg=self.ddg[i], det=self.det.tolist()[i],
+                            conformal_factor=self.conformal_factor.tolist()[i])
 
     def batch(self) -> "MetricTensor":
         return MetricTensor(at=self.at[None], g=self.g[None],
@@ -143,6 +150,7 @@ def natural_metric(jet: Jet4, x, excluded_index: int,
     faults = jet.faults if jet.faults is not None else Faults(len(x))
     n = jet.n
     G, H, T3, F4 = jet.grad, jet.hess, jet.third, jet.fourth
+    bk = backend_of(G)
 
     js = [j for j in range(n) if j != excluded_index]
     w = x[:, js] * G[:, js]
@@ -153,21 +161,22 @@ def natural_metric(jet: Jet4, x, excluded_index: int,
     def prefactor(i):
         k = int(np.argmin(aw[i]))
         return SingularPrefactor(
-            f"E^{js[k]} * dPhi/dE^{js[k]} = {w[i, k]:.3e} "
+            f"E^{js[k]} * dPhi/dE^{js[k]} = {float(w[i, k]):.3e} "
             "vanishes in the conformal sum")
 
     faults.flag(small.any(axis=1), prefactor)
+    w = bk.masked(w, small)
 
     with np.errstate(all="ignore"):
         # conformal factor and its first/second coordinate derivatives
         c = np.sum(1.0 / w, axis=1)
-        dc = np.zeros((len(x), n))
-        ddc = np.zeros((len(x), n, n))
+        dc = np.zeros((len(x), n), dtype=w.dtype)
+        ddc = np.zeros((len(x), n, n), dtype=w.dtype)
         for idx, j in enumerate(js):
             wj = w[:, idx, None]
             dw = x[:, j, None] * H[:, j, :]
             dw[:, j] += G[:, j]
-            ddw = np.zeros((len(x), n, n))
+            ddw = np.zeros((len(x), n, n), dtype=w.dtype)
             ddw[:, j, :] += H[:, j, :]
             ddw[:, :, j] += H[:, j, :]
             ddw += x[:, j, None, None] * T3[:, j]
@@ -186,7 +195,7 @@ def natural_metric(jet: Jet4, x, excluded_index: int,
                + dc[:, None, :, None, None] * T3c[:, :, None]
                + dc[:, :, None, None, None] * T3c[:, None]
                + cb[:, None, None] * F4.transpose(0, 4, 3, 1, 2))
-        det = np.linalg.det(g)
+        det = bk.det(g)
     m = MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=det, conformal_factor=c,
                      faults=faults)
     if check_degenerate:
@@ -200,7 +209,7 @@ def natural_metric(jet: Jet4, x, excluded_index: int,
 def _flag_degenerate(m: MetricTensor, message: str):
     degenerate = m.is_degenerate()
     m.faults.flag(degenerate, lambda i: DegenerateMetric(
-        message.format(abs(m.det[i])), metric=m.point(i)))
+        message.format(abs(float(m.det[i]))), metric=m.point(i)))
     return degenerate
 
 
@@ -209,12 +218,13 @@ def _connection(m: MetricTensor):
     or failed points masked so that one of them cannot abort the batch.
 
     Returns (degeneracy mask, inverse metric, connection)."""
+    bk = backend_of(m.g)
     degenerate = _flag_degenerate(m, "metric is degenerate")
-    m.faults.flag(~np.isfinite(m.g.reshape(len(m.g), -1)).all(axis=1),
+    m.faults.flag(~bk.isfinite(m.g.reshape(len(m.g), -1)).all(axis=1),
                   lambda i: NonFinite("metric is not finite"))
     ok = m.faults.ok
     g = m.g if ok.all() else np.where(ok[:, None, None], m.g, np.eye(m.n))
-    ginv = np.linalg.inv(g)
+    ginv = bk.inv(g)
     # dg[c,a,b] = d_c g_ab ; bracket[b,c,d] = d_b g_dc + d_c g_db - d_d g_bc
     dg = m.dg
     bracket = (dg.transpose(0, 1, 3, 2) + dg.transpose(0, 3, 1, 2)
@@ -266,6 +276,7 @@ def ricci_scalar(m: MetricTensor) -> CurvatureResult:
         m = replace(m, faults=Faults(len(m.g)))
     faults = m.faults
     n = m.n
+    bk = backend_of(m.g)
     with np.errstate(all="ignore"):
         degenerate, ginv, ch = _connection(m)
         up = riemann_up(ch)
@@ -275,15 +286,17 @@ def ricci_scalar(m: MetricTensor) -> CurvatureResult:
         cross_dev = None
         if n == 2:
             down0101 = np.einsum("ze,ze->z", m.g[:, 0, :], up[:, :, 1, 0, 1])
-            cross_dev = np.abs(R - 2.0 * down0101 / m.det)
+            det = bk.masked(m.det, ~faults.ok)
+            cross_dev = np.abs(R - 2.0 * down0101 / det)
 
-    finite = np.isfinite(R)
-    faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
-    R = np.where(faults.ok, R, np.nan)
+        finite = bk.isfinite(R)
+        faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
+        R = np.where(faults.ok, R, np.nan)
+        nonfinite = ~finite | (np.abs(R) > NONFINITE_R)
     res = CurvatureResult(at=m.at, ricci_scalar=R, det_g=m.det,
                           degenerate=degenerate,
                           conformal_factor=m.conformal_factor,
-                          nonfinite=~finite | (np.abs(R) > NONFINITE_R),
+                          nonfinite=nonfinite,
                           cross_check_dev=cross_dev, faults=faults)
     if single:
         faults.raise_first()
@@ -291,31 +304,44 @@ def ricci_scalar(m: MetricTensor) -> CurvatureResult:
     return res
 
 
-def curvature_at(spec: SystemSpec, x, check_domain: bool = True) -> CurvatureResult:
+def curvature_at(spec: SystemSpec, x, check_domain: bool = True,
+                 dps: int | None = None) -> CurvatureResult:
     """Full pipeline: domain check, order-4 jet, metric, Ricci scalar.
 
     ``x`` is one point (a failure raises) or a (batch, n) array of points,
     evaluated in chunks of CHUNK; a batched result records each point's
     failure instead of raising.
+
+    With ``dps`` the jets and the geometry run in mpmath at ``dps``
+    significant digits, and the results are rounded to float at the end.
     """
     points = np.asarray(x, dtype=float)
     if points.ndim == 1:
-        res = _curvature_chunk(spec, points[None], check_domain)
+        res = _curvature_chunk(spec, points[None], check_domain, dps)
         error = res.faults.errors.pop(0, None)
         if error is not None:
             del res, points     # a raised exception keeps this frame alive
             raise error
         return res.point(0)
     return CurvatureResult.concat([
-        _curvature_chunk(spec, points[i:i + CHUNK], check_domain)
+        _curvature_chunk(spec, points[i:i + CHUNK], check_domain, dps)
         for i in range(0, len(points), CHUNK)])
 
 
-def _curvature_chunk(spec, points, check_domain):
+def _curvature_chunk(spec, points, check_domain, dps):
     faults = (domain_check(spec, points) if check_domain
               else Faults(len(points)))
-    jet = jet_eval(spec.field, points, 4, faults)
-    return ricci_scalar(natural_metric(jet, points, spec.excluded_index))
+    if dps is None:
+        jet = jet_eval(spec.field, points, 4, faults)
+        return ricci_scalar(natural_metric(jet, points, spec.excluded_index))
+    with mp.workdps(dps):
+        jet = jet_eval(spec.field, points, 4, faults, MPMATH)
+        res = ricci_scalar(natural_metric(jet, points, spec.excluded_index))
+    dev = res.cross_check_dev
+    return replace(res, ricci_scalar=res.ricci_scalar.astype(float),
+                   det_g=res.det_g.astype(float),
+                   conformal_factor=res.conformal_factor.astype(float),
+                   cross_check_dev=None if dev is None else dev.astype(float))
 
 
 def metric_at(spec: SystemSpec, x, check_degenerate: bool = True) -> MetricTensor:

@@ -15,6 +15,12 @@ an overflow, a zero denominator) is recorded in the batch's :class:`Faults`
 and the rest of the batch carries on; a jet without a fault record raises at
 once instead.
 
+Coefficients are numbers of a backend: long double by default
+(:data:`FLOAT`), or mpmath numbers in object arrays (:data:`MPMATH`, at the
+working precision of the caller's ``mp.workdps``).  ``jet_poly`` and
+``jet_eval`` take the backend once per call; every operation of the jets
+they build uses it.
+
 The independent check is :func:`fd_partial`: nested central finite differences,
 sharing no code with the jet propagation.
 """
@@ -26,7 +32,9 @@ import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from typing import NamedTuple
 
+import mpmath as mp
 import numpy as np
 
 from .errors import DomainViolation, NonFinite, SingularDenominator
@@ -105,6 +113,15 @@ def _at(values, i):
     return float(values[i if values.shape[0] > 1 else 0])
 
 
+class _Product(NamedTuple):
+    """Product tables: padded gather indices (rank, monomial + zero row) and
+    the unpadded (i, j) pairs of each row."""
+
+    left: np.ndarray
+    right: np.ndarray
+    pairs: list
+
+
 class _Tables:
     """Monomials of total degree <= order in ``nvars`` variables.
 
@@ -156,7 +173,8 @@ class _Tables:
         """Gather tables (rank, monomial) of a product: column k lists the
         pairs that land on monomial k, padded with the zero row.  Summing
         the gathered products over the rank axis adds each monomial's terms
-        in (i, j) order, whatever the batch size."""
+        in (i, j) order, whatever the batch size.  ``pairs`` keeps the
+        unpadded lists (the zero row's is empty)."""
         groups = [[] for _ in range(self.size + 1)]
         for k, i, j in pairs:
             groups[k].append((i, j))
@@ -166,12 +184,130 @@ class _Tables:
         for k, group in enumerate(groups):
             for rank, (i, j) in enumerate(group):
                 left[rank, k], right[rank, k] = i, j
-        return left, right
+        return _Product(left, right, groups)
 
 
 @lru_cache(maxsize=None)
 def _tables(nvars: int, order: int) -> _Tables:
     return _Tables(nvars, order)
+
+
+# ---- number backends -----------------------------------------------------
+
+
+class _FloatBackend:
+    """Long double coefficients, NumPy element-wise functions, products as
+    padded gathers (see :meth:`_Tables._product`)."""
+
+    dtype = DTYPE
+    result_dtype = float        # derivatives leave jet_eval as float64
+    number = float
+    k, sign, inv_factorial = _K, _SIGN, _INV_FACTORIAL
+    log, exp, sinh, cosh = np.log, np.exp, np.sinh, np.cosh
+    isfinite = np.isfinite
+    det, inv = staticmethod(np.linalg.det), staticmethod(np.linalg.inv)
+
+    @staticmethod
+    def asarray(values):
+        return np.asarray(values, dtype=DTYPE)
+
+    @staticmethod
+    def masked(values, bad):
+        """``values`` for the points that go on; IEEE arithmetic already
+        carries the failed points along without raising."""
+        return values
+
+    @staticmethod
+    def product(table, a, b):
+        return np.add.reduce(a[table.left] * b[table.right], axis=0)
+
+
+class _MpBackend:
+    """mpmath numbers in object arrays at the current working precision.
+
+    Each coefficient of a product is one ``mp.fdot`` over the monomial's
+    (i, j) pairs: an object-array gather would also multiply the padding.
+    A point is set to NaN where it fails (``masked``): mpmath raises on a
+    zero denominator and returns complex numbers for the logarithm or a
+    fractional power of a negative number.
+    """
+
+    dtype = result_dtype = object
+    k = np.array([[mp.mpf(k)] for k in range(MAX_ORDER + 1)], dtype=object)
+    sign = np.array([[mp.mpf((-1) ** k)] for k in range(MAX_ORDER + 1)],
+                    dtype=object)
+    log, exp, sinh, cosh = (np.frompyfunc(f, 1, 1)
+                            for f in (mp.log, mp.exp, mp.sinh, mp.cosh))
+    _isfinite = np.frompyfunc(mp.isfinite, 1, 1)
+    _mpf = np.frompyfunc(mp.mpf, 1, 1)
+    number = mp.mpf
+
+    @property
+    def inv_factorial(self):
+        return np.array([[mp.mpf(1) / math.factorial(k)]
+                         for k in range(MAX_ORDER + 1)], dtype=object)
+
+    def isfinite(self, values):
+        return self._isfinite(values).astype(bool)
+
+    def asarray(self, values):
+        return np.asarray(self._mpf(values), dtype=object)
+
+    @staticmethod
+    def masked(values, bad):
+        return np.where(bad, mp.nan, values) if bad.any() else values
+
+    @staticmethod
+    def product(table, a, b):
+        a, b = np.broadcast_arrays(a, b)
+        fdot = mp.fdot
+        cols = [[fdot([(x[i], y[j]) for i, j in pairs])
+                 for pairs in table.pairs]
+                for x, y in zip(a.T.tolist(), b.T.tolist())]
+        return np.array(cols, dtype=object).T
+
+    @staticmethod
+    def det(g):
+        """Determinants of a (batch, n, n) stack by cofactor expansion."""
+        n = g.shape[-1]
+        if n == 1:
+            return g[:, 0, 0].copy()
+        out = 0
+        for j in range(n):
+            minor = np.delete(np.delete(g, 0, axis=1), j, axis=2)
+            out = out + (-1) ** j * g[:, 0, j] * _MpBackend.det(minor)
+        return out
+
+    @staticmethod
+    def inv(g):
+        """Inverses of a (batch, n, n) stack: adjugate over determinant."""
+        n = g.shape[-1]
+        if n == 1:
+            return 1 / g
+        adj = np.empty_like(g)
+        for i in range(n):
+            for j in range(n):
+                minor = np.delete(np.delete(g, i, axis=1), j, axis=2)
+                adj[:, j, i] = (-1) ** (i + j) * _MpBackend.det(minor)
+        return adj / _MpBackend.det(g)[:, None, None]
+
+
+FLOAT = _FloatBackend()
+MPMATH = _MpBackend()
+
+
+def backend_of(values) -> "_FloatBackend | _MpBackend":
+    """The backend whose numbers fill the array ``values``."""
+    return MPMATH if values.dtype == object else FLOAT
+
+
+def _binomials(r, order):
+    """Column of the series coefficients binom(r, k), k = 0..order, in the
+    number type of ``r``."""
+    facs = [1.0]
+    for k in range(1, order + 1):
+        facs.append(facs[-1] * ((r - (k - 1)) / k))
+    return np.array(facs)[:, None]
 
 
 class Jet:
@@ -181,32 +317,34 @@ class Jet:
     point b of the batch: the mixed partial divided by ``prod k_i!``.  The
     last row of ``c`` is zero.
     ``faults`` is the batch's failure record; without one, an operation that
-    fails at any point raises.
+    fails at any point raises.  ``bk`` is the number backend of ``c``.
     """
 
-    __slots__ = ("nvars", "order", "c", "faults")
+    __slots__ = ("nvars", "order", "c", "faults", "bk")
     __array_ufunc__ = None      # ndarray (op) Jet defers to the Jet
 
-    def __init__(self, nvars: int, order: int, c, faults=None):
+    def __init__(self, nvars: int, order: int, c, faults=None, bk=FLOAT):
         self.nvars = nvars
         self.order = order
         self.c = c
         self.faults = faults
+        self.bk = bk
 
     @classmethod
-    def constant(cls, nvars: int, order: int, value, faults=None) -> "Jet":
-        value = np.asarray(value, dtype=DTYPE).reshape(-1)
+    def constant(cls, nvars: int, order: int, value, faults=None,
+                 bk=FLOAT) -> "Jet":
+        value = bk.asarray(value).reshape(-1)
         c = np.zeros((_tables(nvars, order).size + 1, value.shape[0]),
-                     dtype=DTYPE)
+                     dtype=bk.dtype)
         c[0] = value
-        return cls(nvars, order, c, faults)
+        return cls(nvars, order, c, faults, bk)
 
     @classmethod
     def variable(cls, nvars: int, order: int, index: int, value,
-                 faults=None) -> "Jet":
-        out = cls.constant(nvars, order, value, faults)
+                 faults=None, bk=FLOAT) -> "Jet":
+        out = cls.constant(nvars, order, value, faults, bk)
         if order >= 1:
-            out.c[1 + index] = 1.0
+            out.c[1 + index] = bk.asarray(1.0)
         return out
 
     @property
@@ -222,7 +360,7 @@ class Jet:
         faults = self.faults
         if faults is None and other is not None:
             faults = other.faults
-        return Jet(self.nvars, self.order, c, faults)
+        return Jet(self.nvars, self.order, c, faults, self.bk)
 
     def _flag(self, mask, make):
         if self.faults is not None:
@@ -236,7 +374,7 @@ class Jet:
         """self + k for a constant k (a float or one value per point)."""
         c = self.c
         if not isinstance(k, float):
-            k = np.asarray(k, dtype=DTYPE)
+            k = self.bk.asarray(k)
             if k.ndim and k.shape[-1] != c.shape[1]:
                 c = np.broadcast_to(c, (c.shape[0], k.shape[-1]))
         out = c.copy()
@@ -257,7 +395,7 @@ class Jet:
         if isinstance(other, Jet):
             return self._like(self.c - other.c, other)
         return self._shift(-other if isinstance(other, float)
-                           else -np.asarray(other, dtype=DTYPE))
+                           else -self.bk.asarray(other))
 
     def __rsub__(self, other):
         return (-self)._shift(other)
@@ -265,23 +403,23 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if not isinstance(other, float):
-                other = np.asarray(other, dtype=DTYPE)
+                other = self.bk.asarray(other)
             return self._like(self.c * other)
         if self.order == 0:
             return self._like(self.c * other.c, other)
-        i, j = _tables(self.nvars, self.order).mul
-        return self._like(np.add.reduce(self.c[i] * other.c[j], axis=0),
-                          other)
+        return self._like(self.bk.product(_tables(self.nvars, self.order).mul,
+                                          self.c, other.c), other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        other = np.asarray(other, dtype=DTYPE)
-        self._flag(np.atleast_1d(other == 0.0), lambda i: SingularDenominator(
+        other = self.bk.asarray(other)
+        zero = np.atleast_1d(other == 0.0)
+        self._flag(zero, lambda i: SingularDenominator(
             "jet division by zero value"))
-        return self * (1.0 / other)
+        return self * (1.0 / self.bk.masked(other, zero))
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -293,14 +431,14 @@ class Jet:
         r = float(exponent)
         if r == int(r) and abs(r) <= 64:
             return self._int_pow(int(r))
+        bk = self.bk
         u0 = self.value
-        self._flag(u0 <= 0.0, lambda i: DomainViolation(
+        bad = u0 <= 0.0
+        self._flag(bad, lambda i: DomainViolation(
             f"fractional power of non-positive base {_at(u0, i)!r}"))
-        facs = [1.0]
-        for k in range(1, self.order + 1):
-            facs.append(facs[-1] * ((r - (k - 1)) / k))
-        k = _K[:self.order + 1]
-        return self._compose(np.array(facs)[:, None] * u0 ** (r - k))
+        k = bk.k[:self.order + 1]
+        return self._compose(_binomials(bk.number(r), self.order)
+                             * bk.masked(u0, bad) ** (r - k))
 
     def _int_pow(self, m: int) -> "Jet":
         if m < 0:
@@ -315,15 +453,18 @@ class Jet:
                 base = base * base
         if result is None:
             return Jet.constant(self.nvars, self.order,
-                                np.ones(self.size), self.faults)
+                                np.ones(self.size), self.faults, self.bk)
         return result
 
     def _reciprocal(self) -> "Jet":
+        bk = self.bk
         u0 = self.value
-        self._flag(u0 == 0.0, lambda i: SingularDenominator(
+        zero = u0 == 0.0
+        self._flag(zero, lambda i: SingularDenominator(
             "jet division by zero value"))
-        k = _K[:self.order + 1]
-        return self._compose(_SIGN[:self.order + 1] / u0 ** (k + 1.0))
+        k = bk.k[:self.order + 1]
+        return self._compose(bk.sign[:self.order + 1]
+                             / bk.masked(u0, zero) ** (k + 1.0))
 
     # ---- analytic functions ----------------------------------------------
 
@@ -340,35 +481,39 @@ class Jet:
             return self._like(out)
         # Horner in the zero-value part d of self: the products skip the
         # constant slot of d, which is zero
-        i, j = _tables(self.nvars, self.order).mul_shift
+        table = _tables(self.nvars, self.order).mul_shift
         out[0] = series[-2]
         for k in range(self.order - 2, -1, -1):
-            out = np.add.reduce(out[i] * c[j], axis=0)
+            out = self.bk.product(table, out, c)
             out[0] = series[k]
         return self._like(out)
 
     def _overflow(self, name, *values):
         x = self.value
-        bad = ~np.isfinite(values[0])
+        isfinite = self.bk.isfinite
+        bad = ~isfinite(values[0])
         for v in values[1:]:
-            bad |= ~np.isfinite(v)
-        self._flag(bad & np.isfinite(x), lambda i: NonFinite(
+            bad |= ~isfinite(v)
+        self._flag(bad & isfinite(x), lambda i: NonFinite(
             f"{name} overflow at {_at(x, i)!r}"))
 
     def ln(self) -> "Jet":
+        bk = self.bk
         u0 = self.value
-        self._flag(u0 <= 0.0, lambda i: DomainViolation(
+        bad = u0 <= 0.0
+        self._flag(bad, lambda i: DomainViolation(
             f"ln of non-positive argument {_at(u0, i)!r}"))
-        series = np.empty((self.order + 1, len(u0)), dtype=DTYPE)
-        series[0] = np.log(u0)
-        k = _K[1:self.order + 1]
-        series[1:] = _SIGN[:self.order] / (k * u0 ** k)
+        u0 = bk.masked(u0, bad)
+        series = np.empty((self.order + 1, len(u0)), dtype=bk.dtype)
+        series[0] = bk.log(u0)
+        k = bk.k[1:self.order + 1]
+        series[1:] = bk.sign[:self.order] / (k * u0 ** k)
         return self._compose(series)
 
     def exp(self) -> "Jet":
-        e0 = np.exp(self.value)
+        e0 = self.bk.exp(self.value)
         self._overflow("exp", e0)
-        return self._compose(e0 * _INV_FACTORIAL[:self.order + 1])
+        return self._compose(e0 * self.bk.inv_factorial[:self.order + 1])
 
     def sqrt(self) -> "Jet":
         u0 = self.value
@@ -378,18 +523,19 @@ class Jet:
 
     def _hyperbolic(self, name, even, odd):
         self._overflow(name, even, odd)
-        series = np.empty((self.order + 1, len(even)), dtype=DTYPE)
-        series[0::2] = even * _INV_FACTORIAL[0:self.order + 1:2]
-        series[1::2] = odd * _INV_FACTORIAL[1:self.order + 1:2]
+        inv_factorial = self.bk.inv_factorial
+        series = np.empty((self.order + 1, len(even)), dtype=self.bk.dtype)
+        series[0::2] = even * inv_factorial[0:self.order + 1:2]
+        series[1::2] = odd * inv_factorial[1:self.order + 1:2]
         return self._compose(series)
 
     def sinh(self) -> "Jet":
-        x = self.value
-        return self._hyperbolic("sinh", np.sinh(x), np.cosh(x))
+        x, bk = self.value, self.bk
+        return self._hyperbolic("sinh", bk.sinh(x), bk.cosh(x))
 
     def cosh(self) -> "Jet":
-        x = self.value
-        return self._hyperbolic("cosh", np.cosh(x), np.sinh(x))
+        x, bk = self.value, self.bk
+        return self._hyperbolic("cosh", bk.cosh(x), bk.sinh(x))
 
     def tanh(self) -> "Jet":
         return self.sinh() / self.cosh()
@@ -456,7 +602,7 @@ class Jet4:
 
     def point(self, i: int) -> "Jet4":
         """Point ``i`` of a batch as a single-point Jet4."""
-        return Jet4(float(self.value[i]), self.grad[i], self.hess[i],
+        return Jet4(self.value.tolist()[i], self.grad[i], self.hess[i],
                     self.third[i], self.fourth[i], self.order)
 
     def batch(self) -> "Jet4":
@@ -467,30 +613,34 @@ class Jet4:
                        faults=Faults(1))
 
 
-def _as_jet(result, nvars: int, order: int, size: int, faults) -> Jet:
+def _as_jet(result, nvars: int, order: int, size: int, faults, bk) -> Jet:
     if not isinstance(result, Jet):
-        result = Jet.constant(nvars, order, result, faults)
+        result = Jet.constant(nvars, order, result, faults, bk)
     if result.size != size:
         result = Jet(nvars, order,
                      np.broadcast_to(result.c, (result.c.shape[0], size)),
-                     result.faults)
+                     result.faults, bk)
     return result
 
 
-def jet_poly(field, x, order: int = MAX_ORDER, faults=None) -> Jet:
+def jet_poly(field, x, order: int = MAX_ORDER, faults=None,
+             backend=FLOAT) -> Jet:
     """Raw truncated Taylor polynomial of ``field`` around ``x``.
 
     ``x`` is one point, or a (batch, n) array of points.  Failures are
     recorded in ``faults`` when given; otherwise the first one raises.
+    ``backend`` (:data:`FLOAT` or :data:`MPMATH`) holds the coefficients.
     """
     x = np.asarray(x, dtype=float)
     points = x.reshape(-1, x.shape[-1])
     n, size = points.shape[1], points.shape[0]
-    args = [Jet.variable(n, order, i, points[:, i], faults) for i in range(n)]
-    return _as_jet(field(args), n, order, size, faults)
+    args = [Jet.variable(n, order, i, points[:, i], faults, backend)
+            for i in range(n)]
+    return _as_jet(field(args), n, order, size, faults, backend)
 
 
-def jet_eval(field, x, order: int = MAX_ORDER, faults=None) -> Jet4:
+def jet_eval(field, x, order: int = MAX_ORDER, faults=None,
+             backend=FLOAT) -> Jet4:
     """Evaluate ``field`` and its partials through ``order``.
 
     ``field`` is any callable accepting a sequence of Jets (or floats) and
@@ -500,6 +650,9 @@ def jet_eval(field, x, order: int = MAX_ORDER, faults=None) -> Jet4:
     For a single point ``x`` the result is a single-point Jet4 and a failure
     raises.  For a (batch, n) array the result carries a leading batch axis
     and a fault record (``faults``, or a new one) instead of raising.
+
+    With the default ``backend`` the derivatives are float64; with
+    :data:`MPMATH` they are mpmath numbers in object arrays.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
@@ -509,17 +662,18 @@ def jet_eval(field, x, order: int = MAX_ORDER, faults=None) -> Jet4:
     record = Faults(size) if faults is None else faults
     t = _tables(n, order)
     with np.errstate(all="ignore"):
-        jet = jet_poly(field, points, order, record)
-        derivs = (jet.c[:-1] * t.weights).T.astype(float)
-    record.flag(~np.isfinite(derivs).all(axis=1), lambda i: NonFinite(
-        _coefficient_message(t, derivs[i])))
+        jet = jet_poly(field, points, order, record, backend)
+        derivs = (jet.c[:-1] * t.weights).T.astype(backend.result_dtype)
+    finite = backend.isfinite(derivs)
+    record.flag(~finite.all(axis=1), lambda i: NonFinite(
+        _coefficient_message(t, finite[i])))
     value = derivs[:, 0].copy()
     entries = derivs[:, t.tensor_index]
     tensors, start = [], 0
     for d in range(1, MAX_ORDER + 1):
         shape = (size,) + (n,) * d
         if d > order:
-            tensors.append(np.zeros(shape))
+            tensors.append(np.zeros(shape, dtype=derivs.dtype))
             continue
         stop = start + n ** d
         tensors.append(entries[:, start:stop].reshape(shape))
@@ -531,10 +685,9 @@ def jet_eval(field, x, order: int = MAX_ORDER, faults=None) -> Jet4:
     return out
 
 
-def _coefficient_message(t, column):
-    bad = ~np.isfinite(column)
-    for k in range(1, len(column)):
-        if bad[k]:
+def _coefficient_message(t, finite):
+    for k in range(1, len(finite)):
+        if not finite[k]:
             return f"non-finite Taylor coefficient for index {t.exps[k]}"
     return "non-finite field value"
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dsl
-from .errors import DomainViolation, GeothermoError
+from .errors import DefinitionError, DomainViolation, GeothermoError
 from .jets import Faults, jet_eval
 
 EXTENSIVE = "extensive"
@@ -313,20 +313,42 @@ def from_definition(doc: dict) -> SystemSpec:
 
     Expected keys: id, coords ([{name, role}]), potential_name,
     excluded_index (coordinate name), params, domain (inequality strings),
-    relation (DSL source).
+    relation (DSL source).  A document that lacks a required key or whose
+    coordinates do not fit together raises DefinitionError, a ParseError.
     """
+    if not isinstance(doc, dict):
+        raise DefinitionError("system definition must be a JSON object")
+    for key in ("id", "coords", "excluded_index", "relation"):
+        if key not in doc:
+            raise DefinitionError(f"system definition has no {key!r}")
+    if not isinstance(doc["coords"], list) or not all(
+            isinstance(c, dict) and isinstance(c.get("name"), str)
+            for c in doc["coords"]):
+        raise DefinitionError(
+            "'coords' must be a list of objects with a 'name'")
     coords = tuple(Coordinate(c["name"], c.get("role", EXTENSIVE))
                    for c in doc["coords"])
     names = [c.name for c in coords]
     if len(set(names)) != len(names):
-        raise ValueError("coordinate names must be unique")
+        raise DefinitionError(
+            f"coordinate names must be unique, got {names}")
     if doc["excluded_index"] not in names:
-        raise ValueError(f"excluded_index {doc['excluded_index']!r} "
-                         "does not name a coordinate")
-    params = {k: float(v) for k, v in doc.get("params", {}).items()}
+        raise DefinitionError(f"excluded_index {doc['excluded_index']!r} "
+                              "does not name a coordinate")
+    domain = doc.get("domain", [])
+    if not isinstance(doc["relation"], str) or not isinstance(domain, list) \
+            or not all(isinstance(p, str) for p in domain):
+        raise DefinitionError(
+            "'relation' and each 'domain' entry must be strings")
+    try:
+        params = {k: float(v) for k, v in doc.get("params", {}).items()}
+        box = tuple((float(lo), float(hi))
+                    for lo, hi in doc.get("sample_box", ()))
+    except (AttributeError, TypeError, ValueError):
+        raise DefinitionError("'params' must map names to numbers and "
+                              "'sample_box' hold [lo, hi] pairs") from None
     return _dsl_spec(
         doc["id"], coords, doc.get("potential_name", "Phi"),
         names.index(doc["excluded_index"]), doc["relation"], params,
-        tuple(doc.get("domain", ())),
-        tuple(tuple(b) for b in doc.get("sample_box", ())),
+        tuple(domain), box,
     )

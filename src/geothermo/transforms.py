@@ -237,9 +237,10 @@ class _ImplicitField:
             return self._float_value([float(a) for a in args])
         ambient = jet_args[0]
         nvars, order, faults = ambient.nvars, ambient.order, ambient.faults
+        bk = ambient.bk
         size = max(a.size for a in jet_args)
         args = [a if isinstance(a, Jet)
-                else Jet.constant(nvars, order, a, faults) for a in args]
+                else Jet.constant(nvars, order, a, faults, bk) for a in args]
         y0 = np.column_stack([np.broadcast_to(a.value, (size,))
                               for a in args])
         # one Newton solve per point; a point that fails stays NaN
@@ -255,10 +256,10 @@ class _ImplicitField:
             record.raise_first()
         # the polynomial needs at least order 2 so the Newton denominator
         # (a second derivative of the base potential) has a constant term
-        poly = jet_poly(self.base.field, base_pts, max(order, 2), faults)
+        poly = jet_poly(self.base.field, base_pts, max(order, 2), faults, bk)
         deltas_rest = [args[j] - y0[:, j] for j in range(len(args))]
         z0 = base_pts[:, self.slot]
-        z = Jet.constant(nvars, order, z0, faults)
+        z = Jet.constant(nvars, order, z0, faults, bk)
         num_poly, den_poly = self._newton_polys(poly)
         for _ in range(JET_NEWTON_STEPS):
             ds = _with_slot(deltas_rest, self.slot, z - z0)

@@ -22,7 +22,18 @@ def test_curvature_json(capsys):
     assert doc["system"] == "ideal_s"
     assert abs(doc["ricci_scalar"]) < 1e-8
     assert set(doc) == {"system", "point", "ricci_scalar", "det_g",
-                        "conformal_factor", "degenerate", "sign_factor"}
+                        "conformal_factor", "degenerate", "nonfinite",
+                        "sign_factor"}
+
+
+@pytest.mark.parametrize("at,flag", [("T=0.2,H=2", True), ("T=1,H=1", False)])
+def test_curvature_json_flags_untrusted_values(capsys, at, flag):
+    # float64 gives R ~ 2e20 at T = 0.2, H = 2 against 2.57e25 in extended
+    # precision; the flag marks |R| beyond geometry.NONFINITE_R
+    code, out, _ = run(["curvature", "--system", "ising_f", "--at", at],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["nonfinite"] is flag
 
 
 def test_curvature_with_params(capsys):
@@ -78,6 +89,37 @@ def test_system_file_loading(tmp_path, capsys):
                         "--at", "x=1,y=1"], capsys)
     assert code == 0
     assert json.loads(out)["system"] == "toy"
+
+
+TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
+       "excluded_index": "x", "relation": "ln(x) + ln(y)"}
+
+
+@pytest.mark.parametrize("change", [
+    {"coords": [{"name": "x"}, {"name": "x"}]},
+    {"coords": None},
+    {"coords": "x,y"},
+    {"coords": [{"role": "extensive"}, {"name": "y"}]},
+    {"relation": None},
+    {"excluded_index": None},
+    {"excluded_index": "z"},
+    {"params": {"k": "big"}},
+    {"domain": "x > 0"},
+    {"sample_box": [[0.5, 2.0, 3.0]]},
+], ids=["duplicate-names", "no-coords", "coords-not-list", "coord-no-name",
+        "no-relation", "no-excluded-index", "excluded-index-unknown",
+        "param-not-number", "domain-not-list", "bad-sample-box"])
+def test_malformed_system_file_is_a_parse_error(tmp_path, capsys, change):
+    doc = {k: v for k, v in dict(TOY, **change).items() if v is not None}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["curvature", "--file", str(path),
+                          "--at", "x=1,y=1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("geothermo: parse error:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_scan_csv_and_sidecar(tmp_path, capsys):
