@@ -200,7 +200,6 @@ class ScanReport:
     detections: list
     locus_points: tuple = ()
     max_locus_dev: float | None = None
-    sign_factor: int = 1
     failures: int = 0
 
 

@@ -9,16 +9,13 @@ Exit codes: 1 usage/parse errors, 2 domain violations, 3 degenerate metric,
 
 All CSV output is deterministic: floats at 17 significant digits, '\n' line
 endings, fixed iteration order, and a '#' header line recording the recipe
-parameters.  Grids and figure rows are evaluated as batches;
-GEOTHERMO_THREADS (0 = auto, unset or 1 = sequential) caps the thread pool
-that maps over those batches.
+parameters.  Grids and figure rows are evaluated as batches in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -37,29 +34,13 @@ def _fmt(x: float) -> str:
     return FMT % x
 
 
-def _threads() -> int:
-    raw = os.environ.get("GEOTHERMO_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise _Usage(f"GEOTHERMO_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise _Usage("GEOTHERMO_THREADS must be >= 0")
-    if n == 0:
-        n = os.cpu_count() or 1
-    return n
-
-
 def _map(fn, items):
-    """Order-preserving map, threaded when GEOTHERMO_THREADS allows."""
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor   # only when threaded
+    """Ordered map over figure batches.
 
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    A plain loop; it stays a named function because the benchmark's tracer
+    (``perfbench/tracing.py``) resolves ``cli._map`` to time each row batch.
+    """
+    return [fn(it) for it in items]
 
 
 class _Usage(Exception):
@@ -173,7 +154,6 @@ def cmd_curvature(args) -> int:
         "conformal_factor": res.conformal_factor,
         "degenerate": res.degenerate,
         "nonfinite": res.nonfinite,
-        "sign_factor": res.sign_factor,
     }
     print(json.dumps(doc, sort_keys=True))
     return 0
@@ -278,7 +258,7 @@ def _vdw_figure_rows(which):
             cols = (v_r, Ru, curvature(vdw_F, T ** -1.0, v))
         return list(zip(*(c.tolist() for c in cols)))
 
-    # one batch for the whole figure; _map still validates GEOTHERMO_THREADS
+    # one batch for the whole figure
     return [row for part in _map(rows, [vrs]) for row in part]
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import ParseError, UnboundParameter, UnknownIdentifier
+from .errors import (GeothermoError, ParseError, UnboundParameter,
+                     UnknownIdentifier)
 
 FUNCTIONS = {
     "ln": (jets.ln, 1),
@@ -347,10 +348,16 @@ class Predicate:
         faults = jets.Faults(size)
         args = [jets.Jet.variable(n, 0, i, points[:, i], faults)
                 for i in range(n)]
-        with np.errstate(all="ignore"):
-            sides = [out.value if isinstance(out, jets.Jet) else out
-                     for out in (left(args), right(args))]
-            holds = _CMP[self.op](*sides)
+        try:
+            with np.errstate(all="ignore"):
+                sides = [out.value if isinstance(out, jets.Jet) else out
+                         for out in (left(args), right(args))]
+                holds = _CMP[self.op](*sides)
+        except GeothermoError as exc:
+            # a side that involves no coordinate fails on floats, for
+            # every point alike
+            faults.flag(np.ones(size, dtype=bool), lambda i: exc)
+            holds = False
         return np.logical_and(holds, faults.ok), faults
 
     def __str__(self):

@@ -99,7 +99,6 @@ class CurvatureResult:
     degenerate: object
     conformal_factor: object
     nonfinite: object = False
-    sign_factor: int | None = None     # filled by oracle harnesses
     cross_check_dev: object = None     # 2D identity residual, diagnostics
     faults: Faults | None = None
 

@@ -37,7 +37,8 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainViolation, NonFinite, SingularDenominator
+from .errors import (DomainViolation, GeothermoError, NonFinite,
+                     SingularDenominator)
 
 EPS = sys.float_info.epsilon
 MAX_ORDER = 4
@@ -636,7 +637,16 @@ def jet_poly(field, x, order: int = MAX_ORDER, faults=None,
     n, size = points.shape[1], points.shape[0]
     args = [Jet.variable(n, order, i, points[:, i], faults, backend)
             for i in range(n)]
-    return _as_jet(field(args), n, order, size, faults, backend)
+    try:
+        result = field(args)
+    except GeothermoError as exc:
+        if faults is None:
+            raise
+        # a failure before any jet saw it (a float subexpression that
+        # involves no coordinate) belongs to every point of the batch
+        faults.flag(np.ones(size, dtype=bool), lambda i: exc)
+        result = math.nan
+    return _as_jet(result, n, order, size, faults, backend)
 
 
 def jet_eval(field, x, order: int = MAX_ORDER, faults=None,

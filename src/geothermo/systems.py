@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dsl
-from .errors import DefinitionError, DomainViolation, GeothermoError
+from .errors import DefinitionError, DomainViolation
 from .jets import Faults, jet_eval
 
 EXTENSIVE = "extensive"
@@ -33,31 +33,6 @@ INTENSIVE = "intensive"
 class Coordinate:
     name: str
     role: str = EXTENSIVE
-
-
-class ImplicitPredicate:
-    """Domain membership decided by a callable (used by derived specs)."""
-
-    def __init__(self, description, fn):
-        self.description = description
-        self.fn = fn
-
-    def holds(self, values, param_values):
-        return self.fn(values)
-
-    def mask(self, points, param_values):
-        """Evaluate point by point; see :meth:`dsl.Predicate.mask`."""
-        faults = Faults(len(points))
-        holds = np.zeros(len(points), dtype=bool)
-        for i, row in enumerate(points.tolist()):
-            try:
-                holds[i] = self.fn(row)
-            except GeothermoError as exc:
-                faults.fail(i, exc)
-        return holds, faults
-
-    def __str__(self):
-        return self.description
 
 
 @dataclass

@@ -10,6 +10,12 @@ goes through a damped-Newton inversion seeded from the sample box, with the
 jet-space correction carried out by Newton iteration on the order-4 Taylor
 polynomial (each iteration doubles the order of contact, so a handful of
 steps is exact to truncation order).
+
+A numerically derived spec has no domain predicates.  Its domain is the set
+of points whose float Newton solve succeeds and lands in the base domain:
+the field solves each point of a batch once, and a point whose solve fails
+on the base domain, on a non-finite value or on the inversion itself fails
+with DomainViolation.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from . import systems
 from .errors import (DomainViolation, GeothermoError, InversionFailure,
                      NonFinite, PreconditionFailure, SingularDenominator)
 from .jets import Faults, Jet, jet_eval, jet_poly
-from .systems import (EXTENSIVE, INTENSIVE, Coordinate, ImplicitPredicate,
-                      SystemSpec, domain_check, evaluate)
+from .systems import (EXTENSIVE, INTENSIVE, Coordinate, SystemSpec,
+                      domain_check, evaluate)
 
 NEWTON_MAX_ITER = 100
 NEWTON_RTOL = 1e-12
@@ -180,7 +186,6 @@ class _ImplicitField:
     def __init__(self, base: SystemSpec, slot: int):
         self.base = base
         self.slot = slot
-        self._last = None   # (point, base point, exception) of base_point
 
     # -- float level
 
@@ -194,23 +199,19 @@ class _ImplicitField:
         raise NotImplementedError
 
     def base_point(self, new_values):
-        """:meth:`solve_base_point`, remembering the last point solved.
+        """:meth:`solve_base_point`; the solve is the spec's domain check.
 
-        The domain predicate and the field solve the same point one after
-        the other; the second call replays the first one's result or
-        exception.
+        A derived spec's domain is the set of points its solve accepts, so
+        a point the solve rejects as out of range, non-finite or not
+        invertible violates the domain, as a catalog predicate would.
         """
-        key = tuple(float(v) for v in new_values)
-        last = self._last
-        if last is None or last[0] != key:
-            try:
-                last = (key, self.solve_base_point(list(key)), None)
-            except GeothermoError as exc:
-                last = (key, None, exc)
-            self._last = last
-        if last[2] is not None:
-            raise last[2]
-        return list(last[1])
+        try:
+            return self.solve_base_point(new_values)
+        except (DomainViolation, NonFinite, InversionFailure) as exc:
+            raise DomainViolation(
+                f"point {tuple(new_values)} is outside the preimage of the "
+                f"{self.base.id} domain: {exc}",
+                [f"preimage of the {self.base.id} domain"]) from exc
 
     def solve_base_point(self, new_values):
         """Recover the base-representation point behind ``new_values``."""
@@ -243,10 +244,11 @@ class _ImplicitField:
                 else Jet.constant(nvars, order, a, faults, bk) for a in args]
         y0 = np.column_stack([np.broadcast_to(a.value, (size,))
                               for a in args])
-        # one Newton solve per point; a point that fails stays NaN
+        # one float Newton solve per point, which is also the point's domain
+        # check; a point that fails stays NaN
         record = faults if faults is not None else Faults(size)
         base_pts = np.full_like(y0, math.nan)
-        for i, row in enumerate(y0.tolist()):
+        for i, row in enumerate(y0.astype(float).tolist()):
             if record.ok[i]:
                 try:
                     base_pts[i] = self.base_point(row)
@@ -432,15 +434,6 @@ def partial_legendre(spec: SystemSpec, slot: int, solve: str = "auto") -> System
     conj_name = _CONJUGATE.get(old, "I_" + old)
     new_coords = list(spec.coords)
     new_coords[slot] = Coordinate(conj_name, INTENSIVE)
-    field = _PartialLegendreField(spec, slot)
-
-    def in_preimage(values):
-        try:
-            field.base_point(values)
-        except (DomainViolation, NonFinite, InversionFailure):
-            return False
-        return True
-
     box = list(spec.sample_box) if spec.sample_box else [(0.5, 2.0)] * spec.n
     box[slot] = _derived_slot_box(samples)
 
@@ -453,10 +446,8 @@ def partial_legendre(spec: SystemSpec, slot: int, solve: str = "auto") -> System
         potential_name=f"{spec.potential_name}_{conj_name}",
         excluded_index=spec.excluded_index,
         params=dict(spec.params),
-        domain=(ImplicitPredicate(
-            f"preimage of the {spec.id} domain under {old} -> {conj_name}",
-            in_preimage),),
-        field=field,
+        domain=(),
+        field=_PartialLegendreField(spec, slot),
         sample_box=tuple(box),
         meta={"legendre_of": spec.id, "legendre_slots": (slot,),
               "point_map": point_map},
@@ -549,15 +540,6 @@ def invert_representation(spec: SystemSpec, target_slot: int,
     old = spec.coords[target_slot].name
     new_coords = list(spec.coords)
     new_coords[target_slot] = Coordinate(spec.potential_name, EXTENSIVE)
-    field = _InverseRepresentationField(spec, target_slot)
-
-    def in_preimage(values):
-        try:
-            field.base_point(values)
-        except (DomainViolation, NonFinite, InversionFailure):
-            return False
-        return True
-
     box = list(spec.sample_box) if spec.sample_box else [(0.5, 2.0)] * spec.n
     box[target_slot] = _derived_slot_box(samples)
 
@@ -570,10 +552,8 @@ def invert_representation(spec: SystemSpec, target_slot: int,
         potential_name=old,
         excluded_index=target_slot,
         params=dict(spec.params),
-        domain=(ImplicitPredicate(
-            f"preimage of the {spec.id} domain under {old} -> "
-            f"{spec.potential_name}", in_preimage),),
-        field=field,
+        domain=(),
+        field=_InverseRepresentationField(spec, target_slot),
         sample_box=tuple(box),
         meta={"inverse_of": spec.id, "point_map": point_map},
     )

@@ -10,10 +10,12 @@ import pytest
 
 from geothermo import analysis as an
 from geothermo import cli
-from geothermo.errors import GeothermoError, SingularDenominator
+from geothermo.errors import (DomainViolation, GeothermoError,
+                              SingularDenominator)
 from geothermo.geometry import CHUNK, curvature_at
 from geothermo.systems import catalog_ids, from_definition, get_system
-from geothermo.transforms import invert_representation, partial_legendre
+from geothermo.transforms import (_ImplicitField, invert_representation,
+                                  partial_legendre)
 
 CUSTOM = {
     "id": "custom_mix", "coords": [{"name": "x"}, {"name": "y"}],
@@ -31,10 +33,23 @@ PREFACTOR = {
 }
 
 
+# a subexpression that involves no coordinate and fails on floats, in a
+# domain entry and in a relation: every point of a batch fails alike
+CONSTANT_OUT_OF_DOMAIN = {
+    "id": "const_ln", "coords": [{"name": "x"}, {"name": "y"}],
+    "excluded_index": "x", "domain": ["x > ln(0.5 - 1)", "y > 0"],
+    "relation": "x*y + ln(0.5 - 1)",
+    "sample_box": [[0.5, 2.0], [0.5, 2.0]],
+}
+
+
 def _specs():
     specs = {sid: get_system(sid) for sid in catalog_ids()}
     specs["custom"] = from_definition(CUSTOM)
     specs["bump"] = from_definition(PREFACTOR)
+    specs["const_domain"] = from_definition(CONSTANT_OUT_OF_DOMAIN)
+    specs["const_relation"] = from_definition(
+        dict(CONSTANT_OUT_OF_DOMAIN, domain=["x > 0", "y > 0"]))
     specs["chap_s_degenerate"] = get_system("chap_s", alpha=0.0, beta=0.0)
     specs["inv_vdw_s"] = invert_representation(specs["vdw_s"], 0,
                                                solve="newton")
@@ -91,6 +106,9 @@ def test_batch_matches_single_points(key):
         assert "DegenerateMetric" in kinds
     if key == "bump":
         assert "SingularPrefactor" in kinds
+    if key.startswith("const_"):
+        assert len(batch.faults.errors) == len(points)
+        assert kinds == {"DomainViolation"}
 
 
 def test_batch_crosses_chunks():
@@ -172,16 +190,25 @@ def test_zero_denominator_cli_exit(tmp_path):
 
 
 def test_derived_spec_solves_each_point_once(monkeypatch):
-    spec = invert_representation(get_system("vdw_s"), 0, solve="newton")
-    field = spec.field
     calls = []
-    solve = type(field).solve_base_point
+    solve = _ImplicitField.solve_base_point
 
     def counted(self, values):
         calls.append(tuple(values))
         return solve(self, values)
 
-    monkeypatch.setattr(type(field), "solve_base_point", counted)
+    monkeypatch.setattr(_ImplicitField, "solve_base_point", counted)
     s = 1.5 * math.log(2.0 + 1.0 / 3.0) + math.log(2.0)
-    curvature_at(spec, (s, 3.0))
+    curvature_at(SPECS["inv_vdw_s"], (s, 3.0))
     assert calls == [(s, 3.0)]
+    # a batch on a widened grid, which reaches outside the preimage of the
+    # base domain: one solve per point, and every failure is a domain
+    # violation
+    for key in ("inv_vdw_s", "pl_vdw_u"):
+        points = _grid(SPECS[key], 12)
+        calls.clear()
+        res = curvature_at(SPECS[key], points)
+        assert sorted(calls) == sorted(map(tuple, points.tolist())), key
+        assert res.faults.errors, key
+        assert {type(e) for e in res.faults.errors.values()} == {
+            DomainViolation}, key

@@ -22,8 +22,7 @@ def test_curvature_json(capsys):
     assert doc["system"] == "ideal_s"
     assert abs(doc["ricci_scalar"]) < 1e-8
     assert set(doc) == {"system", "point", "ricci_scalar", "det_g",
-                        "conformal_factor", "degenerate", "nonfinite",
-                        "sign_factor"}
+                        "conformal_factor", "degenerate", "nonfinite"}
 
 
 @pytest.mark.parametrize("at,flag", [("T=0.2,H=2", True), ("T=1,H=1", False)])
@@ -150,6 +149,26 @@ def test_scan_ideal_empty_loci(tmp_path, capsys):
     assert loci["detections"] == []
 
 
+def test_scan_constant_out_of_domain_fails_each_point(tmp_path, capsys):
+    # ln(0.5 - 1) involves no coordinate, so it fails for every point alike;
+    # the scan records each failure and still writes its CSV
+    doc = dict(TOY, id="const_ln", domain=["x > ln(0.5 - 1)", "y > 0"],
+               relation="x*y + ln(0.5 - 1)")
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "const.csv"
+    code, _, err = run(["scan", "--file", str(path), "--grid", "x=0.5:2:3",
+                        "--grid", "y=0.5:2:3", "-o", str(out_path)], capsys)
+    assert code == 0, err
+    assert len(out_path.read_text().splitlines()) == 2 + 9
+    loci = json.loads((tmp_path / "const.csv.loci.json").read_text())
+    assert loci["failures"] == 9
+    code, _, err = run(["curvature", "--file", str(path), "--at", "x=1,y=1"],
+                       capsys)
+    assert code == 2
+    assert "Traceback" not in err
+
+
 def test_figure_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["figure", "--recipe", "vdW1", "-o", str(a)], capsys)[0] == 0
@@ -157,21 +176,6 @@ def test_figure_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[1]
     assert header == "v_r,R_entropy,R_energy"
-
-
-def test_figure_threads_equivalent(tmp_path, capsys, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("GEOTHERMO_THREADS", "1")
-    assert run(["figure", "--recipe", "vdW2", "-o", str(a)], capsys)[0] == 0
-    monkeypatch.setenv("GEOTHERMO_THREADS", "4")
-    assert run(["figure", "--recipe", "vdW2", "-o", str(b)], capsys)[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("GEOTHERMO_THREADS", "many")
-    code, _, err = run(["figure", "--recipe", "vdW1", "-o", "-"], capsys)
-    assert code == 1
 
 
 def test_check_homogeneity_suite(capsys):
