@@ -149,15 +149,6 @@ class _Tables:
         # the same for a right factor without constant term (series
         # composition multiplies by the zero-value part of its argument)
         self.mul_shift = self._product([p for p in pairs if p[2] != 0])
-        # formal partial derivative d/dx_v: coefficient k -> k - e_v
-        self.deriv = []
-        for v in range(nvars):
-            src = [k for k, e in enumerate(exps) if e[v] > 0]
-            dst = [number[e[:v] + (e[v] - 1,) + e[v + 1:]]
-                   for e in (exps[k] for k in src)]
-            factor = np.array([float(exps[k][v]) for k in src])[:, None]
-            self.deriv.append((np.array(src, dtype=np.intp),
-                               np.array(dst, dtype=np.intp), factor))
         # Taylor coefficient -> partial derivative, and the monomial behind
         # every entry of the symmetric derivative tensors of degree 1..order
         self.weights = np.array([float(math.prod(math.factorial(x) for x in e))
@@ -166,9 +157,6 @@ class _Tables:
             [number[tuple(p.count(v) for v in range(nvars))]
              for d in range(1, order + 1)
              for p in product(range(nvars), repeat=d)], dtype=np.intp)
-        # poly_eval sums terms by (degree, exponent tuple)
-        self.eval_order = sorted(range(self.size),
-                                 key=lambda k: (self.degree[k], exps[k]))
 
     def _product(self, pairs):
         """Gather tables (rank, monomial) of a product: column k lists the
@@ -543,42 +531,36 @@ class Jet:
 
     # ---- polynomial manipulation -----------------------------------------
 
-    def deriv(self, i: int) -> "Jet":
-        """Formal partial derivative with respect to variable ``i``."""
-        src, dst, factor = _tables(self.nvars, self.order).deriv[i]
-        out = np.zeros_like(self.c)
-        out[dst] = self.c[src] * factor
-        return self._like(out)
+    def slot_series(self, slot: int, deltas: list) -> list:
+        """Expand the polynomials in variable ``slot``.
 
-    def poly_eval(self, deltas: list):
-        """Evaluate the polynomials at displacements ``deltas`` from their
-        centers.
-
-        Each delta may be a Jet (in any ambient jet space) or a float; all
-        deltas must have value zero so truncation is exact.  Coefficients
-        are per point, so a batch of polynomials evaluates against a batch
-        of displacements point by point.
+        Returns A_0..A_order such that the polynomials at displacements
+        ``deltas`` of the other variables and ``t`` of variable ``slot``
+        equal sum_m A_m t^m.  ``deltas[slot]`` is not read.  Each delta may
+        be a Jet (in any ambient jet space) or a float; all deltas must have
+        value zero so truncation is exact.  Coefficients are per point, so
+        a batch of polynomials expands against a batch of displacements
+        point by point.  An A_m with no displaced term is a coefficient
+        row, one value per point.
         """
         t = _tables(self.nvars, self.order)
         powers = {}
-        result = None
-        for k in t.eval_order:
+        series = [None] * (self.order + 1)
+        for k, e in enumerate(t.exps):
             coef = self.c[k]
             if t.degree[k] and not coef.any():
                 continue
             term = coef
-            for i, ki in enumerate(t.exps[k]):
-                if ki == 0:
+            for i, ki in enumerate(e):
+                if ki == 0 or i == slot:
                     continue
-                p = powers.get((i, ki))
-                if p is None:
-                    p = deltas[i]
-                    for _ in range(ki - 1):
-                        p = p * deltas[i]
-                    powers[i, ki] = p
-                term = p * term
-            result = term if result is None else result + term
-        return result if result is not None else 0.0
+                pw = powers.setdefault(i, [deltas[i]])
+                while len(pw) < ki:
+                    pw.append(pw[-1] * deltas[i])
+                term = pw[ki - 1] * term
+            m = e[slot]
+            series[m] = term if series[m] is None else series[m] + term
+        return [self.c[-1] if a is None else a for a in series]
 
 
 @dataclass

@@ -8,8 +8,11 @@ swaps the potential with one coordinate, solving Phi(E) = phi for E^a.
 Catalog systems use their registered closed-form partners; everything else
 goes through a damped-Newton inversion seeded from the sample box, with the
 jet-space correction carried out by Newton iteration on the order-4 Taylor
-polynomial (each iteration doubles the order of contact, so a handful of
-steps is exact to truncation order).
+polynomial, expanded once as a series in the solved slot.  Each iteration
+doubles the order of contact, so from the float root k iterations are exact
+through degree 2^k - 1, and order.bit_length() of them (3 at order 4) are
+exact to truncation order.  The float solve evaluates the equation and its
+slope together, once per trial point.
 
 A numerically derived spec has no domain predicates.  Its domain is the set
 of points whose float Newton solve succeeds and lands in the base domain:
@@ -35,7 +38,6 @@ from .systems import (EXTENSIVE, INTENSIVE, Coordinate, SystemSpec,
 NEWTON_MAX_ITER = 100
 NEWTON_RTOL = 1e-12
 MONOTONE_SAMPLES = 32
-JET_NEWTON_STEPS = 6
 
 # conventional conjugate names; anything else gets an "I_" prefix
 _CONJUGATE = {"s": "T", "v": "I_v", "T": "I_T"}
@@ -82,28 +84,30 @@ def _slot_range(spec: SystemSpec, slot: int):
     return (0.5, 2.0)
 
 
-def _newton_solve(f, df, seed, lo, hi):
+def _newton_solve(fdf, seed, lo, hi):
     """Damped Newton for f(z) = 0; bracketed bisection fallback.
 
-    ``f``/``df`` may raise DomainViolation or NonFinite for invalid z;
-    such trial points are treated as out of range during damping.
+    ``fdf(z)`` returns (f(z), f'(z)) from one evaluation.  It may raise
+    DomainViolation or NonFinite for invalid z; such trial points are
+    treated as out of range during damping.  An accepted trial's derivative
+    is the next Newton step's, so each trial evaluates the equation once.
     """
 
-    def safe(fn, z):
+    def safe(z):
         try:
-            val = fn(z)
+            f, df = fdf(z)
         except (DomainViolation, NonFinite, SingularDenominator,
                 ZeroDivisionError, OverflowError):
             return None
-        return val if math.isfinite(val) else None
+        return (f, df) if math.isfinite(f) else None
 
     z = float(seed)
-    fz = safe(f, z)
+    fz = safe(z)
     if fz is None:
         # nudge the seed into the valid region along the sample interval
         for t in np.linspace(0.0, 1.0, 17)[1:]:
             for cand in (seed + t * (hi - seed), seed + t * (lo - seed)):
-                fz = safe(f, cand)
+                fz = safe(cand)
                 if fz is not None:
                     z = float(cand)
                     break
@@ -112,34 +116,37 @@ def _newton_solve(f, df, seed, lo, hi):
     if fz is None:
         raise DomainViolation("no valid seed for the inversion")
 
-    scale = max(1.0, abs(z))
     for _ in range(NEWTON_MAX_ITER):
-        if abs(fz) <= NEWTON_RTOL * max(1.0, abs(z)):
+        f, df = fz
+        if abs(f) <= NEWTON_RTOL * max(1.0, abs(z)):
             return z
-        dfz = safe(df, z)
-        if dfz is None or dfz == 0.0:
+        if not math.isfinite(df) or df == 0.0:
             break
-        step = fz / dfz
+        step = f / df
         lam = 1.0
         moved = False
         for _ in range(60):
             z_new = z - lam * step
-            f_new = safe(f, z_new)
-            if f_new is not None and abs(f_new) < abs(fz):
-                z, fz = z_new, f_new
+            trial = safe(z_new)
+            if trial is not None and abs(trial[0]) < abs(f):
+                z, fz = z_new, trial
                 moved = True
                 break
             lam *= 0.5
         if not moved:
             break
-    if abs(fz) <= 1e-9 * max(1.0, abs(z)):
+    if abs(fz[0]) <= 1e-9 * max(1.0, abs(z)):
         return z
 
     # bisection fallback over an expanded window around the sample interval
+    def f_only(zz):
+        out = safe(zz)
+        return None if out is None else out[0]
+
     width = hi - lo
     a, b = lo - 2.0 * width, hi + 2.0 * width
     zs = np.linspace(a, b, 257)
-    vals = [safe(f, zz) for zz in zs]
+    vals = [f_only(zz) for zz in zs]
     bracket = None
     for (z0, f0), (z1, f1) in zip(zip(zs, vals), zip(zs[1:], vals[1:])):
         if f0 is None or f1 is None:
@@ -154,9 +161,11 @@ def _newton_solve(f, df, seed, lo, hi):
     a, b, fa = bracket
     for _ in range(200):
         mid = 0.5 * (a + b)
-        fm = safe(f, mid)
+        fm = f_only(mid)
         if fm is None:
-            break
+            raise DomainViolation(
+                f"inversion equation is undefined at {mid!r} inside the "
+                f"bracket [{a!r}, {b!r}]")
         if fm == 0.0 or (b - a) < 1e-15 * max(1.0, abs(mid)):
             return mid
         if fa * fm < 0.0:
@@ -175,13 +184,38 @@ def _with_slot(values, slot, z):
 # ---- implicit fields -----------------------------------------------------
 
 
+def _horner(series, t):
+    """sum_m series[m] t^m."""
+    out = series[-1]
+    for a in reversed(series[:-1]):
+        out = out * t + a
+    return out
+
+
+def _derivative(series, d):
+    """Coefficients of the d-th derivative in t of sum_m series[m] t^m."""
+    return [float(math.perm(m, d)) * a
+            for m, a in enumerate(series) if m >= d]
+
+
 class _ImplicitField:
     """Base for fields defined by solving one scalar equation per point.
 
-    Subclasses define the float-level solve (what equation pins down the
-    hidden base coordinate) and the jet-level result assembled from the
-    order-4 Taylor polynomial of the base potential.
+    The equation is the ``derivative``-th derivative of the base potential
+    in the solved slot set equal to the new coordinate of that slot.  Each
+    point is solved once in floats (:meth:`solve_base_point`, which is also
+    its domain check).  The jet-level result expands the order-4 Taylor
+    polynomial of the base potential in the solved slot once, as a series
+    in t = z - z0 whose coefficients are jets of the other coordinates
+    (:meth:`Jet.slot_series`).  Newton's method on that series doubles the
+    order of contact with every step (Brent & Kung, J. ACM 25, 1978): from
+    the float root, k steps are exact through degree 2^k - 1, so
+    ``order.bit_length()`` steps reach the truncation order (3 at order 4).
+    Subclasses give the float equation and assemble the new potential from
+    the same series.
     """
+
+    derivative = 0
 
     def __init__(self, base: SystemSpec, slot: int):
         self.base = base
@@ -189,13 +223,9 @@ class _ImplicitField:
 
     # -- float level
 
-    def _target_of(self, new_values):
-        return float(new_values[self.slot])
-
-    def _residual(self, z, new_values, target):
-        raise NotImplementedError
-
-    def _residual_deriv(self, z, new_values):
+    def _residual(self, pt, target):
+        """(f, df/dz) of the equation at base point ``pt``, from one
+        evaluation of the base field."""
         raise NotImplementedError
 
     def base_point(self, new_values):
@@ -215,13 +245,12 @@ class _ImplicitField:
 
     def solve_base_point(self, new_values):
         """Recover the base-representation point behind ``new_values``."""
-        target = self._target_of(new_values)
+        target = float(new_values[self.slot])
         lo, hi = _slot_range(self.base, self.slot)
-        seed = 0.5 * (lo + hi)
         z = _newton_solve(
-            lambda zz: self._residual(zz, new_values, target),
-            lambda zz: self._residual_deriv(zz, new_values),
-            seed, lo, hi)
+            lambda zz: self._residual(_with_slot(new_values, self.slot, zz),
+                                      target),
+            0.5 * (lo + hi), lo, hi)
         pt = _with_slot(new_values, self.slot, z)
         violated = domain_check(self.base, pt)
         if violated:
@@ -256,29 +285,26 @@ class _ImplicitField:
                     record.fail(i, exc)
         if faults is None:
             record.raise_first()
-        # the polynomial needs at least order 2 so the Newton denominator
-        # (a second derivative of the base potential) has a constant term
+        # the polynomial needs at least order 2 so that the Newton slope of
+        # a partial Legendre equation (a second derivative of the base
+        # potential) has a constant term
         poly = jet_poly(self.base.field, base_pts, max(order, 2), faults, bk)
-        deltas_rest = [args[j] - y0[:, j] for j in range(len(args))]
-        z0 = base_pts[:, self.slot]
-        z = Jet.constant(nvars, order, z0, faults, bk)
-        num_poly, den_poly = self._newton_polys(poly)
-        for _ in range(JET_NEWTON_STEPS):
-            ds = _with_slot(deltas_rest, self.slot, z - z0)
-            num = num_poly.poly_eval(ds) - args[self.slot]
-            den = den_poly.poly_eval(ds)
-            z = z - num / den
-        ds = _with_slot(deltas_rest, self.slot, z - z0)
-        return self._assemble(poly, ds, z, args)
+        series = poly.slot_series(
+            self.slot, [args[j] - y0[:, j] for j in range(len(args))])
+        equation = _derivative(series, self.derivative)
+        slope = _derivative(equation, 1)
+        target = args[self.slot]
+        t = 0.0
+        for _ in range(order.bit_length()):
+            t = t - (_horner(equation, t) - target) / _horner(slope, t)
+        return self._assemble(series, t, base_pts[:, self.slot], target)
 
     def _float_value(self, values):
         raise NotImplementedError
 
-    def _newton_polys(self, poly):
-        """(numerator, derivative) polynomials of the defining equation."""
-        raise NotImplementedError
-
-    def _assemble(self, poly, ds, z, args):
+    def _assemble(self, series, t, z0, target):
+        """The new potential from the slot series, the solved t = z - z0
+        and the new slot coordinate ``target``."""
         raise NotImplementedError
 
 
@@ -286,50 +312,37 @@ class _PartialLegendreField(_ImplicitField):
     """Phi_new(I_slot, E_rest) = Phi - I_slot * E_slot with E_slot solved
     from dPhi/dE^slot = I_slot."""
 
-    def _residual(self, z, new_values, target):
-        pt = _with_slot(new_values, self.slot, z)
-        return jet_eval(self.base.field, pt, 1).grad[self.slot] - target
+    derivative = 1
 
-    def _residual_deriv(self, z, new_values):
-        pt = _with_slot(new_values, self.slot, z)
-        return jet_eval(self.base.field, pt, 2).hess[self.slot, self.slot]
+    def _residual(self, pt, target):
+        jet = jet_eval(self.base.field, pt, 2)
+        return (jet.grad[self.slot] - target,
+                jet.hess[self.slot, self.slot])
 
     def _float_value(self, values):
         pt = self.base_point(values)
         return evaluate(self.base, pt) - values[self.slot] * pt[self.slot]
 
-    def _newton_polys(self, poly):
-        ps = poly.deriv(self.slot)
-        return ps, ps.deriv(self.slot)
-
-    def _assemble(self, poly, ds, z, args):
-        return poly.poly_eval(ds) - args[self.slot] * z
+    def _assemble(self, series, t, z0, target):
+        return _horner(series, t) - target * (t + z0)
 
 
 class _InverseRepresentationField(_ImplicitField):
     """E^slot as a function of (Phi, E_rest): solve Phi(E) = phi."""
 
-    def _residual(self, z, new_values, target):
-        pt = _with_slot(new_values, self.slot, z)
+    def _residual(self, pt, target):
         violated = domain_check(self.base, pt)
         if violated:
             raise DomainViolation(
                 f"{tuple(pt)} violates {violated}", violated)
-        out = self.base.field([float(c) for c in pt])
-        return (out.value if hasattr(out, "value") else float(out)) - target
-
-    def _residual_deriv(self, z, new_values):
-        pt = _with_slot(new_values, self.slot, z)
-        return jet_eval(self.base.field, pt, 1).grad[self.slot]
+        jet = jet_eval(self.base.field, pt, 1)
+        return jet.value - target, jet.grad[self.slot]
 
     def _float_value(self, values):
         return self.base_point(values)[self.slot]
 
-    def _newton_polys(self, poly):
-        return poly, poly.deriv(self.slot)
-
-    def _assemble(self, poly, ds, z, args):
-        return z
+    def _assemble(self, series, t, z0, target):
+        return t + z0
 
 
 # ---- monotonicity precheck -----------------------------------------------

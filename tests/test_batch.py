@@ -212,3 +212,17 @@ def test_derived_spec_solves_each_point_once(monkeypatch):
         assert res.faults.errors, key
         assert {type(e) for e in res.faults.errors.values()} == {
             DomainViolation}, key
+
+
+@pytest.mark.parametrize("key,closed", [("inv_vdw_s", "vdw_u"),
+                                        ("pl_vdw_u", "vdw_F")])
+def test_derived_batch_matches_closed_form(key, closed):
+    spec = SPECS[key]
+    axes = tuple((c.name, lo, hi, 9)
+                 for c, (lo, hi) in zip(spec.coords, spec.sample_box))
+    points = np.array(an.GridSpec(axes).points())
+    derived = curvature_at(spec, points)
+    exact = curvature_at(SPECS[closed], points)
+    assert derived.faults.ok.all() and exact.faults.ok.all()
+    assert np.allclose(derived.ricci_scalar, exact.ricci_scalar,
+                       rtol=1e-9, atol=0.0)

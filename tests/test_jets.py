@@ -108,14 +108,28 @@ def test_default_fd_step_scales():
 def test_jet_poly_deriv_and_eval():
     p = jet_poly(f_mixed, (2.0, 1.0), 4)
     assert p.c.shape == (15 + 1, 1)       # 15 monomials, one point
-    ps = p.deriv(0)
+    series = p.slot_series(0, [None, 0.0])
+    assert len(series) == 5
     j = jet_eval(f_mixed, (2.0, 1.0), 4)
-    assert ps.value[0] == pytest.approx(j.grad[0])
-    # polynomial evaluation at a float displacement approximates the field
+    assert series[1][0] == pytest.approx(j.grad[0])
+    # the series summed at a float displacement approximates the field
     du = 1e-3
-    shifted = p.poly_eval([du, 0.0])
+    shifted = sum(a * du ** m for m, a in enumerate(series))
     truth = f_mixed([2.0 + du, 1.0])
     assert shifted[0] == pytest.approx(truth, abs=1e-14)
+
+
+def test_slot_series_with_jet_deltas_matches_the_polynomial():
+    # A_m(dv) t^m summed with jet displacements recomposes the polynomial
+    p = jet_poly(f_mixed, np.array([[2.0, 1.0], [1.5, 0.7]]), 4)
+    du = Jet.variable(2, 4, 0, np.zeros(2))
+    dv = Jet.variable(2, 4, 1, np.zeros(2))
+    series = p.slot_series(0, [None, dv])
+    total = series[-1]
+    for a in reversed(series[:-1]):
+        total = total * du + a
+    assert np.allclose(np.asarray(total.c, dtype=float),
+                       np.asarray(p.c, dtype=float), rtol=1e-15, atol=0.0)
 
 
 def test_division_and_int_pow():
@@ -129,8 +143,8 @@ def test_constant_and_variable_constructors():
     v = Jet.variable(2, 4, 1, 3.0)
     s = c * v + v
     assert s.value[0] == pytest.approx(18.0)
-    assert s.deriv(1).value[0] == pytest.approx(6.0)
-    assert s.deriv(0).value[0] == 0.0
+    assert s.slot_series(1, [0.0, None])[1][0] == pytest.approx(6.0)
+    assert s.slot_series(0, [None, 0.0])[1][0] == 0.0
 
 
 # ---- dense batched layout ------------------------------------------------
@@ -153,7 +167,7 @@ def test_batch_constants_broadcast():
     s = Jet.constant(2, 4, 2.0) * v + 1.0
     assert s.size == 3
     assert np.array_equal(s.value, [3.0, 5.0, 7.0])
-    assert np.array_equal(s.deriv(0).value, [2.0, 2.0, 2.0])
+    assert np.array_equal(s.slot_series(0, [None, 0.0])[1], [2.0, 2.0, 2.0])
     # per-point constants shift each point by its own value
     t = v + np.array([10.0, 20.0, 30.0])
     assert np.array_equal(t.value, [11.0, 22.0, 33.0])

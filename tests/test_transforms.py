@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from geothermo import jets, transforms
 from geothermo.errors import (DomainViolation, InversionFailure,
                               PreconditionFailure)
 from geothermo.geometry import curvature_at
+from geothermo.jets import jet_poly
 from geothermo.systems import evaluate, from_definition, get_system
-from geothermo.transforms import (equations_of_state, first_law_residual,
+from geothermo.transforms import (_newton_solve, equations_of_state,
+                                  first_law_residual,
                                   invert_representation, legendre_partner,
                                   legendre_point, partial_legendre,
                                   reduced_variables, to_vP, total_legendre,
@@ -173,6 +176,72 @@ def test_invert_representation_curvature_matches():
     r_s = curvature_at(cs, pt).ricci_scalar
     r_i = curvature_at(inv, (s, pt[1]), check_domain=False).ricci_scalar
     assert r_i == pytest.approx(r_s, rel=1e-8)
+
+
+def test_inverted_taylor_coefficients_are_exact_through_order_4():
+    # x = ln(s - y) inverts s = exp(x) + y; the jet Newton must reach every
+    # coefficient through the truncation order, not only the low ones
+    spec = from_definition({
+        "id": "exp_shift", "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "x", "relation": "exp(x) + y",
+        "sample_box": [[0.0, 2.0], [0.5, 2.0]]})
+    inv = invert_representation(spec, 0, solve="newton")
+    pt = (math.exp(1.2) + 0.8, 0.8)
+    got = np.asarray(jet_poly(inv.field, pt, 4).c, dtype=float)
+    want = np.asarray(jet_poly(lambda a: jets.ln(a[0] - a[1]), pt, 4).c,
+                      dtype=float)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _count_float_newton(monkeypatch):
+    """Record the orders of transforms.jet_eval calls and the trial points
+    of every float Newton solve."""
+    evals, trials = [], []
+    real_eval, real_solve = transforms.jet_eval, transforms._newton_solve
+
+    def counted_eval(field, x, order=4, *args, **kwargs):
+        evals.append(order)
+        return real_eval(field, x, order, *args, **kwargs)
+
+    def counted_solve(fdf, seed, lo, hi):
+        def trial(z):
+            trials.append(z)
+            return fdf(z)
+        return real_solve(trial, seed, lo, hi)
+
+    monkeypatch.setattr(transforms, "jet_eval", counted_eval)
+    monkeypatch.setattr(transforms, "_newton_solve", counted_solve)
+    return evals, trials
+
+
+def test_float_newton_evaluates_the_base_field_once_per_trial(monkeypatch):
+    inv = invert_representation(get_system("vdw_s"), 0, solve="newton")
+    pl = partial_legendre(get_system("vdw_u"), 0, solve="newton")
+    s = 1.5 * math.log(2.0 + 1.0 / 3.0) + math.log(2.0)     # u = 2, v = 3
+    T = (2.0 / 3.0) * math.exp(2.0 * 1.2 / 3.0) * 2.0 ** (-2.0 / 3.0)
+    evals, trials = _count_float_newton(monkeypatch)
+    for spec, pt, order in ((inv, [s, 3.0], 1), (pl, [T, 3.0], 2)):
+        evals.clear()
+        trials.clear()
+        spec.field.solve_base_point(pt)
+        assert len(trials) >= 2
+        assert evals == [order] * len(trials), spec.id
+
+
+def test_bisection_fallback():
+    # Newton cannot move on a zero slope; bisection finds the root
+    assert _newton_solve(lambda z: (z - 0.5, 0.0), 2.0, 0.0, 3.0) == \
+        pytest.approx(0.5, abs=1e-12)
+
+    # undefined on a hole around the root: no midpoint inside it passes
+    # for a root
+    def holed(z):
+        if 0.499 < z < 0.501:
+            raise DomainViolation("hole")
+        return z - 0.5, 1.0
+
+    with pytest.raises(DomainViolation):
+        _newton_solve(holed, 2.0, 0.0, 3.0)
 
 
 def test_invert_non_monotone_rejected():
