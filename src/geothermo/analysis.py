@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -464,30 +464,15 @@ def fd_jet4(fieldval, x) -> Jet4:
         for j in range(i, n):
             hess[i, j] = hess[j, i] = fd_partial(fieldval, x, (i, j),
                                                  step=h_for((i, j)))
-    for idx in _sym_indices(n, 3):
+    for idx in combinations_with_replacement(range(n), 3):
         v = fd_partial(fieldval, x, idx, step=h_for(idx))
-        for p in _perms(idx):
+        for p in permutations(idx):
             third[p] = v
-    for idx in _sym_indices(n, 4):
+    for idx in combinations_with_replacement(range(n), 4):
         v = fd_partial(fieldval, x, idx, step=h_for(idx))
-        for p in _perms(idx):
+        for p in permutations(idx):
             fourth[p] = v
     return Jet4(value=value, grad=grad, hess=hess, third=third, fourth=fourth)
-
-
-def _sym_indices(n, k):
-    def rec(start, left, prefix):
-        if left == 0:
-            yield tuple(prefix)
-            return
-        for i in range(start, n):
-            yield from rec(i, left - 1, prefix + [i])
-    yield from rec(0, k, [])
-
-
-def _perms(idx):
-    from itertools import permutations
-    return set(permutations(idx))
 
 
 def fd_ricci_scalar(spec: SystemSpec, x) -> float:

@@ -2,11 +2,16 @@
 
 Working units: R = k_B = N_A = 1, molar quantities throughout.
 
-Each catalog entry records the potential, its coordinates (with their
-extensive/intensive roles), default parameter values, the validity domain as
-DSL inequalities, and which coordinate slot is excluded from the conformal sum
-of the natural metric (the pair traded for the potential when changing
-representation: u for entropy-type potentials, s/T for energy-type ones).
+The catalog is one table, ``_CATALOG``.  Each entry records the potential,
+its coordinates (with their extensive/intensive roles), default parameter
+values, the validity domain as DSL inequalities, and which coordinate slot is
+excluded from the conformal sum of the natural metric (the pair traded for
+the potential when changing representation: u for entropy-type potentials,
+s/T for energy-type ones).  :func:`get_system` merges parameter overrides
+into the defaults and builds the spec once.  ``PARTNERS`` links catalog
+systems to their closed-form inverses and Legendre transforms;
+:func:`closed_partner` is the one place that resolves those links, and only
+for the catalog system itself (same id, relation and coordinates).
 
 Note on the Chaplygin/dark-fluid relation: the form used here is
 ``s = s0 * ln(u^(1+alpha) + C * v^(1+beta))``.  This is the reading whose
@@ -17,7 +22,8 @@ verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,93 +150,83 @@ def _dsl_spec(id, coords, potential_name, excluded, relation, params,
     )
 
 
-def _catalog_builders():
-    ext, intn = Coordinate, Coordinate
+class _Entry(NamedTuple):
+    """A catalog system's data, in the argument order of :func:`_dsl_spec`."""
 
-    def ideal_s():
-        return _dsl_spec(
-            "ideal_s", (ext("u"), ext("v")), "s", 0,
-            "(3/2)*ln(u) + ln(v)", {},
-            ("u > 0", "v > 0"), ((0.5, 5.0), (0.5, 5.0)),
-            meta={"homogeneity": "holds for the extensive extension only"})
-
-    def ideal_u():
-        return _dsl_spec(
-            "ideal_u", (ext("s"), ext("v")), "u", 0,
-            "(exp(s)/v)^(2/3)", {},
-            ("v > 0",), ((-1.0, 2.0), (0.5, 5.0)))
-
-    def ideal_F():
-        return _dsl_spec(
-            "ideal_F", (intn("T", INTENSIVE), ext("v")), "F", 0,
-            "(1/2)*T*(3 - 2*ln(v) - 3*ln((3/2)*T))", {},
-            ("T > 0", "v > 0"), ((0.3, 3.0), (0.5, 5.0)),
-            meta={"partial_legendre_of": "ideal_u"})
-
-    def ideal_g():
-        return _dsl_spec(
-            "ideal_g", (intn("T", INTENSIVE), intn("P", INTENSIVE)), "g", 0,
-            "(5/2)*T - T*((3/2)*ln((3/2)*T) + ln(T/P))", {},
-            ("T > 0", "P > 0"), ((0.3, 3.0), (0.3, 3.0)),
-            meta={"total_legendre_of": "ideal_u"})
-
-    def vdw_s():
-        return _dsl_spec(
-            "vdw_s", (ext("u"), ext("v")), "s", 0,
-            "(3/2)*ln(u + a/v) + ln(v - b)", {"a": 1.0, "b": 1.0},
-            ("v > b", "u + a/v > 0"), ((0.5, 5.0), (1.5, 6.0)))
-
-    def vdw_u():
-        # inverse of vdw_s: u = exp(2s/3) (v-b)^(-2/3) - a/v
-        return _dsl_spec(
-            "vdw_u", (ext("s"), ext("v")), "u", 0,
-            "exp((2/3)*s) / (v - b)^(2/3) - a/v", {"a": 1.0, "b": 1.0},
-            ("v > b",), ((0.0, 2.0), (1.5, 6.0)))
-
-    def vdw_F():
-        # partial Legendre (s -> T) of vdw_u, closed form
-        return _dsl_spec(
-            "vdw_F", (intn("T", INTENSIVE), ext("v")), "F", 0,
-            "(3/2)*T - a/v - T*((3/2)*ln((3/2)*T) + ln(v - b))",
-            {"a": 1.0, "b": 1.0},
-            ("T > 0", "v > b"), ((0.5, 3.0), (1.5, 6.0)),
-            meta={"partial_legendre_of": "vdw_u"})
-
-    def ising_f():
-        return _dsl_spec(
-            "ising_f", (intn("T", INTENSIVE), intn("H", INTENSIVE)), "f", 0,
-            "-T*ln(cosh(H/T) + sqrt(sinh(H/T)^2 + exp(-(4*J)/T)))",
-            {"J": 1.0},
-            ("T > 0", "H > 0"), ((0.5, 5.0), (0.5, 2.0)),
-            meta={"total_legendre_of": "internal energy",
-                  "already_total_legendre": True})
-
-    def chap_s():
-        return _dsl_spec(
-            "chap_s", (ext("u"), ext("v")), "s", 0,
-            "s0*ln(u^(1 + alpha) + C*v^(1 + beta))",
-            {"s0": 1.0, "C": 1.0, "alpha": 1.0, "beta": 1.0},
-            ("u > 0", "v > 0", "u^(1 + alpha) + C*v^(1 + beta) > 0"),
-            ((0.5, 5.0), (0.5, 5.0)),
-            meta={"homogeneity": "holds for the extensive extension only"})
-
-    def chap_u():
-        # inverse of chap_s: u = (exp(s/s0) - C v^(1+beta))^(1/(1+alpha))
-        return _dsl_spec(
-            "chap_u", (ext("s"), ext("v")), "u", 0,
-            "(exp(s/s0) - C*v^(1 + beta))^(1/(1 + alpha))",
-            {"s0": 1.0, "C": 1.0, "alpha": 1.0, "beta": 1.0},
-            ("v > 0", "exp(s/s0) - C*v^(1 + beta) > 0"),
-            ((2.0, 4.0), (0.5, 1.5)))
-
-    return {
-        "ideal_s": ideal_s, "ideal_u": ideal_u, "ideal_F": ideal_F,
-        "ideal_g": ideal_g, "vdw_s": vdw_s, "vdw_u": vdw_u, "vdw_F": vdw_F,
-        "ising_f": ising_f, "chap_s": chap_s, "chap_u": chap_u,
-    }
+    coords: tuple
+    potential_name: str
+    excluded: int
+    relation: str
+    params: dict
+    domain: tuple
+    sample_box: tuple
+    meta: dict | None = None
 
 
-_BUILDERS = _catalog_builders()
+_ext = Coordinate
+
+
+def _int(name):
+    return Coordinate(name, INTENSIVE)
+
+_CATALOG = {
+    "ideal_s": _Entry(
+        (_ext("u"), _ext("v")), "s", 0,
+        "(3/2)*ln(u) + ln(v)", {},
+        ("u > 0", "v > 0"), ((0.5, 5.0), (0.5, 5.0)),
+        meta={"homogeneity": "holds for the extensive extension only"}),
+    "ideal_u": _Entry(
+        (_ext("s"), _ext("v")), "u", 0,
+        "(exp(s)/v)^(2/3)", {},
+        ("v > 0",), ((-1.0, 2.0), (0.5, 5.0))),
+    "ideal_F": _Entry(
+        (_int("T"), _ext("v")), "F", 0,
+        "(1/2)*T*(3 - 2*ln(v) - 3*ln((3/2)*T))", {},
+        ("T > 0", "v > 0"), ((0.3, 3.0), (0.5, 5.0)),
+        meta={"partial_legendre_of": "ideal_u"}),
+    "ideal_g": _Entry(
+        (_int("T"), _int("P")), "g", 0,
+        "(5/2)*T - T*((3/2)*ln((3/2)*T) + ln(T/P))", {},
+        ("T > 0", "P > 0"), ((0.3, 3.0), (0.3, 3.0)),
+        meta={"total_legendre_of": "ideal_u"}),
+    "vdw_s": _Entry(
+        (_ext("u"), _ext("v")), "s", 0,
+        "(3/2)*ln(u + a/v) + ln(v - b)", {"a": 1.0, "b": 1.0},
+        ("v > b", "u + a/v > 0"), ((0.5, 5.0), (1.5, 6.0))),
+    # inverse of vdw_s: u = exp(2s/3) (v-b)^(-2/3) - a/v
+    "vdw_u": _Entry(
+        (_ext("s"), _ext("v")), "u", 0,
+        "exp((2/3)*s) / (v - b)^(2/3) - a/v", {"a": 1.0, "b": 1.0},
+        ("v > b",), ((0.0, 2.0), (1.5, 6.0))),
+    # partial Legendre (s -> T) of vdw_u, closed form
+    "vdw_F": _Entry(
+        (_int("T"), _ext("v")), "F", 0,
+        "(3/2)*T - a/v - T*((3/2)*ln((3/2)*T) + ln(v - b))",
+        {"a": 1.0, "b": 1.0},
+        ("T > 0", "v > b"), ((0.5, 3.0), (1.5, 6.0)),
+        meta={"partial_legendre_of": "vdw_u"}),
+    "ising_f": _Entry(
+        (_int("T"), _int("H")), "f", 0,
+        "-T*ln(cosh(H/T) + sqrt(sinh(H/T)^2 + exp(-(4*J)/T)))",
+        {"J": 1.0},
+        ("T > 0", "H > 0"), ((0.5, 5.0), (0.5, 2.0)),
+        meta={"total_legendre_of": "internal energy",
+              "already_total_legendre": True}),
+    "chap_s": _Entry(
+        (_ext("u"), _ext("v")), "s", 0,
+        "s0*ln(u^(1 + alpha) + C*v^(1 + beta))",
+        {"s0": 1.0, "C": 1.0, "alpha": 1.0, "beta": 1.0},
+        ("u > 0", "v > 0", "u^(1 + alpha) + C*v^(1 + beta) > 0"),
+        ((0.5, 5.0), (0.5, 5.0)),
+        meta={"homogeneity": "holds for the extensive extension only"}),
+    # inverse of chap_s: u = (exp(s/s0) - C v^(1+beta))^(1/(1+alpha))
+    "chap_u": _Entry(
+        (_ext("s"), _ext("v")), "u", 0,
+        "(exp(s/s0) - C*v^(1 + beta))^(1/(1 + alpha))",
+        {"s0": 1.0, "C": 1.0, "alpha": 1.0, "beta": 1.0},
+        ("v > 0", "exp(s/s0) - C*v^(1 + beta) > 0"),
+        ((2.0, 4.0), (0.5, 1.5))),
+}
 
 # mutual partner links: canonical <-> inverse representation and
 # Legendre partners (slot indices refer to the source spec's coordinates)
@@ -255,11 +251,11 @@ class CatalogEntry:
 
 def catalog():
     """All built-in SystemSpecs with their default parameters."""
-    return [build() for build in _BUILDERS.values()]
+    return [get_system(id) for id in _CATALOG]
 
 
 def catalog_ids():
-    return list(_BUILDERS)
+    return list(_CATALOG)
 
 
 def catalog_entry(id: str) -> CatalogEntry:
@@ -268,19 +264,39 @@ def catalog_entry(id: str) -> CatalogEntry:
 
 def get_system(id: str, **param_overrides) -> SystemSpec:
     """Fetch a catalog system, optionally overriding parameter values."""
-    if id not in _BUILDERS:
-        raise KeyError(f"unknown system '{id}' (have {', '.join(_BUILDERS)})")
-    spec = _BUILDERS[id]()
-    if param_overrides:
-        unknown = set(param_overrides) - set(spec.params)
-        if unknown:
-            raise KeyError(f"{id} has no parameter(s) {sorted(unknown)}")
-        params = dict(spec.params, **{k: float(v) for k, v in param_overrides.items()})
-        ast = dsl.parse_relation(spec.meta["relation"], list(spec.coord_names()),
-                                 list(params))
-        spec = replace(spec, params=params,
-                       field=dsl.compile_relation(ast, params))
-    return spec
+    if id not in _CATALOG:
+        raise KeyError(f"unknown system '{id}' (have {', '.join(_CATALOG)})")
+    entry = _CATALOG[id]
+    unknown = set(param_overrides) - set(entry.params)
+    if unknown:
+        raise KeyError(f"{id} has no parameter(s) {sorted(unknown)}")
+    params = dict(entry.params,
+                  **{k: float(v) for k, v in param_overrides.items()})
+    return _dsl_spec(id, *entry._replace(params=params))
+
+
+def closed_partner(spec: SystemSpec, kind: str, slot=None):
+    """The closed-form partner of a catalog system, or None.
+
+    ``kind`` is "inverse" or "partial_legendre" (both on ``slot``) or
+    "total_legendre".  The partner is built once, with the parameter values
+    the two share.  Only the catalog system itself has partners: a spec
+    whose id is in the catalog but whose relation or coordinates differ
+    from that entry's (a custom relation reusing the id) gets None.
+    """
+    entry = _CATALOG.get(spec.id)
+    if entry is None or spec.meta.get("relation") != entry.relation \
+            or spec.coords != entry.coords:
+        return None
+    link = PARTNERS.get(spec.id, {}).get(kind)
+    if kind == "inverse" and link is not None:
+        link = {link[1]: link[0]}
+    if isinstance(link, dict):
+        link = link.get(slot)
+    if link is None:
+        return None
+    return get_system(link, **{k: spec.params[k] for k in _CATALOG[link].params
+                               if k in spec.params})
 
 
 def from_definition(doc: dict) -> SystemSpec:

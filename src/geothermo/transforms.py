@@ -5,9 +5,10 @@ conjugate intensive I_a = dPhi/dE^a and the potential for Phi - I_a E^a; the
 total transform does this on every slot.  Representation inversion instead
 swaps the potential with one coordinate, solving Phi(E) = phi for E^a.
 
-Catalog systems use their registered closed-form partners; everything else
-goes through a damped-Newton inversion seeded from the sample box, with the
-jet-space correction carried out by Newton iteration on the order-4 Taylor
+Catalog systems use their registered closed-form partners
+(:func:`systems.closed_partner`); everything else goes through a
+damped-Newton inversion seeded from the sample box, with the jet-space
+correction carried out by Newton iteration on the order-4 Taylor
 polynomial, expanded once as a series in the solved slot.  Each iteration
 doubles the order of contact, so from the float root k iterations are exact
 through degree 2^k - 1, and order.bit_length() of them (3 at order 4) are
@@ -383,15 +384,64 @@ def _monotone_samples(spec: SystemSpec, slot: int, value_fn):
     return samples
 
 
-def _derived_slot_box(samples):
-    vals = sorted(v for _, v in samples)
-    lo, hi = vals[0], vals[-1]
-    pad = 0.1 * (hi - lo)
-    return (lo + pad, hi - pad)
+def _derived_spec(spec: SystemSpec, slot: int, coord: Coordinate, field,
+                  slot_value, **names) -> SystemSpec:
+    """A Newton-derived spec: ``spec`` with coordinate ``slot`` replaced by
+    ``coord`` and ``field`` as its potential.
+
+    ``slot_value(pt)`` is the new coordinate at a base point.  It must be
+    strictly monotone along the slot, and the middle 80% of its sampled
+    range is the new slot's sample interval.  ``names`` gives the id, the
+    potential name and the excluded slot.
+    """
+    vals = sorted(v for _, v in _monotone_samples(spec, slot, slot_value))
+    pad = 0.1 * (vals[-1] - vals[0])
+    coords = list(spec.coords)
+    coords[slot] = coord
+    box = list(spec.sample_box) if spec.sample_box else [(0.5, 2.0)] * spec.n
+    box[slot] = (vals[0] + pad, vals[-1] - pad)
+    return SystemSpec(coords=tuple(coords), params=dict(spec.params),
+                      domain=(), field=field, sample_box=tuple(box), **names)
 
 
-def _shared_params(spec: SystemSpec, partner: SystemSpec):
-    return {k: spec.params[k] for k in partner.params if k in spec.params}
+def _gradient_map(spec: SystemSpec, slots, coords):
+    """Base point -> the conjugates on ``slots``, named by ``coords``; a
+    pressure-like conjugate flips sign (P = -dPhi/dv)."""
+    signs = {s: -1.0 if coords[s].name == "P" else 1.0 for s in slots}
+
+    def point_map(x):
+        grad = jet_eval(spec.field, x, 1).grad
+        out = list(x)
+        for s, sign in signs.items():
+            out[s] = sign * grad[s]
+        return out
+
+    return point_map
+
+
+def _legendre_of(spec: SystemSpec, slots, out: SystemSpec) -> SystemSpec:
+    """Record ``out`` as the Legendre transform of ``spec`` on ``slots``."""
+    out.meta.update(point_map=_gradient_map(spec, slots, out.coords),
+                    legendre_of=spec.id, legendre_slots=tuple(slots))
+    return out
+
+
+def _check_solve(solve: str):
+    if solve not in ("auto", "closed", "newton"):
+        raise PreconditionFailure(f"unknown inversion strategy '{solve}'")
+
+
+def _closed_partner(spec: SystemSpec, kind: str, slot, solve: str):
+    """The catalog's closed form of the transform when ``solve`` allows one,
+    else None; ``solve="closed"`` without one raises PreconditionFailure."""
+    _check_solve(solve)
+    out = None if solve == "newton" else systems.closed_partner(spec, kind,
+                                                                 slot)
+    if out is None and solve == "closed":
+        where = "" if slot is None else f" on slot {slot}"
+        raise PreconditionFailure(
+            f"{spec.id} has no closed-form {kind.replace('_', ' ')}{where}")
+    return out
 
 
 def _compose_point_map(inner, outer):
@@ -414,97 +464,41 @@ def legendre_point(spec: SystemSpec, x):
 def partial_legendre(spec: SystemSpec, slot: int, solve: str = "auto") -> SystemSpec:
     """Trade E^slot for its conjugate intensive; new potential Phi - I E.
 
-    ``solve`` is "auto" (closed form when the catalog registers a partner,
-    numeric otherwise), "closed", or "newton".
+    ``solve`` is "auto" (closed form when ``spec`` is a catalog system with
+    a registered partner, numeric otherwise), "closed", or "newton".
     """
     if not 0 <= slot < spec.n:
         raise PreconditionFailure(
             f"slot {slot} out of range for {spec.n} coordinates")
-    if solve not in ("auto", "closed", "newton"):
-        raise PreconditionFailure(f"unknown inversion strategy '{solve}'")
-
-    partner_id = systems.PARTNERS.get(spec.id, {}).get(
-        "partial_legendre", {}).get(slot)
-    if solve in ("auto", "closed") and partner_id is not None:
-        partner = systems.get_system(partner_id)
-        out = systems.get_system(partner_id, **_shared_params(spec, partner))
-        # conjugate as named by the partner spec: T = +Phi_s; a pressure-like
-        # coordinate is the negative gradient (P = -dF/dv)
-        out.meta["point_map"] = _make_partner_map(spec, (slot,), out)
-        out.meta["legendre_of"] = spec.id
-        out.meta["legendre_slots"] = (slot,)
-        return out
-    if solve == "closed":
-        raise PreconditionFailure(
-            f"{spec.id} registers no closed-form partner for slot {slot}")
-
-    def conj_at(pt):
-        return jet_eval(spec.field, pt, 1).grad[slot]
-
-    samples = _monotone_samples(spec, slot, conj_at)
-
-    old = spec.coords[slot].name
-    conj_name = _CONJUGATE.get(old, "I_" + old)
-    new_coords = list(spec.coords)
-    new_coords[slot] = Coordinate(conj_name, INTENSIVE)
-    box = list(spec.sample_box) if spec.sample_box else [(0.5, 2.0)] * spec.n
-    box[slot] = _derived_slot_box(samples)
-
-    def point_map(x):
-        return _with_slot(x, slot, jet_eval(spec.field, x, 1).grad[slot])
-
-    return SystemSpec(
-        id=f"{spec.id}~L{slot}",
-        coords=tuple(new_coords),
-        potential_name=f"{spec.potential_name}_{conj_name}",
-        excluded_index=spec.excluded_index,
-        params=dict(spec.params),
-        domain=(),
-        field=_PartialLegendreField(spec, slot),
-        sample_box=tuple(box),
-        meta={"legendre_of": spec.id, "legendre_slots": (slot,),
-              "point_map": point_map},
-    )
-
-
-def _make_partner_map(spec: SystemSpec, slots, partner: SystemSpec):
-    """Base point -> partner coordinates, honoring the partner's sign
-    conventions (pressure-like conjugates flip sign: P = -dPhi/dv)."""
-    flips = {s: (-1.0 if partner.coords[s].name in ("P",) else 1.0)
-             for s in slots}
-
-    def point_map(x):
-        grad = jet_eval(spec.field, x, 1).grad
-        out = list(x)
-        for s in slots:
-            out[s] = flips[s] * grad[s]
-        return out
-
-    return point_map
+    out = _closed_partner(spec, "partial_legendre", slot, solve)
+    if out is None:
+        old = spec.coords[slot].name
+        conj_name = _CONJUGATE.get(old, "I_" + old)
+        out = _derived_spec(
+            spec, slot, Coordinate(conj_name, INTENSIVE),
+            _PartialLegendreField(spec, slot),
+            lambda pt: jet_eval(spec.field, pt, 1).grad[slot],
+            id=f"{spec.id}~L{slot}",
+            potential_name=f"{spec.potential_name}_{conj_name}",
+            excluded_index=spec.excluded_index)
+    return _legendre_of(spec, (slot,), out)
 
 
 def total_legendre(spec: SystemSpec, solve: str = "auto") -> SystemSpec:
     """Legendre-transform every slot (identity for already-total potentials)."""
     if spec.meta.get("already_total_legendre"):
-        out = replace(spec, meta=dict(spec.meta, point_map=lambda x: list(x)))
-        return out
-    partner_id = systems.PARTNERS.get(spec.id, {}).get("total_legendre")
-    if solve in ("auto", "closed") and partner_id is not None:
-        partner = systems.get_system(partner_id)
-        out = systems.get_system(partner_id, **_shared_params(spec, partner))
-        out.meta["point_map"] = _make_partner_map(spec, range(spec.n), out)
-        out.meta["legendre_of"] = spec.id
-        out.meta["legendre_slots"] = tuple(range(spec.n))
-        return out
-
+        _check_solve(solve)
+        return replace(spec, meta=dict(spec.meta, point_map=lambda x: list(x)))
+    slots = tuple(range(spec.n))
+    out = _closed_partner(spec, "total_legendre", None, solve)
+    if out is not None:
+        return _legendre_of(spec, slots, out)
     out = spec
     pm = None
-    for slot in range(spec.n):
+    for slot in slots:
         out = partial_legendre(out, slot, solve="newton")
         pm = _compose_point_map(pm, out.meta["point_map"])
-    out.meta["point_map"] = pm
-    out.meta["legendre_of"] = spec.id
-    out.meta["legendre_slots"] = tuple(range(spec.n))
+    out.meta.update(point_map=pm, legendre_of=spec.id, legendre_slots=slots)
     return out
 
 
@@ -527,49 +521,28 @@ def legendre_partner(spec: SystemSpec, slots=None, solve: str = "auto") -> Legen
 
 def invert_representation(spec: SystemSpec, target_slot: int,
                           solve: str = "auto") -> SystemSpec:
-    """Swap the potential with E^target_slot: new potential E^target(Phi, E)."""
+    """Swap the potential with E^target_slot: new potential E^target(Phi, E).
+
+    ``solve`` chooses the closed form or Newton as in :func:`partial_legendre`.
+    """
     if not 0 <= target_slot < spec.n:
         raise PreconditionFailure(
             f"slot {target_slot} out of range for {spec.n} coordinates")
-
-    inv = systems.PARTNERS.get(spec.id, {}).get("inverse")
-    if solve in ("auto", "closed") and inv is not None and inv[1] == target_slot:
-        partner = systems.get_system(inv[0])
-        out = systems.get_system(inv[0], **_shared_params(spec, partner))
-
-        def closed_map(x):
-            return _with_slot(x, target_slot, evaluate(spec, x))
-
-        out.meta["point_map"] = closed_map
-        out.meta["inverse_of"] = spec.id
-        return out
-    if solve == "closed":
-        raise PreconditionFailure(
-            f"{spec.id} registers no closed-form inverse on slot {target_slot}")
-
-    samples = _monotone_samples(
-        spec, target_slot, lambda pt: evaluate(spec, pt))
-
-    old = spec.coords[target_slot].name
-    new_coords = list(spec.coords)
-    new_coords[target_slot] = Coordinate(spec.potential_name, EXTENSIVE)
-    box = list(spec.sample_box) if spec.sample_box else [(0.5, 2.0)] * spec.n
-    box[target_slot] = _derived_slot_box(samples)
+    out = _closed_partner(spec, "inverse", target_slot, solve)
+    if out is None:
+        out = _derived_spec(
+            spec, target_slot, Coordinate(spec.potential_name, EXTENSIVE),
+            _InverseRepresentationField(spec, target_slot),
+            lambda pt: evaluate(spec, pt),
+            id=f"{spec.id}~inv{target_slot}",
+            potential_name=spec.coords[target_slot].name,
+            excluded_index=target_slot)
 
     def point_map(x):
         return _with_slot(x, target_slot, evaluate(spec, x))
 
-    return SystemSpec(
-        id=f"{spec.id}~inv{target_slot}",
-        coords=tuple(new_coords),
-        potential_name=old,
-        excluded_index=target_slot,
-        params=dict(spec.params),
-        domain=(),
-        field=_InverseRepresentationField(spec, target_slot),
-        sample_box=tuple(box),
-        meta={"inverse_of": spec.id, "point_map": point_map},
-    )
+    out.meta.update(point_map=point_map, inverse_of=spec.id)
+    return out
 
 
 # ---- van der Waals coordinate changes ------------------------------------

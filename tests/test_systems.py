@@ -4,10 +4,11 @@ import math
 
 import pytest
 
+from geothermo import dsl
 from geothermo.errors import DomainViolation
-from geothermo.systems import (catalog, catalog_entry, catalog_ids,
-                               domain_check, evaluate, from_definition,
-                               get_system)
+from geothermo.systems import (PARTNERS, catalog, catalog_entry, catalog_ids,
+                               closed_partner, domain_check, evaluate,
+                               from_definition, get_system)
 
 EXPECTED_IDS = ["ideal_s", "ideal_u", "ideal_F", "ideal_g", "vdw_s", "vdw_u",
                 "vdw_F", "ising_f", "chap_s", "chap_u"]
@@ -67,6 +68,15 @@ def test_param_override_recompiles():
     assert evaluate(spec, (1.0, 4.0)) == pytest.approx(expect, rel=1e-14)
 
 
+def test_param_override_parses_the_relation_once(monkeypatch):
+    calls = []
+    parse = dsl.parse_relation
+    monkeypatch.setattr(dsl, "parse_relation",
+                        lambda *a, **k: calls.append(a) or parse(*a, **k))
+    get_system("vdw_s", a=2.0)
+    assert len(calls) == 1
+
+
 def test_param_override_unknown_name():
     with pytest.raises(KeyError):
         get_system("vdw_s", gamma=1.0)
@@ -87,6 +97,40 @@ def test_catalog_entry_partners():
     entry = catalog_entry("vdw_u")
     assert entry.partners["inverse"] == ("vdw_s", 0)
     assert entry.partners["partial_legendre"][0] == "vdw_F"
+
+
+def test_partner_links_join_catalog_systems_with_equal_defaults():
+    # a closed-form partner inherits only the parameters the two share, so
+    # closed-form invariance needs both ends to agree on every default
+    for source, links in PARTNERS.items():
+        targets = [links["inverse"][0],
+                   *links.get("partial_legendre", {}).values()]
+        if "total_legendre" in links:
+            targets.append(links["total_legendre"])
+        for target in targets:
+            assert get_system(target).params == get_system(source).params
+
+
+def test_closed_partner_carries_shared_parameters():
+    spec = get_system("chap_s", alpha=2.0)
+    partner = closed_partner(spec, "inverse", 0)
+    assert partner.id == "chap_u"
+    assert partner.params == spec.params
+    assert closed_partner(spec, "inverse", 1) is None
+    assert closed_partner(spec, "partial_legendre", 0) is None
+    assert closed_partner(get_system("ideal_u"), "total_legendre").id \
+        == "ideal_g"
+
+
+def test_closed_partner_only_for_the_catalog_relation():
+    doc = {"id": "vdw_s", "coords": [{"name": "u"}, {"name": "v"}],
+           "excluded_index": "u", "relation": "u + 2*v",
+           "params": {"a": 1.0, "b": 1.0}}
+    assert closed_partner(from_definition(doc), "inverse", 0) is None
+    # the catalog relation on other coordinates is not the catalog system
+    doc["relation"] = get_system("vdw_s").meta["relation"]
+    doc["coords"] = [{"name": "u"}, {"name": "v", "role": "intensive"}]
+    assert closed_partner(from_definition(doc), "inverse", 0) is None
 
 
 def test_from_definition():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geothermo import jets, transforms
+from geothermo import dsl, jets, transforms
 from geothermo.errors import (DomainViolation, InversionFailure,
                               PreconditionFailure)
 from geothermo.geometry import curvature_at
@@ -252,6 +252,63 @@ def test_invert_non_monotone_rejected():
     with pytest.raises(InversionFailure) as err:
         invert_representation(spec, 0, solve="newton")
     assert err.value.witness is not None
+
+
+# ---- closed-form partners and the solve strategy -------------------------
+
+
+def _custom(id, relation):
+    return from_definition({
+        "id": id, "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "x", "relation": relation})
+
+
+def test_custom_relation_with_a_catalog_id_is_solved_by_newton():
+    # each id has a closed-form partner in the catalog, which belongs to the
+    # catalog relation and not to these
+    inv = invert_representation(_custom("vdw_s", "x + 2*y"), 0)
+    assert inv.id == "vdw_s~inv0"
+    assert evaluate(inv, (3.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
+    pl = partial_legendre(_custom("vdw_u", "x^2 + y"), 0)
+    assert pl.id == "vdw_u~L0"
+    # x = T/2 at T = 3: x^2 + y - T x = 1 - 9/4
+    assert evaluate(pl, (3.0, 1.0)) == pytest.approx(-1.25, rel=1e-12)
+    tot = total_legendre(_custom("ideal_u", "x^2 + y^2"))
+    assert tot.id == "ideal_u~L0~L1"
+    # -(p^2 + q^2)/4 at the conjugates p = 2x, q = 2y
+    assert evaluate(tot, (2.0, 3.0)) == pytest.approx(-3.25, rel=1e-12)
+
+
+def test_unknown_solve_strategy_rejected():
+    for call in (lambda solve: invert_representation(get_system("vdw_s"), 0,
+                                                     solve=solve),
+                 lambda solve: partial_legendre(get_system("vdw_u"), 0,
+                                                solve=solve),
+                 lambda solve: total_legendre(get_system("ideal_u"),
+                                              solve=solve),
+                 lambda solve: total_legendre(get_system("ising_f"),
+                                              solve=solve)):
+        with pytest.raises(PreconditionFailure):
+            call("closd")
+
+
+def test_closed_without_a_partner_rejected():
+    with pytest.raises(PreconditionFailure):
+        invert_representation(get_system("vdw_s", a=1.1), 1, solve="closed")
+    with pytest.raises(PreconditionFailure):
+        total_legendre(get_system("vdw_u"), solve="closed")
+
+
+def test_closed_inverse_builds_its_partner_once(monkeypatch):
+    spec = get_system("vdw_s", a=1.1)
+    calls = []
+    parse = dsl.parse_relation
+    monkeypatch.setattr(dsl, "parse_relation",
+                        lambda *a, **k: calls.append(a) or parse(*a, **k))
+    inv = invert_representation(spec, 0)
+    assert inv.id == "vdw_u"
+    assert inv.params == {"a": 1.1, "b": 1.0}
+    assert len(calls) == 1
 
 
 # ---- (v, P), reduced variables, first law --------------------------------
