@@ -80,7 +80,8 @@ def domain_check(spec: SystemSpec, x):
     """
     points = np.asarray(x, dtype=float)
     if points.shape[-1:] != (spec.n,):
-        raise ValueError(f"point has dimension {len(x)}, spec needs {spec.n}")
+        dim = points.shape[-1] if points.ndim else 0
+        raise ValueError(f"point has dimension {dim}, spec needs {spec.n}")
     if points.ndim == 1:
         violated = []
         for pred in spec.domain:

@@ -6,19 +6,23 @@ total transform does this on every slot.  Representation inversion instead
 swaps the potential with one coordinate, solving Phi(E) = phi for E^a.
 
 Catalog systems use their registered closed-form partners
-(:func:`systems.closed_partner`); everything else goes through a
-damped-Newton inversion seeded from the sample box, with the jet-space
-correction carried out by Newton iteration on the order-4 Taylor
-polynomial, expanded once as a series in the solved slot.  Each iteration
-doubles the order of contact, so from the float root k iterations are exact
-through degree 2^k - 1, and order.bit_length() of them (3 at order 4) are
-exact to truncation order.  The float solve evaluates the equation and its
-slope together, once per trial point.
+(:func:`systems.closed_partner`); everything else goes through one
+Newton-derived field, which solves for a slot derivative of the base
+potential: the potential itself for inversion, its first derivative for a
+partial Legendre transform.  The solve is a damped Newton seeded from the
+sample box, with the jet-space correction carried out by Newton iteration
+on the order-4 Taylor polynomial, expanded once as a series in the solved
+slot.  Each iteration doubles the order of contact, so from the float root
+k iterations are exact through degree 2^k - 1, and order.bit_length() of
+them (3 at order 4) are exact to truncation order.  Each float trial checks
+the base domain, then evaluates the equation and its slope together.  A
+call on floats is a batch of one at order 0, so a point and its batch give
+the same bits.
 
 A numerically derived spec has no domain predicates.  Its domain is the set
-of points whose float Newton solve succeeds and lands in the base domain:
-the field solves each point of a batch once, and a point whose solve fails
-on the base domain, on a non-finite value or on the inversion itself fails
+of points whose float Newton solve succeeds inside the base domain: the
+field solves each point of a batch once, and a point whose solve fails on
+the base domain, on a non-finite value or on the inversion itself fails
 with DomainViolation.
 """
 
@@ -200,72 +204,77 @@ def _derivative(series, d):
 
 
 class _ImplicitField:
-    """Base for fields defined by solving one scalar equation per point.
+    """A potential defined by solving one scalar equation per point.
 
-    The equation is the ``derivative``-th derivative of the base potential
-    in the solved slot set equal to the new coordinate of that slot.  Each
-    point is solved once in floats (:meth:`solve_base_point`, which is also
-    its domain check).  The jet-level result expands the order-4 Taylor
+    The equation sets the ``derivative``-th derivative of the base potential
+    in ``slot`` equal to the new coordinate of that slot: 0 for
+    representation inversion (solve Phi(E) = phi for E^slot), 1 for a
+    partial Legendre transform (solve dPhi/dE^slot = I_slot).  Each point is
+    solved once in floats (:meth:`solve_base_point`, which is also its
+    domain check).  The jet-level result expands the order-4 Taylor
     polynomial of the base potential in the solved slot once, as a series
     in t = z - z0 whose coefficients are jets of the other coordinates
     (:meth:`Jet.slot_series`).  Newton's method on that series doubles the
     order of contact with every step (Brent & Kung, J. ACM 25, 1978): from
     the float root, k steps are exact through degree 2^k - 1, so
     ``order.bit_length()`` steps reach the truncation order (3 at order 4).
-    Subclasses give the float equation and assemble the new potential from
-    the same series.
+    The new potential is the solved z for inversion and Phi - I z, from the
+    same series, for a Legendre transform.  A call on floats is a batch of
+    one at order 0.
     """
 
-    derivative = 0
-
-    def __init__(self, base: SystemSpec, slot: int):
+    def __init__(self, base: SystemSpec, slot: int, derivative: int):
         self.base = base
         self.slot = slot
+        self.derivative = derivative
 
     # -- float level
 
+    def slot_value(self, pt):
+        """The new slot coordinate at base point ``pt``."""
+        if self.derivative == 0:
+            return evaluate(self.base, pt)
+        return jet_eval(self.base.field, pt, 1).grad[self.slot]
+
     def _residual(self, pt, target):
-        """(f, df/dz) of the equation at base point ``pt``, from one
-        evaluation of the base field."""
-        raise NotImplementedError
+        """(f, df/dz) of the equation at base point ``pt``: the base domain
+        check, then one evaluation of the base field."""
+        violated = domain_check(self.base, pt)
+        if violated:
+            raise DomainViolation(f"{tuple(pt)} violates {violated}", violated)
+        jet = jet_eval(self.base.field, pt, self.derivative + 1)
+        along = (jet.value, jet.grad[self.slot],
+                 jet.hess[self.slot, self.slot])
+        return along[self.derivative] - target, along[self.derivative + 1]
 
-    def base_point(self, new_values):
-        """:meth:`solve_base_point`; the solve is the spec's domain check.
+    def solve_base_point(self, new_values):
+        """Recover the base-representation point behind ``new_values``.
 
-        A derived spec's domain is the set of points its solve accepts, so
-        a point the solve rejects as out of range, non-finite or not
-        invertible violates the domain, as a catalog predicate would.
+        Every trial of the solve is checked against the base domain, so the
+        solve is the derived spec's domain check: a point it rejects as out
+        of range, non-finite or not invertible violates the domain, as a
+        catalog predicate would.
         """
+        target = float(new_values[self.slot])
+        lo, hi = _slot_range(self.base, self.slot)
         try:
-            return self.solve_base_point(new_values)
+            z = _newton_solve(
+                lambda zz: self._residual(
+                    _with_slot(new_values, self.slot, zz), target),
+                0.5 * (lo + hi), lo, hi)
         except (DomainViolation, NonFinite, InversionFailure) as exc:
             raise DomainViolation(
                 f"point {tuple(new_values)} is outside the preimage of the "
                 f"{self.base.id} domain: {exc}",
                 [f"preimage of the {self.base.id} domain"]) from exc
-
-    def solve_base_point(self, new_values):
-        """Recover the base-representation point behind ``new_values``."""
-        target = float(new_values[self.slot])
-        lo, hi = _slot_range(self.base, self.slot)
-        z = _newton_solve(
-            lambda zz: self._residual(_with_slot(new_values, self.slot, zz),
-                                      target),
-            0.5 * (lo + hi), lo, hi)
-        pt = _with_slot(new_values, self.slot, z)
-        violated = domain_check(self.base, pt)
-        if violated:
-            raise DomainViolation(
-                f"recovered base point {tuple(pt)} violates {violated}",
-                violated)
-        return pt
+        return _with_slot(new_values, self.slot, z)
 
     # -- jet level
 
     def __call__(self, args):
         jet_args = [a for a in args if isinstance(a, Jet)]
         if not jet_args:
-            return self._float_value([float(a) for a in args])
+            return float(jet_poly(self, [float(a) for a in args], 0).value[0])
         ambient = jet_args[0]
         nvars, order, faults = ambient.nvars, ambient.order, ambient.faults
         bk = ambient.bk
@@ -281,7 +290,7 @@ class _ImplicitField:
         for i, row in enumerate(y0.astype(float).tolist()):
             if record.ok[i]:
                 try:
-                    base_pts[i] = self.base_point(row)
+                    base_pts[i] = self.solve_base_point(row)
                 except GeothermoError as exc:
                     record.fail(i, exc)
         if faults is None:
@@ -298,52 +307,10 @@ class _ImplicitField:
         t = 0.0
         for _ in range(order.bit_length()):
             t = t - (_horner(equation, t) - target) / _horner(slope, t)
-        return self._assemble(series, t, base_pts[:, self.slot], target)
-
-    def _float_value(self, values):
-        raise NotImplementedError
-
-    def _assemble(self, series, t, z0, target):
-        """The new potential from the slot series, the solved t = z - z0
-        and the new slot coordinate ``target``."""
-        raise NotImplementedError
-
-
-class _PartialLegendreField(_ImplicitField):
-    """Phi_new(I_slot, E_rest) = Phi - I_slot * E_slot with E_slot solved
-    from dPhi/dE^slot = I_slot."""
-
-    derivative = 1
-
-    def _residual(self, pt, target):
-        jet = jet_eval(self.base.field, pt, 2)
-        return (jet.grad[self.slot] - target,
-                jet.hess[self.slot, self.slot])
-
-    def _float_value(self, values):
-        pt = self.base_point(values)
-        return evaluate(self.base, pt) - values[self.slot] * pt[self.slot]
-
-    def _assemble(self, series, t, z0, target):
-        return _horner(series, t) - target * (t + z0)
-
-
-class _InverseRepresentationField(_ImplicitField):
-    """E^slot as a function of (Phi, E_rest): solve Phi(E) = phi."""
-
-    def _residual(self, pt, target):
-        violated = domain_check(self.base, pt)
-        if violated:
-            raise DomainViolation(
-                f"{tuple(pt)} violates {violated}", violated)
-        jet = jet_eval(self.base.field, pt, 1)
-        return jet.value - target, jet.grad[self.slot]
-
-    def _float_value(self, values):
-        return self.base_point(values)[self.slot]
-
-    def _assemble(self, series, t, z0, target):
-        return t + z0
+        z = t + base_pts[:, self.slot]
+        if self.derivative == 0:
+            return z
+        return _horner(series, t) - target * z
 
 
 # ---- monotonicity precheck -----------------------------------------------
@@ -384,17 +351,19 @@ def _monotone_samples(spec: SystemSpec, slot: int, value_fn):
     return samples
 
 
-def _derived_spec(spec: SystemSpec, slot: int, coord: Coordinate, field,
-                  slot_value, **names) -> SystemSpec:
+def _derived_spec(spec: SystemSpec, slot: int, derivative: int,
+                  coord: Coordinate, **names) -> SystemSpec:
     """A Newton-derived spec: ``spec`` with coordinate ``slot`` replaced by
-    ``coord`` and ``field`` as its potential.
+    ``coord`` and the :class:`_ImplicitField` of ``derivative`` as its
+    potential.
 
-    ``slot_value(pt)`` is the new coordinate at a base point.  It must be
-    strictly monotone along the slot, and the middle 80% of its sampled
-    range is the new slot's sample interval.  ``names`` gives the id, the
-    potential name and the excluded slot.
+    The new coordinate must be strictly monotone along the slot, and the
+    middle 80% of its sampled range is the new slot's sample interval.
+    ``names`` gives the id, the potential name and the excluded slot.
     """
-    vals = sorted(v for _, v in _monotone_samples(spec, slot, slot_value))
+    field = _ImplicitField(spec, slot, derivative)
+    vals = sorted(v for _, v in _monotone_samples(spec, slot,
+                                                  field.slot_value))
     pad = 0.1 * (vals[-1] - vals[0])
     coords = list(spec.coords)
     coords[slot] = coord
@@ -444,12 +413,6 @@ def _closed_partner(spec: SystemSpec, kind: str, slot, solve: str):
     return out
 
 
-def _compose_point_map(inner, outer):
-    if inner is None:
-        return outer
-    return lambda x: outer(inner(x))
-
-
 # ---- Legendre transforms -------------------------------------------------
 
 
@@ -475,13 +438,30 @@ def partial_legendre(spec: SystemSpec, slot: int, solve: str = "auto") -> System
         old = spec.coords[slot].name
         conj_name = _CONJUGATE.get(old, "I_" + old)
         out = _derived_spec(
-            spec, slot, Coordinate(conj_name, INTENSIVE),
-            _PartialLegendreField(spec, slot),
-            lambda pt: jet_eval(spec.field, pt, 1).grad[slot],
+            spec, slot, 1, Coordinate(conj_name, INTENSIVE),
             id=f"{spec.id}~L{slot}",
             potential_name=f"{spec.potential_name}_{conj_name}",
             excluded_index=spec.excluded_index)
     return _legendre_of(spec, (slot,), out)
+
+
+def _legendre_chain(spec: SystemSpec, slots, solve: str) -> SystemSpec:
+    """Partial Legendre transforms of ``spec`` on ``slots`` in turn,
+    recorded as one transform of ``spec``: the point map composes the
+    maps of the steps."""
+    out, maps = spec, []
+    for slot in slots:
+        out = partial_legendre(out, slot, solve=solve)
+        maps.append(out.meta["point_map"])
+
+    def point_map(x):
+        for step in maps:
+            x = step(x)
+        return x
+
+    out.meta.update(point_map=point_map, legendre_of=spec.id,
+                    legendre_slots=tuple(slots))
+    return out
 
 
 def total_legendre(spec: SystemSpec, solve: str = "auto") -> SystemSpec:
@@ -493,13 +473,7 @@ def total_legendre(spec: SystemSpec, solve: str = "auto") -> SystemSpec:
     out = _closed_partner(spec, "total_legendre", None, solve)
     if out is not None:
         return _legendre_of(spec, slots, out)
-    out = spec
-    pm = None
-    for slot in slots:
-        out = partial_legendre(out, slot, solve="newton")
-        pm = _compose_point_map(pm, out.meta["point_map"])
-    out.meta.update(point_map=pm, legendre_of=spec.id, legendre_slots=slots)
-    return out
+    return _legendre_chain(spec, slots, "newton")
 
 
 def legendre_partner(spec: SystemSpec, slots=None, solve: str = "auto") -> LegendrePartner:
@@ -510,10 +484,8 @@ def legendre_partner(spec: SystemSpec, slots=None, solve: str = "auto") -> Legen
     slots = tuple(slots)
     if not slots:
         raise PreconditionFailure("transformed slots must be nonempty")
-    new = spec
-    for s in slots:
-        new = partial_legendre(new, s, solve=solve)
-    return LegendrePartner(spec.id, slots, new)
+    return LegendrePartner(spec.id, slots,
+                           _legendre_chain(spec, slots, solve))
 
 
 # ---- representation inversion --------------------------------------------
@@ -531,9 +503,7 @@ def invert_representation(spec: SystemSpec, target_slot: int,
     out = _closed_partner(spec, "inverse", target_slot, solve)
     if out is None:
         out = _derived_spec(
-            spec, target_slot, Coordinate(spec.potential_name, EXTENSIVE),
-            _InverseRepresentationField(spec, target_slot),
-            lambda pt: evaluate(spec, pt),
+            spec, target_slot, 0, Coordinate(spec.potential_name, EXTENSIVE),
             id=f"{spec.id}~inv{target_slot}",
             potential_name=spec.coords[target_slot].name,
             excluded_index=target_slot)

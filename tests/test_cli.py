@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from geothermo import cli
+from geothermo import cli, dsl
 
 
 def run(argv, capsys):
@@ -65,6 +65,9 @@ def test_exit_code_usage(capsys):
                capsys)[0] == 1
     assert run(["scan", "--system", "ideal_s", "--grid", "u=bogus"],
                capsys)[0] == 1
+    assert run(["scan", "--system", "vdw_vP", "--param", "q=3",
+                "--grid", "v=1.2:9:5", "--grid", "P=0.0296:0.0296:1"],
+               capsys)[0] == 1
     assert run(["figure", "--recipe", "vdW9"], capsys)[0] == 1
     assert run(["check", "nosuch"], capsys)[0] == 1
     assert run(["bogus-command"], capsys)[0] == 1
@@ -88,6 +91,36 @@ def test_system_file_loading(tmp_path, capsys):
                         "--at", "x=1,y=1"], capsys)
     assert code == 0
     assert json.loads(out)["system"] == "toy"
+
+
+def test_system_file_with_param_is_built_once(tmp_path, capsys, monkeypatch):
+    doc = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
+           "excluded_index": "x", "params": {"k": 1.5},
+           "domain": ["x > 0", "y > 0"], "relation": "k*ln(x) + 2*ln(y)",
+           "sample_box": [[0.5, 2.0], [0.5, 2.0]]}
+    path, path3 = tmp_path / "toy.json", tmp_path / "toy3.json"
+    path.write_text(json.dumps(doc))
+    path3.write_text(json.dumps(dict(doc, params={"k": 3.0})))
+    at = ["--at", "x=1,y=1"]
+    want = run(["curvature", "--file", str(path3)] + at, capsys)[1]
+    calls = []
+    parse = dsl.parse_relation
+    monkeypatch.setattr(dsl, "parse_relation",
+                        lambda *a, **k: calls.append(a) or parse(*a, **k))
+    code, out, _ = run(["curvature", "--file", str(path), "--param", "k=3"]
+                       + at, capsys)
+    assert code == 0
+    assert out == want
+    assert len(calls) == 1
+    assert run(["curvature", "--file", str(path), "--param", "q=3"] + at,
+               capsys)[0] == 1
+    # a document or 'params' that is not an object is still a parse error
+    for bad in ([doc], dict(doc, params=[1.5])):
+        path.write_text(json.dumps(bad))
+        code, _, err = run(["curvature", "--file", str(path),
+                            "--param", "k=3"] + at, capsys)
+        assert code == 1
+        assert err.startswith("geothermo: parse error:")
 
 
 TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],

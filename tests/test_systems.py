@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from geothermo import dsl
@@ -165,3 +166,6 @@ def test_from_definition_validation():
 def test_domain_check_dimension_mismatch():
     with pytest.raises(ValueError):
         domain_check(get_system("ideal_s"), (1.0,))
+    # a batch names the dimension of its points, not the batch size
+    with pytest.raises(ValueError, match="point has dimension 3,"):
+        domain_check(get_system("ideal_s"), np.ones((5, 3)))

@@ -142,6 +142,20 @@ def test_legendre_partner_record():
         legendre_partner(vu, ())
 
 
+def test_legendre_partner_on_some_slots_records_the_composed_transform():
+    spec = from_definition({
+        "id": "q3", "coords": [{"name": "x"}, {"name": "y"}, {"name": "z"}],
+        "excluded_index": "x", "relation": "x^2 + y^2 + z^2",
+        "domain": ["x > 0", "y > 0", "z > 0"],
+        "sample_box": [[0.5, 2.0], [0.5, 2.0], [0.5, 2.0]]})
+    p = legendre_partner(spec, (0, 1))
+    assert p.spec.meta["legendre_of"] == "q3"
+    assert p.spec.meta["legendre_slots"] == (0, 1)
+    # (x, y, z) -> (2x, 2y, z)
+    assert legendre_point(p.spec, [1.0, 1.0, 1.0]) == pytest.approx(
+        [2.0, 2.0, 1.0], rel=1e-12)
+
+
 # ---- representation inversion --------------------------------------------
 
 
@@ -194,10 +208,12 @@ def test_inverted_taylor_coefficients_are_exact_through_order_4():
 
 
 def _count_float_newton(monkeypatch):
-    """Record the orders of transforms.jet_eval calls and the trial points
-    of every float Newton solve."""
-    evals, trials = [], []
+    """Record the orders of transforms.jet_eval calls, the points of
+    transforms.domain_check calls and the trial points of every float
+    Newton solve."""
+    evals, checks, trials = [], [], []
     real_eval, real_solve = transforms.jet_eval, transforms._newton_solve
+    real_check = transforms.domain_check
 
     def counted_eval(field, x, order=4, *args, **kwargs):
         evals.append(order)
@@ -209,9 +225,14 @@ def _count_float_newton(monkeypatch):
             return fdf(z)
         return real_solve(trial, seed, lo, hi)
 
+    def counted_check(spec, x):
+        checks.append(tuple(x))
+        return real_check(spec, x)
+
     monkeypatch.setattr(transforms, "jet_eval", counted_eval)
     monkeypatch.setattr(transforms, "_newton_solve", counted_solve)
-    return evals, trials
+    monkeypatch.setattr(transforms, "domain_check", counted_check)
+    return evals, checks, trials
 
 
 def test_float_newton_evaluates_the_base_field_once_per_trial(monkeypatch):
@@ -219,13 +240,29 @@ def test_float_newton_evaluates_the_base_field_once_per_trial(monkeypatch):
     pl = partial_legendre(get_system("vdw_u"), 0, solve="newton")
     s = 1.5 * math.log(2.0 + 1.0 / 3.0) + math.log(2.0)     # u = 2, v = 3
     T = (2.0 / 3.0) * math.exp(2.0 * 1.2 / 3.0) * 2.0 ** (-2.0 / 3.0)
-    evals, trials = _count_float_newton(monkeypatch)
+    evals, checks, trials = _count_float_newton(monkeypatch)
     for spec, pt, order in ((inv, [s, 3.0], 1), (pl, [T, 3.0], 2)):
         evals.clear()
+        checks.clear()
         trials.clear()
         spec.field.solve_base_point(pt)
         assert len(trials) >= 2
         assert evals == [order] * len(trials), spec.id
+        # every trial, of either kind, is checked against the base domain
+        assert checks == [(z, 3.0) for z in trials], spec.id
+
+
+@pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
+def test_derived_point_is_a_batch_of_one(key, rng=np.random.default_rng(21)):
+    if key == "inv_vdw_s":
+        spec = invert_representation(get_system("vdw_s"), 0, solve="newton")
+    else:
+        spec = partial_legendre(get_system("vdw_u"), 0, solve="newton")
+    points = np.array([[rng.uniform(lo, hi) for lo, hi in spec.sample_box]
+                       for _ in range(12)])
+    batch = evaluate(spec, points)
+    for i, x in enumerate(points):
+        assert evaluate(spec, x) == batch[i], x
 
 
 def test_bisection_fallback():
