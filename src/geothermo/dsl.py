@@ -5,14 +5,26 @@ Relations are written in plain ASCII infix notation, e.g.
 over unary minus over ``*``/``/`` over ``+``/``-``; parentheses as usual.
 Identifiers resolve against the declared coordinate and parameter names.
 
-Compiled relations evaluate over floats or over :class:`~geothermo.jets.Jet`
-operands, so the same program serves plain evaluation and jet differentiation.
+Each parsed relation is compiled once to a register tape, the operator tape
+of algorithmic differentiation (Griewank & Walther, *Evaluating
+Derivatives*, SIAM 2008, ch. 2).  Nodes are hash-consed by operator and
+operand registers, so a repeated subexpression is one op, run once, and
+every division by the same coordinate-dependent expression shares one
+reciprocal of it.  Coordinates, parameters and constants are registers: the
+tape belongs to the AST, and :func:`compile_relation` binds parameter values
+into a copy of its register template, so one tape serves every parameter
+set.  :func:`parse_relation` returns the AST of a live relation parsed
+before with the same names, so an override build reuses its AST and tape.
+Predicate sides compile the same way.  One loop runs a tape over floats or
+over :class:`~geothermo.jets.Jet` operands of either number backend, so the
+same program serves plain evaluation and jet differentiation.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,33 +111,19 @@ class Call:
 
 
 class RelationAst:
-    """Parsed relation plus its name environment."""
+    """Parsed relation plus its name environment and its compiled tape."""
 
     def __init__(self, root, coords, params):
         self.root = root
         self.coords = tuple(coords)
         self.params = tuple(params)
+        self.tape = _Tape(root)
 
     def pretty(self) -> str:
         return _pretty(self.root)
 
     def parameter_names(self) -> set:
-        names = set()
-
-        def walk(node):
-            if isinstance(node, Param):
-                names.add(node.name)
-            elif isinstance(node, Neg):
-                walk(node.child)
-            elif isinstance(node, Bin):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, Call):
-                for a in node.args:
-                    walk(a)
-
-        walk(self.root)
-        return names
+        return {name for _, name in self.tape.params}
 
 
 def _pretty(node) -> str:
@@ -236,8 +234,22 @@ class _Parser:
                          tok.pos, expected={"number", "identifier", "("})
 
 
+# parsed relations by (source, coords, params), held while anything else
+# holds them: an override build of a live spec reuses its AST and tape, and
+# a dropped spec's relation is freed with it
+_PARSED = weakref.WeakValueDictionary()
+
+
 def parse_relation(source: str, coords, params=()) -> RelationAst:
-    """Parse ``source`` into an AST over the given coordinate/parameter names."""
+    """Parse ``source`` into an AST over the given coordinate/parameter names.
+
+    A source parsed before with the same names, whose AST is still alive,
+    returns that AST (and so its tape) again.
+    """
+    key = (source, tuple(coords), tuple(params))
+    ast = _PARSED.get(key)
+    if ast is not None:
+        return ast
     if not source or not source.strip():
         raise ParseError("empty relation source", 0)
     parser = _Parser(tokenize(source), coords, params)
@@ -245,22 +257,19 @@ def parse_relation(source: str, coords, params=()) -> RelationAst:
     end = parser.peek()
     if end.kind != "end":
         raise ParseError(f"trailing input {end.text!r}", end.pos)
-    return RelationAst(root, coords, params)
+    ast = _PARSED[key] = RelationAst(root, coords, params)
+    return ast
 
 
-class ScalarField:
-    """Compiled relation: callable on a sequence of floats or Jets."""
+def _reciprocal(y):
+    """The shared reciprocal of a coordinate-dependent divisor.  On floats
+    the register keeps the divisor itself, so float evaluation divides."""
+    return y._reciprocal() if isinstance(y, jets.Jet) else y
 
-    def __init__(self, ast: RelationAst, param_values: dict):
-        missing = ast.parameter_names() - set(param_values)
-        if missing:
-            raise UnboundParameter(sorted(missing)[0])
-        self.ast = ast
-        self.param_values = {k: float(v) for k, v in param_values.items()}
-        self._fn = _compile(ast.root, self.param_values)
 
-    def __call__(self, values):
-        return self._fn(values)
+def _times_reciprocal(x, r):
+    """x / y from ``r = _reciprocal(y)``: the product Jet division makes."""
+    return x * r if isinstance(r, jets.Jet) else jets.divide(x, r)
 
 
 _BINARY = {
@@ -272,36 +281,109 @@ _BINARY = {
 }
 
 
-def _compile(node, params: dict):
-    """Closure evaluating ``node`` on a value sequence (floats or Jets)."""
-    if isinstance(node, Num):
-        value = node.value
-        return lambda values: value
-    if isinstance(node, Var):
-        return operator.itemgetter(node.index)
-    if isinstance(node, Param):
-        value = params[node.name]
-        return lambda values: value
-    if isinstance(node, Neg):
-        child = _compile(node.child, params)
-        return lambda values: -child(values)
-    if isinstance(node, Bin):
-        op = _BINARY[node.op]
-        left = _compile(node.left, params)
-        right = _compile(node.right, params)
-        return lambda values: op(left(values), right(values))
-    if isinstance(node, Call):
-        fn, _ = FUNCTIONS[node.fn]
-        args = [_compile(a, params) for a in node.args]
-        if len(args) == 1:
-            (arg,) = args
-            return lambda values: fn(arg(values))
-        return lambda values: fn(*(a(values) for a in args))
-    raise TypeError(f"unknown node {node!r}")
+class _Tape:
+    """A relation compiled to one flat program over registers.
+
+    A post-order walk interns every node by its operator and operand
+    registers, so a repeated subexpression gets one register and one op, in
+    the order of its first occurrence.  ``x / y`` with a coordinate-dependent
+    ``y`` becomes a shared ``_reciprocal(y)`` and a product; a constant
+    divisor stays a division.
+
+    ``template`` holds the initial registers (constants; None for the
+    coordinate, parameter and op registers).  ``coords`` and ``params``
+    list (register, coordinate index) and (register, parameter name) pairs.
+    Op ``(fn, out, a, b)`` sets register ``out`` to fn(a), or to fn(a, b)
+    when ``b`` is not None; ``root`` is the register of the result.
+    """
+
+    __slots__ = ("template", "coords", "params", "code", "root")
+
+    def __init__(self, root):
+        self.template, self.coords, self.params, self.code = [], [], [], []
+        registers = {}      # node key -> register
+        depends = []        # register -> involves a coordinate
+
+        def intern(key, value=None, dep=False):
+            """Register of the node ``key``, and whether it is new."""
+            reg = registers.get(key)
+            if reg is not None:
+                return reg, False
+            reg = registers[key] = len(self.template)
+            self.template.append(value)
+            depends.append(dep)
+            return reg, True
+
+        def op(fn, a, b=None):
+            reg, new = intern((fn, a, b),
+                              dep=depends[a] or (b is not None and depends[b]))
+            if new:
+                self.code.append((fn, reg, a, b))
+            return reg
+
+        def walk(node):
+            if isinstance(node, Num):
+                return intern(("num", node.value), node.value)[0]
+            if isinstance(node, Var):
+                reg, new = intern(("var", node.index), dep=True)
+                if new:
+                    self.coords.append((reg, node.index))
+                return reg
+            if isinstance(node, Param):
+                reg, new = intern(("param", node.name))
+                if new:
+                    self.params.append((reg, node.name))
+                return reg
+            if isinstance(node, Neg):
+                return op(operator.neg, walk(node.child))
+            if isinstance(node, Bin):
+                a, b = walk(node.left), walk(node.right)
+                if node.op == "/" and depends[b]:
+                    return op(_times_reciprocal, a, op(_reciprocal, b))
+                return op(_BINARY[node.op], a, b)
+            if isinstance(node, Call):
+                fn, _ = FUNCTIONS[node.fn]
+                return op(fn, *[walk(a) for a in node.args])
+            raise TypeError(f"unknown node {node!r}")
+
+        self.root = walk(root)
+
+    def bind(self, param_values: dict) -> list:
+        """The register template with the parameter values filled in."""
+        registers = list(self.template)
+        for reg, name in self.params:
+            registers[reg] = param_values[name]
+        return registers
+
+    def run(self, registers: list, values):
+        """Run on bound ``registers`` (see :meth:`bind`) at coordinate
+        ``values``: floats, or Jets of one backend."""
+        regs = registers.copy()
+        for reg, index in self.coords:
+            regs[reg] = values[index]
+        for fn, out, a, b in self.code:
+            regs[out] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+        return regs[self.root]
+
+
+class ScalarField:
+    """Compiled relation: callable on a sequence of floats or Jets."""
+
+    def __init__(self, ast: RelationAst, param_values: dict):
+        missing = ast.parameter_names() - set(param_values)
+        if missing:
+            raise UnboundParameter(sorted(missing)[0])
+        self.ast = ast
+        self.param_values = {k: float(v) for k, v in param_values.items()}
+        self._registers = ast.tape.bind(self.param_values)
+
+    def __call__(self, values):
+        return self.ast.tape.run(self._registers, values)
 
 
 def compile_relation(ast: RelationAst, param_values: dict) -> ScalarField:
-    """Bind parameters, producing an evaluator usable by ``jet_eval``."""
+    """Bind parameters into the AST's tape, producing an evaluator usable by
+    ``jet_eval``."""
     return ScalarField(ast, param_values)
 
 
@@ -322,7 +404,7 @@ class Predicate:
         self.left = left_ast
         self.op = op
         self.right = right_ast
-        self._bound = None      # (params key, left closure, right closure)
+        self._bound = None      # (params key, left field, right field)
 
     def _sides(self, param_values: dict):
         key = tuple(sorted(param_values.items()))

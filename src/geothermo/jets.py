@@ -418,7 +418,7 @@ class Jet:
             # general jet exponent: u^w = exp(w ln u)
             return (exponent * self.ln()).exp()
         r = float(exponent)
-        if r == int(r) and abs(r) <= 64:
+        if math.isfinite(r) and r == int(r) and abs(r) <= 64:
             return self._int_pow(int(r))
         bk = self.bk
         u0 = self.value
@@ -428,6 +428,15 @@ class Jet:
         k = bk.k[:self.order + 1]
         return self._compose(_binomials(bk.number(r), self.order)
                              * bk.masked(u0, bad) ** (r - k))
+
+    def __rpow__(self, base):
+        # constant base, jet exponent: a^w = exp(w ln a)
+        bk = self.bk
+        a = bk.asarray(base)
+        bad = np.atleast_1d(a <= 0.0)
+        self._flag(bad, lambda i: DomainViolation(
+            f"power of non-positive base {_at(a.reshape(-1), i)!r}"))
+        return (self * bk.log(bk.masked(a, bad))).exp()
 
     def _int_pow(self, m: int) -> "Jet":
         if m < 0:
@@ -732,7 +741,7 @@ def tanh(x):
 def power(x, y):
     if isinstance(x, Jet) or isinstance(y, Jet):
         return x ** y
-    if x < 0.0 and y != int(y):
+    if x < 0.0 and not (math.isfinite(y) and y == int(y)):
         raise DomainViolation(f"fractional power of negative base {x!r}")
     if x == 0.0 and y < 0.0:
         raise DomainViolation("zero base with negative exponent")

@@ -117,20 +117,17 @@ def evaluate(spec: SystemSpec, x):
     """Phi(x); raises DomainViolation outside the validity domain.
 
     ``x`` is one point (float result) or a (batch, n) array (array result;
-    the first failing point raises).
+    the first failing point raises).  A point is a batch of one, so it gets
+    the bits and the failure it would get in any batch.
     """
     points = np.asarray(x, dtype=float)
-    if points.ndim == 2:
-        faults = domain_check(spec, points)
-        value = jet_eval(spec.field, points, 0, faults).value
-        faults.raise_first()
-        return value
-    violated = domain_check(spec, x)
-    if violated:
-        raise DomainViolation(
-            f"{spec.id}: point {tuple(x)} violates {violated}", violated)
-    out = spec.field([float(c) for c in x])
-    return out.value if hasattr(out, "value") else float(out)
+    single = points.ndim == 1
+    if single:
+        points = points[None]
+    faults = domain_check(spec, points)
+    value = jet_eval(spec.field, points, 0, faults).value
+    faults.raise_first()
+    return float(value[0]) if single else value
 
 
 def _dsl_spec(id, coords, potential_name, excluded, relation, params,

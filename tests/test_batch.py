@@ -10,10 +10,11 @@ import pytest
 
 from geothermo import analysis as an
 from geothermo import cli
-from geothermo.errors import (DomainViolation, GeothermoError,
+from geothermo.errors import (DomainViolation, GeothermoError, NonFinite,
                               SingularDenominator)
 from geothermo.geometry import CHUNK, curvature_at
-from geothermo.systems import catalog_ids, from_definition, get_system
+from geothermo.systems import (catalog_ids, evaluate, from_definition,
+                               get_system)
 from geothermo.transforms import (_ImplicitField, invert_representation,
                                   partial_legendre)
 
@@ -109,6 +110,23 @@ def test_batch_matches_single_points(key):
     if key.startswith("const_"):
         assert len(batch.faults.errors) == len(points)
         assert kinds == {"DomainViolation"}
+
+
+@pytest.mark.parametrize("key", catalog_ids())
+def test_point_evaluate_is_a_batch_of_one(key):
+    spec = SPECS[key]
+    points = np.array(an.grid_for(spec, 15).points())
+    batch = evaluate(spec, points)
+    for i, x in enumerate(points):
+        assert evaluate(spec, x) == batch[i], x
+
+
+def test_point_evaluate_fails_as_its_batch():
+    spec = from_definition(dict(CUSTOM, relation="x^1e400 + y"))
+    with pytest.raises(NonFinite):
+        evaluate(spec, (1.5, 1.0))
+    with pytest.raises(NonFinite):
+        evaluate(spec, np.array([[1.5, 1.0]]))
 
 
 def test_batch_crosses_chunks():

@@ -202,6 +202,31 @@ def test_scan_constant_out_of_domain_fails_each_point(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("relation,code", [
+    ("x^1e400 + y", 1),
+    ("pow(x, 1e400 - 1e400) + y", 1),
+    ("pow(0 - 0.5, 1e400) + x*y", 2),
+    ("(0 - 2)^x + y", 2),
+    ("2^(x*y) + ln(x)", 0),
+], ids=["inf-exponent", "nan-exponent", "negative-base-inf-exponent",
+        "negative-constant-base", "constant-base"])
+def test_powers_keep_the_exit_code_contract(tmp_path, capsys, relation, code):
+    # a non-finite exponent or a constant base to a coordinate power fails
+    # the point (or none) instead of escaping as a traceback
+    path = tmp_path / "pow.json"
+    path.write_text(json.dumps(dict(TOY, id="pow", relation=relation)))
+    got, _, err = run(["curvature", "--file", str(path), "--at", "x=1,y=1"],
+                      capsys)
+    assert got == code, err
+    assert "Traceback" not in err
+    out_path = tmp_path / "pow.csv"
+    got, _, err = run(["scan", "--file", str(path), "--grid", "x=0.5:2:3",
+                       "--grid", "y=0.5:2:3", "-o", str(out_path)], capsys)
+    assert got == 0, err
+    loci = json.loads((tmp_path / "pow.csv.loci.json").read_text())
+    assert loci["failures"] == (0 if code == 0 else 9)
+
+
 def test_figure_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["figure", "--recipe", "vdW1", "-o", str(a)], capsys)[0] == 0

@@ -1,12 +1,17 @@
 """Relation DSL: parsing, precedence, compilation, predicates."""
 
+import gc
 import math
+import weakref
 
+import mpmath as mp
+import numpy as np
 import pytest
 
-from geothermo import dsl
+from geothermo import dsl, jets
 from geothermo.errors import ParseError, UnboundParameter, UnknownIdentifier
 from geothermo.jets import jet_eval
+from geothermo.systems import from_definition, get_system
 
 
 def compiled(src, coords=("u", "v"), params=None):
@@ -117,3 +122,70 @@ def test_predicate_needs_one_comparison():
 def test_empty_relation_rejected():
     with pytest.raises(ParseError):
         dsl.parse_relation("   ", ["u"])
+
+
+@pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
+                         ids=["float", "mpmath"])
+def test_ising_f_jet_shares_its_repeated_nodes(monkeypatch, backend):
+    # ising_f divides H by T twice and divides by T three times: one H/T
+    # and one reciprocal of T leave 21 products of order-4 jets, where
+    # evaluating every occurrence makes 28
+    calls = []
+    product = backend.product
+    monkeypatch.setattr(backend, "product",
+                        lambda *a: calls.append(1) or product(*a))
+    with mp.workdps(30):
+        jet_eval(get_system("ising_f").field, np.array([[1.0, 0.5]]), 4,
+                 backend=backend)
+    assert len(calls) == 21
+
+
+def test_repeated_subexpression_is_evaluated_once(monkeypatch):
+    calls = []
+    monkeypatch.setitem(dsl.FUNCTIONS, "ln",
+                        (lambda x: calls.append(x) or jets.ln(x), 1))
+    # coordinate names of this test alone, so the relation is parsed anew
+    f = compiled("ln(p/q) + ln(p/q)^2", ("p", "q"))
+    assert f([2.0, 1.0]) == math.log(2.0) + math.log(2.0) ** 2
+    assert len(calls) == 1
+    jet_eval(f, (2.0, 1.0), 4)
+    assert len(calls) == 2
+
+
+def test_division_shares_the_reciprocal_and_divides_floats():
+    f = compiled("u/v + 1/v + u/3")
+    ops = [op[0] for op in f.ast.tape.code]
+    assert ops.count(dsl._reciprocal) == 1
+    assert ops.count(jets.divide) == 1          # the constant divisor
+    # 5/7 and 5*(1/7) round apart: floats still divide
+    assert f([5.0, 7.0]) == 5.0 / 7.0 + 1.0 / 7.0 + 5.0 / 3.0
+    j = jet_eval(f, (5.0, 7.0), 2)
+    assert j.grad[1] == pytest.approx(-6.0 / 49.0, rel=1e-15)
+
+
+def test_one_tape_serves_every_parameter_set(monkeypatch):
+    tapes = []
+    tape = dsl._Tape
+    monkeypatch.setattr(dsl, "_Tape",
+                        lambda root: tapes.append(root) or tape(root))
+    ast = dsl.parse_relation("a*ln(r) + b*s", ["r", "s"], ["a", "b"])
+    f1 = dsl.compile_relation(ast, {"a": 2.0, "b": 1.0})
+    f2 = dsl.compile_relation(ast, {"a": -1.0, "b": 3.0})
+    assert len(tapes) == 1
+    assert f1([math.e, 2.0]) == 4.0
+    assert f2([math.e, 2.0]) == 5.0
+    assert dsl.parse_relation("a*ln(r) + b*s", ["r", "s"], ["a", "b"]) is ast
+    # an override build of a live catalog spec reuses its AST and tape
+    spec = get_system("vdw_s")
+    assert get_system("vdw_s", a=1.1).field.ast is spec.field.ast
+
+
+def test_dropped_spec_frees_its_asts():
+    spec = from_definition({
+        "id": "dropped", "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "x", "params": {"k": 2.0},
+        "domain": ["x - k/7 > 0"], "relation": "k*ln(x) + ln(y) + x/(7*y)"})
+    refs = [weakref.ref(spec.field.ast), weakref.ref(spec.domain[0].left)]
+    del spec
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

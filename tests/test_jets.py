@@ -195,3 +195,47 @@ def test_overflow_is_nonfinite():
         jet_eval(lambda a: jets.exp(a[0]), (800.0,), 2)
     with pytest.raises(NonFinite):
         jet_eval(lambda a: jets.cosh(a[0]), (-800.0,), 2)
+
+
+@pytest.mark.parametrize("exponent", [math.inf, math.nan])
+def test_non_finite_exponent_fails_the_point(exponent):
+    # an integer test of an inf/nan exponent used to raise OverflowError /
+    # ValueError out of the jet arithmetic
+    def field(a):
+        return jets.power(a[0], exponent) + a[1]
+
+    with pytest.raises(NonFinite):
+        jet_eval(field, (0.7, 1.3), 4)
+    batch = jet_eval(field, np.array([[0.7, 1.3], [1.5, 1.0]]), 4)
+    assert all(isinstance(batch.faults.errors[i], NonFinite) for i in (0, 1))
+
+
+@pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+def test_negative_base_to_non_finite_exponent(exponent):
+    with pytest.raises(DomainViolation):
+        jets.power(-0.5, exponent)
+    # a float subexpression fails every point of a batch alike
+    batch = jet_eval(lambda a: jets.power(-0.5, exponent) + a[0],
+                     np.array([[0.7], [1.5]]), 2)
+    assert all(isinstance(batch.faults.errors[i], DomainViolation)
+               for i in (0, 1))
+
+
+@pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
+                         ids=["float", "mpmath"])
+def test_constant_base_to_a_jet_exponent(backend):
+    # 2^x: the k-th derivative is ln(2)^k 2^x
+    x = np.array([[0.7], [1.5]])
+    j = jet_eval(lambda a: jets.power(2.0, a[0]), x, 4, backend=backend)
+    assert not j.faults.errors
+    for i, (xi,) in enumerate(x):
+        want = [math.log(2.0) ** k * 2.0 ** xi for k in range(5)]
+        got = [j.value[i], j.grad[i, 0], j.hess[i, 0, 0], j.third[i, 0, 0, 0],
+               j.fourth[i, 0, 0, 0, 0]]
+        assert np.allclose(np.array(got, dtype=float), want, rtol=1e-14)
+    for base in (0.0, -2.0):
+        with pytest.raises(DomainViolation):
+            jet_eval(lambda a: base ** a[0], (0.7,), 4, backend=backend)
+        batch = jet_eval(lambda a: base ** a[0], x, 4, backend=backend)
+        assert all(isinstance(batch.faults.errors[i], DomainViolation)
+                   for i in (0, 1))

@@ -1,0 +1,61 @@
+"""Seeded random relations through the CLI: documented exit codes only.
+
+The generator walks the DSL grammar: leaves are the coordinates, a
+parameter, small constants, 0 and an overflowing literal (1e400 reads as
+inf); nodes are the binary operators, unary minus and every function.
+Each relation runs through ``curvature --file`` at one point and
+``scan --file`` on a 3x3 grid; every call must return a documented exit
+code (0-5) and raise nothing.
+"""
+
+import contextlib
+import io
+import json
+import random
+
+from geothermo import cli, dsl
+
+LEAVES = ("x", "y", "k", "0.5", "2", "3", "0", "1e400")
+BINARY = ("+", "-", "*", "/", "^")
+FUNCTIONS = tuple(dsl.FUNCTIONS)
+
+
+def random_relation(rng, depth=3):
+    """DSL source of a random expression at most ``depth`` nodes deep."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(LEAVES)
+    kind = rng.random()
+    if kind < 0.1:
+        return f"-({random_relation(rng, depth - 1)})"
+    if kind < 0.55:
+        left = random_relation(rng, depth - 1)
+        right = random_relation(rng, depth - 1)
+        return f"({left}) {rng.choice(BINARY)} ({right})"
+    fn = rng.choice(FUNCTIONS)
+    args = [random_relation(rng, depth - 1)
+            for _ in range(dsl.FUNCTIONS[fn][1])]
+    return f"{fn}({', '.join(args)})"
+
+
+def test_random_relations_exit_with_documented_codes(tmp_path):
+    rng = random.Random(20261018)
+    path = tmp_path / "system.json"
+    out = str(tmp_path / "scan.csv")
+    codes = set()
+    for _ in range(300):
+        relation = random_relation(rng)
+        path.write_text(json.dumps({
+            "id": "random", "coords": [{"name": "x"}, {"name": "y"}],
+            "excluded_index": "x", "params": {"k": 1.5},
+            "domain": ["x > 0"], "relation": relation}))
+        for argv in (["curvature", "--file", str(path), "--at", "x=0.7,y=1.3"],
+                     ["scan", "--file", str(path), "--grid", "x=0.5:2:3",
+                      "--grid", "y=-1:2:3", "-o", out]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in range(6), (relation, argv[0], code)
+            codes.add(code)
+    # the sample reaches success, parse-free library errors and domain
+    # violations, so it exercises more than one branch of the contract
+    assert {0, 1, 2} <= codes
