@@ -1,9 +1,10 @@
 """Manifold-level experiments over the catalog.
 
 Homogeneity detection, curvature-invariance comparisons between
-representations, singularity scans with bisection refinement against the
-analytic van der Waals phase-transition locus, constant-curvature and
-degeneracy sweeps, and the qualitative Ising curvature profile.
+representations, singularity scans refined by a lockstep Brent search
+against the analytic van der Waals phase-transition locus,
+constant-curvature and degeneracy sweeps, and the qualitative Ising
+curvature profile.
 
 The Ising profile runs in extended precision: below T ~ 0.3 the interaction
 term exp(-4J/T) is smaller than the double-precision cancellation floor of
@@ -213,12 +214,15 @@ def _scan_eval(spec, evaluator, points):
 def singularity_scan(spec: SystemSpec, grid: GridSpec,
                      blowup_threshold: float = BLOWUP_THRESHOLD,
                      evaluator=None) -> ScanReport:
-    """Locate curvature divergences on a grid and refine them by bisection.
+    """Locate curvature divergences on a grid and refine them by a lockstep
+    Brent search.
 
     A grid segment is a candidate when |R| crosses ``blowup_threshold``, when
     |R| jumps by more than two decades between neighbors, or when R changes
     sign at large magnitude (a pole crossing).  Each candidate segment is
-    bisected toward 1/|R| -> 0 to a 1e-6 coordinate tolerance.
+    refined by Brent's minimiser of 1/|R| along its axis to a relative
+    coordinate tolerance of REFINE_TOL, and it is a detection when |R| at
+    the refined point reaches ``blowup_threshold``.
 
     ``evaluator`` optionally replaces the pipeline, e.g. for scans in
     non-fundamental coordinates such as (v, P): it maps a (batch, n) array of
@@ -271,43 +275,115 @@ def singularity_scan(spec: SystemSpec, grid: GridSpec,
                       detections=detections, failures=failures)
 
 
+# Brent's golden-section fraction, (3 - sqrt 5) / 2
+GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _brent_search(a, b, tol1):
+    """Brent's minimiser of 1/|R| on [a, b] as a coroutine.
+
+    It yields each abscissa to evaluate and receives |R| there (math.inf on
+    the pole itself).  Once the bracket around its best point x lies within
+    2 * tol1 of x, it returns (x, |R(x)|).  Golden-section steps keep
+    the bracket shrinking; successive parabolic interpolation takes over
+    where 1/|R| is smooth, as at a double pole, where it is locally
+    quadratic (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5).
+    """
+    def f(r):
+        return 1.0 / r if r > 0.0 else math.inf
+
+    tol2 = 2.0 * tol1
+    x = w = v = a + GOLDEN * (b - a)
+    rx = yield x
+    fx = fw = fv = f(rx)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, rx
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            # parabola through (v, fv), (w, fw), (x, fx); non-finite values
+            # make p or q NaN, and the test below rejects the step
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < tol2 or b - x - d < tol2:
+                d = tol1 if x < m else -tol1
+        else:
+            e = (b if x < m else a) - x
+            d = GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        ru = yield u
+        fu = f(ru)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw = w, fw, x, fx
+            x, fx, rx = u, fu, ru
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _refine_segment(spec, evaluator, segments, blowup_threshold):
-    """Ternary search toward the |R| maximum (1/|R| -> 0), all segments in
+    """Brent search toward the |R| maximum (1/|R| -> 0), all segments in
     lockstep.
 
     ``segments`` holds (x0, x1, axis) triples; the result holds, per
-    segment, the refined point, or None when the refined maximum stays below
-    ``blowup_threshold`` (a smooth local bump rather than a pole).
+    segment, the refined point, or None when |R| there stays below
+    ``blowup_threshold`` (a smooth local bump rather than a pole).  Each
+    pass evaluates the next trial of every live search in one batch; a
+    search decides only from its own values, so its refined point does not
+    depend on the other segments.  The refined point is within REFINE_TOL
+    * max(1, |x0|, |x1|) of the maximiser along the axis.
     """
-    if not segments:
-        return []
-    lo = np.array([s[0] for s in segments], dtype=float)
-    hi = np.array([s[1] for s in segments], dtype=float)
-    rows = np.arange(len(segments))
-    axis = np.array([s[2] for s in segments])
-
-    def absr(points):
+    searches, trials = [], []
+    for x0, x1, axis in segments:
+        a, b = sorted((x0[axis], x1[axis]))
+        search = _brent_search(a, b,
+                               0.25 * REFINE_TOL * max(1.0, abs(a), abs(b)))
+        searches.append(search)
+        trials.append(next(search))
+    base = np.array([s[0] for s in segments], dtype=float)
+    axes = np.array([s[2] for s in segments], dtype=int)
+    refined = [None] * len(segments)
+    live = list(range(len(segments)))
+    while live:
+        points = base[live]
+        points[np.arange(len(live)), axes[live]] = [trials[i] for i in live]
         r = np.abs(_scan_eval(spec, evaluator, points))
         r[~np.isfinite(r)] = math.inf     # landing on the pole itself
-        return r
-
-    scale = np.maximum(1.0, np.maximum(np.abs(lo[rows, axis]),
-                                       np.abs(hi[rows, axis])))
-    active = np.abs(hi - lo)[rows, axis] > REFINE_TOL * scale
-    while active.any():
-        live = np.flatnonzero(active)
-        a, b = lo[live], hi[live]
-        t1 = a + (b - a) / 3.0
-        t2 = a + 2.0 * (b - a) / 3.0
-        r = absr(np.concatenate([t1, t2]))
-        left = r[:len(live)] < r[len(live):]
-        lo[live[left]] = t1[left]
-        hi[live[~left]] = t2[~left]
-        span = np.abs(hi[live] - lo[live])[np.arange(len(live)), axis[live]]
-        active[live] = span > REFINE_TOL * scale[live]
-    best = 0.5 * (lo + hi)
-    keep = absr(best) >= blowup_threshold
-    return [tuple(p) if k else None for p, k in zip(best.tolist(), keep)]
+        still = []
+        for i, ri, point in zip(live, r.tolist(), points.tolist()):
+            try:
+                trials[i] = searches[i].send(ri)
+            except StopIteration as stop:
+                x, rx = stop.value
+                if rx >= blowup_threshold:
+                    point[axes[i]] = x
+                    refined[i] = tuple(point)
+            else:
+                still.append(i)
+        live = still
+    return refined
 
 
 def _merge_detections(detections, tol=1e-4):
@@ -341,7 +417,9 @@ def vdw_vP_evaluator(a: float = 1.0, b: float = 1.0):
         v, P = points[:, 0], points[:, 1]
         u = np.full(len(points), math.nan)    # v <= b is out of the domain
         ok = v > b
-        u[ok] = u_from_vP(v[ok], P[ok], a, b)
+        # an overflowing u is a non-finite point, which the pipeline fails
+        with np.errstate(all="ignore"):
+            u[ok] = u_from_vP(v[ok], P[ok], a, b)
         return curvature_at(spec, np.column_stack([u, v])).ricci_scalar
 
     return ev
@@ -349,7 +427,11 @@ def vdw_vP_evaluator(a: float = 1.0, b: float = 1.0):
 
 def vdw_locus_roots(a: float, b: float, P: float):
     """Positive real roots of 2ab - av + Pv^3 = 0 (candidate transitions)."""
-    roots = np.roots([P, 0.0, -a, 2.0 * a * b])
+    coeffs = [P, 0.0, -a, 2.0 * a * b]
+    if not all(map(math.isfinite, coeffs)):
+        raise NonFinite(f"locus polynomial is not finite at a = {a!r}, "
+                        f"b = {b!r}, P = {P!r}")
+    roots = np.roots(coeffs)
     return tuple(sorted(float(r.real) for r in roots
                         if abs(r.imag) < 1e-10 and r.real > 0.0))
 
@@ -363,12 +445,12 @@ def scan_vdw_vP(P: float, v_range, count: int = 241,
     classified as "locus"; remaining denominator zeros (P = 0, v = b) as
     "other"; the rest stay "unclassified".
     """
+    roots = vdw_locus_roots(a, b, P)
     spec = get_system("vdw_s", a=a, b=b)
     grid = GridSpec((Axis("v", float(v_range[0]), float(v_range[1]), count),
                      Axis("P", P, P, 1)))
     report = singularity_scan(spec, grid, blowup_threshold,
                               evaluator=vdw_vP_evaluator(a, b))
-    roots = vdw_locus_roots(a, b, P)
     report.locus_points = tuple((r, P) for r in roots)
     worst = None
     for d in report.detections:

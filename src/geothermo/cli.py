@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -126,10 +127,13 @@ def _parse_axes(grid_flags, coord_names):
         name, rng = flag.split("=", 1)
         lo, hi, count = rng.split(":")
         try:
-            axes[name.strip()] = analysis.Axis(
-                name.strip(), float(lo), float(hi), int(count))
+            axis = analysis.Axis(name.strip(), float(lo), float(hi),
+                                 int(count))
         except ValueError:
             raise _Usage(f"bad grid flag {flag!r}")
+        if not (math.isfinite(axis.lo) and math.isfinite(axis.hi)):
+            raise _Usage(f"grid bounds must be finite, got {flag!r}")
+        axes[axis.name] = axis
     missing = [n for n in coord_names if n not in axes]
     if missing:
         raise _Usage(f"grid missing axes for {missing}")
@@ -170,6 +174,9 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold > 0.0):
+        raise _Usage(f"--threshold must be finite and positive, "
+                     f"got {args.threshold!r}")
     if args.system == "vdw_vP":
         return _scan_vdw_vP(args)
     spec = _load_system(args)
@@ -187,6 +194,8 @@ def _scan_vdw_vP(args) -> int:
         raise _Usage(f"vdw_vP has no parameter(s) {sorted(unknown)}")
     a = params.get("a", 1.0)
     b = params.get("b", 1.0)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _Usage(f"vdw_vP needs finite a and b, got a={a!r}, b={b!r}")
     grid = _parse_axes(args.grid, ("v", "P"))
     v_axis, P_axis = grid.axes
     if P_axis.count != 1:

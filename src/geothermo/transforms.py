@@ -230,12 +230,6 @@ class _ImplicitField:
 
     # -- float level
 
-    def slot_value(self, pt):
-        """The new slot coordinate at base point ``pt``."""
-        if self.derivative == 0:
-            return evaluate(self.base, pt)
-        return jet_eval(self.base.field, pt, 1).grad[self.slot]
-
     def _residual(self, pt, target):
         """(f, df/dz) of the equation at base point ``pt``: the base domain
         check, then one evaluation of the base field."""
@@ -316,26 +310,24 @@ class _ImplicitField:
 # ---- monotonicity precheck -----------------------------------------------
 
 
-def _monotone_samples(spec: SystemSpec, slot: int, value_fn):
-    """Sample value_fn along the slot direction through the box center.
+def _monotone_samples(spec: SystemSpec, slot: int, derivative: int):
+    """Sample the ``derivative``-th slot derivative of the potential along
+    the slot direction through the box center.
 
+    The samples are one batch: one domain check and one jet evaluation.
+    Points that fail either, or whose value is not finite, are skipped.
     Returns the (coordinate, value) samples; raises InversionFailure with a
     witness pair when the sampled map is not strictly monotone.
     """
-    center = _box_center(spec)
     lo, hi = _slot_range(spec, slot)
-    samples = []
-    for z in np.linspace(lo, hi, MONOTONE_SAMPLES):
-        pt = _with_slot(center, slot, float(z))
-        if domain_check(spec, pt):
-            continue
-        try:
-            val = value_fn(pt)
-        except (DomainViolation, NonFinite, SingularDenominator,
-                ZeroDivisionError):
-            continue
-        if math.isfinite(val):
-            samples.append((float(z), float(val)))
+    zs = np.linspace(lo, hi, MONOTONE_SAMPLES)
+    pts = np.tile(np.asarray(_box_center(spec), dtype=float), (len(zs), 1))
+    pts[:, slot] = zs
+    faults = domain_check(spec, pts)
+    jet = jet_eval(spec.field, pts, derivative, faults)
+    vals = jet.value if derivative == 0 else jet.grad[:, slot]
+    keep = faults.ok & np.isfinite(vals)
+    samples = list(zip(zs[keep].tolist(), vals[keep].tolist()))
     if len(samples) < 4:
         raise InversionFailure(
             f"{spec.id}: too few valid samples along slot {slot} "
@@ -362,8 +354,7 @@ def _derived_spec(spec: SystemSpec, slot: int, derivative: int,
     ``names`` gives the id, the potential name and the excluded slot.
     """
     field = _ImplicitField(spec, slot, derivative)
-    vals = sorted(v for _, v in _monotone_samples(spec, slot,
-                                                  field.slot_value))
+    vals = sorted(v for _, v in _monotone_samples(spec, slot, derivative))
     pad = 0.1 * (vals[-1] - vals[0])
     coords = list(spec.coords)
     coords[slot] = coord

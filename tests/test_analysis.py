@@ -129,6 +129,156 @@ def test_ising_scan_no_interior_singularities():
     assert all(math.isfinite(r) for r in rep.values.values())
 
 
+# ---- refinement ----------------------------------------------------------
+
+X0 = math.pi                  # an irrational pole between the nodes 3 and 4
+LINE = an.GridSpec((("x", 0.0, 10.0, 11),))
+REVERSED = an.GridSpec((("x", 10.0, 0.0, 11),))
+
+
+def _line(f):
+    """A synthetic evaluator R = f(x) on one-coordinate points."""
+    def evaluator(points):
+        with np.errstate(all="ignore"):
+            return f(np.asarray(points, dtype=float)[:, 0])
+    return evaluator
+
+
+DOUBLE_POLE = _line(lambda x: 1e4 / (x - X0) ** 2)
+SIMPLE_POLE = _line(lambda x: 1e4 / (x - (3.0 + math.sqrt(2) / 40)))
+NODE_POLE = _line(lambda x: 1e4 / (x - 3.0) ** 2)      # inf at x = 3
+BUMP = _line(lambda x: 1e3 * np.exp(-(x - X0) ** 2))
+
+
+@pytest.fixture
+def scan_evals(monkeypatch):
+    """Batch sizes of the _scan_eval calls made inside _refine_segment."""
+    sizes, inside = [], []
+    real_eval, real_refine = an._scan_eval, an._refine_segment
+
+    def counted_eval(spec, evaluator, points):
+        if inside:
+            sizes.append(len(points))
+        return real_eval(spec, evaluator, points)
+
+    def counted_refine(*args):
+        inside.append(True)
+        try:
+            return real_refine(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(an, "_scan_eval", counted_eval)
+    monkeypatch.setattr(an, "_refine_segment", counted_refine)
+    return sizes
+
+
+def test_double_pole_refines_in_few_passes(scan_evals):
+    rep = an.singularity_scan(None, LINE, evaluator=DOUBLE_POLE)
+    assert len(rep.detections) == 1
+    assert abs(rep.detections[0].refined[0] - X0) <= 1e-8
+    assert len(scan_evals) <= 8       # 32 for the ternary search
+
+
+def test_simple_pole_with_sign_flip_is_detected():
+    x0 = 3.0 + math.sqrt(2) / 40
+    r3, r4 = (SIMPLE_POLE(np.array([[x]]))[0] for x in (3.0, 4.0))
+    assert r3 * r4 < 0.0 and abs(r3 / r4) > 10.0     # a flipped segment
+    rep = an.singularity_scan(None, LINE, evaluator=SIMPLE_POLE)
+    assert len(rep.detections) == 1
+    assert abs(rep.detections[0].refined[0] - x0) <= an.REFINE_TOL * 4.0
+
+
+def test_pole_on_a_node_is_detected():
+    rep = an.singularity_scan(None, LINE, evaluator=NODE_POLE)
+    assert rep.nonfinite[(3.0,)] and rep.values[(3.0,)] == math.inf
+    assert len(rep.detections) == 1
+    assert abs(rep.detections[0].refined[0] - 3.0) <= an.REFINE_TOL * 4.0
+
+
+def test_smooth_bump_below_threshold_is_no_detection(scan_evals):
+    rep = an.singularity_scan(None, LINE, evaluator=BUMP)
+    assert scan_evals                  # the peak is a candidate ...
+    assert rep.detections == []        # ... that the refinement rejects
+
+
+@pytest.mark.parametrize("evaluator", [DOUBLE_POLE, SIMPLE_POLE],
+                         ids=["double", "simple"])
+def test_reversed_axis_gives_the_same_refined_point(evaluator):
+    forward = an.singularity_scan(None, LINE, evaluator=evaluator)
+    backward = an.singularity_scan(None, REVERSED, evaluator=evaluator)
+    assert ([d.refined for d in forward.detections]
+            == [d.refined for d in backward.detections])
+    seg = ((2.0,), (4.0,), 0)
+    assert (an._refine_segment(None, evaluator, [seg], 1e8)
+            == an._refine_segment(None, evaluator, [(seg[1], seg[0], 0)],
+                                  1e8))
+
+
+SEGMENTS = [((2.0,), (4.0,), 0), ((3.0,), (4.0,), 0), ((4.0,), (3.0,), 0),
+            ((1.0,), (2.0,), 0), ((3.1,), (3.2,), 0)]
+
+
+def test_each_pass_makes_one_scan_eval_call(scan_evals):
+    alone = []
+    for seg in SEGMENTS:
+        scan_evals.clear()
+        an._refine_segment(None, DOUBLE_POLE, [seg], 1e8)
+        assert scan_evals == [1] * len(scan_evals)
+        alone.append(len(scan_evals))
+    scan_evals.clear()
+    an._refine_segment(None, DOUBLE_POLE, SEGMENTS, 1e8)
+    # one call per pass: as many calls as the longest search, and every
+    # trial of every search in one of them
+    assert len(scan_evals) == max(alone)
+    assert sum(scan_evals) == sum(alone)
+    assert scan_evals == sorted(scan_evals, reverse=True)
+
+
+def test_segment_refined_alone_equals_it_among_others():
+    for i, seg in enumerate(SEGMENTS):
+        others = SEGMENTS[:i] + SEGMENTS[i + 1:]
+        alone = an._refine_segment(None, DOUBLE_POLE, [seg], 1.0)
+        among = an._refine_segment(None, DOUBLE_POLE, others[:1] + [seg]
+                                   + others[1:], 1.0)
+        assert alone == [among[1]], seg
+        assert alone[0] is not None
+
+
+def _vdw_s_locus_dev(u, v, axis):
+    """Relative distance along ``axis`` to the vdw_s singular locus
+    (a = b = 1)."""
+    if axis == 0:
+        return abs(u - (2 * v * v - 6 * v + 3) / v ** 3) / max(1.0, abs(u))
+    w = v
+    for _ in range(50):
+        w -= ((-3 + 6 * w - 2 * w * w) + u * w ** 3) / (
+            (6 - 4 * w) + 3 * u * w * w)
+    return abs(v - w) / max(1.0, abs(v))
+
+
+def test_benchmark_line_scan_refinement(scan_evals):
+    # the grid_scan benchmark's vdw_vP line: 27 passes for the ternary
+    # search, locus deviations 3.7e-7 and 3.8e-7
+    rep = an.scan_vdw_vP(0.8 / 27.0, (1.2, 9.0), count=241)
+    assert len(scan_evals) <= 10
+    assert [d.classification for d in rep.detections] == ["locus"] * 2
+    assert max(d.locus_deviation for d in rep.detections) <= 1e-7
+
+
+def test_benchmark_box_scan_refinement(scan_evals):
+    # the grid_scan benchmark's vdw_s box: 31 passes for the ternary
+    # search, locus deviations up to 2.0e-7
+    spec = get_system("vdw_s")
+    grid = an.GridSpec((("u", 0.05, 5.0, 60), ("v", 1.2, 6.0, 60)))
+    rep = an.singularity_scan(spec, grid)
+    assert len(scan_evals) <= 27
+    assert len(rep.detections) == 7
+    for d in rep.detections:
+        assert d.classification == "unclassified"
+        assert _vdw_s_locus_dev(*d.refined, d.axis) <= 2e-7
+
+
 # ---- locus numerator -----------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -170,6 +171,55 @@ def test_scan_csv_and_sidecar(tmp_path, capsys):
     for d in loci["detections"]:
         assert d["classification"] == "locus"
         assert d["locus_deviation"] < 1e-4
+
+
+S_GRID = ["--grid", "u=0.05:5:60", "--grid", "v=1.2:6:60"]
+VP_GRID = ["--grid", "v=1.2:9:41", "--grid", "P=0.0296:0.0296:1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--system", "vdw_s", "--grid", "u=nan:5:3", "--grid", "v=1.2:6:3"],
+    ["--system", "vdw_s", "--grid", "u=0.05:inf:3", "--grid", "v=1.2:6:3"],
+    ["--system", "vdw_vP", "--param", "a=nan"] + VP_GRID,
+    ["--system", "vdw_vP", "--grid", "v=1.2:9:41", "--grid", "P=nan:nan:1"],
+    ["--system", "vdw_s", "--threshold", "nan"] + S_GRID,
+    ["--system", "vdw_s", "--threshold", "inf"] + S_GRID,
+    ["--system", "vdw_s", "--threshold", "-1"] + S_GRID,
+], ids=["nan-bound", "inf-bound", "nan-param", "nan-pressure",
+        "nan-threshold", "inf-threshold", "negative-threshold"])
+def test_scan_rejects_meaningless_input(tmp_path, capsys, argv):
+    # unchecked, these raise KeyError or LinAlgError out of the CLI, or exit
+    # 0 with no detection or with every node flagged
+    code, out, err = run(["scan"] + argv + ["-o", str(tmp_path / "s.csv")],
+                         capsys)
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert err.count("\n") == 1 and err.startswith("geothermo: error: ")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_vP_scan_at_overflowing_pressure_is_silent(tmp_path, capsys):
+    # u(v, P) overflows at P = 1e308; each point fails without a warning
+    out_path = tmp_path / "big.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(["scan", "--system", "vdw_vP",
+                            "--grid", "v=1.2:9:41",
+                            "--grid", "P=1e308:1e308:1",
+                            "-o", str(out_path)], capsys)
+    assert code == 0
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
+    loci = json.loads((tmp_path / "big.csv.loci.json").read_text())
+    assert loci["failures"] == 41
+
+
+def test_vP_scan_with_an_overflowing_locus_polynomial(tmp_path, capsys):
+    code, out, err = run(["scan", "--system", "vdw_vP", "--param", "a=1e308"]
+                         + VP_GRID + ["-o", str(tmp_path / "a.csv")], capsys)
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert err.startswith("geothermo: locus polynomial is not finite")
 
 
 def test_scan_ideal_empty_loci(tmp_path, capsys):

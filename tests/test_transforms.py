@@ -291,6 +291,74 @@ def test_invert_non_monotone_rejected():
     assert err.value.witness is not None
 
 
+# ---- monotonicity samples ------------------------------------------------
+
+
+@pytest.mark.parametrize("build,box", [
+    (lambda: invert_representation(get_system("vdw_s"), 0, solve="newton"),
+     ((0.902111285643644, 3.2146322661610247), (1.5, 6.0))),
+    (lambda: partial_legendre(get_system("vdw_u"), 0, solve="newton"),
+     ((0.4345255833241863, 1.1936012020094222), (1.5, 6.0))),
+], ids=["inv_vdw_s", "pl_vdw_u"])
+def test_derived_sample_box_is_pinned(build, box):
+    # the floats the point-by-point sampling gave
+    assert build().sample_box == box
+
+
+@pytest.mark.parametrize("build", [
+    lambda: invert_representation(get_system("vdw_s"), 0, solve="newton"),
+    lambda: partial_legendre(get_system("vdw_u"), 0, solve="newton"),
+], ids=["inv_vdw_s", "pl_vdw_u"])
+def test_monotonicity_samples_are_one_batch(build, monkeypatch):
+    checks, evals = [], []
+    real_check, real_eval = transforms.domain_check, transforms.jet_eval
+
+    def counted_check(spec, x):
+        checks.append(np.shape(x))
+        return real_check(spec, x)
+
+    def counted_eval(field, x, *args, **kw):
+        evals.append(np.shape(x))
+        return real_eval(field, x, *args, **kw)
+
+    monkeypatch.setattr(transforms, "domain_check", counted_check)
+    monkeypatch.setattr(transforms, "jet_eval", counted_eval)
+    build()
+    assert checks == [(transforms.MONOTONE_SAMPLES, 2)]
+    assert evals == [(transforms.MONOTONE_SAMPLES, 2)]
+
+
+def _holed(extra):
+    return from_definition({
+        "id": "holed", "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "x", "relation": "ln(x) + y",
+        "domain": ["x > 0", "y > 0", extra],
+        "sample_box": [[0.0, 31.0], [0.5, 2.0]]})
+
+
+def test_slot_range_with_a_hole_certifies_from_the_valid_samples():
+    # the samples sit on the integers 0..31; x = 0 and 9..12 are outside
+    # the domain
+    spec = invert_representation(_holed("(x - 10.5)^2 > 4"), 0,
+                                 solve="newton")
+    lo, hi = spec.sample_box[0]
+    pad = 0.1 * (math.log(31.0) - math.log(1.0))
+    assert (lo, hi) == pytest.approx((1.25 + pad, 1.25 + math.log(31.0)
+                                      - pad), abs=1e-12)
+    z = evaluate(spec, [1.25 + math.log(20.0), 1.25])
+    assert z == pytest.approx(20.0, rel=1e-10)
+
+
+def test_sample_whose_predicate_fails_is_skipped():
+    # 1/(x - 5) has no value at the sample x = 5: that sample is skipped,
+    # as a sample outside the domain is
+    spec = invert_representation(_holed("1/(x - 5) > -1e300"), 0,
+                                 solve="newton")
+    pad = 0.1 * math.log(31.0)
+    assert spec.sample_box[0] == pytest.approx(
+        (1.25 + pad, 1.25 + math.log(31.0) - pad), abs=1e-12)
+
+
 # ---- closed-form partners and the solve strategy -------------------------
 
 
