@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (EmptyGrid, GeothermoError, NonFinite,
                      PreconditionFailure)
 from .geometry import curvature_at, metric_at, natural_metric, ricci_scalar
-from .jets import EPS, Jet4, fd_partial
+from .jets import EPS, Faults, Jet4, fd_partial
 from .systems import SystemSpec, get_system
 from .transforms import u_from_vP
 
@@ -524,7 +524,8 @@ def degeneracy_sweep(alpha_values, beta_values, grid: GridSpec,
 
 
 def fd_jet4(fieldval, x) -> Jet4:
-    """All partials through order 4 by nested central differences only."""
+    """All partials through order 4 by nested central differences only,
+    as a batch of one point."""
     x = [float(c) for c in x]
     n = len(x)
     value = fieldval(x)
@@ -554,14 +555,18 @@ def fd_jet4(fieldval, x) -> Jet4:
         v = fd_partial(fieldval, x, idx, step=h_for(idx))
         for p in permutations(idx):
             fourth[p] = v
-    return Jet4(value=value, grad=grad, hess=hess, third=third, fourth=fourth)
+    return Jet4(value=np.array([value]), grad=grad[None], hess=hess[None],
+                third=third[None], fourth=fourth[None], faults=Faults(1))
 
 
 def fd_ricci_scalar(spec: SystemSpec, x) -> float:
     """Curvature through the same geometric assembly but FD derivatives only."""
     jet = fd_jet4(spec.field, x)
-    m = natural_metric(jet, x, spec.excluded_index)
-    return ricci_scalar(m).ricci_scalar
+    m = natural_metric(jet, np.asarray(x, dtype=float)[None],
+                       spec.excluded_index)
+    res = ricci_scalar(m)
+    res.faults.raise_first()
+    return res.point(0).ricci_scalar
 
 
 # ---- Ising profile (extended precision) ----------------------------------

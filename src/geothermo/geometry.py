@@ -13,6 +13,12 @@ Curvature conventions:  R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma}
 - d_nu Gamma^rho_{mu sigma} + Gamma Gamma - Gamma Gamma,
 Ricci_{sigma nu} = R^rho_{sigma rho nu}, R = g^{sigma nu} Ricci_{sigma nu}.
 
+The stages (:func:`natural_metric`, :func:`christoffel`, :func:`ricci_scalar`)
+take a batch of points on a leading axis and record each point's failure in
+the batch's fault record.  A single point enters only through the functions
+that take coordinates (:func:`metric_at`, :func:`curvature_at`,
+:func:`jets.jet_eval`), which run it as a batch of one and raise its failure.
+
 Every stage runs on the numbers of the jet it is given: float64, or mpmath
 numbers in object arrays (``curvature_at(..., dps=...)``), whose backend
 (:func:`jets.backend_of`) supplies the determinant, the inverse and the
@@ -36,13 +42,9 @@ NONFINITE_R = 1e12           # |R| beyond this is reported, not trusted
 CHUNK = 64                   # points per pass of the batched pipeline
 
 
-def _unbatch(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 @dataclass
 class MetricTensor:
-    """g, dg, ddg at one point, or at a batch of points (leading axis)."""
+    """g, dg, ddg at a batch of points (leading axis), or at one point."""
 
     at: np.ndarray
     g: np.ndarray          # (n, n)
@@ -57,26 +59,17 @@ class MetricTensor:
         return self.g.shape[-1]
 
     def scale(self):
-        g = self.g
-        return _unbatch(np.abs(g).reshape(g.shape[:-2] + (-1,)).max(axis=-1))
+        return np.abs(self.g).max(axis=(-2, -1))
 
     def is_degenerate(self):
         s = self.scale()
-        out = np.abs(self.det) < DEGENERACY_RTOL * np.maximum(s * s, 1e-300)
-        return bool(out) if np.ndim(out) == 0 else out
+        return np.abs(self.det) < DEGENERACY_RTOL * np.maximum(s * s, 1e-300)
 
     def point(self, i: int) -> "MetricTensor":
         # tolist() gives Python floats, or the mpmath numbers themselves
         return MetricTensor(at=self.at[i], g=self.g[i], dg=self.dg[i],
                             ddg=self.ddg[i], det=self.det.tolist()[i],
                             conformal_factor=self.conformal_factor.tolist()[i])
-
-    def batch(self) -> "MetricTensor":
-        return MetricTensor(at=self.at[None], g=self.g[None],
-                            dg=self.dg[None], ddg=self.ddg[None],
-                            det=np.array([self.det]),
-                            conformal_factor=np.array([self.conformal_factor]),
-                            faults=Faults(1))
 
 
 @dataclass
@@ -87,7 +80,7 @@ class ChristoffelArray:
 
 @dataclass
 class CurvatureResult:
-    """Ricci scalar and diagnostics at one point or a batch of points.
+    """Ricci scalar and flags at a batch of points, or at one point.
 
     For a batch every field has a leading batch axis, ``ricci_scalar`` is
     NaN at the points that failed, and ``faults`` records why.
@@ -99,23 +92,19 @@ class CurvatureResult:
     degenerate: object
     conformal_factor: object
     nonfinite: object = False
-    cross_check_dev: object = None     # 2D identity residual, diagnostics
     faults: Faults | None = None
 
     def point(self, i: int) -> "CurvatureResult":
-        dev = self.cross_check_dev
         return CurvatureResult(
             at=self.at[i], ricci_scalar=float(self.ricci_scalar[i]),
             det_g=float(self.det_g[i]), degenerate=bool(self.degenerate[i]),
             conformal_factor=float(self.conformal_factor[i]),
-            nonfinite=bool(self.nonfinite[i]),
-            cross_check_dev=None if dev is None else float(dev[i]))
+            nonfinite=bool(self.nonfinite[i]))
 
     @classmethod
     def concat(cls, parts):
         if len(parts) == 1:
             return parts[0]
-        dev = [p.cross_check_dev for p in parts]
 
         def cat(name):
             return np.concatenate([getattr(p, name) for p in parts])
@@ -124,28 +113,20 @@ class CurvatureResult:
                    det_g=cat("det_g"), degenerate=cat("degenerate"),
                    conformal_factor=cat("conformal_factor"),
                    nonfinite=cat("nonfinite"),
-                   cross_check_dev=None if dev[0] is None
-                   else np.concatenate(dev),
                    faults=Faults.concat([p.faults for p in parts]))
 
 
-def natural_metric(jet: Jet4, x, excluded_index: int,
-                   check_degenerate: bool = True) -> MetricTensor:
-    """Assemble g, dg, ddg from a Jet4 of the potential at ``x``.
+def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
+    """Assemble g, dg, ddg from a batched Jet4 of the potential at the
+    (batch, n) points ``x``.
 
-    Raises SingularPrefactor when some E^j Phi_j in the conformal sum
-    vanishes, and (by default) DegenerateMetric when |det g| is below the
-    degeneracy threshold; pass ``check_degenerate=False`` to inspect the
-    degenerate tensor instead.  For a batched ``jet`` (``x`` of shape
-    (batch, n)) these failures go to the batch's fault record and the
-    result is a batched MetricTensor.
+    A point where some E^j Phi_j in the conformal sum vanishes fails with
+    SingularPrefactor in the jet's fault record (a new one if it has none),
+    which the result carries on.  Degeneracy is left to the connection.
     """
     if jet.order < 4:
         raise ValueError("natural_metric needs a jet of order 4")
-    single = np.ndim(jet.value) == 0
-    if single:
-        jet = jet.batch()
-    x = np.asarray(x, dtype=float).reshape(-1, jet.n)
+    x = np.asarray(x, dtype=float)
     faults = jet.faults if jet.faults is not None else Faults(len(x))
     n = jet.n
     G, H, T3, F4 = jet.grad, jet.hess, jet.third, jet.fourth
@@ -195,20 +176,15 @@ def natural_metric(jet: Jet4, x, excluded_index: int,
                + dc[:, :, None, None, None] * T3c[:, None]
                + cb[:, None, None] * F4.transpose(0, 4, 3, 1, 2))
         det = bk.det(g)
-    m = MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=det, conformal_factor=c,
-                     faults=faults)
-    if check_degenerate:
-        _flag_degenerate(m, "|det g| = {:.3e} below degeneracy threshold")
-    if single:
-        faults.raise_first()
-        return m.point(0)
-    return m
+    return MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=det,
+                        conformal_factor=c, faults=faults)
 
 
-def _flag_degenerate(m: MetricTensor, message: str):
+def _flag_degenerate(m: MetricTensor):
     degenerate = m.is_degenerate()
     m.faults.flag(degenerate, lambda i: DegenerateMetric(
-        message.format(abs(float(m.det[i]))), metric=m.point(i)))
+        f"|det g| = {abs(float(m.det[i])):.3e} below degeneracy threshold",
+        metric=m.point(i)))
     return degenerate
 
 
@@ -218,7 +194,7 @@ def _connection(m: MetricTensor):
 
     Returns (degeneracy mask, inverse metric, connection)."""
     bk = backend_of(m.g)
-    degenerate = _flag_degenerate(m, "metric is degenerate")
+    degenerate = _flag_degenerate(m)
     m.faults.flag(~bk.isfinite(m.g.reshape(len(m.g), -1)).all(axis=1),
                   lambda i: NonFinite("metric is not finite"))
     ok = m.faults.ok
@@ -240,16 +216,10 @@ def _connection(m: MetricTensor):
 
 
 def christoffel(m: MetricTensor) -> ChristoffelArray:
-    """Levi-Civita connection and its first coordinate derivatives."""
-    single = m.g.ndim == 2
-    mb = m.batch() if single else replace(
-        m, faults=m.faults if m.faults is not None else Faults(len(m.g)))
+    """Levi-Civita connection and its first coordinate derivatives of a
+    batched metric; degenerate points fail in its fault record."""
     with np.errstate(all="ignore"):
-        _, _, ch = _connection(mb)
-    if single:
-        mb.faults.raise_first()
-        return ChristoffelArray(gamma=ch.gamma[0], dgamma=ch.dgamma[0])
-    return ch
+        return _connection(m)[2]
 
 
 def riemann_up(ch: ChristoffelArray) -> np.ndarray:
@@ -263,44 +233,24 @@ def riemann_up(ch: ChristoffelArray) -> np.ndarray:
 
 
 def ricci_scalar(m: MetricTensor) -> CurvatureResult:
-    """Ricci scalar of the natural metric with degeneracy/blow-up flags.
-
-    A single-point metric raises on failure; a batched one records the
-    failures in its fault record and leaves R = NaN there.
+    """Ricci scalar of a batched natural metric with degeneracy/blow-up
+    flags.  Failures go to the metric's fault record, and R is NaN there.
     """
-    single = m.g.ndim == 2
-    if single:
-        m = m.batch()
-    elif m.faults is None:
-        m = replace(m, faults=Faults(len(m.g)))
     faults = m.faults
-    n = m.n
     bk = backend_of(m.g)
     with np.errstate(all="ignore"):
         degenerate, ginv, ch = _connection(m)
         up = riemann_up(ch)
         ricci = np.einsum("zrsrn->zsn", up)
         R = np.einsum("zsn,zsn->z", ginv, ricci)
-
-        cross_dev = None
-        if n == 2:
-            down0101 = np.einsum("ze,ze->z", m.g[:, 0, :], up[:, :, 1, 0, 1])
-            det = bk.masked(m.det, ~faults.ok)
-            cross_dev = np.abs(R - 2.0 * down0101 / det)
-
         finite = bk.isfinite(R)
         faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
         R = np.where(faults.ok, R, np.nan)
         nonfinite = ~finite | (np.abs(R) > NONFINITE_R)
-    res = CurvatureResult(at=m.at, ricci_scalar=R, det_g=m.det,
-                          degenerate=degenerate,
-                          conformal_factor=m.conformal_factor,
-                          nonfinite=nonfinite,
-                          cross_check_dev=cross_dev, faults=faults)
-    if single:
-        faults.raise_first()
-        return res.point(0)
-    return res
+    return CurvatureResult(at=m.at, ricci_scalar=R, det_g=m.det,
+                           degenerate=degenerate,
+                           conformal_factor=m.conformal_factor,
+                           nonfinite=nonfinite, faults=faults)
 
 
 def curvature_at(spec: SystemSpec, x, check_domain: bool = True,
@@ -319,7 +269,10 @@ def curvature_at(spec: SystemSpec, x, check_domain: bool = True,
         res = _curvature_chunk(spec, points[None], check_domain, dps)
         error = res.faults.errors.pop(0, None)
         if error is not None:
-            del res, points     # a raised exception keeps this frame alive
+            # a raised exception keeps the frames it passes through alive,
+            # and callers keep a failed query's exception: raise from this
+            # frame, not through Faults.raise_first, and without the batch
+            del res, points
             raise error
         return res.point(0)
     return CurvatureResult.concat([
@@ -336,15 +289,25 @@ def _curvature_chunk(spec, points, check_domain, dps):
     with mp.workdps(dps):
         jet = jet_eval(spec.field, points, 4, faults, MPMATH)
         res = ricci_scalar(natural_metric(jet, points, spec.excluded_index))
-    dev = res.cross_check_dev
     return replace(res, ricci_scalar=res.ricci_scalar.astype(float),
                    det_g=res.det_g.astype(float),
-                   conformal_factor=res.conformal_factor.astype(float),
-                   cross_check_dev=None if dev is None else dev.astype(float))
+                   conformal_factor=res.conformal_factor.astype(float))
 
 
 def metric_at(spec: SystemSpec, x, check_degenerate: bool = True) -> MetricTensor:
-    """Natural metric at one point, or at a (batch, n) array of points."""
-    jet = jet_eval(spec.field, x, 4)
-    return natural_metric(jet, x, spec.excluded_index,
-                          check_degenerate=check_degenerate)
+    """Natural metric at one point, or at a (batch, n) array of points.
+
+    Points outside the domain fail with DomainViolation and, unless
+    ``check_degenerate`` is False, degenerate ones with DegenerateMetric.
+    One point raises its failure; a batch records it in ``faults``.
+    """
+    points = np.asarray(x, dtype=float)
+    batch = points[None] if points.ndim == 1 else points
+    jet = jet_eval(spec.field, batch, 4, domain_check(spec, batch))
+    m = natural_metric(jet, batch, spec.excluded_index)
+    if check_degenerate:
+        _flag_degenerate(m)
+    if points.ndim == 1:
+        m.faults.raise_first()
+        return m.point(0)
+    return m

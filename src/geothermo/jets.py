@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
@@ -596,13 +596,6 @@ class Jet4:
         """Point ``i`` of a batch as a single-point Jet4."""
         return Jet4(self.value.tolist()[i], self.grad[i], self.hess[i],
                     self.third[i], self.fourth[i], self.order)
-
-    def batch(self) -> "Jet4":
-        """A single-point Jet4 as a batch of one."""
-        return replace(self, value=np.array([self.value]),
-                       grad=self.grad[None], hess=self.hess[None],
-                       third=self.third[None], fourth=self.fourth[None],
-                       faults=Faults(1))
 
 
 def _as_jet(result, nvars: int, order: int, size: int, faults, bk) -> Jet:

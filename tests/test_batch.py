@@ -13,8 +13,8 @@ from geothermo import cli
 from geothermo.errors import (DomainViolation, GeothermoError, NonFinite,
                               SingularDenominator)
 from geothermo.geometry import CHUNK, curvature_at
-from geothermo.systems import (catalog_ids, evaluate, from_definition,
-                               get_system)
+from geothermo.systems import (catalog_ids, domain_check, evaluate,
+                               from_definition, get_system)
 from geothermo.transforms import (_ImplicitField, invert_representation,
                                   partial_legendre)
 
@@ -110,6 +110,27 @@ def test_batch_matches_single_points(key):
     if key.startswith("const_"):
         assert len(batch.faults.errors) == len(points)
         assert kinds == {"DomainViolation"}
+
+
+@pytest.mark.parametrize("key", sorted(k for k in SPECS if SPECS[k].domain))
+def test_point_domain_check_matches_its_batch(key):
+    # one point runs the predicates on Python floats, a batch on order-0
+    # jets; both must name the same violations or fail with the same class
+    spec = SPECS[key]
+    points = _grid(spec, 11)
+    batch = domain_check(spec, points)
+    for i, x in enumerate(points):
+        try:
+            single = domain_check(spec, x)
+        except GeothermoError as exc:
+            single = type(exc)
+        error = batch.errors.get(i)
+        if error is None:
+            assert single == [], x
+        elif isinstance(error, DomainViolation):
+            assert single == error.violations, x
+        else:
+            assert single is type(error), x
 
 
 @pytest.mark.parametrize("key", catalog_ids())

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from geothermo import cli
 from geothermo.errors import (DegenerateMetric, DomainViolation,
                               SingularPrefactor)
-from geothermo.geometry import (christoffel, curvature_at, metric_at,
-                                natural_metric, ricci_scalar)
-from geothermo.jets import jet_eval
+from geothermo.geometry import (CHUNK, MetricTensor, christoffel,
+                                curvature_at, metric_at, natural_metric,
+                                ricci_scalar, riemann_up)
+from geothermo.jets import Faults, jet_eval
 from geothermo.systems import from_definition, get_system
 
 
@@ -43,9 +45,13 @@ def test_ideal_gas_flat_everywhere():
 
 
 def test_two_dimensional_cross_check():
-    res = curvature_at(get_system("vdw_s"), (1.0, 3.0))
-    assert res.cross_check_dev is not None
-    assert res.cross_check_dev < 1e-9 * (1.0 + abs(res.ricci_scalar))
+    # in two dimensions R = 2 R_0101 / det g
+    m = metric_at(get_system("vdw_s"), np.array([(1.0, 3.0)]))
+    up = riemann_up(christoffel(m))
+    down0101 = np.einsum("ze,ze->z", m.g[:, 0, :], up[:, :, 1, 0, 1])
+    R = ricci_scalar(m).ricci_scalar
+    cross_check_dev = np.abs(R - 2.0 * down0101 / m.det)[0]
+    assert cross_check_dev < 1e-9 * (1.0 + abs(R[0]))
 
 
 def test_vdw_curvature_reference_value():
@@ -76,6 +82,57 @@ def test_degenerate_metric_raises_with_payload():
     assert abs(m.det) < 1e-12 * max(1.0, m.scale() ** 2)
 
 
+DEGENERATE_MESSAGE = "|det g| = 0.000e+00 below degeneracy threshold"
+
+
+def test_degenerate_point_fails_alike_everywhere(capsys):
+    spec = get_system("chap_s", alpha=0.0, beta=0.0)
+    for at in (curvature_at, metric_at):
+        with pytest.raises(DegenerateMetric) as err:
+            at(spec, (2.0, 2.0))
+        assert str(err.value) == DEGENERATE_MESSAGE
+    batch = curvature_at(spec, np.array([[1.0, 3.0], [2.0, 2.0]]))
+    error = batch.faults.errors[1]
+    assert type(error) is DegenerateMetric
+    assert str(error) == DEGENERATE_MESSAGE
+    code = cli.main(["curvature", "--system", "chap_s",
+                     "--param", "alpha=0,beta=0", "--at", "u=2,v=2"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"geothermo: degenerate metric: {DEGENERATE_MESSAGE}\n")
+
+
+def test_degeneracy_tested_once_per_chunk(monkeypatch):
+    calls = []
+    test = MetricTensor.is_degenerate
+
+    def counted(self):
+        calls.append(len(self.g))
+        return test(self)
+
+    monkeypatch.setattr(MetricTensor, "is_degenerate", counted)
+    spec = get_system("vdw_s")
+    curvature_at(spec, (2.0, 3.0))
+    assert calls == [1]
+    calls.clear()
+    points = np.tile([2.0, 3.0], (CHUNK + 1, 1))
+    curvature_at(spec, points)
+    assert calls == [CHUNK, 1]
+
+
+@pytest.mark.parametrize("sid,x,violated", [("ising_f", (1.0, -1.0), "H > 0"),
+                                            ("vdw_u", (1.0, 0.5), "v > b")])
+def test_metric_checks_the_domain(sid, x, violated):
+    spec = get_system(sid)
+    with pytest.raises(DomainViolation) as err:
+        metric_at(spec, x)
+    assert err.value.violations == [violated]
+    inside = [0.5 * (lo + hi) for lo, hi in spec.sample_box]
+    m = metric_at(spec, np.array([inside, x]))
+    assert set(m.faults.errors) == {1}
+    assert m.faults.errors[1].violations == [violated]
+
+
 def test_singular_prefactor():
     spec = from_definition({
         "id": "bump", "coords": [{"name": "u"}, {"name": "v"}],
@@ -92,11 +149,12 @@ def test_domain_checked_before_curvature():
 
 
 def test_christoffel_symmetry():
-    m = metric_at(get_system("vdw_s"), (1.3, 2.7))
+    m = metric_at(get_system("vdw_s"), np.array([(1.3, 2.7)]))
     ch = christoffel(m)
-    assert np.allclose(ch.gamma, np.swapaxes(ch.gamma, 1, 2))
+    gamma, dgamma = ch.gamma[0], ch.dgamma[0]
+    assert np.allclose(gamma, np.swapaxes(gamma, 1, 2))
     # dGamma inherits the lower-index symmetry
-    assert np.allclose(ch.dgamma, np.swapaxes(ch.dgamma, 2, 3))
+    assert np.allclose(dgamma, np.swapaxes(dgamma, 2, 3))
 
 
 def test_metric_derivative_consistency_with_fd():
@@ -116,12 +174,12 @@ def test_metric_derivative_consistency_with_fd():
 
 def test_ricci_scalar_scales_inversely_with_metric():
     # R[k g] = R[g]/k for constant k: rescale via the conformal factor
-    m = metric_at(get_system("vdw_s"), (1.0, 3.0))
-    r1 = ricci_scalar(m).ricci_scalar
+    m = metric_at(get_system("vdw_s"), np.array([(1.0, 3.0)]))
+    r1 = ricci_scalar(m).ricci_scalar[0]
     import dataclasses
     m2 = dataclasses.replace(m, g=2 * m.g, dg=2 * m.dg, ddg=2 * m.ddg,
-                             det=4 * m.det)
-    r2 = ricci_scalar(m2).ricci_scalar
+                             det=4 * m.det, faults=Faults(1))
+    r2 = ricci_scalar(m2).ricci_scalar[0]
     assert r2 == pytest.approx(r1 / 2.0, rel=1e-10)
 
 
