@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (EmptyGrid, GeothermoError, NonFinite,
                      PreconditionFailure)
 from .geometry import curvature_at, metric_at, natural_metric, ricci_scalar
-from .jets import EPS, Faults, Jet4, fd_partial
+from .jets import EPS, Faults, Jet4, fd_partial, point_or_failure
 from .systems import SystemSpec, get_system
 from .transforms import u_from_vP
 
@@ -561,12 +561,12 @@ def fd_jet4(fieldval, x) -> Jet4:
 
 def fd_ricci_scalar(spec: SystemSpec, x) -> float:
     """Curvature through the same geometric assembly but FD derivatives only."""
-    jet = fd_jet4(spec.field, x)
-    m = natural_metric(jet, np.asarray(x, dtype=float)[None],
-                       spec.excluded_index)
-    res = ricci_scalar(m)
-    res.faults.raise_first()
-    return res.point(0).ricci_scalar
+    point, error = point_or_failure(ricci_scalar(natural_metric(
+        fd_jet4(spec.field, x), np.asarray(x, dtype=float)[None],
+        spec.excluded_index)))
+    if error is not None:
+        raise error
+    return point.ricci_scalar
 
 
 # ---- Ising profile (extended precision) ----------------------------------

@@ -15,9 +15,11 @@ tape belongs to the AST, and :func:`compile_relation` binds parameter values
 into a copy of its register template, so one tape serves every parameter
 set.  :func:`parse_relation` returns the AST of a live relation parsed
 before with the same names, so an override build reuses its AST and tape.
-Predicate sides compile the same way.  One loop runs a tape over floats or
-over :class:`~geothermo.jets.Jet` operands of either number backend, so the
-same program serves plain evaluation and jet differentiation.
+Predicate sides compile the same way, and :func:`parse_predicate` reuses
+the parsed sides of a live predicate likewise.  One loop runs a tape over
+floats or over :class:`~geothermo.jets.Jet` operands of either number
+backend, so the same program serves plain evaluation and jet
+differentiation.
 """
 
 from __future__ import annotations
@@ -396,14 +398,32 @@ _CMP = {
 }
 
 
-class Predicate:
-    """Inequality between two DSL expressions, e.g. ``v > b``."""
+class Comparison:
+    """A parsed inequality: the ASTs of its two sides and its operator.
 
-    def __init__(self, source, left_ast, op, right_ast):
-        self.source = source
+    :func:`parse_predicate` shares one Comparison among the predicates of
+    every live spec that uses the same source and names."""
+
+    def __init__(self, left_ast, op, right_ast):
         self.left = left_ast
         self.op = op
         self.right = right_ast
+
+
+class Predicate:
+    """Inequality between two DSL expressions, e.g. ``v > b``.
+
+    The sides are bound to the parameter values of the first call and
+    rebound only when another call passes different ones; each spec has
+    predicates of its own, so specs that share the parsed sides do not
+    rebind them in turn.
+    """
+
+    def __init__(self, source, comparison):
+        self.source = source
+        self.comparison = comparison
+        self.left, self.op, self.right = (comparison.left, comparison.op,
+                                          comparison.right)
         self._bound = None      # (params key, left field, right field)
 
     def _sides(self, param_values: dict):
@@ -446,8 +466,26 @@ class Predicate:
         return self.source
 
 
+# parsed predicates by (source, coords, params), held while a predicate
+# uses them, as _PARSED holds relations
+_COMPARISONS = weakref.WeakValueDictionary()
+
+
 def parse_predicate(source: str, coords, params=()) -> Predicate:
-    """Parse an inequality string like ``"u + a/v > 0"``."""
+    """Parse an inequality string like ``"u + a/v > 0"``.
+
+    A source parsed before with the same names, whose sides are still
+    alive, gets a new predicate over the same sides (and so their tapes).
+    """
+    key = (source, tuple(coords), tuple(params))
+    comparison = _COMPARISONS.get(key)
+    if comparison is None:
+        comparison = _COMPARISONS[key] = _parse_comparison(source, coords,
+                                                           params)
+    return Predicate(source, comparison)
+
+
+def _parse_comparison(source, coords, params) -> Comparison:
     tokens = tokenize(source)
     split = [i for i, t in enumerate(tokens) if t.kind == "cmp"]
     if len(split) != 1:
@@ -463,6 +501,5 @@ def parse_predicate(source: str, coords, params=()) -> Predicate:
     right_root = right.parse_expr()
     if right.peek().kind != "end":
         raise ParseError("trailing input after comparison", right.peek().pos)
-    return Predicate(source,
-                     RelationAst(left_root, coords, params), op,
-                     RelationAst(right_root, coords, params))
+    return Comparison(RelationAst(left_root, coords, params), op,
+                      RelationAst(right_root, coords, params))

@@ -33,7 +33,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateMetric, NonFinite, SingularPrefactor
-from .jets import MPMATH, Faults, Jet4, backend_of, jet_eval
+from .jets import (MPMATH, Faults, Jet4, backend_of, jet_eval,
+                   point_or_failure)
 from .systems import SystemSpec, domain_check
 
 DEGENERACY_RTOL = 1e-12      # |det g| < rtol * max|g_ab|^2 flags degeneracy
@@ -83,7 +84,8 @@ class CurvatureResult:
     """Ricci scalar and flags at a batch of points, or at one point.
 
     For a batch every field has a leading batch axis, ``ricci_scalar`` is
-    NaN at the points that failed, and ``faults`` records why.
+    NaN and ``nonfinite`` True at the points that failed, and ``faults``
+    records why.
     """
 
     at: np.ndarray
@@ -234,7 +236,8 @@ def riemann_up(ch: ChristoffelArray) -> np.ndarray:
 
 def ricci_scalar(m: MetricTensor) -> CurvatureResult:
     """Ricci scalar of a batched natural metric with degeneracy/blow-up
-    flags.  Failures go to the metric's fault record, and R is NaN there.
+    flags.  Failures go to the metric's fault record, and R is NaN and
+    flagged non-finite there.
     """
     faults = m.faults
     bk = backend_of(m.g)
@@ -246,7 +249,7 @@ def ricci_scalar(m: MetricTensor) -> CurvatureResult:
         finite = bk.isfinite(R)
         faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
         R = np.where(faults.ok, R, np.nan)
-        nonfinite = ~finite | (np.abs(R) > NONFINITE_R)
+        nonfinite = ~faults.ok | (np.abs(R) > NONFINITE_R)
     return CurvatureResult(at=m.at, ricci_scalar=R, det_g=m.det,
                            degenerate=degenerate,
                            conformal_factor=m.conformal_factor,
@@ -266,15 +269,11 @@ def curvature_at(spec: SystemSpec, x, check_domain: bool = True,
     """
     points = np.asarray(x, dtype=float)
     if points.ndim == 1:
-        res = _curvature_chunk(spec, points[None], check_domain, dps)
-        error = res.faults.errors.pop(0, None)
+        point, error = point_or_failure(
+            _curvature_chunk(spec, points[None], check_domain, dps))
         if error is not None:
-            # a raised exception keeps the frames it passes through alive,
-            # and callers keep a failed query's exception: raise from this
-            # frame, not through Faults.raise_first, and without the batch
-            del res, points
             raise error
-        return res.point(0)
+        return point
     return CurvatureResult.concat([
         _curvature_chunk(spec, points[i:i + CHUNK], check_domain, dps)
         for i in range(0, len(points), CHUNK)])
@@ -283,6 +282,14 @@ def curvature_at(spec: SystemSpec, x, check_domain: bool = True,
 def _curvature_chunk(spec, points, check_domain, dps):
     faults = (domain_check(spec, points) if check_domain
               else Faults(len(points)))
+    if not faults.ok.any():
+        # every point failed its domain check: no jet or metric to compute
+        size = len(points)
+        return CurvatureResult(
+            at=points, ricci_scalar=np.full(size, np.nan),
+            det_g=np.full(size, np.nan), degenerate=np.zeros(size, bool),
+            conformal_factor=np.full(size, np.nan),
+            nonfinite=np.ones(size, bool), faults=faults)
     if dps is None:
         jet = jet_eval(spec.field, points, 4, faults)
         return ricci_scalar(natural_metric(jet, points, spec.excluded_index))
@@ -302,12 +309,18 @@ def metric_at(spec: SystemSpec, x, check_degenerate: bool = True) -> MetricTenso
     One point raises its failure; a batch records it in ``faults``.
     """
     points = np.asarray(x, dtype=float)
-    batch = points[None] if points.ndim == 1 else points
-    jet = jet_eval(spec.field, batch, 4, domain_check(spec, batch))
-    m = natural_metric(jet, batch, spec.excluded_index)
+    if points.ndim == 1:
+        point, error = point_or_failure(
+            _metric_batch(spec, points[None], check_degenerate))
+        if error is not None:
+            raise error
+        return point
+    return _metric_batch(spec, points, check_degenerate)
+
+
+def _metric_batch(spec, points, check_degenerate):
+    jet = jet_eval(spec.field, points, 4, domain_check(spec, points))
+    m = natural_metric(jet, points, spec.excluded_index)
     if check_degenerate:
         _flag_degenerate(m)
-    if points.ndim == 1:
-        m.faults.raise_first()
-        return m.point(0)
     return m

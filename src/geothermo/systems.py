@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dsl
 from .errors import DefinitionError, DomainViolation
-from .jets import Faults, jet_eval
+from .jets import Faults, jet_eval, point_or_failure
 
 EXTENSIVE = "extensive"
 INTENSIVE = "intensive"
@@ -121,13 +121,18 @@ def evaluate(spec: SystemSpec, x):
     the bits and the failure it would get in any batch.
     """
     points = np.asarray(x, dtype=float)
-    single = points.ndim == 1
-    if single:
-        points = points[None]
-    faults = domain_check(spec, points)
-    value = jet_eval(spec.field, points, 0, faults).value
-    faults.raise_first()
-    return float(value[0]) if single else value
+    if points.ndim == 1:
+        point, error = point_or_failure(_values(spec, points[None]))
+        if error is not None:
+            raise error
+        return float(point.value)
+    values = _values(spec, points)
+    values.faults.raise_first()
+    return values.value
+
+
+def _values(spec, points):
+    return jet_eval(spec.field, points, 0, domain_check(spec, points))
 
 
 def _dsl_spec(id, coords, potential_name, excluded, relation, params,

@@ -11,7 +11,7 @@ import pytest
 from geothermo import dsl, jets
 from geothermo.errors import ParseError, UnboundParameter, UnknownIdentifier
 from geothermo.jets import jet_eval
-from geothermo.systems import from_definition, get_system
+from geothermo.systems import domain_check, from_definition, get_system
 
 
 def compiled(src, coords=("u", "v"), params=None):
@@ -185,7 +185,29 @@ def test_dropped_spec_frees_its_asts():
         "id": "dropped", "coords": [{"name": "x"}, {"name": "y"}],
         "excluded_index": "x", "params": {"k": 2.0},
         "domain": ["x - k/7 > 0"], "relation": "k*ln(x) + ln(y) + x/(7*y)"})
-    refs = [weakref.ref(spec.field.ast), weakref.ref(spec.domain[0].left)]
-    del spec
+    pred = spec.domain[0]
+    refs = [weakref.ref(a) for a in (spec.field.ast, pred.comparison,
+                                     pred.left, pred.right)]
+    key = ("x - k/7 > 0", ("x", "y"), ("k",))
+    assert dsl._COMPARISONS[key] is pred.comparison
+    del spec, pred
     gc.collect()
-    assert [r() for r in refs] == [None, None]
+    assert [r() for r in refs] == [None] * 4
+    assert key not in dsl._COMPARISONS
+
+
+def test_override_builds_share_predicates_and_bind_once(monkeypatch):
+    base = get_system("chap_s")
+    other = get_system("chap_s", alpha=0.5)
+    assert all(p.comparison is q.comparison
+               for p, q in zip(base.domain, other.domain))
+    binds = []
+    field = dsl.ScalarField
+    monkeypatch.setattr(dsl, "ScalarField",
+                        lambda *a: binds.append(1) or field(*a))
+    # the two specs' checks alternate; each predicate binds its sides once
+    for _ in range(3):
+        for spec in (base, other):
+            domain_check(spec, (1.0, 2.0))
+            domain_check(spec, np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert len(binds) == 2 * 2 * len(base.domain)

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from geothermo import cli
+from geothermo import cli, geometry
 from geothermo.errors import (DegenerateMetric, DomainViolation,
                               SingularPrefactor)
 from geothermo.geometry import (CHUNK, MetricTensor, christoffel,
                                 curvature_at, metric_at, natural_metric,
                                 ricci_scalar, riemann_up)
 from geothermo.jets import Faults, jet_eval
-from geothermo.systems import from_definition, get_system
+from geothermo.systems import domain_check, from_definition, get_system
 
 
 def test_ideal_entropy_metric_closed_form(rng=np.random.default_rng(3)):
@@ -141,6 +141,35 @@ def test_singular_prefactor():
     })
     with pytest.raises(SingularPrefactor):
         metric_at(spec, (1.0, 2.0))   # v * phi_v = 0 at v = 2
+
+
+def test_chunk_outside_the_domain_skips_jets(monkeypatch):
+    # ising_f is defined at H < 0, where its domain check fails, so a
+    # failed point's flags cannot come from the jets
+    spec = get_system("ising_f")
+    calls = []
+    evaluate = geometry.jet_eval
+    monkeypatch.setattr(geometry, "jet_eval", lambda field, x, *a:
+                        calls.append(len(x)) or evaluate(field, x, *a))
+    outside = np.array([[1.0, -1.0], [0.5, -0.2], [-1.0, 1.0]])
+    with pytest.raises(DomainViolation) as err:
+        curvature_at(spec, outside[0])
+    assert str(err.value) == "ising_f: point (1.0, -1.0) violates ['H > 0']"
+    want = {i: (type(e), str(e))
+            for i, e in domain_check(spec, outside).errors.items()}
+    for dps in (None, 30):
+        res = curvature_at(spec, outside, dps=dps)
+        assert np.isnan(res.ricci_scalar).all() and res.nonfinite.all()
+        assert {i: (type(e), str(e))
+                for i, e in res.faults.errors.items()} == want
+    assert calls == []
+    # with a point inside, the chunk runs, and its failed points read alike
+    mixed = curvature_at(spec, np.vstack([[[1.0, 0.5]], outside]))
+    assert calls == [4]
+    assert mixed.nonfinite.tolist() == [False, True, True, True]
+    assert np.isnan(mixed.ricci_scalar[1:]).all()
+    assert {i - 1: (type(e), str(e))
+            for i, e in mixed.faults.errors.items()} == want
 
 
 def test_domain_checked_before_curvature():

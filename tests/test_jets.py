@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -239,3 +240,151 @@ def test_constant_base_to_a_jet_exponent(backend):
         batch = jet_eval(lambda a: base ** a[0], x, 4, backend=backend)
         assert all(isinstance(batch.faults.errors[i], DomainViolation)
                    for i in (0, 1))
+
+
+# ---- truncated series composition ------------------------------------------
+
+
+def _untruncated_step(t):
+    """The Horner step of a composition without truncation: every monomial,
+    from the pairs whose right factor is not the constant monomial, padded
+    with both factors' zero rows."""
+    groups = [[(i, j) for i, j in group if j != 0] for group in t.mul.pairs]
+    left = np.full((max(map(len, groups)), t.size + 1), t.size, dtype=np.intp)
+    right = left.copy()
+    for k, group in enumerate(groups):
+        for r, (i, j) in enumerate(group):
+            left[r, k], right[r, k] = i, j
+    return jets._Product(left, right, groups)
+
+
+def _fdot_product(table, a, b):
+    """A product of the mpmath backend as one ``mp.fdot`` per coefficient."""
+    size = max(a.shape[1], b.shape[1])
+    a, b = (np.broadcast_to(m, (len(m), size)) for m in (a, b))
+    cols = [[mp.fdot([(x[i], y[j]) for i, j in pairs])
+             for pairs in table.pairs]
+            for x, y in zip(a.T.tolist(), b.T.tolist())]
+    return np.array(cols, dtype=object).T
+
+
+def _reference_compose(jet, series):
+    """Jet._compose with an untruncated Horner step at every degree."""
+    product = _fdot_product if jet.bk is jets.MPMATH else jets.FLOAT.product
+    table = _untruncated_step(jets._tables(jet.nvars, jet.order))
+    c = jet.c
+    out = c * series[-1]
+    out[0] = series[-2]
+    for k in range(jet.order - 2, -1, -1):
+        out = product(table, out, c)
+        out[0] = series[k]
+    return out
+
+
+def _same_bits(got, want):
+    """Equal coefficients: mpmath numbers by their exact representation,
+    floats by value, sign (of zero too) and NaN-ness."""
+    assert got.shape == want.shape
+    if got.dtype == object:
+        def rep(a):
+            return [mp.mpf(v)._mpf_ for v in a.flat]
+        return rep(got) == rep(want)
+    number = ~np.isnan(got)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[number]),
+                               np.signbit(want[number])))
+
+
+def _series_case(rng, nvars, order, batch, backend, kind):
+    """A jet and a series of the given kind, in ``backend``'s numbers."""
+    size = jets._tables(nvars, order).size
+    c = rng.standard_normal((size + 1, batch))
+    c[-1] = 0.0
+    series = rng.standard_normal((order + 1, batch))
+    if kind == "sparse":
+        # a jet of the first variable alone and negative coefficients: the
+        # products of the other monomials are signed zeros
+        c *= [[float(sum(e[1:]) == 0)] for e in
+              jets._tables(nvars, order).exps] + [[0.0]]
+        series = -np.abs(series)
+    elif kind == "nonfinite":
+        series[-1, 0] = math.inf
+        series[order // 2, 1] = math.nan
+        series[0, 2] = -math.inf
+        c[1, 3] = math.inf
+    if backend is jets.MPMATH:
+        c = np.array([[mp.mpf(v) for v in row] for row in c], dtype=object)
+        c[-1] = 0            # object zero rows hold Python ints
+        series = np.array([[mp.mpf(v) for v in row] for row in series],
+                          dtype=object)
+    return jets.Jet(nvars, order, c, None, backend), series
+
+
+@pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
+                         ids=["float", "mpmath"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "nonfinite"])
+def test_composition_matches_untruncated_horner(backend, kind):
+    rng = np.random.default_rng(11)
+    with mp.workdps(30), np.errstate(all="ignore"):
+        for nvars in (1, 2, 3):
+            for order in range(1, 5):
+                jet, series = _series_case(rng, nvars, order, 4, backend,
+                                           kind)
+                got = jet._compose(series).c
+                assert _same_bits(got, _reference_compose(jet, series)), \
+                    (nvars, order)
+
+
+@pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
+                         ids=["float", "mpmath"])
+def test_composition_broadcasts_like_untruncated_horner(backend):
+    # one jet against a batch of series, and a batch of jets against one
+    # series, as broadcast constants and _as_jet produce them
+    rng = np.random.default_rng(12)
+    with mp.workdps(30):
+        jet, series = _series_case(rng, 2, 4, 1, backend, "dense")
+        wide = jets.Jet(2, 4, np.broadcast_to(jet.c, (jet.c.shape[0], 3)),
+                        None, backend)
+        _, many = _series_case(rng, 2, 4, 3, backend, "dense")
+        for j, s in ((jet, many), (wide, series), (wide, many)):
+            got = j._compose(s).c
+            assert got.shape == (16, 3)
+            assert _same_bits(got, _reference_compose(j, s))
+
+
+@pytest.mark.parametrize("nvars,count", [(1, 19), (2, 89), (3, 257)])
+def test_composition_multiplication_count(monkeypatch, nvars, count):
+    # untruncated, each of the three Horner steps multiplies every pair of
+    # the full step: 30, 165 and 525 multiplications
+    calls = []
+    mul = jets.mpf_mul
+    monkeypatch.setattr(jets, "mpf_mul",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    jet = Jet.variable(nvars, 4, 0, np.array([0.5]), bk=jets.MPMATH)
+    jet.exp()
+    assert len(calls) == count
+    full = _untruncated_step(jets._tables(nvars, 4)).pairs
+    assert 3 * sum(map(len, full)) == {1: 30, 2: 165, 3: 525}[nvars]
+
+
+def test_mpmath_product_equals_fdot():
+    # mpmath numbers, the Python int zeros of object zero rows, inf and nan,
+    # through the full product and every truncated step
+    t = jets._tables(2, 4)
+    rng = np.random.default_rng(13)
+    values = [mp.mpf(v) for v in rng.standard_normal(40)]
+    values += [0, 0, 0, mp.inf, -mp.inf, mp.nan, mp.mpf(0)]
+    with mp.workdps(25):
+        for _ in range(6):
+            a = np.array(rng.choice(np.array(values, dtype=object),
+                                    (t.size + 1, 3)), dtype=object)
+            b = np.array(rng.choice(np.array(values, dtype=object),
+                                    (t.size + 1, 3)), dtype=object)
+            a[-1] = b[-1] = 0
+            assert _same_bits(jets.MPMATH.product(t.mul, a, b),
+                              _fdot_product(t.mul, a, b))
+            out = a
+            for step in t.compose:
+                got = jets.MPMATH.product(step, out, b)
+                assert _same_bits(got, _fdot_product(step, out, b))
+                out = got
