@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (EmptyGrid, GeothermoError, NonFinite,
                      PreconditionFailure)
 from .geometry import curvature_at, metric_at, natural_metric, ricci_scalar
-from .jets import EPS, Faults, Jet4, fd_partial, point_or_failure
+from .jets import EPS, Faults, Jet4, fd_partial, lockstep, point_or_failure
 from .systems import SystemSpec, get_system
 from .transforms import u_from_vP
 
@@ -355,34 +355,26 @@ def _refine_segment(spec, evaluator, segments, blowup_threshold):
     depend on the other segments.  The refined point is within REFINE_TOL
     * max(1, |x0|, |x1|) of the maximiser along the axis.
     """
-    searches, trials = [], []
+    searches = []
     for x0, x1, axis in segments:
         a, b = sorted((x0[axis], x1[axis]))
-        search = _brent_search(a, b,
-                               0.25 * REFINE_TOL * max(1.0, abs(a), abs(b)))
-        searches.append(search)
-        trials.append(next(search))
+        searches.append(_brent_search(
+            a, b, 0.25 * REFINE_TOL * max(1.0, abs(a), abs(b))))
     base = np.array([s[0] for s in segments], dtype=float)
     axes = np.array([s[2] for s in segments], dtype=int)
-    refined = [None] * len(segments)
-    live = list(range(len(segments)))
-    while live:
+
+    def abs_R(live, trials):
         points = base[live]
-        points[np.arange(len(live)), axes[live]] = [trials[i] for i in live]
+        points[np.arange(len(live)), axes[live]] = trials
         r = np.abs(_scan_eval(spec, evaluator, points))
         r[~np.isfinite(r)] = math.inf     # landing on the pole itself
-        still = []
-        for i, ri, point in zip(live, r.tolist(), points.tolist()):
-            try:
-                trials[i] = searches[i].send(ri)
-            except StopIteration as stop:
-                x, rx = stop.value
-                if rx >= blowup_threshold:
-                    point[axes[i]] = x
-                    refined[i] = tuple(point)
-            else:
-                still.append(i)
-        live = still
+        return r.tolist()
+
+    refined = []
+    for point, axis, (x, rx) in zip(base.tolist(), axes.tolist(),
+                                    lockstep(searches, abs_R)):
+        point[axis] = x
+        refined.append(tuple(point) if rx >= blowup_threshold else None)
     return refined
 
 

@@ -413,7 +413,8 @@ class Comparison:
 class Predicate:
     """Inequality between two DSL expressions, e.g. ``v > b``.
 
-    The sides are bound to the parameter values of the first call and
+    :meth:`mask` evaluates it on order-0 jets; a single point is a batch of
+    one.  The sides are bound to the parameter values of the first call and
     rebound only when another call passes different ones; each spec has
     predicates of its own, so specs that share the parsed sides do not
     rebind them in turn.
@@ -434,10 +435,6 @@ class Predicate:
                      ScalarField(self.right, param_values))
             self._bound = bound
         return bound[1], bound[2]
-
-    def holds(self, values, param_values: dict) -> bool:
-        left, right = self._sides(param_values)
-        return _CMP[self.op](left(values), right(values))
 
     def mask(self, points, param_values: dict):
         """Evaluate at each row of a (batch, n) array.

@@ -72,31 +72,21 @@ class SystemSpec:
 def domain_check(spec: SystemSpec, x):
     """Violated domain predicates of a point, or the failures of a batch.
 
-    For one point, returns the list of violated predicates ([] means pass).
     For a (batch, n) array, returns a :class:`Faults` record in which every
-    point outside the domain fails with DomainViolation.  As for one point,
-    a predicate that cannot be evaluated for a reason other than a domain
-    violation fails the point with that error instead.
+    point outside the domain fails with DomainViolation.  A predicate that
+    cannot be evaluated for a reason other than a domain violation fails
+    the point with that error instead.  One point is a batch of one that
+    returns its violated predicates ([] means pass) or raises that error.
     """
     points = np.asarray(x, dtype=float)
     if points.shape[-1:] != (spec.n,):
         dim = points.shape[-1] if points.ndim else 0
         raise ValueError(f"point has dimension {dim}, spec needs {spec.n}")
-    if points.ndim == 1:
-        violated = []
-        for pred in spec.domain:
-            try:
-                ok = pred.holds(list(x), spec.params)
-            except DomainViolation:
-                ok = False
-            if not ok:
-                violated.append(str(pred))
-        return violated
-
-    faults = Faults(len(points))
-    violated = np.zeros((len(points), len(spec.domain)), dtype=bool)
+    batch = points.reshape(-1, spec.n)
+    faults = Faults(len(batch))
+    violated = np.zeros((len(batch), len(spec.domain)), dtype=bool)
     for p, pred in enumerate(spec.domain):
-        holds, pred_faults = pred.mask(points, spec.params)
+        holds, pred_faults = pred.mask(batch, spec.params)
         for i, exc in sorted(pred_faults.errors.items()):
             if not isinstance(exc, DomainViolation):
                 faults.fail(i, exc)
@@ -105,12 +95,17 @@ def domain_check(spec: SystemSpec, x):
     def violation(i):
         names = [str(pred) for pred, bad in zip(spec.domain, violated[i])
                  if bad]
-        point = tuple(float(c) for c in points[i])
+        point = tuple(float(c) for c in batch[i])
         return DomainViolation(f"{spec.id}: point {point} violates {names}",
                                names)
 
     faults.flag(violated.any(axis=1), violation)
-    return faults
+    if points.ndim > 1:
+        return faults
+    error = faults.errors.pop(0, None)
+    if error is not None and not isinstance(error, DomainViolation):
+        raise error
+    return [] if error is None else error.violations
 
 
 def evaluate(spec: SystemSpec, x):
@@ -307,8 +302,10 @@ def from_definition(doc: dict) -> SystemSpec:
 
     Expected keys: id, coords ([{name, role}]), potential_name,
     excluded_index (coordinate name), params, domain (inequality strings),
-    relation (DSL source).  A document that lacks a required key or whose
-    coordinates do not fit together raises DefinitionError, a ParseError.
+    relation (DSL source), and optionally sample_box: one finite [lo, hi]
+    pair with lo < hi per coordinate.  A document that lacks a required key,
+    whose coordinates do not fit together or whose sample box is malformed
+    raises DefinitionError, a ParseError.
     """
     if not isinstance(doc, dict):
         raise DefinitionError("system definition must be a JSON object")
@@ -341,6 +338,10 @@ def from_definition(doc: dict) -> SystemSpec:
     except (AttributeError, TypeError, ValueError):
         raise DefinitionError("'params' must map names to numbers and "
                               "'sample_box' hold [lo, hi] pairs") from None
+    if box and (len(box) != len(coords) or not all(
+            -np.inf < lo < hi < np.inf for lo, hi in box)):
+        raise DefinitionError("'sample_box' must be empty or hold one finite "
+                              "[lo, hi] pair with lo < hi per coordinate")
     return _dsl_spec(
         doc["id"], coords, doc.get("potential_name", "Phi"),
         names.index(doc["excluded_index"]), doc["relation"], params,

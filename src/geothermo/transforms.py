@@ -9,21 +9,19 @@ Catalog systems use their registered closed-form partners
 (:func:`systems.closed_partner`); everything else goes through one
 Newton-derived field, which solves for a slot derivative of the base
 potential: the potential itself for inversion, its first derivative for a
-partial Legendre transform.  The solve is a damped Newton seeded from the
-sample box, with the jet-space correction carried out by Newton iteration
-on the order-4 Taylor polynomial, expanded once as a series in the solved
-slot.  Each iteration doubles the order of contact, so from the float root
-k iterations are exact through degree 2^k - 1, and order.bit_length() of
-them (3 at order 4) are exact to truncation order.  Each float trial checks
-the base domain, then evaluates the equation and its slope together.  A
-call on floats is a batch of one at order 0, so a point and its batch give
-the same bits.
+partial Legendre transform.  The float solves of a batch advance in
+lockstep (:func:`jets.lockstep`), each pass one base domain check and one
+evaluation of the base field over every live trial, so a derived base
+solves once per pass.  The jet-space correction is Newton iteration on the
+order-4 Taylor polynomial, expanded once as a series in the solved slot:
+from the float root, k iterations are exact through degree 2^k - 1.  A
+point decides only from its own values, and a call on floats is a batch of
+one at order 0, so a point and its batch give the same bits.
 
 A numerically derived spec has no domain predicates.  Its domain is the set
-of points whose float Newton solve succeeds inside the base domain: the
-field solves each point of a batch once, and a point whose solve fails on
-the base domain, on a non-finite value or on the inversion itself fails
-with DomainViolation.
+of points whose float Newton solve succeeds inside the base domain, and a
+point whose solve fails there, on a non-finite value or on the inversion
+itself fails with DomainViolation.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ import numpy as np
 
 from . import systems
 from .errors import (DomainViolation, GeothermoError, InversionFailure,
-                     NonFinite, PreconditionFailure, SingularDenominator)
-from .jets import Faults, Jet, jet_eval, jet_poly
+                     PreconditionFailure)
+from .jets import Faults, Jet, jet_eval, jet_poly, lockstep
 from .systems import (EXTENSIVE, INTENSIVE, Coordinate, SystemSpec,
                       domain_check, evaluate)
 
@@ -64,23 +62,13 @@ class LegendrePartner:
 
 
 def equations_of_state(spec: SystemSpec, x) -> IntensiveVector:
-    """I_a = dPhi/dE^a at ``x`` (domain-checked)."""
-    violated = domain_check(spec, x)
-    if violated:
-        raise DomainViolation(
-            f"{spec.id}: point {tuple(x)} violates {violated}", violated)
-    jet = jet_eval(spec.field, x, 1)
-    return IntensiveVector(values=jet.grad.copy(),
-                           at=np.asarray([float(c) for c in x]))
+    """I_a = dPhi/dE^a at ``x`` (domain-checked), as a batch of one."""
+    at = np.asarray([float(c) for c in x])
+    jet = jet_eval(spec.field, at, 1, domain_check(spec, at[None]))
+    return IntensiveVector(values=jet.grad.copy(), at=at)
 
 
 # ---- scalar root finding -------------------------------------------------
-
-
-def _box_center(spec: SystemSpec):
-    if spec.sample_box:
-        return [0.5 * (lo + hi) for lo, hi in spec.sample_box]
-    return [1.0] * spec.n
 
 
 def _slot_range(spec: SystemSpec, slot: int):
@@ -89,37 +77,25 @@ def _slot_range(spec: SystemSpec, slot: int):
     return (0.5, 2.0)
 
 
-def _newton_solve(fdf, seed, lo, hi):
-    """Damped Newton for f(z) = 0; bracketed bisection fallback.
+def _newton_solve(seed, lo, hi):
+    """Damped Newton for f(z) = 0, bisection fallback, as a coroutine.
 
-    ``fdf(z)`` returns (f(z), f'(z)) from one evaluation.  It may raise
-    DomainViolation or NonFinite for invalid z; such trial points are
-    treated as out of range during damping.  An accepted trial's derivative
-    is the next Newton step's, so each trial evaluates the equation once.
+    It yields each trial z and is sent (f(z), f'(z)) from one evaluation,
+    or None where z is invalid, which damping treats as out of range.  An
+    accepted trial's derivative is the next Newton step's.  It returns the
+    root, or raises DomainViolation.
     """
-
-    def safe(z):
-        try:
-            f, df = fdf(z)
-        except (DomainViolation, NonFinite, SingularDenominator,
-                ZeroDivisionError, OverflowError):
-            return None
-        return (f, df) if math.isfinite(f) else None
-
     z = float(seed)
-    fz = safe(z)
+    fz = yield z
     if fz is None:
         # nudge the seed into the valid region along the sample interval
-        for t in np.linspace(0.0, 1.0, 17)[1:]:
-            for cand in (seed + t * (hi - seed), seed + t * (lo - seed)):
-                fz = safe(cand)
-                if fz is not None:
-                    z = float(cand)
-                    break
+        for z in [float(seed + t * (end - seed))
+                  for t in np.linspace(0.0, 1.0, 17)[1:] for end in (hi, lo)]:
+            fz = yield z
             if fz is not None:
                 break
-    if fz is None:
-        raise DomainViolation("no valid seed for the inversion")
+        else:
+            raise DomainViolation("no valid seed for the inversion")
 
     for _ in range(NEWTON_MAX_ITER):
         f, df = fz
@@ -127,50 +103,42 @@ def _newton_solve(fdf, seed, lo, hi):
             return z
         if not math.isfinite(df) or df == 0.0:
             break
-        step = f / df
-        lam = 1.0
-        moved = False
+        step, lam = f / df, 1.0
         for _ in range(60):
-            z_new = z - lam * step
-            trial = safe(z_new)
+            trial = yield z - lam * step
             if trial is not None and abs(trial[0]) < abs(f):
-                z, fz = z_new, trial
-                moved = True
+                z, fz = z - lam * step, trial
                 break
             lam *= 0.5
-        if not moved:
+        else:
             break
     if abs(fz[0]) <= 1e-9 * max(1.0, abs(z)):
         return z
 
-    # bisection fallback over an expanded window around the sample interval
-    def f_only(zz):
-        out = safe(zz)
-        return None if out is None else out[0]
-
+    # bisection fallback: the first sign change between neighbouring valid
+    # samples of an expanded window around the sample interval
     width = hi - lo
-    a, b = lo - 2.0 * width, hi + 2.0 * width
-    zs = np.linspace(a, b, 257)
-    vals = [f_only(zz) for zz in zs]
-    bracket = None
-    for (z0, f0), (z1, f1) in zip(zip(zs, vals), zip(zs[1:], vals[1:])):
-        if f0 is None or f1 is None:
-            continue
-        if f0 == 0.0:
-            return float(z0)
-        if f0 * f1 < 0.0:
-            bracket = (float(z0), float(z1), f0)
-            break
-    if bracket is None:
+    z0 = f0 = None
+    for z1 in np.linspace(lo - 2.0 * width, hi + 2.0 * width, 257).tolist():
+        out = yield z1
+        f1 = None if out is None else out[0]
+        if f0 is not None and f1 is not None:
+            if f0 == 0.0:
+                return z0
+            if f0 * f1 < 0.0:
+                break
+        z0, f0 = z1, f1
+    else:
         raise DomainViolation("inversion target is out of reach on the domain")
-    a, b, fa = bracket
+    a, b, fa = z0, z1, f0
     for _ in range(200):
         mid = 0.5 * (a + b)
-        fm = f_only(mid)
-        if fm is None:
+        out = yield mid
+        if out is None:
             raise DomainViolation(
                 f"inversion equation is undefined at {mid!r} inside the "
                 f"bracket [{a!r}, {b!r}]")
+        fm = out[0]
         if fm == 0.0 or (b - a) < 1e-15 * max(1.0, abs(mid)):
             return mid
         if fa * fm < 0.0:
@@ -178,12 +146,6 @@ def _newton_solve(fdf, seed, lo, hi):
         else:
             a, fa = mid, fm
     return 0.5 * (a + b)
-
-
-def _with_slot(values, slot, z):
-    out = list(values)
-    out[slot] = z
-    return out
 
 
 # ---- implicit fields -----------------------------------------------------
@@ -209,59 +171,76 @@ class _ImplicitField:
     The equation sets the ``derivative``-th derivative of the base potential
     in ``slot`` equal to the new coordinate of that slot: 0 for
     representation inversion (solve Phi(E) = phi for E^slot), 1 for a
-    partial Legendre transform (solve dPhi/dE^slot = I_slot).  Each point is
-    solved once in floats (:meth:`solve_base_point`, which is also its
-    domain check).  The jet-level result expands the order-4 Taylor
-    polynomial of the base potential in the solved slot once, as a series
-    in t = z - z0 whose coefficients are jets of the other coordinates
-    (:meth:`Jet.slot_series`).  Newton's method on that series doubles the
-    order of contact with every step (Brent & Kung, J. ACM 25, 1978): from
-    the float root, k steps are exact through degree 2^k - 1, so
-    ``order.bit_length()`` steps reach the truncation order (3 at order 4).
-    The new potential is the solved z for inversion and Phi - I z, from the
-    same series, for a Legendre transform.  A call on floats is a batch of
-    one at order 0.
+    partial Legendre transform (solve dPhi/dE^slot = I_slot).  Each point
+    is solved once in floats (:meth:`solve_base_point`, which is also its
+    domain check), from where the map's monotonicity ``samples``
+    interpolate its target.  The jet-level result expands the order-4
+    Taylor polynomial of the base potential in the solved slot once, as a
+    series in t = z - z0 whose coefficients are jets of the other
+    coordinates (:meth:`Jet.slot_series`).  Newton's method on that series
+    doubles the order of contact with every step (Brent & Kung, J. ACM 25,
+    1978): from the float root, k steps are exact through degree 2^k - 1,
+    so ``order.bit_length()`` steps reach the truncation order (3 at order
+    4).  The new potential is the solved z for inversion and Phi - I z,
+    from the same series, for a Legendre transform.  A call on floats is a
+    batch of one at order 0.
     """
 
-    def __init__(self, base: SystemSpec, slot: int, derivative: int):
+    def __init__(self, base: SystemSpec, slot: int, derivative: int,
+                 samples):
         self.base = base
         self.slot = slot
         self.derivative = derivative
+        # the map's (coordinate, value) samples, in the order of the values
+        self._coords, self._values = (
+            np.array(c) for c in zip(*sorted(samples, key=lambda s: s[1])))
 
     # -- float level
 
-    def _residual(self, pt, target):
-        """(f, df/dz) of the equation at base point ``pt``: the base domain
-        check, then one evaluation of the base field."""
-        violated = domain_check(self.base, pt)
-        if violated:
-            raise DomainViolation(f"{tuple(pt)} violates {violated}", violated)
-        jet = jet_eval(self.base.field, pt, self.derivative + 1)
-        along = (jet.value, jet.grad[self.slot],
-                 jet.hess[self.slot, self.slot])
-        return along[self.derivative] - target, along[self.derivative + 1]
+    def solve_base_point(self, points, faults):
+        """Base-representation points behind the rows of ``points`` that
+        have not failed in ``faults``, solved in lockstep.
 
-    def solve_base_point(self, new_values):
-        """Recover the base-representation point behind ``new_values``.
-
-        Every trial of the solve is checked against the base domain, so the
-        solve is the derived spec's domain check: a point it rejects as out
-        of range, non-finite or not invertible violates the domain, as a
-        catalog predicate would.
+        Every trial is checked against the base domain, so the solve is the
+        derived spec's domain check: a row it rejects as out of range,
+        non-finite or not invertible fails with DomainViolation, as on a
+        catalog predicate, and stays NaN.
         """
-        target = float(new_values[self.slot])
-        lo, hi = _slot_range(self.base, self.slot)
-        try:
-            z = _newton_solve(
-                lambda zz: self._residual(
-                    _with_slot(new_values, self.slot, zz), target),
-                0.5 * (lo + hi), lo, hi)
-        except (DomainViolation, NonFinite, InversionFailure) as exc:
-            raise DomainViolation(
-                f"point {tuple(new_values)} is outside the preimage of the "
-                f"{self.base.id} domain: {exc}",
-                [f"preimage of the {self.base.id} domain"]) from exc
-        return _with_slot(new_values, self.slot, z)
+        slot, order = self.slot, self.derivative + 1
+        rows = np.flatnonzero(faults.ok)
+        targets = points[:, slot].tolist()
+        lo, hi = _slot_range(self.base, slot)
+
+        def equation(live, trials):
+            # (f, df/dz) at each trial; None where it fails or f is not finite
+            at = rows[live]
+            trial_pts = points[at]
+            trial_pts[:, slot] = trials
+            record = domain_check(self.base, trial_pts)
+            jet = jet_eval(self.base.field, trial_pts, order, record)
+            along = (jet.value, jet.grad[:, slot], jet.hess[:, slot, slot])
+            f, df = along[order - 1], along[order]
+            out = []
+            for i, ok, fi, dfi in zip(at.tolist(), record.ok.tolist(),
+                                      f.tolist(), df.tolist()):
+                fi -= targets[i]
+                out.append((fi, dfi) if ok and math.isfinite(fi) else None)
+            return out
+
+        seeds = np.interp(points[rows, slot], self._values, self._coords)
+        roots = lockstep([_newton_solve(seed, lo, hi)
+                          for seed in seeds.tolist()], equation)
+        base_pts = np.full_like(points, math.nan)
+        for i, z in zip(rows.tolist(), roots):
+            if isinstance(z, GeothermoError):
+                faults.fail(i, DomainViolation(
+                    f"point {tuple(points[i].tolist())} is outside the "
+                    f"preimage of the {self.base.id} domain: {z}",
+                    [f"preimage of the {self.base.id} domain"]))
+            else:
+                base_pts[i] = points[i]
+                base_pts[i, slot] = z
+        return base_pts
 
     # -- jet level
 
@@ -277,16 +256,9 @@ class _ImplicitField:
                 else Jet.constant(nvars, order, a, faults, bk) for a in args]
         y0 = np.column_stack([np.broadcast_to(a.value, (size,))
                               for a in args])
-        # one float Newton solve per point, which is also the point's domain
-        # check; a point that fails stays NaN
+        # the solve is also the domain check; a failed point stays NaN
         record = faults if faults is not None else Faults(size)
-        base_pts = np.full_like(y0, math.nan)
-        for i, row in enumerate(y0.astype(float).tolist()):
-            if record.ok[i]:
-                try:
-                    base_pts[i] = self.solve_base_point(row)
-                except GeothermoError as exc:
-                    record.fail(i, exc)
+        base_pts = self.solve_base_point(y0.astype(float), record)
         if faults is None:
             record.raise_first()
         # the polynomial needs at least order 2 so that the Newton slope of
@@ -321,7 +293,9 @@ def _monotone_samples(spec: SystemSpec, slot: int, derivative: int):
     """
     lo, hi = _slot_range(spec, slot)
     zs = np.linspace(lo, hi, MONOTONE_SAMPLES)
-    pts = np.tile(np.asarray(_box_center(spec), dtype=float), (len(zs), 1))
+    center = ([0.5 * (lo + hi) for lo, hi in spec.sample_box]
+              if spec.sample_box else [1.0] * spec.n)
+    pts = np.tile(np.asarray(center, dtype=float), (len(zs), 1))
     pts[:, slot] = zs
     faults = domain_check(spec, pts)
     jet = jet_eval(spec.field, pts, derivative, faults)
@@ -353,8 +327,9 @@ def _derived_spec(spec: SystemSpec, slot: int, derivative: int,
     middle 80% of its sampled range is the new slot's sample interval.
     ``names`` gives the id, the potential name and the excluded slot.
     """
-    field = _ImplicitField(spec, slot, derivative)
-    vals = sorted(v for _, v in _monotone_samples(spec, slot, derivative))
+    field = _ImplicitField(spec, slot, derivative,
+                           _monotone_samples(spec, slot, derivative))
+    vals = field._values.tolist()
     pad = 0.1 * (vals[-1] - vals[0])
     coords = list(spec.coords)
     coords[slot] = coord
@@ -500,7 +475,9 @@ def invert_representation(spec: SystemSpec, target_slot: int,
             excluded_index=target_slot)
 
     def point_map(x):
-        return _with_slot(x, target_slot, evaluate(spec, x))
+        out = list(x)
+        out[target_slot] = evaluate(spec, x)
+        return out
 
     out.meta.update(point_map=point_map, inverse_of=spec.id)
     return out
@@ -540,21 +517,23 @@ def first_law_residual(spec: SystemSpec, path) -> float:
     """max over segments of |dPhi - I . dE| / |dE| along a polygonal path.
 
     Midpoint-rule quadrature of the exact gradient, so the residual is a
-    pipeline sanity check that should vanish to quadrature order.
+    pipeline sanity check that should vanish to quadrature order.  The path
+    is one batch, and the midpoints of its segments of nonzero length are
+    one order-1 batch; the first failing point of either raises.
     """
-    pts = [np.asarray([float(c) for c in p]) for p in path]
-    if len(pts) < 2:
-        if pts:
-            evaluate(spec, pts[0])
+    pts = np.asarray([[float(c) for c in p] for p in path], dtype=float)
+    if not len(pts):
         return 0.0
-    worst = 0.0
-    phi = [evaluate(spec, p) for p in pts]
-    for (x0, f0), (x1, f1) in zip(zip(pts, phi), zip(pts[1:], phi[1:])):
-        dx = x1 - x0
-        seg = float(np.linalg.norm(dx))
-        if seg == 0.0:
-            continue
-        mid = 0.5 * (x0 + x1)
-        inten = equations_of_state(spec, mid).values
-        worst = max(worst, abs((f1 - f0) - float(inten @ dx)) / seg)
-    return worst
+    phi = evaluate(spec, pts).tolist()
+    # (dE, dPhi, |dE|, midpoint) of each segment of nonzero length
+    steps = [(x1 - x0, f1 - f0, float(np.linalg.norm(x1 - x0)),
+              0.5 * (x0 + x1))
+             for x0, x1, f0, f1 in zip(pts, pts[1:], phi, phi[1:])]
+    steps = [step for step in steps if step[2] != 0.0]
+    if not steps:
+        return 0.0
+    mids = np.array([step[3] for step in steps])
+    jet = jet_eval(spec.field, mids, 1, domain_check(spec, mids))
+    jet.faults.raise_first()
+    return max(abs(df - float(grad @ dx)) / seg for (dx, df, seg, _), grad
+               in zip(steps, np.ascontiguousarray(jet.grad)))

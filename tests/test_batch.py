@@ -12,8 +12,8 @@ import pytest
 
 from geothermo import analysis as an
 from geothermo import cli, jets
-from geothermo.errors import (DomainViolation, GeothermoError, NonFinite,
-                              SingularDenominator)
+from geothermo.errors import (DegenerateMetric, DomainViolation,
+                              GeothermoError, NonFinite, SingularDenominator)
 from geothermo.geometry import CHUNK, curvature_at, metric_at
 from geothermo.jets import jet_eval
 from geothermo.systems import (catalog_ids, domain_check, evaluate,
@@ -117,8 +117,8 @@ def test_batch_matches_single_points(key):
 
 @pytest.mark.parametrize("key", sorted(k for k in SPECS if SPECS[k].domain))
 def test_point_domain_check_matches_its_batch(key):
-    # one point runs the predicates on Python floats, a batch on order-0
-    # jets; both must name the same violations or fail with the same class
+    # one point is a batch of one: both must name the same violations or
+    # fail with the same class
     spec = SPECS[key]
     points = _grid(spec, 11)
     batch = domain_check(spec, points)
@@ -134,6 +134,23 @@ def test_point_domain_check_matches_its_batch(key):
             assert single == error.violations, x
         else:
             assert single is type(error), x
+
+
+def test_boundary_point_passes_as_in_its_batch():
+    # u + a/v is +1.85e-17 in exact arithmetic at (-1/3, 3); float64 rounds
+    # it to 0, the long double predicate jets do not
+    spec = SPECS["vdw_s"]
+    x = (-1.0 / 3.0, 3.0)
+    assert domain_check(spec, x) == []
+    assert not domain_check(spec, np.array([x])).errors
+    value = evaluate(spec, x)
+    assert value == evaluate(spec, np.array([x]))[0]
+    assert value == pytest.approx(-57.09896063467854, rel=1e-12)
+    with pytest.raises(DegenerateMetric):
+        curvature_at(spec, x)
+    batch = curvature_at(spec, np.array([x, (2.0, 3.0)]))
+    assert type(batch.faults.errors[0]) is DegenerateMetric
+    assert set(batch.faults.errors) == {0}
 
 
 @pytest.mark.parametrize("key", catalog_ids())
@@ -277,17 +294,17 @@ def test_derived_spec_solves_each_point_once(monkeypatch):
     calls = []
     solve = _ImplicitField.solve_base_point
 
-    def counted(self, values):
-        calls.append(tuple(values))
-        return solve(self, values)
+    def counted(self, points, faults):
+        calls.extend(map(tuple, points[faults.ok].tolist()))
+        return solve(self, points, faults)
 
     monkeypatch.setattr(_ImplicitField, "solve_base_point", counted)
     s = 1.5 * math.log(2.0 + 1.0 / 3.0) + math.log(2.0)
     curvature_at(SPECS["inv_vdw_s"], (s, 3.0))
     assert calls == [(s, 3.0)]
     # a batch on a widened grid, which reaches outside the preimage of the
-    # base domain: one solve per point, and every failure is a domain
-    # violation
+    # base domain: each point is among the rows solved once, and every
+    # failure is a domain violation
     for key in ("inv_vdw_s", "pl_vdw_u"):
         points = _grid(SPECS[key], 12)
         calls.clear()

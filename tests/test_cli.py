@@ -139,9 +139,14 @@ TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
     {"params": {"k": "big"}},
     {"domain": "x > 0"},
     {"sample_box": [[0.5, 2.0, 3.0]]},
+    {"sample_box": [[0.5, 2.0]]},
+    {"sample_box": [[0.5, 2.0], [1.0, float("nan")]]},
+    {"sample_box": [[0.5, 2.0], [3.0, 3.0]]},
 ], ids=["duplicate-names", "no-coords", "coords-not-list", "coord-no-name",
         "no-relation", "no-excluded-index", "excluded-index-unknown",
-        "param-not-number", "domain-not-list", "bad-sample-box"])
+        "param-not-number", "domain-not-list", "bad-sample-box",
+        "sample-box-pair-count", "sample-box-not-finite",
+        "sample-box-lo-not-below-hi"])
 def test_malformed_system_file_is_a_parse_error(tmp_path, capsys, change):
     doc = {k: v for k, v in dict(TOY, **change).items() if v is not None}
     path = tmp_path / "bad.json"

@@ -107,8 +107,9 @@ def test_parameter_names_collected():
 
 def test_predicate():
     p = dsl.parse_predicate("v - b > 0", ["u", "v"], ["b"])
-    assert p.holds([1.0, 2.0], {"b": 1.0})
-    assert not p.holds([1.0, 0.5], {"b": 1.0})
+    holds, faults = p.mask(np.array([[1.0, 2.0], [1.0, 0.5]]), {"b": 1.0})
+    assert holds.tolist() == [True, False]
+    assert not faults.errors
     assert str(p) == "v - b > 0"
 
 

@@ -9,7 +9,8 @@ from geothermo import dsl, jets, transforms
 from geothermo.errors import (DomainViolation, InversionFailure,
                               PreconditionFailure)
 from geothermo.geometry import curvature_at
-from geothermo.jets import jet_poly
+from geothermo.analysis import GridSpec
+from geothermo.jets import Faults, jet_poly
 from geothermo.systems import evaluate, from_definition, get_system
 from geothermo.transforms import (_newton_solve, equations_of_state,
                                   first_law_residual,
@@ -207,32 +208,30 @@ def test_inverted_taylor_coefficients_are_exact_through_order_4():
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _count_float_newton(monkeypatch):
-    """Record the orders of transforms.jet_eval calls, the points of
-    transforms.domain_check calls and the trial points of every float
-    Newton solve."""
-    evals, checks, trials = [], [], []
-    real_eval, real_solve = transforms.jet_eval, transforms._newton_solve
-    real_check = transforms.domain_check
+def _count_passes(monkeypatch):
+    """Record (spec id, points) of every transforms.domain_check call and
+    (order, points) of every transforms.jet_eval call."""
+    evals, checks = [], []
+    real_eval, real_check = transforms.jet_eval, transforms.domain_check
 
     def counted_eval(field, x, order=4, *args, **kwargs):
-        evals.append(order)
+        evals.append((order, np.asarray(x).tolist()))
         return real_eval(field, x, order, *args, **kwargs)
 
-    def counted_solve(fdf, seed, lo, hi):
-        def trial(z):
-            trials.append(z)
-            return fdf(z)
-        return real_solve(trial, seed, lo, hi)
-
     def counted_check(spec, x):
-        checks.append(tuple(x))
+        checks.append((spec.id, np.asarray(x).tolist()))
         return real_check(spec, x)
 
     monkeypatch.setattr(transforms, "jet_eval", counted_eval)
-    monkeypatch.setattr(transforms, "_newton_solve", counted_solve)
     monkeypatch.setattr(transforms, "domain_check", counted_check)
-    return evals, checks, trials
+    return evals, checks
+
+
+def _solve(spec, points):
+    """Base points behind ``points`` (a batch) and the batch's record."""
+    points = np.asarray(points, dtype=float)
+    faults = Faults(len(points))
+    return spec.field.solve_base_point(points, faults), faults
 
 
 def test_float_newton_evaluates_the_base_field_once_per_trial(monkeypatch):
@@ -240,16 +239,80 @@ def test_float_newton_evaluates_the_base_field_once_per_trial(monkeypatch):
     pl = partial_legendre(get_system("vdw_u"), 0, solve="newton")
     s = 1.5 * math.log(2.0 + 1.0 / 3.0) + math.log(2.0)     # u = 2, v = 3
     T = (2.0 / 3.0) * math.exp(2.0 * 1.2 / 3.0) * 2.0 ** (-2.0 / 3.0)
-    evals, checks, trials = _count_float_newton(monkeypatch)
+    evals, checks = _count_passes(monkeypatch)
     for spec, pt, order in ((inv, [s, 3.0], 1), (pl, [T, 3.0], 2)):
         evals.clear()
         checks.clear()
-        trials.clear()
-        spec.field.solve_base_point(pt)
-        assert len(trials) >= 2
-        assert evals == [order] * len(trials), spec.id
-        # every trial, of either kind, is checked against the base domain
-        assert checks == [(z, 3.0) for z in trials], spec.id
+        _solve(spec, [pt])
+        # one pass per trial: one base domain check and one evaluation of
+        # the base field, both of that trial
+        assert len(checks) >= 2
+        assert [order for order, _ in evals] == [order] * len(checks)
+        trials = [points for _, points in evals]
+        assert checks == [(spec.field.base.id, x) for x in trials], spec.id
+        assert all(len(x) == 1 and x[0][1] == 3.0 for x in trials), spec.id
+
+
+def _widened(spec, count):
+    axes = tuple((c.name, lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), count)
+                 for c, (lo, hi) in zip(spec.coords, spec.sample_box))
+    return np.array(GridSpec(axes).points())
+
+
+@pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
+def test_a_batch_takes_as_many_passes_as_its_slowest_point(key, monkeypatch):
+    if key == "inv_vdw_s":
+        spec = invert_representation(get_system("vdw_s"), 0, solve="newton")
+    else:
+        spec = partial_legendre(get_system("vdw_u"), 0, solve="newton")
+    # in-box points, and points outside the preimage of the base domain,
+    # which try every nudged seed before they fail
+    points = _widened(spec, 4)
+    _, checks = _count_passes(monkeypatch)
+    alone, roots = [], []
+    for x in points:
+        checks.clear()
+        root, faults = _solve(spec, [x])
+        alone.append(len(checks))
+        roots.append(root[0] if faults.ok[0] else None)
+    assert None in roots and any(r is not None for r in roots)
+    checks.clear()
+    batch, faults = _solve(spec, points)
+    sizes = [len(x) for _, x in checks]
+    assert len(sizes) == max(alone)
+    assert sum(sizes) == sum(alone)
+    assert sizes == sorted(sizes, reverse=True)
+    for i, root in enumerate(roots):
+        assert faults.ok[i] == (root is not None)
+        if root is not None:
+            assert batch[i].tolist() == root.tolist()
+
+
+def test_nested_solve_runs_its_inner_solve_once_per_outer_pass(monkeypatch):
+    spec = total_legendre(get_system("vdw_s"), solve="newton")
+    outer, inner = spec.field, spec.field.base.field
+    calls = []
+    solve = transforms._ImplicitField.solve_base_point
+
+    def counted(self, points, faults):
+        calls.append((self, len(points)))
+        return solve(self, points, faults)
+
+    monkeypatch.setattr(transforms._ImplicitField, "solve_base_point",
+                        counted)
+    _, checks = _count_passes(monkeypatch)
+    points = np.array(GridSpec(tuple(
+        (c.name, lo, hi, 3)
+        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points())
+    values = evaluate(spec, points)
+    assert np.isfinite(values).all()
+    assert [n for field, n in calls if field is outer] == [len(points)]
+    outer_passes = [len(x) for sid, x in checks if sid == outer.base.id]
+    assert len(outer_passes) >= 2
+    # one inner solve over the trials of each outer pass, and one at the
+    # roots, for the polynomial of the base field
+    assert [n for field, n in calls if field is inner] == \
+        outer_passes + [len(points)]
 
 
 @pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
@@ -265,20 +328,28 @@ def test_derived_point_is_a_batch_of_one(key, rng=np.random.default_rng(21)):
         assert evaluate(spec, x) == batch[i], x
 
 
+def _drive(equation, seed=2.0, lo=0.0, hi=3.0):
+    """Root of one equation by the Newton coroutine, run by
+    ``jets.lockstep``; ``equation(z)`` is (f, f') at z, or None where z is
+    invalid."""
+    (root,) = jets.lockstep([_newton_solve(seed, lo, hi)],
+                            lambda live, trials: list(map(equation, trials)))
+    if isinstance(root, Exception):
+        raise root
+    return root
+
+
 def test_bisection_fallback():
     # Newton cannot move on a zero slope; bisection finds the root
-    assert _newton_solve(lambda z: (z - 0.5, 0.0), 2.0, 0.0, 3.0) == \
-        pytest.approx(0.5, abs=1e-12)
+    assert _drive(lambda z: (z - 0.5, 0.0)) == pytest.approx(0.5, abs=1e-12)
 
     # undefined on a hole around the root: no midpoint inside it passes
     # for a root
     def holed(z):
-        if 0.499 < z < 0.501:
-            raise DomainViolation("hole")
-        return z - 0.5, 1.0
+        return None if 0.499 < z < 0.501 else (z - 0.5, 1.0)
 
     with pytest.raises(DomainViolation):
-        _newton_solve(holed, 2.0, 0.0, 3.0)
+        _drive(holed)
 
 
 def test_invert_non_monotone_rejected():
@@ -459,3 +530,23 @@ def test_first_law_residual():
     bad = [(2.0, 2.0), (2.0, 0.5)]       # crosses v = b of the vdW domain
     with pytest.raises(DomainViolation):
         first_law_residual(get_system("vdw_s"), bad)
+
+
+def test_first_law_residual_is_the_point_by_point_residual():
+    spec = get_system("vdw_s")
+    path = [np.array([1.0 + t, 2.0 + t * t]) for t in np.linspace(0, 1, 9)]
+    path.insert(3, path[3])             # a segment of zero length
+    want = 0.0
+    for x0, x1 in zip(path, path[1:]):
+        dx = x1 - x0
+        if np.linalg.norm(dx) == 0.0:
+            continue
+        inten = equations_of_state(spec, 0.5 * (x0 + x1)).values
+        want = max(want, abs((evaluate(spec, x1) - evaluate(spec, x0))
+                             - float(inten @ dx)) / np.linalg.norm(dx))
+    assert first_law_residual(spec, path) == want
+    # both ends of a segment inside the domain, its midpoint outside: the
+    # first such midpoint raises
+    path = [(2.0, 3.0), (-0.6, 1.6), (-0.09, 10.0), (-0.6, 1.6)]
+    with pytest.raises(DomainViolation, match=r"-0\.345.*5\.8\b"):
+        first_law_residual(spec, path)
