@@ -24,8 +24,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
-from .errors import (EmptyGrid, GeothermoError, NonFinite,
-                     PreconditionFailure)
+from .errors import EmptyGrid, NonFinite, PreconditionFailure
 from .geometry import curvature_at, metric_at, natural_metric, ricci_scalar
 from .jets import EPS, Faults, Jet4, fd_partial, lockstep, point_or_failure
 from .systems import SystemSpec, get_system
@@ -151,26 +150,30 @@ def invariance_report(spec_a: SystemSpec, spec_b: SystemSpec, map_ab,
                       grid: GridSpec) -> InvarianceReport:
     """Compare R between two descriptions over a grid of spec_a points.
 
-    ``map_ab`` sends a spec_a point to the corresponding spec_b point.
-    Per-point evaluation errors are excluded from the maxima and counted.
+    ``map_ab`` is a batch map, called once: ``map_ab(points, faults)`` sends
+    a (batch, n) array of spec_a points to the array of the corresponding
+    spec_b points, and records each row that fails in ``faults`` (a
+    :class:`Faults` record of the batch), as the point maps that
+    :mod:`transforms` records on a derived spec do.  The points where R_a
+    fails are not mapped.  Per-point failures of R_a, of the map and of R_b
+    are excluded from the maxima and counted.
     """
     pts = grid.points()
-    ra = curvature_at(spec_a, np.array(pts)).ricci_scalar
-    mapped = {}
-    for i, x in enumerate(pts):
-        if math.isnan(ra[i]):
-            continue
-        try:
-            mapped[i] = [float(c) for c in map_ab(list(x))]
-        except GeothermoError:
-            continue
-    rb = (curvature_at(spec_b, np.array(list(mapped.values())),
+    points = np.array(pts)
+    ra = curvature_at(spec_a, points).ricci_scalar
+    ok = np.flatnonzero(~np.isnan(ra))
+    if not len(ok):
+        return InvarianceReport([], 0.0, 0.0, len(pts))
+    faults = Faults(len(ok))
+    mapped = np.asarray(map_ab(points[ok], faults), dtype=float)
+    ok, mapped = ok[faults.ok], mapped[faults.ok]
+    rb = (curvature_at(spec_b, mapped,
                        check_domain=False).ricci_scalar.tolist()
-          if mapped else [])
+          if len(ok) else [])
     rows = []
     max_abs = 0.0
     max_rel = 0.0
-    for i, r_b in zip(mapped, rb):
+    for i, r_b in zip(ok.tolist(), rb):
         if math.isnan(r_b):
             continue
         x, r_a = pts[i], float(ra[i])

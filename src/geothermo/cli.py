@@ -80,6 +80,9 @@ def _params(args) -> dict:
     params = {}
     for p in args.param or ():
         params.update(_parse_kv(p))
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise _Usage(f"--param {name} must be finite, got {value!r}")
     return params
 
 
@@ -104,7 +107,8 @@ def _load_system(args):
     try:
         return get_system(args.system, **params)
     except KeyError as e:
-        raise _Usage(str(e))
+        # str() of a KeyError quotes its message
+        raise _Usage(e.args[0])
 
 
 def _point_for(spec, text):
@@ -194,8 +198,6 @@ def _scan_vdw_vP(args) -> int:
         raise _Usage(f"vdw_vP has no parameter(s) {sorted(unknown)}")
     a = params.get("a", 1.0)
     b = params.get("b", 1.0)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise _Usage(f"vdw_vP needs finite a and b, got a={a!r}, b={b!r}")
     grid = _parse_axes(args.grid, ("v", "P"))
     v_axis, P_axis = grid.axes
     if P_axis.count != 1:

@@ -304,8 +304,9 @@ def from_definition(doc: dict) -> SystemSpec:
     excluded_index (coordinate name), params, domain (inequality strings),
     relation (DSL source), and optionally sample_box: one finite [lo, hi]
     pair with lo < hi per coordinate.  A document that lacks a required key,
-    whose coordinates do not fit together or whose sample box is malformed
-    raises DefinitionError, a ParseError.
+    whose coordinates do not fit together, whose parameters are not finite
+    numbers or whose sample box is malformed raises DefinitionError, a
+    ParseError.
     """
     if not isinstance(doc, dict):
         raise DefinitionError("system definition must be a JSON object")
@@ -338,6 +339,9 @@ def from_definition(doc: dict) -> SystemSpec:
     except (AttributeError, TypeError, ValueError):
         raise DefinitionError("'params' must map names to numbers and "
                               "'sample_box' hold [lo, hi] pairs") from None
+    bad = sorted(k for k, v in params.items() if not np.isfinite(v))
+    if bad:
+        raise DefinitionError(f"'params' must be finite, got {bad}")
     if box and (len(box) != len(coords) or not all(
             -np.inf < lo < hi < np.inf for lo, hi in box)):
         raise DefinitionError("'sample_box' must be empty or hold one finite "

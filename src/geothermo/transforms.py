@@ -9,23 +9,32 @@ Catalog systems use their registered closed-form partners
 (:func:`systems.closed_partner`); everything else goes through one
 Newton-derived field, which solves for a slot derivative of the base
 potential: the potential itself for inversion, its first derivative for a
-partial Legendre transform.  The float solves of a batch advance in
-lockstep (:func:`jets.lockstep`), each pass one base domain check and one
-evaluation of the base field over every live trial, so a derived base
-solves once per pass.  The jet-space correction is Newton iteration on the
-order-4 Taylor polynomial, expanded once as a series in the solved slot:
-from the float root, k iterations are exact through degree 2^k - 1.  A
-point decides only from its own values, and a call on floats is a batch of
-one at order 0, so a point and its batch give the same bits.
+partial Legendre transform.  Building one samples the base along slot
+lines in one batch: the line through the box centre certifies that the map
+is monotone and gives the new sample box, and it and the seed lines around
+it seed each solve.  The float solves of a batch advance in lockstep
+(:func:`jets.lockstep`), each pass one evaluation of the base field over
+every live trial, checked against the base predicates that read the solved
+slot; the others are checked once per point, before the first trial.  A
+derived base solves once per pass.  The jet-space correction is Newton
+iteration on the order-4 Taylor polynomial, expanded once as a series in
+the solved slot: from the float root, k iterations are exact through degree
+2^k - 1.  A point decides only from its own values, and a call on floats is
+a batch of one at order 0, so a point and its batch give the same bits.
 
 A numerically derived spec has no domain predicates.  Its domain is the set
 of points whose float Newton solve succeeds inside the base domain, and a
 point whose solve fails there, on a non-finite value or on the inversion
 itself fails with DomainViolation.
+
+Each transform records its point map in the spec's ``meta``: a batch map
+from a (batch, n) array of base points, with the batch's Faults record, to
+the points of the new representation (:func:`legendre_point` maps one).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -41,6 +50,7 @@ from .systems import (EXTENSIVE, INTENSIVE, Coordinate, SystemSpec,
 NEWTON_MAX_ITER = 100
 NEWTON_RTOL = 1e-12
 MONOTONE_SAMPLES = 32
+SEED_LINES = 8
 
 # conventional conjugate names; anything else gets an "I_" prefix
 _CONJUGATE = {"s": "T", "v": "I_v", "T": "I_T"}
@@ -173,40 +183,102 @@ class _ImplicitField:
     representation inversion (solve Phi(E) = phi for E^slot), 1 for a
     partial Legendre transform (solve dPhi/dE^slot = I_slot).  Each point
     is solved once in floats (:meth:`solve_base_point`, which is also its
-    domain check), from where the map's monotonicity ``samples``
-    interpolate its target.  The jet-level result expands the order-4
-    Taylor polynomial of the base potential in the solved slot once, as a
-    series in t = z - z0 whose coefficients are jets of the other
-    coordinates (:meth:`Jet.slot_series`).  Newton's method on that series
-    doubles the order of contact with every step (Brent & Kung, J. ACM 25,
-    1978): from the float root, k steps are exact through degree 2^k - 1,
-    so ``order.bit_length()`` steps reach the truncation order (3 at order
-    4).  The new potential is the solved z for inversion and Phi - I z,
-    from the same series, for a Legendre transform.  A call on floats is a
-    batch of one at order 0.
+    domain check), seeded from a table of slot ``lines``: per line, its
+    (coordinates, values) samples sorted by value, on the grid of ``nodes``
+    of the other coordinates (see :func:`_sample_lines`).  The base
+    predicates are split once by whether their tapes read the solved slot:
+    those that do not hold or fail alike for every trial of a point.
+
+    The jet-level result expands the order-4 Taylor polynomial of the base
+    potential in the solved slot once, as a series in t = z - z0 whose
+    coefficients are jets of the other coordinates
+    (:meth:`Jet.slot_series`).  Newton's method on that series doubles the
+    order of contact with every step (Brent & Kung, J. ACM 25, 1978): from
+    the float root, k steps are exact through degree 2^k - 1, so
+    ``order.bit_length()`` steps reach the truncation order (3 at order 4).
+    The new potential is the solved z for inversion and Phi - I z, from the
+    same series, for a Legendre transform.  A call on floats is a batch of
+    one at order 0.
     """
 
     def __init__(self, base: SystemSpec, slot: int, derivative: int,
-                 samples):
+                 nodes, lines):
         self.base = base
         self.slot = slot
         self.derivative = derivative
-        # the map's (coordinate, value) samples, in the order of the values
-        self._coords, self._values = (
-            np.array(c) for c in zip(*sorted(samples, key=lambda s: s[1])))
+        self._others = [j for j in range(base.n) if j != slot]
+        self._nodes = nodes
+        self._lines = lines
+
+        def split(reads_slot):
+            # the base with only the predicates that do (or do not) read
+            # the slot, or None when there are none
+            preds = tuple(p for p in base.domain if reads_slot == any(
+                index == slot for side in (p.left, p.right)
+                for _, index in side.tape.coords))
+            return replace(base, domain=preds) if preds else None
+
+        self._fixed, self._trial = split(False), split(True)
 
     # -- float level
+
+    def _seeds(self, points):
+        """Newton seeds for the rows of ``points``: the slot coordinate at
+        which each seed line's samples interpolate the row's target,
+        blended linearly across the lines that bracket the row's other
+        coordinates (clamped to the grid of lines)."""
+        size = len(points)
+        weights = np.ones((size, 1))
+        for j, nodes in zip(self._others, self._nodes):
+            x = points[:, j]
+            k = np.clip(np.searchsorted(nodes, x, side="right") - 1,
+                        0, len(nodes) - 2)
+            t = np.clip((x - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0, 1.0)
+            hats = np.zeros((size, len(nodes)))
+            hats[np.arange(size), k] = 1.0 - t
+            hats[np.arange(size), k + 1] = t
+            weights = (weights[:, :, None] * hats[:, None, :]).reshape(
+                size, weights.shape[1] * len(nodes))
+        targets = points[:, self.slot]
+        seeds = np.zeros(size)
+        for w, (coords, values) in zip(weights.T, self._lines):
+            if w.any():
+                seeds = np.where(
+                    w > 0.0, seeds + w * np.interp(targets, values, coords),
+                    seeds)
+        return seeds
+
+    def _violation(self, point, reason, names=None):
+        where = f"preimage of the {self.base.id} domain"
+        return DomainViolation(
+            f"point {tuple(point.tolist())} is outside the {where}: {reason}",
+            names or [where])
 
     def solve_base_point(self, points, faults):
         """Base-representation points behind the rows of ``points`` that
         have not failed in ``faults``, solved in lockstep.
 
-        Every trial is checked against the base domain, so the solve is the
-        derived spec's domain check: a row it rejects as out of range,
-        non-finite or not invertible fails with DomainViolation, as on a
-        catalog predicate, and stays NaN.
+        The solve is the derived spec's domain check.  The base predicates
+        that do not read the solved slot are checked once, before the first
+        trial: a row that violates one fails at once, naming it.  Every
+        trial is checked against the other predicates (with no call when
+        there are none), and a row the solve rejects as out of range,
+        non-finite or not invertible fails too.  A failed row fails with
+        DomainViolation, as on a catalog predicate, and stays NaN.
         """
         slot, order = self.slot, self.derivative + 1
+        if self._fixed is not None:
+            record = domain_check(self._fixed, points)
+
+            def fixed_violation(i):
+                exc = record.errors[i]
+                if isinstance(exc, DomainViolation):
+                    return self._violation(points[i],
+                                           f"it violates {exc.violations}",
+                                           exc.violations)
+                return self._violation(points[i], exc)
+
+            faults.flag(~record.ok, fixed_violation)
         rows = np.flatnonzero(faults.ok)
         targets = points[:, slot].tolist()
         lo, hi = _slot_range(self.base, slot)
@@ -216,7 +288,8 @@ class _ImplicitField:
             at = rows[live]
             trial_pts = points[at]
             trial_pts[:, slot] = trials
-            record = domain_check(self.base, trial_pts)
+            record = (Faults(len(at)) if self._trial is None
+                      else domain_check(self._trial, trial_pts))
             jet = jet_eval(self.base.field, trial_pts, order, record)
             along = (jet.value, jet.grad[:, slot], jet.hess[:, slot, slot])
             f, df = along[order - 1], along[order]
@@ -227,16 +300,13 @@ class _ImplicitField:
                 out.append((fi, dfi) if ok and math.isfinite(fi) else None)
             return out
 
-        seeds = np.interp(points[rows, slot], self._values, self._coords)
         roots = lockstep([_newton_solve(seed, lo, hi)
-                          for seed in seeds.tolist()], equation)
+                          for seed in self._seeds(points[rows]).tolist()],
+                         equation)
         base_pts = np.full_like(points, math.nan)
         for i, z in zip(rows.tolist(), roots):
             if isinstance(z, GeothermoError):
-                faults.fail(i, DomainViolation(
-                    f"point {tuple(points[i].tolist())} is outside the "
-                    f"preimage of the {self.base.id} domain: {z}",
-                    [f"preimage of the {self.base.id} domain"]))
+                faults.fail(i, self._violation(points[i], z))
             else:
                 base_pts[i] = points[i]
                 base_pts[i, slot] = z
@@ -279,42 +349,83 @@ class _ImplicitField:
         return _horner(series, t) - target * z
 
 
-# ---- monotonicity precheck -----------------------------------------------
+# ---- monotonicity precheck and seed lines --------------------------------
 
 
-def _monotone_samples(spec: SystemSpec, slot: int, derivative: int):
-    """Sample the ``derivative``-th slot derivative of the potential along
-    the slot direction through the box center.
-
-    The samples are one batch: one domain check and one jet evaluation.
-    Points that fail either, or whose value is not finite, are skipped.
-    Returns the (coordinate, value) samples; raises InversionFailure with a
-    witness pair when the sampled map is not strictly monotone.
-    """
-    lo, hi = _slot_range(spec, slot)
-    zs = np.linspace(lo, hi, MONOTONE_SAMPLES)
-    center = ([0.5 * (lo + hi) for lo, hi in spec.sample_box]
-              if spec.sample_box else [1.0] * spec.n)
-    pts = np.tile(np.asarray(center, dtype=float), (len(zs), 1))
-    pts[:, slot] = zs
-    faults = domain_check(spec, pts)
-    jet = jet_eval(spec.field, pts, derivative, faults)
-    vals = jet.value if derivative == 0 else jet.grad[:, slot]
-    keep = faults.ok & np.isfinite(vals)
-    samples = list(zip(zs[keep].tolist(), vals[keep].tolist()))
-    if len(samples) < 4:
-        raise InversionFailure(
-            f"{spec.id}: too few valid samples along slot {slot} "
-            "to certify monotonicity")
+def _monotone_break(samples):
+    """The first adjacent pair of (coordinate, value) ``samples`` whose
+    values break strict monotonicity, or None."""
     sign = 0.0
     for (z0, f0), (z1, f1) in zip(samples, samples[1:]):
         d = f1 - f0
         if d == 0.0 or (sign != 0.0 and d * sign < 0.0):
-            raise InversionFailure(
-                f"{spec.id}: map is not strictly monotone in slot {slot}",
-                witness=((z0, f0), (z1, f1)))
+            return (z0, f0), (z1, f1)
         sign = math.copysign(1.0, d)
-    return samples
+    return None
+
+
+def _sample_lines(spec: SystemSpec, slot: int, derivative: int):
+    """Sample the ``derivative``-th slot derivative of the potential along
+    slot lines: the line through the box centre, and the seed lines.
+
+    The lines sit on a grid over the other coordinates' sample intervals:
+    per coordinate, the smallest odd count of nodes, the centre in the
+    middle, whose grid holds at least ``SEED_LINES`` lines (9 for two
+    coordinates).  All samples are one batch: one domain check and one jet
+    evaluation.  Points that fail either, or whose value is not finite, are
+    skipped.
+
+    Only the centre line certifies the map: it raises InversionFailure,
+    with a witness pair when its samples are not strictly monotone.  A seed
+    line with fewer than 4 valid samples, or whose samples are not strictly
+    monotone the way the centre's are, takes the centre's.  Returns the
+    nodes of each other coordinate and, per line of the grid (the centre
+    one in the middle), its (coordinates, values) sorted by value.
+    """
+    zs = np.linspace(*_slot_range(spec, slot), MONOTONE_SAMPLES)
+    center = ([0.5 * (lo + hi) for lo, hi in spec.sample_box]
+              if spec.sample_box else [1.0] * spec.n)
+    others = [j for j in range(spec.n) if j != slot]
+    half = 1
+    while others and (2 * half + 1) ** len(others) < SEED_LINES:
+        half += 1
+    nodes = []
+    for j in others:
+        lo, hi = _slot_range(spec, j)
+        nodes.append(np.concatenate([np.linspace(lo, center[j], half + 1),
+                                     np.linspace(center[j], hi,
+                                                 half + 1)[1:]]))
+    lines = list(itertools.product(*nodes))
+    pts = np.tile(np.asarray(center, dtype=float), (len(lines) * len(zs), 1))
+    pts[:, slot] = np.tile(zs, len(lines))
+    for d, j in enumerate(others):
+        pts[:, j] = np.repeat([line[d] for line in lines], len(zs))
+    faults = domain_check(spec, pts)
+    jet = jet_eval(spec.field, pts, derivative, faults)
+    vals = jet.value if derivative == 0 else jet.grad[:, slot]
+    keep = (faults.ok & np.isfinite(vals)).reshape(len(lines), -1)
+    table = [list(zip(zs[k].tolist(), v[k].tolist()))
+             for k, v in zip(keep, vals.reshape(len(lines), -1))]
+    samples = table[len(lines) // 2]
+    if len(samples) < 4:
+        raise InversionFailure(
+            f"{spec.id}: too few valid samples along slot {slot} "
+            "to certify monotonicity")
+    witness = _monotone_break(samples)
+    if witness is not None:
+        raise InversionFailure(
+            f"{spec.id}: map is not strictly monotone in slot {slot}",
+            witness=witness)
+    rising = samples[-1][1] > samples[0][1]
+
+    def by_value(line):
+        if len(line) < 4 or _monotone_break(line) is not None \
+                or (line[-1][1] > line[0][1]) != rising:
+            line = samples
+        coords, values = zip(*sorted(line, key=lambda s: s[1]))
+        return np.array(coords), np.array(values)
+
+    return nodes, [by_value(line) for line in table]
 
 
 def _derived_spec(spec: SystemSpec, slot: int, derivative: int,
@@ -327,9 +438,9 @@ def _derived_spec(spec: SystemSpec, slot: int, derivative: int,
     middle 80% of its sampled range is the new slot's sample interval.
     ``names`` gives the id, the potential name and the excluded slot.
     """
-    field = _ImplicitField(spec, slot, derivative,
-                           _monotone_samples(spec, slot, derivative))
-    vals = field._values.tolist()
+    nodes, lines = _sample_lines(spec, slot, derivative)
+    field = _ImplicitField(spec, slot, derivative, nodes, lines)
+    vals = lines[len(lines) // 2][1].tolist()
     pad = 0.1 * (vals[-1] - vals[0])
     coords = list(spec.coords)
     coords[slot] = coord
@@ -339,16 +450,25 @@ def _derived_spec(spec: SystemSpec, slot: int, derivative: int,
                       domain=(), field=field, sample_box=tuple(box), **names)
 
 
+# A point map takes a (batch, n) array of base points and the batch's Faults
+# record, and returns the (batch, n) array of the points they map to; a row
+# that fails is recorded in the record, and a failed row's output is not read.
+
+
+def _identity_map(points, faults):
+    return np.array(points, dtype=float)
+
+
 def _gradient_map(spec: SystemSpec, slots, coords):
-    """Base point -> the conjugates on ``slots``, named by ``coords``; a
+    """Base points -> the conjugates on ``slots``, named by ``coords``; a
     pressure-like conjugate flips sign (P = -dPhi/dv)."""
     signs = {s: -1.0 if coords[s].name == "P" else 1.0 for s in slots}
 
-    def point_map(x):
-        grad = jet_eval(spec.field, x, 1).grad
-        out = list(x)
+    def point_map(points, faults):
+        grad = jet_eval(spec.field, points, 1, faults).grad
+        out = np.array(points, dtype=float)
         for s, sign in signs.items():
-            out[s] = sign * grad[s]
+            out[:, s] = sign * grad[:, s]
         return out
 
     return point_map
@@ -383,11 +503,15 @@ def _closed_partner(spec: SystemSpec, kind: str, slot, solve: str):
 
 
 def legendre_point(spec: SystemSpec, x):
-    """Map a base point through the point map recorded on a derived spec."""
+    """Map a base point through the point map recorded on a derived spec,
+    as a batch of one; the point's failure raises."""
     pm = spec.meta.get("point_map")
     if pm is None:
         raise PreconditionFailure(f"{spec.id} records no point map")
-    return [float(c) for c in pm(list(x))]
+    faults = Faults(1)
+    out = pm(np.array([[float(c) for c in x]]), faults)
+    faults.raise_first()
+    return out[0].tolist()
 
 
 def partial_legendre(spec: SystemSpec, slot: int, solve: str = "auto") -> SystemSpec:
@@ -420,10 +544,10 @@ def _legendre_chain(spec: SystemSpec, slots, solve: str) -> SystemSpec:
         out = partial_legendre(out, slot, solve=solve)
         maps.append(out.meta["point_map"])
 
-    def point_map(x):
+    def point_map(points, faults):
         for step in maps:
-            x = step(x)
-        return x
+            points = step(points, faults)
+        return points
 
     out.meta.update(point_map=point_map, legendre_of=spec.id,
                     legendre_slots=tuple(slots))
@@ -434,7 +558,7 @@ def total_legendre(spec: SystemSpec, solve: str = "auto") -> SystemSpec:
     """Legendre-transform every slot (identity for already-total potentials)."""
     if spec.meta.get("already_total_legendre"):
         _check_solve(solve)
-        return replace(spec, meta=dict(spec.meta, point_map=lambda x: list(x)))
+        return replace(spec, meta=dict(spec.meta, point_map=_identity_map))
     slots = tuple(range(spec.n))
     out = _closed_partner(spec, "total_legendre", None, solve)
     if out is not None:
@@ -474,10 +598,13 @@ def invert_representation(spec: SystemSpec, target_slot: int,
             potential_name=spec.coords[target_slot].name,
             excluded_index=target_slot)
 
-    def point_map(x):
-        out = list(x)
-        out[target_slot] = evaluate(spec, x)
-        return out
+    def point_map(points, faults):
+        # Phi at each base point, checked against the base domain first
+        record = domain_check(spec, points)
+        faults.flag(~record.ok, record.errors.get)
+        mapped = np.array(points, dtype=float)
+        mapped[:, target_slot] = jet_eval(spec.field, points, 0, faults).value
+        return mapped
 
     out.meta.update(point_map=point_map, inverse_of=spec.id)
     return out

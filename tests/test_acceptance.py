@@ -74,8 +74,11 @@ def test_criterion_02_metric_transcription():
 
 def test_criterion_03_vdw_representation_invariance():
     vs, vu = get_system("vdw_s"), get_system("vdw_u")
-    rep = an.invariance_report(vs, vu, lambda x: [evaluate(vs, x), x[1]],
-                               an.grid_for(vs, 15))
+    # (u, v) -> (s(u, v), v), mapped as one batch
+    rep = an.invariance_report(
+        vs, vu, lambda points, faults: np.column_stack(
+            [evaluate(vs, points), points[:, 1]]),
+        an.grid_for(vs, 15))
     ok = rep.failures == 0 and rep.max_rel < 1e-6
     verdict(3, "vdW entropy/energy representation invariance (15x15)",
             ok, f"max rel = {rep.max_rel:.3e}")

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from geothermo import analysis as an
-from geothermo.errors import EmptyGrid, PreconditionFailure
+from geothermo.errors import DomainViolation, EmptyGrid, PreconditionFailure
 from geothermo.geometry import curvature_at
+from geothermo.jets import jet_eval
 from geothermo.systems import evaluate, get_system
+from geothermo.transforms import invert_representation, total_legendre
 
 
 # ---- homogeneity ---------------------------------------------------------
@@ -50,28 +52,57 @@ def test_homogeneity_rejects_nonpositive_lambda():
 # ---- invariance ----------------------------------------------------------
 
 
+def _inverse_map(spec):
+    """(u, v) -> (Phi(u, v), v) as a batch map."""
+    return lambda points, faults: np.column_stack([evaluate(spec, points),
+                                                   points[:, 1]])
+
+
 def test_vdw_representation_invariance():
     vs, vu = get_system("vdw_s"), get_system("vdw_u")
-    rep = an.invariance_report(vs, vu, lambda x: [evaluate(vs, x), x[1]],
-                               an.grid_for(vs, 15))
+    rep = an.invariance_report(vs, vu, _inverse_map(vs), an.grid_for(vs, 15))
     assert rep.failures == 0
     assert rep.max_rel < 1e-6
 
 
 def test_ideal_invariance_both_flat():
     is_, iu = get_system("ideal_s"), get_system("ideal_u")
-    rep = an.invariance_report(is_, iu, lambda x: [evaluate(is_, x), x[1]],
+    rep = an.invariance_report(is_, iu, _inverse_map(is_),
                                an.grid_for(is_, 10))
     assert rep.max_abs < 1e-8
 
 
 def test_helmholtz_intentionally_different():
-    from geothermo.jets import jet_eval
     vu, vF = get_system("vdw_u"), get_system("vdw_F")
     rep = an.invariance_report(
-        vu, vF, lambda x: [jet_eval(vu.field, x, 1).grad[0], x[1]],
+        vu, vF, lambda points, faults: np.column_stack(
+            [jet_eval(vu.field, points, 1, faults).grad[:, 0],
+             points[:, 1]]),
         an.grid_for(vu, 20))
     assert rep.max_abs > 0.1
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec: invert_representation(spec, 0, solve="newton"),
+    lambda spec: total_legendre(spec, solve="newton"),
+], ids=["inversion", "total_legendre"])
+def test_invariance_report_maps_its_grid_in_one_call(build):
+    vs = get_system("vdw_s")
+    partner = build(vs)
+    calls = []
+
+    def counted(points, faults):
+        calls.append(len(points))
+        mapped = partner.meta["point_map"](points, faults)
+        faults.fail(0, DomainViolation("the first row fails"))
+        return mapped
+
+    rep = an.invariance_report(vs, partner, counted, an.grid_for(vs, 6))
+    assert calls == [36]
+    # the row the map failed is counted, and no other
+    assert rep.failures == 1
+    assert [x for x, *_ in rep.rows] == an.grid_for(vs, 6).points()[1:]
+    assert rep.max_rel < 1e-8
 
 
 # ---- grids ---------------------------------------------------------------

@@ -74,6 +74,30 @@ def test_exit_code_usage(capsys):
     assert run(["bogus-command"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("system,param", [
+    ("vdw_s", "a=nan"), ("vdw_s", "a=inf"), ("chap_s", "alpha=nan")])
+def test_non_finite_param_is_a_usage_error(capsys, system, param):
+    # unchecked, the value fails later, as a domain violation (exit 2) or
+    # a non-finite Taylor coefficient (exit 1) depending on where it breaks
+    code, out, err = run(["curvature", "--system", system, "--param", param,
+                          "--at", "u=2,v=3"], capsys)
+    name, value = param.split("=")
+    assert (code, out) == (1, "")
+    assert err == (f"geothermo: error: --param {name} must be finite, "
+                   f"got {float(value)!r}\n")
+
+
+def test_unknown_system_and_parameter_messages_are_unquoted(capsys):
+    _, _, err = run(["curvature", "--system", "inv", "--at", "u=2,v=3"],
+                    capsys)
+    assert err == ("geothermo: error: unknown system 'inv' (have ideal_s, "
+                   "ideal_u, ideal_F, ideal_g, vdw_s, vdw_u, vdw_F, ising_f, "
+                   "chap_s, chap_u)\n")
+    _, _, err = run(["curvature", "--system", "vdw_s", "--param", "zz=1",
+                     "--at", "u=2,v=3"], capsys)
+    assert err == "geothermo: error: vdw_s has no parameter(s) ['zz']\n"
+
+
 def test_exit_code_unwritable(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.cmd_figure(type("A", (), {"recipe": "vdW1",
@@ -137,6 +161,8 @@ TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
     {"excluded_index": None},
     {"excluded_index": "z"},
     {"params": {"k": "big"}},
+    {"params": {"k": float("nan")}},
+    {"params": {"k": float("-inf")}},
     {"domain": "x > 0"},
     {"sample_box": [[0.5, 2.0, 3.0]]},
     {"sample_box": [[0.5, 2.0]]},
@@ -144,7 +170,7 @@ TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
     {"sample_box": [[0.5, 2.0], [3.0, 3.0]]},
 ], ids=["duplicate-names", "no-coords", "coords-not-list", "coord-no-name",
         "no-relation", "no-excluded-index", "excluded-index-unknown",
-        "param-not-number", "domain-not-list", "bad-sample-box",
+        "param-not-number", "param-nan", "param-infinite", "domain-not-list", "bad-sample-box",
         "sample-box-pair-count", "sample-box-not-finite",
         "sample-box-lo-not-below-hi"])
 def test_malformed_system_file_is_a_parse_error(tmp_path, capsys, change):

@@ -209,17 +209,18 @@ def test_inverted_taylor_coefficients_are_exact_through_order_4():
 
 
 def _count_passes(monkeypatch):
-    """Record (spec id, points) of every transforms.domain_check call and
-    (order, points) of every transforms.jet_eval call."""
+    """Record (spec id, predicates, points) of every transforms.domain_check
+    call and (field, order, points) of every transforms.jet_eval call."""
     evals, checks = [], []
     real_eval, real_check = transforms.jet_eval, transforms.domain_check
 
     def counted_eval(field, x, order=4, *args, **kwargs):
-        evals.append((order, np.asarray(x).tolist()))
+        evals.append((field, order, np.asarray(x).tolist()))
         return real_eval(field, x, order, *args, **kwargs)
 
     def counted_check(spec, x):
-        checks.append((spec.id, np.asarray(x).tolist()))
+        checks.append((spec.id, [str(p) for p in spec.domain],
+                       np.asarray(x).tolist()))
         return real_check(spec, x)
 
     monkeypatch.setattr(transforms, "jet_eval", counted_eval)
@@ -240,17 +241,32 @@ def test_float_newton_evaluates_the_base_field_once_per_trial(monkeypatch):
     s = 1.5 * math.log(2.0 + 1.0 / 3.0) + math.log(2.0)     # u = 2, v = 3
     T = (2.0 / 3.0) * math.exp(2.0 * 1.2 / 3.0) * 2.0 ** (-2.0 / 3.0)
     evals, checks = _count_passes(monkeypatch)
-    for spec, pt, order in ((inv, [s, 3.0], 1), (pl, [T, 3.0], 2)):
+    # vdw_s's "u + a/v > 0" reads the solved slot u; vdw_u has only "v > b"
+    for spec, pt, order, per_trial in ((inv, [s, 3.0], 1, ["u + a/v > 0"]),
+                                       (pl, [T, 3.0], 2, [])):
+        base = spec.field.base
         evals.clear()
         checks.clear()
         _solve(spec, [pt])
-        # one pass per trial: one base domain check and one evaluation of
-        # the base field, both of that trial
-        assert len(checks) >= 2
-        assert [order for order, _ in evals] == [order] * len(checks)
-        trials = [points for _, points in evals]
-        assert checks == [(spec.field.base.id, x) for x in trials], spec.id
+        # the predicate that does not read the slot is checked once, at the
+        # point itself, before the first trial
+        assert checks[0] == (base.id, ["v > b"], [pt]), spec.id
+        # one pass per trial: one evaluation of the base field and, where
+        # the base has predicates that read the slot, one check of those
+        # only, both of that trial
+        assert len(evals) >= 2
+        assert [(f, o) for f, o, _ in evals] == [(base.field, order)] * len(
+            evals)
+        trials = [points for _, _, points in evals]
+        assert checks[1:] == ([(base.id, per_trial, x) for x in trials]
+                              if per_trial else []), spec.id
         assert all(len(x) == 1 and x[0][1] == 3.0 for x in trials), spec.id
+
+
+def _derived(key):
+    if key == "inv_vdw_s":
+        return invert_representation(get_system("vdw_s"), 0, solve="newton")
+    return partial_legendre(get_system("vdw_u"), 0, solve="newton")
 
 
 def _widened(spec, count):
@@ -261,24 +277,24 @@ def _widened(spec, count):
 
 @pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
 def test_a_batch_takes_as_many_passes_as_its_slowest_point(key, monkeypatch):
-    if key == "inv_vdw_s":
-        spec = invert_representation(get_system("vdw_s"), 0, solve="newton")
-    else:
-        spec = partial_legendre(get_system("vdw_u"), 0, solve="newton")
-    # in-box points, and points outside the preimage of the base domain,
-    # which try every nudged seed before they fail
+    spec = _derived(key)
+    # in-box points, and points outside the preimage of the base domain
     points = _widened(spec, 4)
-    _, checks = _count_passes(monkeypatch)
+    evals, checks = _count_passes(monkeypatch)
     alone, roots = [], []
     for x in points:
-        checks.clear()
+        evals.clear()
         root, faults = _solve(spec, [x])
-        alone.append(len(checks))
+        alone.append(len(evals))
         roots.append(root[0] if faults.ok[0] else None)
     assert None in roots and any(r is not None for r in roots)
+    evals.clear()
     checks.clear()
     batch, faults = _solve(spec, points)
-    sizes = [len(x) for _, x in checks]
+    # one check of the predicates that do not read the slot, for the batch
+    _, predicates, checked = checks[0]
+    assert (predicates, len(checked)) == (["v > b"], len(points))
+    sizes = [len(x) for _, _, x in evals]
     assert len(sizes) == max(alone)
     assert sum(sizes) == sum(alone)
     assert sizes == sorted(sizes, reverse=True)
@@ -286,6 +302,39 @@ def test_a_batch_takes_as_many_passes_as_its_slowest_point(key, monkeypatch):
         assert faults.ok[i] == (root is not None)
         if root is not None:
             assert batch[i].tolist() == root.tolist()
+
+
+@pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
+def test_points_outside_the_fixed_predicates_fail_before_any_trial(
+        key, monkeypatch):
+    spec = _derived(key)
+    points = _widened(spec, 12)
+    evals, _ = _count_passes(monkeypatch)
+    _, faults = _solve(spec, points)
+    # a point with v <= b violates "v > b" at every trial, so it makes none
+    # and cannot hold the batch for all its nudged seeds (33 passes)
+    assert len(evals) <= 10
+    outside = np.flatnonzero(points[:, 1] <= 1.0)
+    assert len(outside) == 36
+    assert all(row[1] > 1.0 for _, _, x in evals for row in x)
+    for i in outside.tolist():
+        exc = faults.errors[i]
+        assert type(exc) is DomainViolation
+        assert exc.violations == ["v > b"]
+        assert "violates ['v > b']" in str(exc)
+
+
+@pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
+def test_seed_lines_leave_few_trials_per_solve(key, monkeypatch):
+    spec = _derived(key)
+    points = np.array(GridSpec(tuple(
+        (c.name, lo, hi, 9)
+        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points())
+    evals, _ = _count_passes(monkeypatch)
+    _, faults = _solve(spec, points)
+    assert faults.ok.all()
+    # seeds interpolated on the centre line alone take about 5.1
+    assert sum(len(x) for _, _, x in evals) / len(points) <= 4.0
 
 
 def test_nested_solve_runs_its_inner_solve_once_per_outer_pass(monkeypatch):
@@ -300,14 +349,14 @@ def test_nested_solve_runs_its_inner_solve_once_per_outer_pass(monkeypatch):
 
     monkeypatch.setattr(transforms._ImplicitField, "solve_base_point",
                         counted)
-    _, checks = _count_passes(monkeypatch)
+    evals, _ = _count_passes(monkeypatch)
     points = np.array(GridSpec(tuple(
         (c.name, lo, hi, 3)
         for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points())
     values = evaluate(spec, points)
     assert np.isfinite(values).all()
     assert [n for field, n in calls if field is outer] == [len(points)]
-    outer_passes = [len(x) for sid, x in checks if sid == outer.base.id]
+    outer_passes = [len(x) for f, _, x in evals if f is outer.base.field]
     assert len(outer_passes) >= 2
     # one inner solve over the trials of each outer pass, and one at the
     # roots, for the polynomial of the base field
@@ -317,10 +366,7 @@ def test_nested_solve_runs_its_inner_solve_once_per_outer_pass(monkeypatch):
 
 @pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
 def test_derived_point_is_a_batch_of_one(key, rng=np.random.default_rng(21)):
-    if key == "inv_vdw_s":
-        spec = invert_representation(get_system("vdw_s"), 0, solve="newton")
-    else:
-        spec = partial_legendre(get_system("vdw_u"), 0, solve="newton")
+    spec = _derived(key)
     points = np.array([[rng.uniform(lo, hi) for lo, hi in spec.sample_box]
                        for _ in range(12)])
     batch = evaluate(spec, points)
@@ -395,8 +441,10 @@ def test_monotonicity_samples_are_one_batch(build, monkeypatch):
     monkeypatch.setattr(transforms, "domain_check", counted_check)
     monkeypatch.setattr(transforms, "jet_eval", counted_eval)
     build()
-    assert checks == [(transforms.MONOTONE_SAMPLES, 2)]
-    assert evals == [(transforms.MONOTONE_SAMPLES, 2)]
+    # the centre line and 8 seed lines over the other coordinate, sampled
+    # in one batch
+    assert checks == [(9 * transforms.MONOTONE_SAMPLES, 2)]
+    assert evals == [(9 * transforms.MONOTONE_SAMPLES, 2)]
 
 
 def _holed(extra):
