@@ -27,6 +27,7 @@ import numpy as np
 from .errors import EmptyGrid, NonFinite, PreconditionFailure
 from .geometry import curvature_at, metric_at, natural_metric, ricci_scalar
 from .jets import EPS, Faults, Jet4, fd_partial, lockstep, point_or_failure
+from .oracle import oracle_eval
 from .systems import SystemSpec, get_system
 from .transforms import u_from_vP
 
@@ -104,16 +105,12 @@ def homogeneity_degree(fieldval, base, lambdas=HOMOGENEITY_LAMBDAS) -> Homogenei
     if any(l <= 0 for l in lambdas):
         raise PreconditionFailure("homogeneity samples need lambda > 0")
 
-    def val(pt):
-        out = fieldval(pt)
-        return out.value if hasattr(out, "value") else float(out)
-
-    phi0 = val(base)
+    phi0 = float(fieldval(base))
     scale = 1.0 + abs(phi0)
     ratios = []
     vals = []
     for lam in lambdas:
-        y = val([lam * c for c in base])
+        y = float(fieldval([lam * c for c in base]))
         vals.append(y)
         ratios.append(y / phi0 if phi0 != 0.0 else math.nan)
 
@@ -478,8 +475,7 @@ def locus_numerator_check(a: float, b: float, critical_points):
             raise PreconditionFailure(
                 f"({vc}, {Pc}) is not on the transition locus "
                 f"(2ab - av + Pv^3 = {locus:.3e})")
-        num = -(a**3 * (vc - 2*b)**2
-                * (-9*b**3 + 21*b**2*vc - 13*b*vc**2 + vc**3)) / vc**2
+        num = oracle_eval("numR_at_critical", {"v": vc}, {"a": a, "b": b})
         if not math.isfinite(num):
             raise NonFinite(f"locus numerator not finite at ({vc}, {Pc})")
         rows.append((vc, Pc, num))
@@ -523,8 +519,7 @@ def fd_jet4(fieldval, x) -> Jet4:
     as a batch of one point."""
     x = [float(c) for c in x]
     n = len(x)
-    value = fieldval(x)
-    value = value.value if hasattr(value, "value") else float(value)
+    value = float(fieldval(x))
     grad = np.empty(n)
     hess = np.empty((n, n))
     third = np.empty((n, n, n))

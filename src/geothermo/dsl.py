@@ -16,10 +16,10 @@ into a copy of its register template, so one tape serves every parameter
 set.  :func:`parse_relation` returns the AST of a live relation parsed
 before with the same names, so an override build reuses its AST and tape.
 Predicate sides compile the same way, and :func:`parse_predicate` reuses
-the parsed sides of a live predicate likewise.  One loop runs a tape over
-floats or over :class:`~geothermo.jets.Jet` operands of either number
-backend, so the same program serves plain evaluation and jet
-differentiation.
+the parsed sides of a live predicate likewise, binding them once per spec.
+One loop runs a tape over floats or over :class:`~geothermo.jets.Jet`
+operands of either number backend, so the same program serves plain
+evaluation and jet differentiation.
 """
 
 from __future__ import annotations
@@ -413,36 +413,25 @@ class Comparison:
 class Predicate:
     """Inequality between two DSL expressions, e.g. ``v > b``.
 
-    :meth:`mask` evaluates it on order-0 jets; a single point is a batch of
-    one.  The sides are bound to the parameter values of the first call and
-    rebound only when another call passes different ones; each spec has
-    predicates of its own, so specs that share the parsed sides do not
-    rebind them in turn.
+    Both sides are bound to one spec's parameter values when it is built;
+    each spec builds predicates of its own over the shared parsed sides.
+    :meth:`mask` evaluates them on order-0 jets; a single point is a batch
+    of one.
     """
 
-    def __init__(self, source, comparison):
+    def __init__(self, source, comparison, param_values: dict):
         self.source = source
         self.comparison = comparison
-        self.left, self.op, self.right = (comparison.left, comparison.op,
-                                          comparison.right)
-        self._bound = None      # (params key, left field, right field)
+        self.op = comparison.op
+        self.left = ScalarField(comparison.left, param_values)
+        self.right = ScalarField(comparison.right, param_values)
 
-    def _sides(self, param_values: dict):
-        key = tuple(sorted(param_values.items()))
-        bound = self._bound
-        if bound is None or bound[0] != key:
-            bound = (key, ScalarField(self.left, param_values),
-                     ScalarField(self.right, param_values))
-            self._bound = bound
-        return bound[1], bound[2]
-
-    def mask(self, points, param_values: dict):
+    def mask(self, points):
         """Evaluate at each row of a (batch, n) array.
 
         Returns (holds, faults): ``holds`` is False wherever a side could
         not be evaluated, and ``faults`` records why.
         """
-        left, right = self._sides(param_values)
         size, n = points.shape
         faults = jets.Faults(size)
         args = [jets.Jet.variable(n, 0, i, points[:, i], faults)
@@ -450,7 +439,7 @@ class Predicate:
         try:
             with np.errstate(all="ignore"):
                 sides = [out.value if isinstance(out, jets.Jet) else out
-                         for out in (left(args), right(args))]
+                         for out in (self.left(args), self.right(args))]
                 holds = _CMP[self.op](*sides)
         except GeothermoError as exc:
             # a side that involves no coordinate fails on floats, for
@@ -469,7 +458,8 @@ _COMPARISONS = weakref.WeakValueDictionary()
 
 
 def parse_predicate(source: str, coords, params=()) -> Predicate:
-    """Parse an inequality string like ``"u + a/v > 0"``.
+    """Parse an inequality string like ``"u + a/v > 0"`` and bind it to the
+    parameter values ``params`` (a mapping from name to value).
 
     A source parsed before with the same names, whose sides are still
     alive, gets a new predicate over the same sides (and so their tapes).
@@ -479,7 +469,7 @@ def parse_predicate(source: str, coords, params=()) -> Predicate:
     if comparison is None:
         comparison = _COMPARISONS[key] = _parse_comparison(source, coords,
                                                            params)
-    return Predicate(source, comparison)
+    return Predicate(source, comparison, dict(params))
 
 
 def _parse_comparison(source, coords, params) -> Comparison:

@@ -123,13 +123,13 @@ def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
     (batch, n) points ``x``.
 
     A point where some E^j Phi_j in the conformal sum vanishes fails with
-    SingularPrefactor in the jet's fault record (a new one if it has none),
-    which the result carries on.  Degeneracy is left to the connection.
+    SingularPrefactor in the jet's fault record, which the result carries
+    on.  Degeneracy is left to the connection.
     """
     if jet.order < 4:
         raise ValueError("natural_metric needs a jet of order 4")
     x = np.asarray(x, dtype=float)
-    faults = jet.faults if jet.faults is not None else Faults(len(x))
+    faults = jet.faults
     n = jet.n
     G, H, T3, F4 = jet.grad, jet.hess, jet.third, jet.fourth
     bk = backend_of(G)

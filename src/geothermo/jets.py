@@ -17,8 +17,8 @@ Derivatives*, 2nd ed., 2008, ch. 13): for two variables at order 4 a
 composition makes 89 multiplications instead of 165, with the same bits (see
 :meth:`Jet._compose`).  A point whose evaluation fails (a logarithm of a
 non-positive value, an overflow, a zero denominator) is recorded in the
-batch's :class:`Faults` and the rest of the batch carries on; a jet without a
-fault record raises at once instead.
+batch's :class:`Faults`, which every jet of the evaluation carries, and the
+rest of the batch carries on.
 
 Coefficients are numbers of a backend: long double by default
 (:data:`FLOAT`), or mpmath numbers in object arrays (:data:`MPMATH`, at the
@@ -378,14 +378,14 @@ class Jet:
     ``c[k, b]`` is the coefficient of monomial k (see :class:`_Tables`) at
     point b of the batch: the mixed partial divided by ``prod k_i!``.  The
     last row of ``c`` is zero.
-    ``faults`` is the batch's failure record; without one, an operation that
-    fails at any point raises.  ``bk`` is the number backend of ``c``.
+    ``faults`` is the batch's failure record, shared by every jet of one
+    evaluation.  ``bk`` is the number backend of ``c``.
     """
 
     __slots__ = ("nvars", "order", "c", "faults", "bk")
     __array_ufunc__ = None      # ndarray (op) Jet defers to the Jet
 
-    def __init__(self, nvars: int, order: int, c, faults=None, bk=FLOAT):
+    def __init__(self, nvars: int, order: int, c, faults, bk=FLOAT):
         self.nvars = nvars
         self.order = order
         self.c = c
@@ -393,7 +393,7 @@ class Jet:
         self.bk = bk
 
     @classmethod
-    def constant(cls, nvars: int, order: int, value, faults=None,
+    def constant(cls, nvars: int, order: int, value, faults,
                  bk=FLOAT) -> "Jet":
         value = bk.asarray(value).reshape(-1)
         c = np.zeros((_tables(nvars, order).size + 1, value.shape[0]),
@@ -402,8 +402,8 @@ class Jet:
         return cls(nvars, order, c, faults, bk)
 
     @classmethod
-    def variable(cls, nvars: int, order: int, index: int, value,
-                 faults=None, bk=FLOAT) -> "Jet":
+    def variable(cls, nvars: int, order: int, index: int, value, faults,
+                 bk=FLOAT) -> "Jet":
         out = cls.constant(nvars, order, value, faults, bk)
         if order >= 1:
             out.c[1 + index] = bk.asarray(1.0)
@@ -418,17 +418,8 @@ class Jet:
     def size(self) -> int:
         return self.c.shape[1]
 
-    def _like(self, c, other=None) -> "Jet":
-        faults = self.faults
-        if faults is None and other is not None:
-            faults = other.faults
-        return Jet(self.nvars, self.order, c, faults, self.bk)
-
-    def _flag(self, mask, make):
-        if self.faults is not None:
-            self.faults.flag(mask, make)
-        elif mask.any():
-            raise make(int(np.flatnonzero(mask)[0]))
+    def _like(self, c) -> "Jet":
+        return Jet(self.nvars, self.order, c, self.faults, self.bk)
 
     # ---- ring operations -------------------------------------------------
 
@@ -445,7 +436,7 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return self._like(self.c + other.c, other)
+            return self._like(self.c + other.c)
         return self._shift(other)
 
     __radd__ = __add__
@@ -455,7 +446,7 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return self._like(self.c - other.c, other)
+            return self._like(self.c - other.c)
         return self._shift(-other if isinstance(other, float)
                            else -self.bk.asarray(other))
 
@@ -468,9 +459,9 @@ class Jet:
                 other = self.bk.asarray(other)
             return self._like(self.c * other)
         if self.order == 0:
-            return self._like(self.c * other.c, other)
+            return self._like(self.c * other.c)
         return self._like(self.bk.product(_tables(self.nvars, self.order).mul,
-                                          self.c, other.c), other)
+                                          self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -479,7 +470,7 @@ class Jet:
             return self * other._reciprocal()
         other = self.bk.asarray(other)
         zero = np.atleast_1d(other == 0.0)
-        self._flag(zero, lambda i: SingularDenominator(
+        self.faults.flag(zero, lambda i: SingularDenominator(
             "jet division by zero value"))
         return self * (1.0 / self.bk.masked(other, zero))
 
@@ -496,7 +487,7 @@ class Jet:
         bk = self.bk
         u0 = self.value
         bad = u0 <= 0.0
-        self._flag(bad, lambda i: DomainViolation(
+        self.faults.flag(bad, lambda i: DomainViolation(
             f"fractional power of non-positive base {_at(u0, i)!r}"))
         k = bk.k[:self.order + 1]
         return self._compose(_binomials(bk.number(r), self.order)
@@ -507,7 +498,7 @@ class Jet:
         bk = self.bk
         a = bk.asarray(base)
         bad = np.atleast_1d(a <= 0.0)
-        self._flag(bad, lambda i: DomainViolation(
+        self.faults.flag(bad, lambda i: DomainViolation(
             f"power of non-positive base {_at(a.reshape(-1), i)!r}"))
         return (self * bk.log(bk.masked(a, bad))).exp()
 
@@ -531,7 +522,7 @@ class Jet:
         bk = self.bk
         u0 = self.value
         zero = u0 == 0.0
-        self._flag(zero, lambda i: SingularDenominator(
+        self.faults.flag(zero, lambda i: SingularDenominator(
             "jet division by zero value"))
         k = bk.k[:self.order + 1]
         return self._compose(bk.sign[:self.order + 1]
@@ -577,14 +568,14 @@ class Jet:
         bad = ~isfinite(values[0])
         for v in values[1:]:
             bad |= ~isfinite(v)
-        self._flag(bad & isfinite(x), lambda i: NonFinite(
+        self.faults.flag(bad & isfinite(x), lambda i: NonFinite(
             f"{name} overflow at {_at(x, i)!r}"))
 
     def ln(self) -> "Jet":
         bk = self.bk
         u0 = self.value
         bad = u0 <= 0.0
-        self._flag(bad, lambda i: DomainViolation(
+        self.faults.flag(bad, lambda i: DomainViolation(
             f"ln of non-positive argument {_at(u0, i)!r}"))
         u0 = bk.masked(u0, bad)
         series = np.empty((self.order + 1, len(u0)), dtype=bk.dtype)
@@ -600,7 +591,7 @@ class Jet:
 
     def sqrt(self) -> "Jet":
         u0 = self.value
-        self._flag(u0 <= 0.0, lambda i: DomainViolation(
+        self.faults.flag(u0 <= 0.0, lambda i: DomainViolation(
             f"sqrt of non-positive argument {_at(u0, i)!r}"))
         return self ** 0.5
 
@@ -689,7 +680,7 @@ def _as_jet(result, nvars: int, order: int, size: int, faults, bk) -> Jet:
     if result.size != size:
         result = Jet(nvars, order,
                      np.broadcast_to(result.c, (result.c.shape[0], size)),
-                     result.faults, bk)
+                     faults, bk)
     return result
 
 
@@ -698,19 +689,18 @@ def jet_poly(field, x, order: int = MAX_ORDER, faults=None,
     """Raw truncated Taylor polynomial of ``field`` around ``x``.
 
     ``x`` is one point, or a (batch, n) array of points.  Failures are
-    recorded in ``faults`` when given; otherwise the first one raises.
+    recorded in ``faults``, or in a new record, which the result carries.
     ``backend`` (:data:`FLOAT` or :data:`MPMATH`) holds the coefficients.
     """
     x = np.asarray(x, dtype=float)
     points = x.reshape(-1, x.shape[-1])
     n, size = points.shape[1], points.shape[0]
+    faults = faults or Faults(size)
     args = [Jet.variable(n, order, i, points[:, i], faults, backend)
             for i in range(n)]
     try:
         result = field(args)
     except GeothermoError as exc:
-        if faults is None:
-            raise
         # a failure before any jet saw it (a float subexpression that
         # involves no coordinate) belongs to every point of the batch
         faults.flag(np.ones(size, dtype=bool), lambda i: exc)
@@ -748,11 +738,11 @@ def jet_eval(field, x, order: int = MAX_ORDER, faults=None,
 def _jet_batch(field, x, order, faults, backend) -> Jet4:
     points = x.reshape(-1, x.shape[-1])
     size, n = points.shape
-    record = Faults(size) if faults is None else faults
     t = _tables(n, order)
     with np.errstate(all="ignore"):
-        jet = jet_poly(field, points, order, record, backend)
+        jet = jet_poly(field, points, order, faults, backend)
         derivs = (jet.c[:-1] * t.weights).T.astype(backend.result_dtype)
+    record = jet.faults
     finite = backend.isfinite(derivs)
     record.flag(~finite.all(axis=1), lambda i: NonFinite(
         _coefficient_message(t, finite[i])))
@@ -858,8 +848,7 @@ def fd_partial(field, x, multi_index, step: float | None = None) -> float:
     k = len(multi_index)
 
     def plain(pt):
-        result = field([float(c) for c in pt])
-        return result.value if isinstance(result, Jet) else float(result)
+        return float(field([float(c) for c in pt]))
 
     def shifted(idxs, pt, a, mult, h):
         out = list(pt)

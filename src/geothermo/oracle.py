@@ -212,11 +212,9 @@ def oracle_vs_pipeline(id: str, spec: SystemSpec, grid):
     grid point, then reports (s, max over the grid of
     |R_pipeline - s * R_oracle| / (1 + |R_oracle|)).
 
-    ``grid`` is an iterable of points in the spec's coordinates (anything
-    with a ``points()`` method is also accepted).
+    ``grid`` is an iterable of points in the spec's coordinates.
     """
-    pts = grid.points() if hasattr(grid, "points") else grid
-    pts = [tuple(float(c) for c in x) for x in pts]
+    pts = [tuple(float(c) for c in x) for x in grid]
     if not pts:
         raise ValueError("empty grid")
     point_map = _POINT_MAPS.get(id, _identity_map)

@@ -69,14 +69,13 @@ class SystemSpec:
                 f"{len(self.coords)} coordinates")
 
 
-def domain_check(spec: SystemSpec, x):
-    """Violated domain predicates of a point, or the failures of a batch.
+def domain_check(spec: SystemSpec, x) -> Faults:
+    """The failures of a point or a (batch, n) array against the domain.
 
-    For a (batch, n) array, returns a :class:`Faults` record in which every
-    point outside the domain fails with DomainViolation.  A predicate that
-    cannot be evaluated for a reason other than a domain violation fails
-    the point with that error instead.  One point is a batch of one that
-    returns its violated predicates ([] means pass) or raises that error.
+    Returns a :class:`Faults` record (one point is a batch of one) in which
+    every point outside the domain fails with DomainViolation naming the
+    violated predicates.  A predicate that cannot be evaluated for a reason
+    other than a domain violation fails the point with that error instead.
     """
     points = np.asarray(x, dtype=float)
     if points.shape[-1:] != (spec.n,):
@@ -86,7 +85,7 @@ def domain_check(spec: SystemSpec, x):
     faults = Faults(len(batch))
     violated = np.zeros((len(batch), len(spec.domain)), dtype=bool)
     for p, pred in enumerate(spec.domain):
-        holds, pred_faults = pred.mask(batch, spec.params)
+        holds, pred_faults = pred.mask(batch)
         for i, exc in sorted(pred_faults.errors.items()):
             if not isinstance(exc, DomainViolation):
                 faults.fail(i, exc)
@@ -100,12 +99,7 @@ def domain_check(spec: SystemSpec, x):
                                names)
 
     faults.flag(violated.any(axis=1), violation)
-    if points.ndim > 1:
-        return faults
-    error = faults.errors.pop(0, None)
-    if error is not None and not isinstance(error, DomainViolation):
-        raise error
-    return [] if error is None else error.violations
+    return faults
 
 
 def evaluate(spec: SystemSpec, x):
@@ -133,15 +127,14 @@ def _values(spec, points):
 def _dsl_spec(id, coords, potential_name, excluded, relation, params,
               domain, sample_box, meta=None):
     names = [c.name for c in coords]
-    pnames = list(params)
-    ast = dsl.parse_relation(relation, names, pnames)
+    ast = dsl.parse_relation(relation, names, params)
     return SystemSpec(
         id=id,
         coords=tuple(coords),
         potential_name=potential_name,
         excluded_index=excluded,
         params=dict(params),
-        domain=tuple(dsl.parse_predicate(p, names, pnames) for p in domain),
+        domain=tuple(dsl.parse_predicate(p, names, params) for p in domain),
         field=dsl.compile_relation(ast, params),
         sample_box=tuple(sample_box),
         meta=dict(meta or {}, relation=relation),

@@ -74,17 +74,20 @@ class LegendrePartner:
 def equations_of_state(spec: SystemSpec, x) -> IntensiveVector:
     """I_a = dPhi/dE^a at ``x`` (domain-checked), as a batch of one."""
     at = np.asarray([float(c) for c in x])
-    jet = jet_eval(spec.field, at, 1, domain_check(spec, at[None]))
+    jet = jet_eval(spec.field, at, 1, domain_check(spec, at))
     return IntensiveVector(values=jet.grad.copy(), at=at)
 
 
 # ---- scalar root finding -------------------------------------------------
 
 
-def _slot_range(spec: SystemSpec, slot: int):
+def _box(spec: SystemSpec):
+    """The sample box of ``spec`` as a list of (lo, hi), and its centre; a
+    spec without one gets (0.5, 2.0) on every coordinate, centred at 1.0."""
     if spec.sample_box:
-        return spec.sample_box[slot]
-    return (0.5, 2.0)
+        return (list(spec.sample_box),
+                [0.5 * (lo + hi) for lo, hi in spec.sample_box])
+    return [(0.5, 2.0)] * spec.n, [1.0] * spec.n
 
 
 def _newton_solve(seed, lo, hi):
@@ -198,7 +201,8 @@ class _ImplicitField:
     ``order.bit_length()`` steps reach the truncation order (3 at order 4).
     The new potential is the solved z for inversion and Phi - I z, from the
     same series, for a Legendre transform.  A call on floats is a batch of
-    one at order 0.
+    one at order 0 whose failure raises; a call on jets records failures in
+    their evaluation's fault record.
     """
 
     def __init__(self, base: SystemSpec, slot: int, derivative: int,
@@ -215,7 +219,7 @@ class _ImplicitField:
             # the slot, or None when there are none
             preds = tuple(p for p in base.domain if reads_slot == any(
                 index == slot for side in (p.left, p.right)
-                for _, index in side.tape.coords))
+                for _, index in side.ast.tape.coords))
             return replace(base, domain=preds) if preds else None
 
         self._fixed, self._trial = split(False), split(True)
@@ -281,7 +285,7 @@ class _ImplicitField:
             faults.flag(~record.ok, fixed_violation)
         rows = np.flatnonzero(faults.ok)
         targets = points[:, slot].tolist()
-        lo, hi = _slot_range(self.base, slot)
+        lo, hi = _box(self.base)[0][slot]
 
         def equation(live, trials):
             # (f, df/dz) at each trial; None where it fails or f is not finite
@@ -315,26 +319,18 @@ class _ImplicitField:
     # -- jet level
 
     def __call__(self, args):
-        jet_args = [a for a in args if isinstance(a, Jet)]
-        if not jet_args:
-            return float(jet_poly(self, [float(a) for a in args], 0).value[0])
-        ambient = jet_args[0]
-        nvars, order, faults = ambient.nvars, ambient.order, ambient.faults
-        bk = ambient.bk
-        size = max(a.size for a in jet_args)
-        args = [a if isinstance(a, Jet)
-                else Jet.constant(nvars, order, a, faults, bk) for a in args]
-        y0 = np.column_stack([np.broadcast_to(a.value, (size,))
-                              for a in args])
+        if not isinstance(args[0], Jet):
+            return jet_eval(self, [float(a) for a in args], 0).value
+        # jets of one evaluation, carrying its fault record
+        order, faults = args[0].order, args[0].faults
+        y0 = np.column_stack([a.value for a in args])
         # the solve is also the domain check; a failed point stays NaN
-        record = faults if faults is not None else Faults(size)
-        base_pts = self.solve_base_point(y0.astype(float), record)
-        if faults is None:
-            record.raise_first()
+        base_pts = self.solve_base_point(y0.astype(float), faults)
         # the polynomial needs at least order 2 so that the Newton slope of
         # a partial Legendre equation (a second derivative of the base
         # potential) has a constant term
-        poly = jet_poly(self.base.field, base_pts, max(order, 2), faults, bk)
+        poly = jet_poly(self.base.field, base_pts, max(order, 2), faults,
+                        args[0].bk)
         series = poly.slot_series(
             self.slot, [args[j] - y0[:, j] for j in range(len(args))])
         equation = _derivative(series, self.derivative)
@@ -382,16 +378,15 @@ def _sample_lines(spec: SystemSpec, slot: int, derivative: int):
     nodes of each other coordinate and, per line of the grid (the centre
     one in the middle), its (coordinates, values) sorted by value.
     """
-    zs = np.linspace(*_slot_range(spec, slot), MONOTONE_SAMPLES)
-    center = ([0.5 * (lo + hi) for lo, hi in spec.sample_box]
-              if spec.sample_box else [1.0] * spec.n)
+    box, center = _box(spec)
+    zs = np.linspace(*box[slot], MONOTONE_SAMPLES)
     others = [j for j in range(spec.n) if j != slot]
     half = 1
     while others and (2 * half + 1) ** len(others) < SEED_LINES:
         half += 1
     nodes = []
     for j in others:
-        lo, hi = _slot_range(spec, j)
+        lo, hi = box[j]
         nodes.append(np.concatenate([np.linspace(lo, center[j], half + 1),
                                      np.linspace(center[j], hi,
                                                  half + 1)[1:]]))
@@ -444,7 +439,7 @@ def _derived_spec(spec: SystemSpec, slot: int, derivative: int,
     pad = 0.1 * (vals[-1] - vals[0])
     coords = list(spec.coords)
     coords[slot] = coord
-    box = list(spec.sample_box) if spec.sample_box else [(0.5, 2.0)] * spec.n
+    box = _box(spec)[0]
     box[slot] = (vals[0] + pad, vals[-1] - pad)
     return SystemSpec(coords=tuple(coords), params=dict(spec.params),
                       domain=(), field=field, sample_box=tuple(box), **names)

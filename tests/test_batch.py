@@ -117,23 +117,19 @@ def test_batch_matches_single_points(key):
 
 @pytest.mark.parametrize("key", sorted(k for k in SPECS if SPECS[k].domain))
 def test_point_domain_check_matches_its_batch(key):
-    # one point is a batch of one: both must name the same violations or
-    # fail with the same class
+    # one point is a batch of one: its record must fail it with the class
+    # of its row in the batch, naming the same violations
     spec = SPECS[key]
     points = _grid(spec, 11)
     batch = domain_check(spec, points)
     for i, x in enumerate(points):
-        try:
-            single = domain_check(spec, x)
-        except GeothermoError as exc:
-            single = type(exc)
+        single = domain_check(spec, x)
         error = batch.errors.get(i)
-        if error is None:
-            assert single == [], x
-        elif isinstance(error, DomainViolation):
-            assert single == error.violations, x
-        else:
-            assert single is type(error), x
+        assert single.ok.tolist() == [error is None], x
+        if error is not None:
+            assert type(single.errors[0]) is type(error), x
+            if isinstance(error, DomainViolation):
+                assert single.errors[0].violations == error.violations, x
 
 
 def test_boundary_point_passes_as_in_its_batch():
@@ -141,7 +137,7 @@ def test_boundary_point_passes_as_in_its_batch():
     # it to 0, the long double predicate jets do not
     spec = SPECS["vdw_s"]
     x = (-1.0 / 3.0, 3.0)
-    assert domain_check(spec, x) == []
+    assert not domain_check(spec, x).errors
     assert not domain_check(spec, np.array([x])).errors
     value = evaluate(spec, x)
     assert value == evaluate(spec, np.array([x]))[0]

@@ -106,8 +106,8 @@ def test_parameter_names_collected():
 
 
 def test_predicate():
-    p = dsl.parse_predicate("v - b > 0", ["u", "v"], ["b"])
-    holds, faults = p.mask(np.array([[1.0, 2.0], [1.0, 0.5]]), {"b": 1.0})
+    p = dsl.parse_predicate("v - b > 0", ["u", "v"], {"b": 1.0})
+    holds, faults = p.mask(np.array([[1.0, 2.0], [1.0, 0.5]]))
     assert holds.tolist() == [True, False]
     assert not faults.errors
     assert str(p) == "v - b > 0"
@@ -188,7 +188,7 @@ def test_dropped_spec_frees_its_asts():
         "domain": ["x - k/7 > 0"], "relation": "k*ln(x) + ln(y) + x/(7*y)"})
     pred = spec.domain[0]
     refs = [weakref.ref(a) for a in (spec.field.ast, pred.comparison,
-                                     pred.left, pred.right)]
+                                     pred.left.ast, pred.right.ast)]
     key = ("x - k/7 > 0", ("x", "y"), ("k",))
     assert dsl._COMPARISONS[key] is pred.comparison
     del spec, pred
@@ -198,17 +198,22 @@ def test_dropped_spec_frees_its_asts():
 
 
 def test_override_builds_share_predicates_and_bind_once(monkeypatch):
+    binds = []
+    field = dsl.ScalarField
+    monkeypatch.setattr(dsl, "ScalarField",
+                        lambda ast, values: binds.append(ast)
+                        or field(ast, values))
     base = get_system("chap_s")
     other = get_system("chap_s", alpha=0.5)
     assert all(p.comparison is q.comparison
                for p, q in zip(base.domain, other.domain))
-    binds = []
-    field = dsl.ScalarField
-    monkeypatch.setattr(dsl, "ScalarField",
-                        lambda *a: binds.append(1) or field(*a))
-    # the two specs' checks alternate; each predicate binds its sides once
+    # each build binds its relation and both sides of each predicate once
+    sides = [ast for ast in binds if ast is not base.field.ast]
+    assert len(sides) == 2 * 2 * len(base.domain)
+    # the two specs' checks alternate and bind nothing
+    binds.clear()
     for _ in range(3):
         for spec in (base, other):
             domain_check(spec, (1.0, 2.0))
             domain_check(spec, np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert len(binds) == 2 * 2 * len(base.domain)
+    assert binds == []

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from geothermo.errors import DomainViolation, NonFinite, SingularDenominator
-from geothermo.jets import (Jet, default_fd_step, fd_partial, jet_eval,
-                            jet_poly)
+from geothermo.jets import (Faults, Jet, default_fd_step, fd_partial,
+                            jet_eval, jet_poly)
 from geothermo import jets
 
 
@@ -123,8 +123,8 @@ def test_jet_poly_deriv_and_eval():
 def test_slot_series_with_jet_deltas_matches_the_polynomial():
     # A_m(dv) t^m summed with jet displacements recomposes the polynomial
     p = jet_poly(f_mixed, np.array([[2.0, 1.0], [1.5, 0.7]]), 4)
-    du = Jet.variable(2, 4, 0, np.zeros(2))
-    dv = Jet.variable(2, 4, 1, np.zeros(2))
+    du = Jet.variable(2, 4, 0, np.zeros(2), p.faults)
+    dv = Jet.variable(2, 4, 1, np.zeros(2), p.faults)
     series = p.slot_series(0, [None, dv])
     total = series[-1]
     for a in reversed(series[:-1]):
@@ -140,8 +140,9 @@ def test_division_and_int_pow():
 
 
 def test_constant_and_variable_constructors():
-    c = Jet.constant(2, 4, 5.0)
-    v = Jet.variable(2, 4, 1, 3.0)
+    faults = Faults(1)
+    c = Jet.constant(2, 4, 5.0, faults)
+    v = Jet.variable(2, 4, 1, 3.0, faults)
     s = c * v + v
     assert s.value[0] == pytest.approx(18.0)
     assert s.slot_series(1, [0.0, None])[1][0] == pytest.approx(6.0)
@@ -164,8 +165,9 @@ def test_batch_of_points_matches_single_points():
 
 
 def test_batch_constants_broadcast():
-    v = Jet.variable(2, 4, 0, np.array([1.0, 2.0, 3.0]))
-    s = Jet.constant(2, 4, 2.0) * v + 1.0
+    faults = Faults(3)
+    v = Jet.variable(2, 4, 0, np.array([1.0, 2.0, 3.0]), faults)
+    s = Jet.constant(2, 4, 2.0, faults) * v + 1.0
     assert s.size == 3
     assert np.array_equal(s.value, [3.0, 5.0, 7.0])
     assert np.array_equal(s.slot_series(0, [None, 0.0])[1], [2.0, 2.0, 2.0])
@@ -184,11 +186,22 @@ def test_batch_failures_are_per_point():
     assert batch.grad[0, 1] == one.grad[1]
 
 
-def test_jet_without_fault_record_raises():
-    with pytest.raises(SingularDenominator):
-        Jet.constant(1, 2, 0.0)._reciprocal()
-    with pytest.raises(DomainViolation):
-        Jet.variable(1, 2, 0, np.array([1.0, -1.0])).ln()
+def test_jet_records_its_failures_and_carries_on():
+    faults = Faults(2)
+    x = Jet.variable(1, 2, 0, np.array([1.0, -1.0]), faults)
+    with np.errstate(all="ignore"):
+        y = (x - 1.0)._reciprocal()     # point 0 divides by zero
+        z = x.ln()                      # point 1 takes ln(-1)
+        assert faults.ok.tolist() == [False, False]
+        assert type(faults.errors[0]) is SingularDenominator
+        assert type(faults.errors[1]) is DomainViolation
+        assert str(faults.errors[1]) == "ln of non-positive argument -1.0"
+        # later failures of a point leave its first one in place
+        w = (y * z).ln() + 2.0
+    assert w.faults is y.faults is z.faults is faults
+    assert w.size == 2
+    assert [type(faults.errors[i]) for i in (0, 1)] == [SingularDenominator,
+                                                       DomainViolation]
 
 
 def test_overflow_is_nonfinite():
@@ -317,7 +330,7 @@ def _series_case(rng, nvars, order, batch, backend, kind):
         c[-1] = 0            # object zero rows hold Python ints
         series = np.array([[mp.mpf(v) for v in row] for row in series],
                           dtype=object)
-    return jets.Jet(nvars, order, c, None, backend), series
+    return jets.Jet(nvars, order, c, jets.Faults(batch), backend), series
 
 
 @pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
@@ -344,7 +357,7 @@ def test_composition_broadcasts_like_untruncated_horner(backend):
     with mp.workdps(30):
         jet, series = _series_case(rng, 2, 4, 1, backend, "dense")
         wide = jets.Jet(2, 4, np.broadcast_to(jet.c, (jet.c.shape[0], 3)),
-                        None, backend)
+                        jets.Faults(3), backend)
         _, many = _series_case(rng, 2, 4, 3, backend, "dense")
         for j, s in ((jet, many), (wide, series), (wide, many)):
             got = j._compose(s).c
@@ -360,7 +373,8 @@ def test_composition_multiplication_count(monkeypatch, nvars, count):
     mul = jets.mpf_mul
     monkeypatch.setattr(jets, "mpf_mul",
                         lambda x, y: calls.append(1) or mul(x, y))
-    jet = Jet.variable(nvars, 4, 0, np.array([0.5]), bk=jets.MPMATH)
+    jet = Jet.variable(nvars, 4, 0, np.array([0.5]), Faults(1),
+                       bk=jets.MPMATH)
     jet.exp()
     assert len(calls) == count
     full = _untruncated_step(jets._tables(nvars, 4)).pairs

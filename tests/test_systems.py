@@ -22,7 +22,7 @@ def test_catalog_complete():
         assert len(spec.sample_box) == spec.n
         # sample box must be in-domain
         center = [0.5 * (lo + hi) for lo, hi in spec.sample_box]
-        assert domain_check(spec, center) == []
+        assert domain_check(spec, center).errors == {}
 
 
 def test_ideal_s_values():

@@ -422,6 +422,22 @@ def test_derived_sample_box_is_pinned(build, box):
     assert build().sample_box == box
 
 
+def test_spec_without_a_box_derives_from_the_default_box():
+    # sampled on (0.5, 2.0) per coordinate with the centre line at 1.0
+    spec = from_definition({
+        "id": "no_box", "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "x", "params": {"k": 1.5},
+        "relation": "k*ln(x) + ln(y) + ln(x + 2*y)"})
+    assert not spec.sample_box
+    inv = invert_representation(spec, 0, solve="newton")
+    assert inv.sample_box == ((0.1315144781267943, 2.171070614867251),
+                              (0.5, 2.0))
+    assert curvature_at(inv, (1.0, 1.0)).ricci_scalar == pytest.approx(
+        0.18412083297013787, rel=1e-12)
+    assert partial_legendre(spec, 1, solve="newton").sample_box == (
+        (0.5, 2.0), (1.11, 2.79))
+
+
 @pytest.mark.parametrize("build", [
     lambda: invert_representation(get_system("vdw_s"), 0, solve="newton"),
     lambda: partial_legendre(get_system("vdw_u"), 0, solve="newton"),
