@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import EmptyGrid, NonFinite, PreconditionFailure
 from .geometry import curvature_at, metric_at, natural_metric, ricci_scalar
-from .jets import EPS, Faults, Jet4, fd_partial, lockstep, point_or_failure
+from .jets import EPS, Faults, Jet4, fd_partial, lockstep, one_point
 from .oracle import oracle_eval
-from .systems import SystemSpec, get_system
+from .systems import SystemSpec, domain_check, get_system
 from .transforms import u_from_vP
 
 HOMOGENEITY_LAMBDAS = (1/3, 1/2, 2/3, 3/2, 2.0, 3.0)
@@ -36,6 +36,7 @@ HOMOGENEITY_RTOL = 1e-8
 BLOWUP_THRESHOLD = 1e8
 JUMP_DECADES = 2.0
 REFINE_TOL = 1e-6
+MERGE_RTOL = 1e-4         # refined detections this close are one detection
 ISING_T_CUTOFF = 0.05
 
 
@@ -164,9 +165,7 @@ def invariance_report(spec_a: SystemSpec, spec_b: SystemSpec, map_ab,
     faults = Faults(len(ok))
     mapped = np.asarray(map_ab(points[ok], faults), dtype=float)
     ok, mapped = ok[faults.ok], mapped[faults.ok]
-    rb = (curvature_at(spec_b, mapped,
-                       check_domain=False).ricci_scalar.tolist()
-          if len(ok) else [])
+    rb = curvature_at(spec_b, mapped).ricci_scalar.tolist() if len(ok) else []
     rows = []
     max_abs = 0.0
     max_rel = 0.0
@@ -378,17 +377,13 @@ def _refine_segment(spec, evaluator, segments, blowup_threshold):
     return refined
 
 
-def _merge_detections(detections, tol=1e-4):
+def _merge_detections(detections):
     out = []
     for d in detections:
-        dup = False
-        for kept in out:
-            if (d.axis == kept.axis
-                    and max(abs(a - b) for a, b in zip(d.refined, kept.refined))
-                    < tol * max(1.0, max(abs(c) for c in kept.refined))):
-                dup = True
-                break
-        if not dup:
+        if not any(d.axis == kept.axis
+                   and max(abs(a - b) for a, b in zip(d.refined, kept.refined))
+                   < MERGE_RTOL * max(1.0, *map(abs, kept.refined))
+                   for kept in out):
             out.append(d)
     out.sort(key=lambda d: d.refined)
     return out
@@ -550,13 +545,16 @@ def fd_jet4(fieldval, x) -> Jet4:
 
 
 def fd_ricci_scalar(spec: SystemSpec, x) -> float:
-    """Curvature through the same geometric assembly but FD derivatives only."""
-    point, error = point_or_failure(ricci_scalar(natural_metric(
-        fd_jet4(spec.field, x), np.asarray(x, dtype=float)[None],
-        spec.excluded_index)))
-    if error is not None:
-        raise error
-    return point.ricci_scalar
+    """Curvature through the same geometric assembly but FD derivatives only.
+
+    ``x`` is checked against the spec's domain before any stencil, as
+    :func:`curvature_at` checks it before its jet; a point outside raises
+    DomainViolation, and a later failure of the point raises as well.
+    """
+    x = np.asarray(x, dtype=float)
+    domain_check(spec, x).raise_first()
+    return one_point(ricci_scalar(natural_metric(
+        fd_jet4(spec.field, x), x[None], spec.excluded_index))).ricci_scalar
 
 
 # ---- Ising profile (extended precision) ----------------------------------
@@ -579,11 +577,11 @@ class IsingProfile:
 
 def _mp_ising_R(J, H, T, dps):
     """Ricci scalar of the Ising free energy at (T, H): the shared pipeline
-    in mpmath at ``dps`` digits.  No domain check: the guards of
-    :func:`ising_curvature` stand in for it, and R is even in H."""
+    in mpmath at ``dps`` digits.  R is even in H, and ``ising_f``'s domain
+    is T > 0, H > 0, so the point evaluated, and checked against that
+    domain, is (T, |H|)."""
     spec = _ising_spec(float(J))
-    return curvature_at(spec, (T, H), check_domain=False,
-                        dps=dps).ricci_scalar
+    return curvature_at(spec, (T, abs(H)), dps=dps).ricci_scalar
 
 
 @lru_cache(maxsize=8)

@@ -120,6 +120,9 @@ def _point_for(spec, text):
         raise _Usage(
             f"point must set exactly {names}; missing {sorted(missing)}, "
             f"unknown {sorted(extra)}")
+    for name in names:
+        if not math.isfinite(kv[name]):
+            raise _Usage(f"--at {name} must be finite, got {kv[name]!r}")
     return [kv[n] for n in names]
 
 
@@ -268,13 +271,16 @@ def _vdw_figure_rows(which):
     def rows(v_r):
         v = 3.0 * b * v_r
         u = transforms.u_from_vP(v, P, a, b)
-        s = evaluate(vdw_s, np.column_stack([u, v]))
-        Ru = curvature(vdw_u, s, v)
+        points = np.column_stack([u, v])
+        # s and ds/du = 1/T from one domain-checked order-1 evaluation
+        jet = jet_eval(vdw_s.field, points, 1,
+                       systems.domain_check(vdw_s, points))
+        jet.faults.raise_first()
+        Ru = curvature(vdw_u, jet.value, v)
         if which == "vdW1":
             cols = (v_r, curvature(vdw_s, u, v), Ru)
         else:
-            T = jet_eval(vdw_s.field, np.column_stack([u, v]), 1).grad[:, 0]
-            cols = (v_r, Ru, curvature(vdw_F, T ** -1.0, v))
+            cols = (v_r, Ru, curvature(vdw_F, jet.grad[:, 0] ** -1.0, v))
         return list(zip(*(c.tolist() for c in cols)))
 
     # one batch for the whole figure
@@ -334,10 +340,6 @@ def cmd_figure(args) -> int:
 # ---- check suites --------------------------------------------------------
 
 
-def _grid_points(spec, count=8):
-    return analysis.grid_for(spec, count).points()
-
-
 def _check_oracle():
     cases = [
         ("vdw_R_s", get_system("vdw_s"), 1e-6),
@@ -351,7 +353,8 @@ def _check_oracle():
     ]
     rows = []
     for oid, spec, tol in cases:
-        sign, dev = oracle.oracle_vs_pipeline(oid, spec, _grid_points(spec))
+        sign, dev = oracle.oracle_vs_pipeline(
+            oid, spec, analysis.grid_for(spec, 8).points())
         rows.append({"check": f"oracle:{oid}", "sign": sign,
                      "deviation": dev, "tolerance": tol, "pass": dev < tol})
     return rows

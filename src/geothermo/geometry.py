@@ -17,7 +17,9 @@ The stages (:func:`natural_metric`, :func:`christoffel`, :func:`ricci_scalar`)
 take a batch of points on a leading axis and record each point's failure in
 the batch's fault record.  A single point enters only through the functions
 that take coordinates (:func:`metric_at`, :func:`curvature_at`,
-:func:`jets.jet_eval`), which run it as a batch of one and raise its failure.
+:func:`jets.jet_eval`), which run it as a batch of one and leave it through
+:func:`jets.one_point`, which raises its failure.  Both check the spec's
+domain before its jet.
 
 Every stage runs on the numbers of the jet it is given: float64, or mpmath
 numbers in object arrays (``curvature_at(..., dps=...)``), whose backend
@@ -33,8 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateMetric, NonFinite, SingularPrefactor
-from .jets import (MPMATH, Faults, Jet4, backend_of, jet_eval,
-                   point_or_failure)
+from .jets import MPMATH, Faults, Jet4, backend_of, jet_eval, one_point
 from .systems import SystemSpec, domain_check
 
 DEGENERACY_RTOL = 1e-12      # |det g| < rtol * max|g_ab|^2 flags degeneracy
@@ -135,10 +136,6 @@ def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
     bk = backend_of(G)
 
     js = [j for j in range(n) if j != excluded_index]
-    w = x[:, js] * G[:, js]
-    aw = np.abs(w)
-    scale = np.maximum(1.0, aw.max(axis=1, initial=0.0))
-    small = aw < PREFACTOR_ATOL * scale[:, None]
 
     def prefactor(i):
         k = int(np.argmin(aw[i]))
@@ -146,10 +143,14 @@ def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
             f"E^{js[k]} * dPhi/dE^{js[k]} = {float(w[i, k]):.3e} "
             "vanishes in the conformal sum")
 
-    faults.flag(small.any(axis=1), prefactor)
-    w = bk.masked(w, small)
-
     with np.errstate(all="ignore"):
+        w = x[:, js] * G[:, js]
+        aw = np.abs(w)
+        scale = np.maximum(1.0, aw.max(axis=1, initial=0.0))
+        small = aw < PREFACTOR_ATOL * scale[:, None]
+        faults.flag(small.any(axis=1), prefactor)
+        w = bk.masked(w, small)
+
         # conformal factor and its first/second coordinate derivatives
         c = np.sum(1.0 / w, axis=1)
         dc = np.zeros((len(x), n), dtype=w.dtype)
@@ -190,18 +191,21 @@ def _flag_degenerate(m: MetricTensor):
     return degenerate
 
 
+def _flag_nonfinite(m: MetricTensor):
+    finite = backend_of(m.g).isfinite(m.g.reshape(len(m.g), -1)).all(axis=1)
+    m.faults.flag(~finite, lambda i: NonFinite("metric is not finite"))
+
+
 def _connection(m: MetricTensor):
     """Inverse metric and connection of a batched metric, with degenerate
     or failed points masked so that one of them cannot abort the batch.
 
     Returns (degeneracy mask, inverse metric, connection)."""
-    bk = backend_of(m.g)
     degenerate = _flag_degenerate(m)
-    m.faults.flag(~bk.isfinite(m.g.reshape(len(m.g), -1)).all(axis=1),
-                  lambda i: NonFinite("metric is not finite"))
+    _flag_nonfinite(m)
     ok = m.faults.ok
     g = m.g if ok.all() else np.where(ok[:, None, None], m.g, np.eye(m.n))
-    ginv = bk.inv(g)
+    ginv = backend_of(m.g).inv(g)
     # dg[c,a,b] = d_c g_ab ; bracket[b,c,d] = d_b g_dc + d_c g_db - d_d g_bc
     dg = m.dg
     bracket = (dg.transpose(0, 1, 3, 2) + dg.transpose(0, 3, 1, 2)
@@ -256,32 +260,29 @@ def ricci_scalar(m: MetricTensor) -> CurvatureResult:
                            nonfinite=nonfinite, faults=faults)
 
 
-def curvature_at(spec: SystemSpec, x, check_domain: bool = True,
+def curvature_at(spec: SystemSpec, x,
                  dps: int | None = None) -> CurvatureResult:
     """Full pipeline: domain check, order-4 jet, metric, Ricci scalar.
 
-    ``x`` is one point (a failure raises) or a (batch, n) array of points,
-    evaluated in chunks of CHUNK; a batched result records each point's
-    failure instead of raising.
+    ``x`` is one point or a (batch, n) array of points, evaluated in chunks
+    of CHUNK.  Every point is checked against the spec's domain before its
+    jet.  A batched result records each point's failure; one point is a
+    batch of one that leaves through :func:`jets.one_point`, which raises
+    its failure.
 
     With ``dps`` the jets and the geometry run in mpmath at ``dps``
     significant digits, and the results are rounded to float at the end.
     """
     points = np.asarray(x, dtype=float)
     if points.ndim == 1:
-        point, error = point_or_failure(
-            _curvature_chunk(spec, points[None], check_domain, dps))
-        if error is not None:
-            raise error
-        return point
+        return one_point(_curvature_chunk(spec, points[None], dps))
     return CurvatureResult.concat([
-        _curvature_chunk(spec, points[i:i + CHUNK], check_domain, dps)
+        _curvature_chunk(spec, points[i:i + CHUNK], dps)
         for i in range(0, len(points), CHUNK)])
 
 
-def _curvature_chunk(spec, points, check_domain, dps):
-    faults = (domain_check(spec, points) if check_domain
-              else Faults(len(points)))
+def _curvature_chunk(spec, points, dps):
+    faults = domain_check(spec, points)
     if not faults.ok.any():
         # every point failed its domain check: no jet or metric to compute
         size = len(points)
@@ -304,23 +305,23 @@ def _curvature_chunk(spec, points, check_domain, dps):
 def metric_at(spec: SystemSpec, x, check_degenerate: bool = True) -> MetricTensor:
     """Natural metric at one point, or at a (batch, n) array of points.
 
-    Points outside the domain fail with DomainViolation and, unless
-    ``check_degenerate`` is False, degenerate ones with DegenerateMetric.
-    One point raises its failure; a batch records it in ``faults``.
+    Points outside the domain fail with DomainViolation, degenerate ones
+    (unless ``check_degenerate`` is False) with DegenerateMetric, and those
+    whose metric is not finite with NonFinite, in the order the curvature
+    checks them.  One point raises its failure; a batch records it in
+    ``faults``.
     """
     points = np.asarray(x, dtype=float)
     if points.ndim == 1:
-        point, error = point_or_failure(
-            _metric_batch(spec, points[None], check_degenerate))
-        if error is not None:
-            raise error
-        return point
+        return one_point(_metric_batch(spec, points[None], check_degenerate))
     return _metric_batch(spec, points, check_degenerate)
 
 
 def _metric_batch(spec, points, check_degenerate):
     jet = jet_eval(spec.field, points, 4, domain_check(spec, points))
     m = natural_metric(jet, points, spec.excluded_index)
-    if check_degenerate:
-        _flag_degenerate(m)
+    with np.errstate(all="ignore"):
+        if check_degenerate:
+            _flag_degenerate(m)
+        _flag_nonfinite(m)
     return m

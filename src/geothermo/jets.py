@@ -143,18 +143,21 @@ def lockstep(searches, evaluate):
     return results
 
 
-def point_or_failure(batch):
-    """Point 0 of a batch of one, as (point, None), or (None, its failure).
+def one_point(batch):
+    """Point 0 of a batch of one, or that point's failure, raised.
 
-    A single-point edge passes its batch here and raises the failure itself:
-    a raised exception keeps alive every frame it passes through, so a
-    caller that keeps failures (a query loop) would keep each batch too if
-    the raise happened where the batch or its record is still a local.
+    Every single-point edge (an evaluation, a metric, a curvature, the FD
+    oracle) runs its point as a batch of one and leaves it here.  A raised
+    exception keeps alive every frame it passes through, so the batch is
+    let go of before the raise: pass it in directly, not from a local, and
+    a caller that keeps failures (a query loop) keeps only the point's own
+    frames, not each batch.
     """
     error = batch.faults.errors.pop(0, None)
-    if error is not None:
-        return None, error
-    return batch.point(0), None
+    if error is None:
+        return batch.point(0)
+    del batch
+    raise error
 
 
 def _at(values, i):
@@ -727,11 +730,7 @@ def jet_eval(field, x, order: int = MAX_ORDER, faults=None,
         raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        point, error = point_or_failure(
-            _jet_batch(field, x[None], order, faults, backend))
-        if error is not None:
-            raise error
-        return point
+        return one_point(_jet_batch(field, x[None], order, faults, backend))
     return _jet_batch(field, x, order, faults, backend)
 
 

@@ -183,7 +183,7 @@ def oracle_eval(id: str, point: dict, params: dict) -> float:
 
 
 # how a pipeline point of the matching spec maps to oracle coordinates
-def _identity_map(spec, x):
+def _named_point(spec, x):
     return dict(zip(spec.coord_names(), (float(c) for c in x)))
 
 
@@ -217,7 +217,7 @@ def oracle_vs_pipeline(id: str, spec: SystemSpec, grid):
     pts = [tuple(float(c) for c in x) for x in grid]
     if not pts:
         raise ValueError("empty grid")
-    point_map = _POINT_MAPS.get(id, _identity_map)
+    point_map = _POINT_MAPS.get(id, _named_point)
     if id == "chap_det":
         res = metric_at(spec, np.array(pts), check_degenerate=False)
         pipeline = res.det

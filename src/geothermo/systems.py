@@ -29,7 +29,7 @@ import numpy as np
 
 from . import dsl
 from .errors import DefinitionError, DomainViolation
-from .jets import Faults, jet_eval, point_or_failure
+from .jets import Faults, jet_eval, one_point
 
 EXTENSIVE = "extensive"
 INTENSIVE = "intensive"
@@ -111,10 +111,7 @@ def evaluate(spec: SystemSpec, x):
     """
     points = np.asarray(x, dtype=float)
     if points.ndim == 1:
-        point, error = point_or_failure(_values(spec, points[None]))
-        if error is not None:
-            raise error
-        return float(point.value)
+        return float(one_point(_values(spec, points[None])).value)
     values = _values(spec, points)
     values.faults.raise_first()
     return values.value

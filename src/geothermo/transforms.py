@@ -30,6 +30,10 @@ itself fails with DomainViolation.
 Each transform records its point map in the spec's ``meta``: a batch map
 from a (batch, n) array of base points, with the batch's Faults record, to
 the points of the new representation (:func:`legendre_point` maps one).
+Every transform builds it with one :func:`_point_map`, which checks the
+base domain before it evaluates the base potential, so a base point that
+does not exist does not map; a partial Legendre chain composes the maps of
+its steps.
 """
 
 from __future__ import annotations
@@ -445,25 +449,30 @@ def _derived_spec(spec: SystemSpec, slot: int, derivative: int,
                       domain=(), field=field, sample_box=tuple(box), **names)
 
 
-# A point map takes a (batch, n) array of base points and the batch's Faults
-# record, and returns the (batch, n) array of the points they map to; a row
-# that fails is recorded in the record, and a failed row's output is not read.
+def _point_map(base: SystemSpec, slots, derivative: int, coords):
+    """The point map of a transform of ``base``: base points to the points
+    of the new representation, whose coordinates are ``coords``.
 
-
-def _identity_map(points, faults):
-    return np.array(points, dtype=float)
-
-
-def _gradient_map(spec: SystemSpec, slots, coords):
-    """Base points -> the conjugates on ``slots``, named by ``coords``; a
-    pressure-like conjugate flips sign (P = -dPhi/dv)."""
-    signs = {s: -1.0 if coords[s].name == "P" else 1.0 for s in slots}
+    A point map takes a (batch, n) array of base points and the batch's
+    Faults record, and returns the (batch, n) array of the points they map
+    to.  It checks the base domain into the record and makes one order
+    ``derivative`` evaluation of the base potential; each of ``slots`` then
+    takes the value (inversion, 0) or the slot's conjugate (Legendre, 1;
+    a pressure-like conjugate flips sign, P = -dPhi/dv).  This is the
+    equation that :class:`_ImplicitField` solves, read forwards; with no
+    slots it maps every point to itself.  A row that fails is recorded,
+    and its output is not read.
+    """
+    signs = {s: -1.0 if derivative and coords[s].name == "P" else 1.0
+             for s in slots}
 
     def point_map(points, faults):
-        grad = jet_eval(spec.field, points, 1, faults).grad
+        record = domain_check(base, points)
+        faults.flag(~record.ok, record.errors.get)
+        jet = jet_eval(base.field, points, derivative, faults)
         out = np.array(points, dtype=float)
         for s, sign in signs.items():
-            out[:, s] = sign * grad[:, s]
+            out[:, s] = sign * (jet.grad[:, s] if derivative else jet.value)
         return out
 
     return point_map
@@ -471,7 +480,7 @@ def _gradient_map(spec: SystemSpec, slots, coords):
 
 def _legendre_of(spec: SystemSpec, slots, out: SystemSpec) -> SystemSpec:
     """Record ``out`` as the Legendre transform of ``spec`` on ``slots``."""
-    out.meta.update(point_map=_gradient_map(spec, slots, out.coords),
+    out.meta.update(point_map=_point_map(spec, slots, 1, out.coords),
                     legendre_of=spec.id, legendre_slots=tuple(slots))
     return out
 
@@ -553,7 +562,8 @@ def total_legendre(spec: SystemSpec, solve: str = "auto") -> SystemSpec:
     """Legendre-transform every slot (identity for already-total potentials)."""
     if spec.meta.get("already_total_legendre"):
         _check_solve(solve)
-        return replace(spec, meta=dict(spec.meta, point_map=_identity_map))
+        return replace(spec, meta=dict(
+            spec.meta, point_map=_point_map(spec, (), 0, spec.coords)))
     slots = tuple(range(spec.n))
     out = _closed_partner(spec, "total_legendre", None, solve)
     if out is not None:
@@ -592,16 +602,8 @@ def invert_representation(spec: SystemSpec, target_slot: int,
             id=f"{spec.id}~inv{target_slot}",
             potential_name=spec.coords[target_slot].name,
             excluded_index=target_slot)
-
-    def point_map(points, faults):
-        # Phi at each base point, checked against the base domain first
-        record = domain_check(spec, points)
-        faults.flag(~record.ok, record.errors.get)
-        mapped = np.array(points, dtype=float)
-        mapped[:, target_slot] = jet_eval(spec.field, points, 0, faults).value
-        return mapped
-
-    out.meta.update(point_map=point_map, inverse_of=spec.id)
+    out.meta.update(point_map=_point_map(spec, (target_slot,), 0, out.coords),
+                    inverse_of=spec.id)
     return out
 
 

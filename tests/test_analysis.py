@@ -393,3 +393,13 @@ def test_fd_pipeline_matches_jets():
     r_ad = curvature_at(spec, (1.0, 1.0)).ricci_scalar
     r_fd = an.fd_ricci_scalar(spec, (1.0, 1.0))
     assert abs(r_ad - r_fd) <= 1e-3 * (1.0 + abs(r_ad))
+
+
+def test_fd_curvature_checks_the_domain():
+    # the stencils would run at u = -1, where chap_s is not defined
+    spec = get_system("chap_s")
+    with pytest.raises(DomainViolation) as err:
+        an.fd_ricci_scalar(spec, (-1.0, 1.0))
+    assert err.value.violations == ["u > 0"]
+    with pytest.raises(DomainViolation):
+        curvature_at(spec, (-1.0, 1.0))

@@ -87,6 +87,19 @@ def test_non_finite_param_is_a_usage_error(capsys, system, param):
                    f"got {float(value)!r}\n")
 
 
+@pytest.mark.parametrize("at", ["u=nan,v=3", "u=2,v=inf", "u=2,v=-inf"])
+def test_non_finite_point_is_a_usage_error(capsys, at):
+    # unchecked, u=nan fails as a domain violation (exit 2) and v=inf on a
+    # non-finite field value (exit 1)
+    code, out, err = run(["curvature", "--system", "vdw_s", "--at", at],
+                         capsys)
+    name, value = next(kv.split("=") for kv in at.split(",")
+                       if not math.isfinite(float(kv.split("=")[1])))
+    assert (code, out) == (1, "")
+    assert err == (f"geothermo: error: --at {name} must be finite, "
+                   f"got {float(value)!r}\n")
+
+
 def test_unknown_system_and_parameter_messages_are_unquoted(capsys):
     _, _, err = run(["curvature", "--system", "inv", "--at", "u=2,v=3"],
                     capsys)

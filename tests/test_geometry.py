@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geothermo import cli, geometry
-from geothermo.errors import (DegenerateMetric, DomainViolation,
+from geothermo.errors import (DegenerateMetric, DomainViolation, NonFinite,
                               SingularPrefactor)
 from geothermo.geometry import (CHUNK, MetricTensor, christoffel,
                                 curvature_at, metric_at, natural_metric,
@@ -170,6 +170,43 @@ def test_chunk_outside_the_domain_skips_jets(monkeypatch):
     assert np.isnan(mixed.ricci_scalar[1:]).all()
     assert {i - 1: (type(e), str(e))
             for i, e in mixed.faults.errors.items()} == want
+
+
+def test_infinite_coordinate_fails_without_a_warning():
+    # v * dPhi/dv is inf * 0 at v = inf: the conformal sum must not warn
+    # (pytest turns a warning into an error), and the point must fail
+    res = curvature_at(get_system("vdw_s"), [[2.0, 3.0], [2.0, math.inf]])
+    assert set(res.faults.errors) == {1}
+    assert isinstance(res.faults.errors[1], NonFinite)
+    assert math.isfinite(res.ricci_scalar[0]) and math.isnan(
+        res.ricci_scalar[1])
+
+
+@pytest.mark.parametrize("check_degenerate", [True, False])
+def test_metric_overflow_fails_as_in_the_curvature(check_degenerate):
+    # |g| ~ 1/u^2 is 1e300 here, so the degeneracy test's max|g|^2
+    # overflows; it must not warn, and the point fails as in curvature_at
+    spec, x = get_system("ideal_s"), [[1e-150, 1.0]]
+    want = curvature_at(spec, x).faults.errors[0]
+    m = metric_at(spec, x, check_degenerate=check_degenerate)
+    assert not m.faults.ok[0]
+    got = m.faults.errors[0]
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
+@pytest.mark.parametrize("check_degenerate", [True, False])
+def test_metric_not_finite_fails(check_degenerate):
+    spec = get_system("vdw_u")
+    m = metric_at(spec, [[1.0, math.inf], [1.0, 3.0]],
+                  check_degenerate=check_degenerate)
+    assert m.faults.ok.tolist() == [False, True]
+    assert str(m.faults.errors[0]) == "metric is not finite"
+    assert isinstance(m.faults.errors[0], NonFinite)
+    with pytest.raises(NonFinite, match="metric is not finite"):
+        metric_at(spec, (1.0, math.inf), check_degenerate=check_degenerate)
+    # the curvature fails the point alike
+    err = curvature_at(spec, [[1.0, math.inf]]).faults.errors[0]
+    assert (type(err), str(err)) == (NonFinite, "metric is not finite")
 
 
 def test_domain_checked_before_curvature():

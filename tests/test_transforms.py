@@ -101,8 +101,7 @@ def test_total_legendre_invariance_ideal():
     for pt in [(0.5, 1.0), (1.0, 2.0), (0.0, 3.0)]:
         r_u = curvature_at(iu, pt).ricci_scalar
         r_g = curvature_at(gibbs, legendre_point(gibbs, pt)).ricci_scalar
-        r_n = curvature_at(numeric, legendre_point(numeric, pt),
-                           check_domain=False).ricci_scalar
+        r_n = curvature_at(numeric, legendre_point(numeric, pt)).ricci_scalar
         assert abs(r_u - r_g) < 1e-6
         assert abs(r_u - r_n) < 1e-6
 
@@ -112,8 +111,7 @@ def test_total_legendre_invariance_vdw():
     tot = total_legendre(vu, solve="newton")
     for pt in [(0.5, 3.0), (1.0, 2.5)]:
         r_u = curvature_at(vu, pt).ricci_scalar
-        r_t = curvature_at(tot, legendre_point(tot, pt),
-                           check_domain=False).ricci_scalar
+        r_t = curvature_at(tot, legendre_point(tot, pt)).ricci_scalar
         assert abs(r_u - r_t) <= 1e-6 * (1.0 + abs(r_u))
 
 
@@ -122,6 +120,38 @@ def test_total_legendre_ising_passthrough():
     out = total_legendre(isg)
     assert out.id == isg.id
     assert legendre_point(out, [1.0, 2.0]) == [1.0, 2.0]
+
+
+QUADRATIC = {
+    "id": "q", "coords": [{"name": "x"}, {"name": "y"}],
+    "excluded_index": "x", "relation": "x^2 + 3*y^2 + x*y",
+    "domain": ["x > 0", "y > 0"],
+    "sample_box": [[0.5, 2.0], [0.5, 2.0]]}
+
+
+def test_legendre_point_checks_the_base_domain():
+    # the conjugate 2x + y exists at (-1, 1), but the base point does not
+    q = from_definition(QUADRATIC)
+    with pytest.raises(DomainViolation) as err:
+        evaluate(q, (-1.0, 1.0))
+    assert err.value.violations == ["x > 0"]
+    out = partial_legendre(q, 0)
+    with pytest.raises(DomainViolation) as err:
+        legendre_point(out, (-1.0, 1.0))
+    assert err.value.violations == ["x > 0"]
+    assert legendre_point(out, (1.0, 1.0)) == [3.0, 1.0]
+    # a closed-form partner names the base predicate too, not the field's
+    # failure at v < b
+    with pytest.raises(DomainViolation) as err:
+        legendre_point(partial_legendre(get_system("vdw_u"), 0), (1.0, 0.5))
+    assert err.value.violations == ["v > b"]
+
+
+def test_ising_passthrough_checks_the_domain():
+    out = total_legendre(get_system("ising_f"))
+    with pytest.raises(DomainViolation) as err:
+        legendre_point(out, [1.0, -2.0])
+    assert err.value.violations == ["H > 0"]
 
 
 def test_total_legendre_constant_field_fails():
@@ -189,7 +219,7 @@ def test_invert_representation_curvature_matches():
     pt = (1.5, 1.0)
     s = evaluate(cs, pt)
     r_s = curvature_at(cs, pt).ricci_scalar
-    r_i = curvature_at(inv, (s, pt[1]), check_domain=False).ricci_scalar
+    r_i = curvature_at(inv, (s, pt[1])).ricci_scalar
     assert r_i == pytest.approx(r_s, rel=1e-8)
 
 
