@@ -113,8 +113,12 @@ def evaluate(spec: SystemSpec, x):
     if points.ndim == 1:
         return float(one_point(_values(spec, points[None])).value)
     values = _values(spec, points)
-    values.faults.raise_first()
-    return values.value
+    errors = values.faults.errors
+    if not errors:
+        return values.value
+    error = errors.pop(min(errors))
+    del values, errors      # not kept by the raised failure's frames
+    raise error
 
 
 def _values(spec, points):

@@ -514,8 +514,11 @@ def legendre_point(spec: SystemSpec, x):
         raise PreconditionFailure(f"{spec.id} records no point map")
     faults = Faults(1)
     out = pm(np.array([[float(c) for c in x]]), faults)
-    faults.raise_first()
-    return out[0].tolist()
+    error = faults.errors.pop(0, None)
+    if error is None:
+        return out[0].tolist()
+    del faults, out         # not kept by the raised failure's frames
+    raise error
 
 
 def partial_legendre(spec: SystemSpec, slot: int, solve: str = "auto") -> SystemSpec:

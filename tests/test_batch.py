@@ -19,7 +19,7 @@ from geothermo.jets import jet_eval
 from geothermo.systems import (catalog_ids, domain_check, evaluate,
                                from_definition, get_system)
 from geothermo.transforms import (_ImplicitField, invert_representation,
-                                  partial_legendre)
+                                  legendre_point, partial_legendre)
 
 CUSTOM = {
     "id": "custom_mix", "coords": [{"name": "x"}, {"name": "y"}],
@@ -190,10 +190,17 @@ def _kept_bytes_per_failure(call, count=20):
         tracemalloc.stop()
 
 
+# the closed-form partial Legendre transform of vdw_u, whose point map
+# fails outside v > b
+VDW_F = partial_legendre(SPECS["vdw_u"], 0)
+
 KEPT_FAILURES = {
     "curvature_at": lambda: curvature_at(SPECS["vdw_s"], (1.0, 0.2)),
     "metric_at": lambda: metric_at(SPECS["vdw_s"], (1.0, 0.2)),
     "evaluate": lambda: evaluate(SPECS["vdw_s"], (1.0, 0.2)),
+    "evaluate_batch": lambda: evaluate(SPECS["vdw_s"],
+                                       np.array([[1.0, 0.2], [1.0, 0.3]])),
+    "legendre_point": lambda: legendre_point(VDW_F, (1.0, 0.5)),
     "jet_eval": lambda: jet_eval(
         lambda a: jets.ln(a[0]) + 1.0 / (a[0] - a[1]), (1.0, 1.0)),
     "fd_ricci_scalar": lambda: an.fd_ricci_scalar(SPECS["bump"], (1.0, 2.0)),
@@ -203,8 +210,9 @@ KEPT_FAILURES = {
 @pytest.mark.parametrize("name", sorted(KEPT_FAILURES))
 def test_kept_failure_does_not_keep_its_batch(name):
     # a failure keeps the frames it was raised through; raised where its
-    # batch (jets, metric, result) is still a local, it keeps 2-5 KB on
-    # CPython 3.11, and 0.8-1.4 KB when only the point's own frames remain
+    # batch (jets, metric, result) is still a local, it keeps 1.8-3.7 KB on
+    # CPython 3.11 (legendre_point and the batch evaluate did), and
+    # 1.1-1.6 KB when only the point's own frames remain
     assert _kept_bytes_per_failure(KEPT_FAILURES[name]) < 1700
 
 

@@ -308,6 +308,37 @@ def _same_bits(got, want):
                                np.signbit(want[number])))
 
 
+# the forms of a tagged jet: a bare variable, shifted, negated and scaled
+# ones, and one scaled per point by a constant of either sign, +-0, tiny,
+# huge, inf or nan
+_AFFINE_SCALES = ("0.7", "-1.3", "0.0", "-0.0", "1e-1500", "-1e1500", "inf",
+                  "-inf", "nan")
+_AFFINE_FORMS = [lambda v, k: v, lambda v, k: v + 0.25,
+                 lambda v, k: 1.5 - v, lambda v, k: -2.5 * v,
+                 lambda v, k: v / -3.0, lambda v, k: -(v - np.array([0.5]))]
+_AFFINE_FORMS += [lambda v, k, s=s: v * k(s) for s in _AFFINE_SCALES]
+
+
+def _affine_jet(rng, nvars, order, batch, backend):
+    """A jet tagged affine in one variable whose points cycle through
+    ``_AFFINE_FORMS``."""
+    if backend is jets.MPMATH:
+        def k(s):
+            return np.array([mp.mpf(s)], dtype=object)
+    else:
+        def k(s):
+            return np.array([np.longdouble(s)])
+    index = order % nvars
+    cols = []
+    for b in range(batch):
+        v = Jet.variable(nvars, order, index, rng.uniform(0.5, 2.0, 1),
+                         jets.Faults(1), backend)
+        cols.append(_AFFINE_FORMS[b % len(_AFFINE_FORMS)](v, k))
+    assert all(j.affine == index for j in cols)
+    return jets.Jet(nvars, order, np.concatenate([j.c for j in cols], axis=1),
+                    jets.Faults(batch), backend, index)
+
+
 def _series_case(rng, nvars, order, batch, backend, kind):
     """A jet and a series of the given kind, in ``backend``'s numbers."""
     size = jets._tables(nvars, order).size
@@ -325,24 +356,35 @@ def _series_case(rng, nvars, order, batch, backend, kind):
         series[order // 2, 1] = math.nan
         series[0, 2] = -math.inf
         c[1, 3] = math.inf
+    elif kind == "affine":
+        # after the first cycle of forms, each point has one non-finite or
+        # zero series term
+        special = [(order, math.inf), (order // 2, math.nan),
+                   (0, -math.inf), (order, 0.0), (1, 0.0), (1, -math.inf)]
+        for b in range(len(_AFFINE_FORMS), batch):
+            row, value = special[b % len(special)]
+            series[row, b] = value
     if backend is jets.MPMATH:
         c = np.array([[mp.mpf(v) for v in row] for row in c], dtype=object)
         c[-1] = 0            # object zero rows hold Python ints
         series = np.array([[mp.mpf(v) for v in row] for row in series],
                           dtype=object)
+    if kind == "affine":
+        return _affine_jet(rng, nvars, order, batch, backend), series
     return jets.Jet(nvars, order, c, jets.Faults(batch), backend), series
 
 
 @pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
                          ids=["float", "mpmath"])
-@pytest.mark.parametrize("kind", ["dense", "sparse", "nonfinite"])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "nonfinite", "affine"])
 def test_composition_matches_untruncated_horner(backend, kind):
     rng = np.random.default_rng(11)
+    batch = 3 * len(_AFFINE_FORMS) if kind == "affine" else 4
     with mp.workdps(30), np.errstate(all="ignore"):
         for nvars in (1, 2, 3):
             for order in range(1, 5):
-                jet, series = _series_case(rng, nvars, order, 4, backend,
-                                           kind)
+                jet, series = _series_case(rng, nvars, order, batch,
+                                           backend, kind)
                 got = jet._compose(series).c
                 assert _same_bits(got, _reference_compose(jet, series)), \
                     (nvars, order)
@@ -352,33 +394,54 @@ def test_composition_matches_untruncated_horner(backend, kind):
                          ids=["float", "mpmath"])
 def test_composition_broadcasts_like_untruncated_horner(backend):
     # one jet against a batch of series, and a batch of jets against one
-    # series, as broadcast constants and _as_jet produce them
+    # series, as broadcast constants and _as_jet produce them; an affine
+    # jet, with a non-finite series term at one point of the batch
     rng = np.random.default_rng(12)
-    with mp.workdps(30):
-        jet, series = _series_case(rng, 2, 4, 1, backend, "dense")
-        wide = jets.Jet(2, 4, np.broadcast_to(jet.c, (jet.c.shape[0], 3)),
-                        jets.Faults(3), backend)
-        _, many = _series_case(rng, 2, 4, 3, backend, "dense")
-        for j, s in ((jet, many), (wide, series), (wide, many)):
-            got = j._compose(s).c
-            assert got.shape == (16, 3)
-            assert _same_bits(got, _reference_compose(j, s))
+    with mp.workdps(30), np.errstate(all="ignore"):
+        for kind in ("dense", "affine"):
+            jet, series = _series_case(rng, 2, 4, 1, backend, kind)
+            wide = jets.Jet(2, 4,
+                            np.broadcast_to(jet.c, (jet.c.shape[0], 3)),
+                            jets.Faults(3), backend, jet.affine)
+            _, many = _series_case(rng, 2, 4, 3, backend, "dense")
+            if kind == "affine":
+                many[2, 1] = math.inf
+            for j, s in ((jet, many), (wide, series), (wide, many)):
+                got = j._compose(s).c
+                assert got.shape == (16, 3)
+                assert _same_bits(got, _reference_compose(j, s))
 
 
 @pytest.mark.parametrize("nvars,count", [(1, 19), (2, 89), (3, 257)])
 def test_composition_multiplication_count(monkeypatch, nvars, count):
     # untruncated, each of the three Horner steps multiplies every pair of
-    # the full step: 30, 165 and 525 multiplications
+    # the full step: 30, 165 and 525 multiplications.  An argument affine
+    # in one variable makes none; the sum of two jets drops that tag
     calls = []
     mul = jets.mpf_mul
     monkeypatch.setattr(jets, "mpf_mul",
                         lambda x, y: calls.append(1) or mul(x, y))
     jet = Jet.variable(nvars, 4, 0, np.array([0.5]), Faults(1),
                        bk=jets.MPMATH)
-    jet.exp()
+    ((2.0 / 3.0) * jet - 1.0).exp()
+    assert not calls
+    (jet + Jet.constant(nvars, 4, 0.0, jet.faults, bk=jets.MPMATH)).exp()
     assert len(calls) == count
     full = _untruncated_step(jets._tables(nvars, 4)).pairs
     assert 3 * sum(map(len, full)) == {1: 30, 2: 165, 3: 525}[nvars]
+
+
+def test_affine_tag_follows_the_operations():
+    faults = Faults(2)
+    x = Jet.variable(2, 4, 1, np.array([1.0, 2.0]), faults)
+    y = Jet.variable(2, 4, 0, np.array([1.0, 2.0]), faults)
+    per_point = np.array([2.0, -3.0])
+    kept = [x, x + 1.0, 1.0 + x, x - per_point, 2.0 - x, -x, 1.5 * x,
+            x * per_point, x / 4.0, x / per_point]
+    assert all(j.affine == 1 for j in kept)
+    dropped = [x + y, x - x, x * x, x * y, 1.0 / x, x ** 0.5, x ** 2,
+               x.exp(), jets.ln(x), x / y]
+    assert all(j.affine is None for j in dropped)
 
 
 def test_mpmath_product_equals_fdot():

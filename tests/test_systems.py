@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geothermo import dsl
+from geothermo import dsl, jets
 from geothermo.errors import DomainViolation
 from geothermo.systems import (PARTNERS, catalog, catalog_entry, catalog_ids,
                                closed_partner, domain_check, evaluate,
@@ -23,6 +23,27 @@ def test_catalog_complete():
         # sample box must be in-domain
         center = [0.5 * (lo + hi) for lo, hi in spec.sample_box]
         assert domain_check(spec, center).errors == {}
+
+
+# products of order-4 jets per evaluation of each catalog relation: a
+# composition whose argument is affine in one coordinate (ln(u), 1/v,
+# ln(v - b), (v - b)^(2/3), exp((2/3)*s)) makes none, where the Horner loop
+# makes 3, for 99 in all
+PRODUCTS = {"ideal_s": 0, "ideal_u": 4, "ideal_F": 1, "ideal_g": 5,
+            "vdw_s": 3, "vdw_u": 4, "vdw_F": 1, "ising_f": 18, "chap_s": 5,
+            "chap_u": 4}
+
+
+@pytest.mark.parametrize("key", EXPECTED_IDS)
+def test_products_per_order4_jet(monkeypatch, key):
+    calls = []
+    product = jets.FLOAT.product
+    monkeypatch.setattr(jets.FLOAT, "product",
+                        lambda *a: calls.append(1) or product(*a))
+    spec = get_system(key)
+    center = [[0.5 * (lo + hi) for lo, hi in spec.sample_box]]
+    jets.jet_poly(spec.field, np.array(center * 3), 4)
+    assert len(calls) == PRODUCTS[key]
 
 
 def test_ideal_s_values():
