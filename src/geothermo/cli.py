@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -218,11 +219,14 @@ def _write_scan(args, report, names, meta):
     try:
         out.write("# scan " + json.dumps(meta, sort_keys=True) + "\n")
         out.write(",".join(names) + ",R,nonfinite\n")
-        for pt in report.grid.points():
-            r = report.values[pt]
+        # a row's coordinates are the product of the axis values, so each
+        # axis value is formatted once
+        axes = [[_fmt(c) for c in a.values().tolist()]
+                for a in report.grid.axes]
+        for pt, coords in zip(report.grid.points(), product(*axes)):
             flag = 1 if report.nonfinite[pt] else 0
-            out.write(",".join(_fmt(c) for c in pt)
-                      + f",{_fmt(r)},{flag}\n")
+            out.write(",".join(coords)
+                      + f",{_fmt(report.values[pt])},{flag}\n")
     finally:
         if close:
             out.close()

@@ -30,6 +30,11 @@ ideal_s 0 (6), ideal_u 4 (10), ideal_F 1 (7), ideal_g 5 (11), vdw_s 3 (9),
 vdw_u 4 (13), vdw_F 1 (10), ising_f 18 (21), chap_s 5 (5), chap_u 4 (7),
 with the Horner loop's count in parentheses.
 
+The series of ``ln`` and of the reciprocal, sign/(k u0^k) and
+sign/u0^(k+1), take the powers of the value u0 as a running product, each
+power the one before times u0 (see :func:`_powers`), rather than one pow
+call per point and degree.  The fractional power's u0^(r-k) stays a pow.
+
 A point whose evaluation fails (a logarithm of a non-positive value, an
 overflow, a zero denominator) is recorded in the batch's :class:`Faults`,
 which every jet of the evaluation carries, and the rest of the batch
@@ -109,6 +114,15 @@ class Faults:
             self.ok[i] = False
             self.errors[i] = exc
 
+    def pop_first(self):
+        """The failure of the lowest-numbered failed point, taken out of the
+        record, or None.
+
+        A caller that raises it lets go of its batch first: a raised
+        exception keeps alive every frame it passes through.
+        """
+        return self.errors.pop(min(self.errors)) if self.errors else None
+
     def raise_first(self):
         """Raise the failure of the lowest-numbered failed point, if any.
 
@@ -116,8 +130,9 @@ class Faults:
         the frames it passed through alive, and through them this record,
         so holding on to it would form a reference cycle.
         """
-        if self.errors:
-            raise self.errors.pop(min(self.errors))
+        error = self.pop_first()
+        if error is not None:
+            raise error
 
     @classmethod
     def concat(cls, parts):
@@ -391,6 +406,18 @@ def backend_of(values) -> "_FloatBackend | _MpBackend":
     return MPMATH if values.dtype == object else FLOAT
 
 
+def _powers(u0, count, dtype):
+    """Rows u0^1..u0^count, one value per point, as a running product:
+    each row is the one before times u0, with no pow call.  ``count`` may
+    be 0 (an order-0 jet's logarithm has no series rows)."""
+    out = np.empty((count, len(u0)), dtype=dtype)
+    if count:
+        out[0] = u0
+        for m in range(1, count):
+            np.multiply(out[m - 1], u0, out=out[m])
+    return out
+
+
 def _binomials(r, order):
     """Column of the series coefficients binom(r, k), k = 0..order, in the
     number type of ``r``."""
@@ -563,9 +590,8 @@ class Jet:
         zero = u0 == 0.0
         self.faults.flag(zero, lambda i: SingularDenominator(
             "jet division by zero value"))
-        k = bk.k[:self.order + 1]
-        return self._compose(bk.sign[:self.order + 1]
-                             / bk.masked(u0, zero) ** (k + 1.0))
+        return self._compose(bk.sign[:self.order + 1] / _powers(
+            bk.masked(u0, zero), self.order + 1, bk.dtype))
 
     # ---- analytic functions ----------------------------------------------
 
@@ -669,8 +695,8 @@ class Jet:
         u0 = bk.masked(u0, bad)
         series = np.empty((self.order + 1, len(u0)), dtype=bk.dtype)
         series[0] = bk.log(u0)
-        k = bk.k[1:self.order + 1]
-        series[1:] = bk.sign[:self.order] / (k * u0 ** k)
+        series[1:] = bk.sign[:self.order] / (
+            bk.k[1:self.order + 1] * _powers(u0, self.order, bk.dtype))
         return self._compose(series)
 
     def exp(self) -> "Jet":

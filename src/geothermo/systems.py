@@ -113,11 +113,10 @@ def evaluate(spec: SystemSpec, x):
     if points.ndim == 1:
         return float(one_point(_values(spec, points[None])).value)
     values = _values(spec, points)
-    errors = values.faults.errors
-    if not errors:
+    error = values.faults.pop_first()
+    if error is None:
         return values.value
-    error = errors.pop(min(errors))
-    del values, errors      # not kept by the raised failure's frames
+    del values              # not kept by the raised failure's frames
     raise error
 
 

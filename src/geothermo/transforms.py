@@ -661,6 +661,9 @@ def first_law_residual(spec: SystemSpec, path) -> float:
         return 0.0
     mids = np.array([step[3] for step in steps])
     jet = jet_eval(spec.field, mids, 1, domain_check(spec, mids))
-    jet.faults.raise_first()
+    error = jet.faults.pop_first()
+    if error is not None:
+        del jet, mids, steps    # not kept by the raised failure's frames
+        raise error
     return max(abs(df - float(grad @ dx)) / seg for (dx, df, seg, _), grad
                in zip(steps, np.ascontiguousarray(jet.grad)))

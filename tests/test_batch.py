@@ -18,8 +18,9 @@ from geothermo.geometry import CHUNK, curvature_at, metric_at
 from geothermo.jets import jet_eval
 from geothermo.systems import (catalog_ids, domain_check, evaluate,
                                from_definition, get_system)
-from geothermo.transforms import (_ImplicitField, invert_representation,
-                                  legendre_point, partial_legendre)
+from geothermo.transforms import (_ImplicitField, first_law_residual,
+                                  invert_representation, legendre_point,
+                                  partial_legendre)
 
 CUSTOM = {
     "id": "custom_mix", "coords": [{"name": "x"}, {"name": "y"}],
@@ -193,6 +194,10 @@ def _kept_bytes_per_failure(call, count=20):
 # the closed-form partial Legendre transform of vdw_u, whose point map
 # fails outside v > b
 VDW_F = partial_legendre(SPECS["vdw_u"], 0)
+# a vdw_s grid that crosses v = b
+CROSSING_GRID = an.GridSpec((("u", 0.5, 5.0, 20), ("v", 0.5, 6.0, 20)))
+# a vdw_s path whose ends lie inside u + a/v > 0 and whose midpoint does not
+CONVEX_GAP = [(-1.0 / 1.2 + 1e-3, 1.2), (-1.0 / 6.0 + 1e-3, 6.0)]
 
 KEPT_FAILURES = {
     "curvature_at": lambda: curvature_at(SPECS["vdw_s"], (1.0, 0.2)),
@@ -204,6 +209,10 @@ KEPT_FAILURES = {
     "jet_eval": lambda: jet_eval(
         lambda a: jets.ln(a[0]) + 1.0 / (a[0] - a[1]), (1.0, 1.0)),
     "fd_ricci_scalar": lambda: an.fd_ricci_scalar(SPECS["bump"], (1.0, 2.0)),
+    "constant_curvature_check": lambda: an.constant_curvature_check(
+        SPECS["vdw_s"], CROSSING_GRID),
+    "first_law_residual": lambda: first_law_residual(SPECS["vdw_s"],
+                                                     CONVEX_GAP),
 }
 
 
@@ -229,6 +238,25 @@ def test_batch_crosses_chunks():
         else:
             assert whole.ricci_scalar[start] == pytest.approx(single,
                                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(SPECS))
+def test_chunk_width_changes_no_bit(key):
+    # a point's result does not depend on the pass it is evaluated in
+    spec = SPECS[key]
+    points = _grid(spec, 25)
+    assert len(points) > 2 * CHUNK
+    whole = curvature_at(spec, points)
+    parts = [curvature_at(spec, points[i:i + 64])
+             for i in range(0, len(points), 64)]
+    assert np.array_equal(whole.ricci_scalar,
+                          np.concatenate([p.ricci_scalar for p in parts]),
+                          equal_nan=True)
+    assert np.array_equal(whole.nonfinite,
+                          np.concatenate([p.nonfinite for p in parts]))
+    assert {i: type(e) for i, e in whole.faults.errors.items()} == {
+        64 * n + i: type(e) for n, p in enumerate(parts)
+        for i, e in p.faults.errors.items()}
 
 
 def test_one_bad_point_does_not_abort_the_batch():
