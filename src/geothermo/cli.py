@@ -2,7 +2,8 @@
 
 Subcommands: ``curvature`` (one point, JSON), ``scan`` (grid CSV plus a JSON
 sidecar of refined singular loci), ``figure`` (canned CSV recipes for the
-three reference figures), ``check`` (validation suites).
+three reference figures), ``check`` (validation suites, the paper's
+acceptance criteria among them).
 
 Exit codes: 1 usage/parse errors, 2 domain violations, 3 degenerate metric,
 4 unwritable output path, 5 failed check suite.
@@ -18,15 +19,15 @@ import argparse
 import json
 import math
 import sys
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
 from . import analysis, oracle, systems, transforms
 from .errors import (DegenerateMetric, DomainViolation, GeothermoError,
                      ParseError)
-from .geometry import curvature_at
-from .jets import jet_eval
+from .geometry import curvature_at, metric_at
+from .jets import fd_partial, jet_eval
 from .systems import evaluate, get_system
 
 FMT = "%.17g"
@@ -342,75 +343,270 @@ def cmd_figure(args) -> int:
 
 
 # ---- check suites --------------------------------------------------------
+#
+# A suite is a zero-argument callable that returns rows: {"check": name,
+# <measured values>, "pass": bool}.  The ``criteria`` suite holds the
+# paper's acceptance criteria 1-11, which reuse the other suites' rows
+# where they make the same comparison; tests/test_acceptance.py runs each
+# criterion's row as a test.
+
+# the closed-form curvatures, each with the catalog system it checks
+CURVATURE_ORACLES = (("vdw_R_s", "vdw_s"), ("vdw_R_u", "vdw_u"),
+                     ("vdw_R_vP", "vdw_s"), ("vdw_R_F_Tv", "vdw_F"),
+                     ("chap_R_s", "chap_s"), ("chap_R_u", "chap_u"))
+
+
+def _oracle_row(oid, spec, tol=1e-6):
+    sign, dev = oracle.oracle_vs_pipeline(
+        oid, spec, analysis.grid_for(spec, 8).points())
+    return {"check": f"oracle:{oid}", "sign": sign, "deviation": dev,
+            "tolerance": tol, "pass": dev < tol}
 
 
 def _check_oracle():
-    cases = [
-        ("vdw_R_s", get_system("vdw_s"), 1e-6),
-        ("vdw_R_u", get_system("vdw_u"), 1e-6),
-        ("vdw_R_vP", get_system("vdw_s"), 1e-6),
-        ("vdw_R_F_Tv", get_system("vdw_F"), 1e-6),
-        ("chap_R_s", get_system("chap_s", alpha=2.0, beta=1.0), 1e-6),
-        ("chap_R_u", get_system("chap_u", alpha=2.0, beta=1.0), 1e-6),
-        ("chap_det", get_system("chap_u"), 1e-6),
-        ("ideal_zero", get_system("ideal_s"), 1e-8),
-    ]
-    rows = []
-    for oid, spec, tol in cases:
-        sign, dev = oracle.oracle_vs_pipeline(
-            oid, spec, analysis.grid_for(spec, 8).points())
-        rows.append({"check": f"oracle:{oid}", "sign": sign,
-                     "deviation": dev, "tolerance": tol, "pass": dev < tol})
-    return rows
+    chap = {"alpha": 2.0, "beta": 1.0}
+    return [_oracle_row(oid, get_system(sid, **(
+        chap if sid.startswith("chap") else {})))
+        for oid, sid in CURVATURE_ORACLES] + [
+        _oracle_row("chap_det", get_system("chap_u")),
+        _oracle_row("ideal_zero", get_system("ideal_s"), 1e-8)]
+
+
+def _invariance_row(base, partner, count, key, passes, note=""):
+    """The row comparing R of ``base`` and ``partner`` on a count x count
+    grid of the base, and its report.
+
+    Each partner is the library's transform of its base, reached through
+    the point map the transform records."""
+    rep = analysis.invariance_report(base, partner,
+                                     partner.meta["point_map"],
+                                     analysis.grid_for(base, count))
+    dev = getattr(rep, key)
+    return {"check": f"invariance:{base.id}~{partner.id}{note}",
+            key: dev, "pass": passes(dev)}, rep
+
+
+def _inverse(spec):
+    return transforms.invert_representation(spec, 0, solve="closed")
+
+
+def _vdw_invariance_row():
+    vs = get_system("vdw_s")
+    return _invariance_row(vs, _inverse(vs), 15, "max_rel",
+                           lambda d: d < 1e-6)
 
 
 def _check_invariance():
-    # each partner is the library's closed-form transform of its base,
-    # reached through the point map the transform records
-    def row(base, partner, count, key, passes, note=""):
-        rep = analysis.invariance_report(base, partner,
-                                         partner.meta["point_map"],
-                                         analysis.grid_for(base, count))
-        dev = getattr(rep, key)
-        return {"check": f"invariance:{base.id}~{partner.id}{note}",
-                key: dev, "pass": passes(dev)}
-
-    def inverse(spec):
-        return transforms.invert_representation(spec, 0, solve="closed")
-
-    vs, is_, vu = map(get_system, ("vdw_s", "ideal_s", "vdw_u"))
+    is_, vu = get_system("ideal_s"), get_system("vdw_u")
     cs = get_system("chap_s", alpha=2.0, beta=1.0)
-    return [
-        row(vs, inverse(vs), 15, "max_rel", lambda d: d < 1e-6),
-        row(is_, inverse(is_), 15, "max_abs", lambda d: d < 1e-8),
-        row(cs, inverse(cs), 10, "max_rel", lambda d: d < 1e-6),
-        row(vu, transforms.partial_legendre(vu, 0, solve="closed"), 15,
-            "max_abs", lambda d: d > 0.1, " (intentionally different)"),
-    ]
+    return [row for row, _ in (
+        _vdw_invariance_row(),
+        _invariance_row(is_, _inverse(is_), 15, "max_abs",
+                        lambda d: d < 1e-8),
+        _invariance_row(cs, _inverse(cs), 10, "max_rel",
+                        lambda d: d < 1e-6),
+        _invariance_row(vu, transforms.partial_legendre(vu, 0,
+                                                        solve="closed"),
+                        15, "max_abs", lambda d: d > 0.1,
+                        " (intentionally different)"))]
 
 
 def _check_homogeneity():
-    rows = []
-    r = analysis.homogeneity_degree(
-        lambda x: x[0] * x[1] / (x[0] + x[1]), (1.0, 2.0))
-    rows.append({"check": "homogeneity:degree-1", "degree": r.degree,
-                 "pass": r.is_homogeneous and r.degree == 1.0
-                 and r.max_residual < 1e-10})
-    r = analysis.homogeneity_degree(lambda x: x[0] ** 2 * x[1], (1.0, 2.0))
-    rows.append({"check": "homogeneity:degree-3", "degree": r.degree,
-                 "pass": r.is_homogeneous and r.degree == 3.0
-                 and r.max_residual < 1e-10})
-    r = analysis.homogeneity_degree(
-        lambda x: evaluate(get_system("ideal_s"), x), (1.0, 2.0))
-    rows.append({"check": "homogeneity:ideal_s-rejected",
-                 "residual": r.max_residual, "pass": not r.is_homogeneous})
-    return rows
+    def fit(fieldval):
+        return analysis.homogeneity_degree(fieldval, (1.0, 2.0))
 
+    fits = ((1, fit(lambda x: x[0] * x[1] / (x[0] + x[1]))),
+            (3, fit(lambda x: x[0] ** 2 * x[1])))
+    molar = fit(lambda x: evaluate(get_system("ideal_s"), x))
+    return [{"check": f"homogeneity:degree-{d}", "degree": r.degree,
+             "pass": r.is_homogeneous and r.degree == d
+             and r.max_residual < 1e-10} for d, r in fits] + [
+        {"check": "homogeneity:ideal_s-rejected",
+         "residual": molar.max_residual, "pass": not molar.is_homogeneous}]
+
+
+def _criterion(num, ok, **measured):
+    return {"check": f"criterion:{num:02d}", **measured, "pass": bool(ok)}
+
+
+def _max_abs(values):
+    # NaN, the value at a failed point, propagates and fails the bound
+    return float(np.abs(values).max())
+
+
+def _criterion_01():
+    # ideal gas: R = 0 in the entropy, energy, Helmholtz and Gibbs
+    # descriptions of the same 20 x 20 states
+    axis = np.linspace(0.5, 5.0, 20)
+    u, v = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+    T = 2.0 * u / 3.0
+    s = evaluate(get_system("ideal_s"), np.column_stack([u, v]))
+    worst = max(_max_abs(curvature_at(get_system(sid), np.column_stack(
+        cols)).ricci_scalar) for sid, cols in (
+        ("ideal_s", (u, v)), ("ideal_u", (s, v)), ("ideal_F", (T, v)),
+        ("ideal_g", (T, T / v))))
+    return _criterion(1, worst < 1e-8, max_abs_R=worst)
+
+
+def _criterion_02():
+    # the ideal-gas metrics against their closed forms at 50 random points
+    rng = np.random.default_rng(42)
+    es, eu = get_system("ideal_s"), get_system("ideal_u")
+    worst = 0.0
+
+    def rel(got, want):
+        return abs(got - want) / max(1e-300, abs(want))
+
+    for _ in range(50):
+        u, v = rng.uniform(0.5, 5.0, size=2)
+        g = metric_at(es, (u, v)).g
+        worst = max(worst, rel(g[0, 0], -1.5 / u ** 2),
+                    rel(g[1, 1], -1.0 / v ** 2),
+                    abs(g[0, 1]) / abs(g[1, 1]))
+        s = rng.uniform(-1.0, 2.0)
+        v = rng.uniform(0.5, 5.0)
+        g = metric_at(eu, (s, v)).g
+        worst = max(worst, rel(g[0, 0], -2.0 / 3.0),
+                    rel(g[1, 1], -5.0 / (3.0 * v ** 2)),
+                    rel(g[0, 1], 2.0 / (3.0 * v)))
+    return _criterion(2, worst < 1e-10, max_rel_dev=float(worst))
+
+
+def _criterion_03():
+    # the invariance suite's van der Waals row, with no failed point
+    row, rep = _vdw_invariance_row()
+    return _criterion(3, row["pass"] and rep.failures == 0,
+                      max_rel=rep.max_rel, failures=rep.failures)
+
+
+def _criterion_04():
+    # the closed-form curvatures at the catalog parameters
+    rows = [_oracle_row(oid, get_system(sid))
+            for oid, sid in CURVATURE_ORACLES]
+    return _criterion(4, all(r["pass"] for r in rows),
+                      max_rel_dev=max(r["deviation"] for r in rows),
+                      signs={oid: r["sign"] for (oid, _), r in zip(
+                          CURVATURE_ORACLES, rows)})
+
+
+def _criterion_05():
+    # divergences of R(v, P) at three sub-critical pressures lie on
+    # 2ab - av + Pv^3 = 0, and R's numerator at the critical point is 4
+    ok, worst = True, 0.0
+    for P_r in (0.6, 0.8, 0.95):
+        found = analysis.scan_vdw_vP(P_r / 27.0, (1.2, 9.0),
+                                     count=241).detections
+        ok = ok and bool(found) and all(d.classification == "locus"
+                                        for d in found)
+        worst = max([worst] + [d.locus_deviation for d in found
+                               if d.classification == "locus"])
+    (_, _, num), = analysis.locus_numerator_check(1.0, 1.0,
+                                                  [(3.0, 1.0 / 27.0)])
+    return _criterion(5, ok and worst < 1e-4 and abs(num - 4.0) <= 1e-12,
+                      max_locus_dev=worst, numerator=num)
+
+
+def _criterion_06():
+    # the Helmholtz description's R differs from the energy one's at the
+    # same states, and stays finite on the locus 2ab - av + Pv^3 = 0
+    vu, vF = get_system("vdw_u"), get_system("vdw_F")
+    points = np.array(analysis.grid_for(vu, 12).points())
+    T = jet_eval(vu.field, points, 1).grad[:, 0]        # T = du/ds
+    r_u = curvature_at(vu, points).ricci_scalar
+    r_F = curvature_at(vF, np.column_stack([T, points[:, 1]])).ricci_scalar
+    diff = _max_abs(r_F - r_u)
+    v = np.array([2.2, 3.0, 4.5, 6.0])
+    P = (v - 2.0) / v ** 3                      # on the locus, a = b = 1
+    locus = curvature_at(vF, np.column_stack([(P + 1.0 / v ** 2) * (v - 1.0),
+                                              v])).ricci_scalar
+    return _criterion(6, diff > 0.1 and np.isfinite(locus).all(),
+                      max_abs_diff=diff)
+
+
+def _criterion_07():
+    # Chaplygin alpha = beta: R = -(1 + alpha)^2 / (2 alpha) everywhere
+    means, spreads = [], []
+    for al in (0.5, 1.0, 2.0):
+        spec = get_system("chap_s", alpha=al, beta=al)
+        mean, spread = analysis.constant_curvature_check(
+            spec, analysis.grid_for(spec, 8))
+        means.append(mean)
+        spreads.append(spread)
+    ok = all(s < 1e-8 and abs(m - want) < 1e-8
+             for m, s, want in zip(means, spreads, (-2.25, -2.0, -2.25)))
+    return _criterion(7, ok, R=means, spread=spreads)
+
+
+def _criterion_08():
+    # Chaplygin alpha = beta = 0: the metric degenerates at every point
+    spec = get_system("chap_s", alpha=0.0, beta=0.0)
+    grid = analysis.GridSpec((("u", 0.5, 5.0, 6), ("v", 0.5, 5.0, 6)))
+    m = metric_at(spec, np.array(grid.points()))
+    worst = _max_abs(m.det)
+    return _criterion(8, worst < 1e-12 and all(
+        isinstance(m.faults.errors.get(i), DegenerateMetric)
+        for i in range(len(m.det))), max_abs_det=worst)
+
+
+def _criterion_09():
+    # Ising: R finite, |R| growing as T falls below 1, a plateau at large
+    # T, and the jet R against the finite-difference R at (T, H) = (1, 1)
+    curve = analysis.ising_profile(1.0, (1.0,), (0.2, 10.0),
+                                   samples=24).curves[0]
+    low = [abs(r) for t, r in zip(curve.T, curve.R) if t <= 1.0]
+    R = np.array(analysis.ising_profile(1.0, (1.0,), (50.0, 100.0),
+                                        samples=8).curves[0].R)
+    variation = float((R.max() - R.min()) / abs(R.mean()))
+    spec = get_system("ising_f")
+    r_ad = curvature_at(spec, (1.0, 1.0)).ricci_scalar
+    gap = abs(r_ad - analysis.fd_ricci_scalar(spec, (1.0, 1.0)))
+    ok = (all(map(math.isfinite, curve.R))
+          and all(a > b for a, b in zip(low, low[1:]))
+          and variation < 0.05 and gap <= 1e-3 * (1.0 + abs(r_ad)))
+    return _criterion(9, ok, tail_variation=variation, ad_fd_gap=gap)
+
+
+def _criterion_10():
+    # jet partials through order 4 are symmetric and agree with nested
+    # central differences at 20 random points of each catalog system
+    rng = np.random.default_rng(7)
+    worst, symmetric = 0.0, True
+    for sid in systems.catalog_ids():
+        spec = get_system(sid)
+        lo, hi = np.array(spec.sample_box).T
+        for _ in range(20):
+            x = lo + (hi - lo) * (0.1 + 0.8 * rng.random(len(lo)))
+            jet = jet_eval(spec.field, x, 4)
+            for order, t in enumerate(
+                    (jet.grad, jet.hess, jet.third, jet.fourth), 1):
+                symmetric = symmetric and all(
+                    np.allclose(t, np.transpose(t, p))
+                    for p in permutations(range(order)))
+                for idx in combinations_with_replacement(range(len(lo)),
+                                                         order):
+                    ad = float(t[idx])
+                    fd = fd_partial(spec.field, x, idx)
+                    worst = max(worst, abs(ad - fd) / (1.0 + abs(ad)))
+    return _criterion(10, worst < 1e-4 and symmetric, max_rel_dev=worst)
+
+
+def _criterion_11():
+    # the homogeneity suite's rows
+    one, three, molar = _check_homogeneity()
+    return _criterion(11, one["pass"] and three["pass"] and molar["pass"],
+                      degrees=[one["degree"], three["degree"]],
+                      ideal_s_residual=molar["residual"])
+
+
+CRITERIA = (_criterion_01, _criterion_02, _criterion_03, _criterion_04,
+            _criterion_05, _criterion_06, _criterion_07, _criterion_08,
+            _criterion_09, _criterion_10, _criterion_11)
 
 SUITES = {
     "oracle": _check_oracle,
     "invariance": _check_invariance,
     "homogeneity": _check_homogeneity,
+    "criteria": lambda: [criterion() for criterion in CRITERIA],
 }
 
 
@@ -469,7 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("check", help="run validation suites")
-    p.add_argument("suite", help="invariance | homogeneity | oracle | all")
+    p.add_argument("suite", help="oracle | invariance | homogeneity | "
+                   "criteria (the acceptance criteria 1-11) | all (every "
+                   "suite, in that order)")
     p.set_defaults(fn=cmd_check)
     return parser
 

@@ -86,9 +86,9 @@ class ChristoffelArray:
 class CurvatureResult:
     """Ricci scalar and flags at a batch of points, or at one point.
 
-    For a batch every field has a leading batch axis, ``ricci_scalar`` is
-    NaN and ``nonfinite`` True at the points that failed, and ``faults``
-    records why.
+    For a batch every field has a leading batch axis; ``ricci_scalar``,
+    ``det_g`` and ``conformal_factor`` are NaN and ``nonfinite`` True at the
+    points that failed, and ``faults`` records why.
     """
 
     at: np.ndarray
@@ -242,8 +242,8 @@ def riemann_up(ch: ChristoffelArray) -> np.ndarray:
 
 def ricci_scalar(m: MetricTensor) -> CurvatureResult:
     """Ricci scalar of a batched natural metric with degeneracy/blow-up
-    flags.  Failures go to the metric's fault record, and R is NaN and
-    flagged non-finite there.
+    flags.  Failures go to the metric's fault record; R, det g and the
+    conformal factor are NaN there, and R is flagged non-finite.
     """
     faults = m.faults
     bk = backend_of(m.g)
@@ -254,11 +254,11 @@ def ricci_scalar(m: MetricTensor) -> CurvatureResult:
         R = np.einsum("zsn,zsn->z", ginv, ricci)
         finite = bk.isfinite(R)
         faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
-        R = np.where(faults.ok, R, np.nan)
+        R, det, c = (np.where(faults.ok, a, np.nan)
+                     for a in (R, m.det, m.conformal_factor))
         nonfinite = ~faults.ok | (np.abs(R) > NONFINITE_R)
-    return CurvatureResult(at=m.at, ricci_scalar=R, det_g=m.det,
-                           degenerate=degenerate,
-                           conformal_factor=m.conformal_factor,
+    return CurvatureResult(at=m.at, ricci_scalar=R, det_g=det,
+                           degenerate=degenerate, conformal_factor=c,
                            nonfinite=nonfinite, faults=faults)
 
 

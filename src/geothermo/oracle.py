@@ -224,15 +224,22 @@ def oracle_vs_pipeline(id: str, spec: SystemSpec, grid):
     else:
         res = curvature_at(spec, np.array(pts))
         pipeline = res.ricci_scalar
+    # the points before the first failed one are compared, so that an
+    # oracle failure there still raises first; the batch goes before any
+    # raise, as a raised failure keeps the frames it passes through
+    first = min(res.faults.errors, default=len(pts))
+    error = res.faults.pop_first()
+    values = pipeline[:first].tolist()
+    del res, pipeline
 
     sign = None
     worst = 0.0
-    for i, x in enumerate(pts):
-        if i in res.faults.errors:
-            raise res.faults.errors[i]
-        got = float(pipeline[i])
+    for x, got in zip(pts, values):
         ref = oracle_eval(id, point_map(spec, x), spec.params)
         if sign is None:
             sign = 1 if abs(got - ref) <= abs(got + ref) else -1
         worst = max(worst, abs(got - sign * ref) / (1.0 + abs(ref)))
+    if error is not None:
+        del pts, values
+        raise error
     return sign, worst

@@ -16,6 +16,7 @@ from geothermo.errors import (DegenerateMetric, DomainViolation,
                               GeothermoError, NonFinite, SingularDenominator)
 from geothermo.geometry import CHUNK, curvature_at, metric_at
 from geothermo.jets import jet_eval
+from geothermo.oracle import oracle_vs_pipeline
 from geothermo.systems import (catalog_ids, domain_check, evaluate,
                                from_definition, get_system)
 from geothermo.transforms import (_ImplicitField, first_law_residual,
@@ -194,8 +195,9 @@ def _kept_bytes_per_failure(call, count=20):
 # the closed-form partial Legendre transform of vdw_u, whose point map
 # fails outside v > b
 VDW_F = partial_legendre(SPECS["vdw_u"], 0)
-# a vdw_s grid that crosses v = b
+# a vdw_s grid that crosses v = b, and its points
 CROSSING_GRID = an.GridSpec((("u", 0.5, 5.0, 20), ("v", 0.5, 6.0, 20)))
+CROSSING_POINTS = CROSSING_GRID.points()
 # a vdw_s path whose ends lie inside u + a/v > 0 and whose midpoint does not
 CONVEX_GAP = [(-1.0 / 1.2 + 1e-3, 1.2), (-1.0 / 6.0 + 1e-3, 6.0)]
 
@@ -213,6 +215,8 @@ KEPT_FAILURES = {
         SPECS["vdw_s"], CROSSING_GRID),
     "first_law_residual": lambda: first_law_residual(SPECS["vdw_s"],
                                                      CONVEX_GAP),
+    "oracle_vs_pipeline": lambda: oracle_vs_pipeline(
+        "vdw_R_s", SPECS["vdw_s"], CROSSING_POINTS),
 }
 
 
@@ -249,9 +253,9 @@ def test_chunk_width_changes_no_bit(key):
     whole = curvature_at(spec, points)
     parts = [curvature_at(spec, points[i:i + 64])
              for i in range(0, len(points), 64)]
-    assert np.array_equal(whole.ricci_scalar,
-                          np.concatenate([p.ricci_scalar for p in parts]),
-                          equal_nan=True)
+    for name in ("ricci_scalar", "det_g", "conformal_factor"):
+        assert np.array_equal(getattr(whole, name), np.concatenate(
+            [getattr(p, name) for p in parts]), equal_nan=True), name
     assert np.array_equal(whole.nonfinite,
                           np.concatenate([p.nonfinite for p in parts]))
     assert {i: type(e) for i, e in whole.faults.errors.items()} == {

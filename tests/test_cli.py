@@ -345,3 +345,44 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(["check", "doomed"], capsys)
     assert code == 5
     assert "[FAIL] doomed" in out
+
+
+# the rows of `check all` before the criteria suite's, in order
+SUITE_ROWS = [
+    "oracle:vdw_R_s", "oracle:vdw_R_u", "oracle:vdw_R_vP", "oracle:vdw_R_F_Tv",
+    "oracle:chap_R_s", "oracle:chap_R_u", "oracle:chap_det",
+    "oracle:ideal_zero", "invariance:vdw_s~vdw_u",
+    "invariance:ideal_s~ideal_u", "invariance:chap_s~chap_u",
+    "invariance:vdw_u~vdw_F (intentionally different)",
+    "homogeneity:degree-1", "homogeneity:degree-3",
+    "homogeneity:ideal_s-rejected"]
+
+
+def check_rows(argv, capsys):
+    """Exit code and check names of a `check` run, after asserting that
+    its text lines name its JSON rows in order and that every row passes."""
+    code, out, _ = run(argv, capsys)
+    *lines, last = out.strip().splitlines()
+    rows = json.loads(last)["checks"]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert line.startswith(f"[PASS] {row['check']} "), line
+    # a NumPy bool would print as the string "True" under default=str
+    assert all(row["pass"] is True for row in rows)
+    return code, [row["check"] for row in rows]
+
+
+def test_check_criteria_suite(capsys):
+    code, names = check_rows(["check", "criteria"], capsys)
+    assert code == 0
+    assert names == [f"criterion:{n:02d}" for n in range(1, 12)]
+
+
+def test_check_all_runs_the_criteria_last(capsys, monkeypatch):
+    # the criteria themselves run in test_check_criteria_suite; here a
+    # stub stands for them, after the 15 rows of the other suites
+    monkeypatch.setitem(cli.SUITES, "criteria",
+                        lambda: [{"check": "criterion:stub", "pass": True}])
+    code, names = check_rows(["check", "all"], capsys)
+    assert code == 0
+    assert names == SUITE_ROWS + ["criterion:stub"]

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from geothermo import oracle
 from geothermo.analysis import grid_for
-from geothermo.errors import SingularDenominator
+from geothermo.errors import DomainViolation, SingularDenominator
 from geothermo.oracle import ORACLE_IDS, oracle_eval, oracle_vs_pipeline
 from geothermo.systems import evaluate, get_system
 from geothermo.transforms import to_vP
@@ -85,6 +86,25 @@ def test_oracle_vs_pipeline(oid, sys_id, params, sign, tol):
     got_sign, dev = oracle_vs_pipeline(oid, spec, grid_for(spec, 8).points())
     assert got_sign == sign
     assert dev < tol
+
+
+@pytest.mark.parametrize("oracle_fails_at,error", [
+    (1, SingularDenominator), (3, DomainViolation)])
+def test_first_failure_in_grid_order_raises(monkeypatch, oracle_fails_at,
+                                            error):
+    # the pipeline fails at point 2 (v < b) and the oracle at
+    # oracle_fails_at: the failure at the earlier point is raised
+    points = [(2.0, 3.0), (2.5, 3.0), (1.0, 0.5), (3.0, 3.0)]
+    closed_form = oracle._ORACLES["vdw_R_s"]
+
+    def failing(pt, pr):
+        if (pt["u"], pt["v"]) == points[oracle_fails_at]:
+            raise SingularDenominator("vanishes", factor="test")
+        return closed_form(pt, pr)
+
+    monkeypatch.setitem(oracle._ORACLES, "vdw_R_s", failing)
+    with pytest.raises(error):
+        oracle_vs_pipeline("vdw_R_s", get_system("vdw_s"), points)
 
 
 def test_helmholtz_vP_transcription_disagrees():
