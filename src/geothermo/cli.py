@@ -620,7 +620,14 @@ def cmd_check(args) -> int:
                      f"(have {', '.join(SUITES)}, all)")
     rows = []
     for name in names:
-        rows.extend(SUITES[name]())
+        try:
+            rows.extend(SUITES[name]())
+        except GeothermoError as exc:
+            # a suite whose computation raises fails as one row, and the
+            # remaining suites still run
+            rows.append({"check": name,
+                         "error": f"{type(exc).__name__}: {exc}",
+                         "pass": False})
     for row in rows:
         status = "PASS" if row["pass"] else "FAIL"
         detail = " ".join(f"{k}={v}" for k, v in row.items()

@@ -17,6 +17,17 @@ Derivatives*, 2nd ed., 2008, ch. 13): for two variables at order 4 a
 composition makes 89 multiplications instead of 165, with the same bits (see
 :meth:`Jet._compose`).
 
+A float product sums each monomial's pairs in one of two layouts with the
+same bits (see :meth:`_Tables._product`).  Below :data:`STAIRCASE_WIDTH`
+(64) points it gathers them into a rectangle padded with zero rows and
+reduces over its rank axis; from 64 points on it adds them in "staircase"
+blocks that hold each monomial's own pairs and at most one padding pair, 85
+terms instead of 144 for the full product of two variables at order 4,
+gathered and multiplied block by block.  A single point keeps the
+rectangle, whose one reduce costs less than the staircase's per-block
+calls; a grid pass of 256 points adds less than half the terms, in
+temporaries no larger than one coefficient array.
+
 A composition whose argument is affine in one variable makes no product at
 all.  A :meth:`Jet.variable` is tagged with its variable; a shift by a
 constant, a negation and a scaling by a float or by one value per point keep
@@ -53,6 +64,7 @@ sharing no code with the jet propagation.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -195,13 +207,27 @@ def _at(values, i):
     return float(values[i if values.shape[0] > 1 else 0])
 
 
+# Batches at least this wide sum a product's pairs in staircase blocks (see
+# _Tables._product), narrower ones in the padded rectangle.  On small
+# batches the staircase's per-block NumPy calls cost more than the padding
+# they skip (at a batch of one the full product of two variables at order 4
+# took 31 us against 6 us padded); on wide ones the padded temporaries
+# outgrow the cache (at 256 points 229 us against 751 us).  The crossover
+# measured 48-64 points.
+STAIRCASE_WIDTH = 64
+
+
 class _Product(NamedTuple):
-    """Product tables: padded gather indices (rank, monomial + zero row) and
-    the unpadded (i, j) pairs of each row."""
+    """Product tables: padded gather indices (rank, monomial + zero row),
+    the unpadded (i, j) pairs of each row, and the staircase: one pair of
+    gather indices (left, right) per block, and the permutation ``inverse``
+    back to monomial order."""
 
     left: np.ndarray
     right: np.ndarray
     pairs: list
+    blocks: tuple
+    inverse: np.ndarray
 
 
 class _Tables:
@@ -260,7 +286,21 @@ class _Tables:
         alone, the zero row of the result.  Summing the gathered products
         over the rank axis adds each monomial's terms in (i, j) order,
         whatever the batch size.  ``pairs`` keeps the unpadded lists (the
-        zero row's is empty)."""
+        zero row's is empty).
+
+        The staircase holds the same sums without most of the padding.  The
+        monomials are ordered by pair count, longest first (a stable sort),
+        and every group shorter than the rank gets one padding pair, the
+        zero rows of both factors.  Block r lists the r-th pair of every
+        monomial that has more than r, so each block covers a prefix of
+        that order, and ``inverse`` takes the order back to monomial order.
+        Summing a monomial's block entries in turn from +0 gives the padded
+        sum's bits: the padding product z = a_0 b_0 is a signed zero or
+        NaN, and adding it to a sum that started at +0 a second time
+        changes nothing.  For two variables at order 4 the full product
+        gathers 85 entries (70 pairs) instead of 144, and the Horner steps
+        of a composition 15, 34 and 70 (9, 25 and 55 pairs) instead of 21,
+        55 and 128."""
         groups = [[] for _ in range(height + 1)]
         for k, i, j in pairs:
             groups[k].append((i, j))
@@ -270,7 +310,20 @@ class _Tables:
         for k, group in enumerate(groups):
             for r, (i, j) in enumerate(group):
                 left[r, k], right[r, k] = i, j
-        return _Product(left, right, groups)
+        # the staircase: the rectangle's columns, longest group first, row
+        # r cut after the last group that reaches it with its first padding
+        # pair (row len(group) of a short group's column).  Ordered on
+        # Python lists: a process's first np.argsort faults in about 0.5 MB
+        # of NumPy code, which peak RSS counts
+        order = sorted(range(height + 1), key=lambda k: -len(groups[k]))
+        reach = [min(len(groups[k]) + 1, rank) for k in order]
+        blocks = []
+        for r in range(rank):
+            cols = order[:sum(x > r for x in reach)]
+            blocks.append((left[r, cols], right[r, cols]))
+        inverse = np.array(sorted(range(height + 1), key=order.__getitem__),
+                           dtype=np.intp)
+        return _Product(left, right, groups, tuple(blocks), inverse)
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +336,9 @@ def _tables(nvars: int, order: int) -> _Tables:
 
 class _FloatBackend:
     """Long double coefficients, NumPy element-wise functions, products as
-    padded gathers (see :meth:`_Tables._product`)."""
+    gathers (see :meth:`_Tables._product`): padded below
+    :data:`STAIRCASE_WIDTH` points, in staircase blocks from there on, with
+    the same bits either way."""
 
     dtype = DTYPE
     result_dtype = float        # derivatives leave jet_eval as float64
@@ -305,7 +360,15 @@ class _FloatBackend:
 
     @staticmethod
     def product(table, a, b):
-        return np.add.reduce(a[table.left] * b[table.right], axis=0)
+        if a.shape[1] < STAIRCASE_WIDTH > b.shape[1]:     # both narrower
+            return np.add.reduce(a[table.left] * b[table.right], axis=0)
+        # block by block, so that no temporary outgrows (monomials, batch)
+        (left, right), *rest = table.blocks
+        out = a[left] * b[right]
+        out += 0.0                          # the padded sum starts at +0
+        for left, right in rest:
+            out[:len(left)] += a[left] * b[right]
+        return out[table.inverse]
 
 
 class _MpBackend:
@@ -957,9 +1020,17 @@ def fd_partial(field, x, multi_index, step: float | None = None) -> float:
         raise ValueError("fd_partial supports orders up to 4")
     x = [float(c) for c in x]
     k = len(multi_index)
+    # the nested stencil visits 4^k nodes, many of them the same float
+    # point (at vdw_s (2, 3) the order-4 partial along u visits 42
+    # distinct points), so each point is evaluated once, keyed by its
+    # exact bits (-0.0 apart from 0.0)
+    values = {}
 
     def plain(pt):
-        return float(field([float(c) for c in pt]))
+        key = struct.pack(f"{len(pt)}d", *pt)
+        if key not in values:
+            values[key] = float(field([float(c) for c in pt]))
+        return values[key]
 
     def shifted(idxs, pt, a, mult, h):
         out = list(pt)

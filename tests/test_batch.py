@@ -15,7 +15,7 @@ from geothermo import cli, jets
 from geothermo.errors import (DegenerateMetric, DomainViolation,
                               GeothermoError, NonFinite, SingularDenominator)
 from geothermo.geometry import CHUNK, curvature_at, metric_at
-from geothermo.jets import jet_eval
+from geothermo.jets import STAIRCASE_WIDTH, jet_eval
 from geothermo.oracle import oracle_vs_pipeline
 from geothermo.systems import (catalog_ids, domain_check, evaluate,
                                from_definition, get_system)
@@ -246,20 +246,24 @@ def test_batch_crosses_chunks():
 
 @pytest.mark.parametrize("key", sorted(SPECS))
 def test_chunk_width_changes_no_bit(key):
-    # a point's result does not depend on the pass it is evaluated in
+    # a point's result does not depend on the pass it is evaluated in: the
+    # whole grid's passes sum jet products in staircase blocks, the slices'
+    # in the padded rectangle
     spec = SPECS[key]
     points = _grid(spec, 25)
     assert len(points) > 2 * CHUNK
+    width = 32
+    assert width < STAIRCASE_WIDTH <= len(points) % CHUNK
     whole = curvature_at(spec, points)
-    parts = [curvature_at(spec, points[i:i + 64])
-             for i in range(0, len(points), 64)]
+    parts = [curvature_at(spec, points[i:i + width])
+             for i in range(0, len(points), width)]
     for name in ("ricci_scalar", "det_g", "conformal_factor"):
         assert np.array_equal(getattr(whole, name), np.concatenate(
             [getattr(p, name) for p in parts]), equal_nan=True), name
     assert np.array_equal(whole.nonfinite,
                           np.concatenate([p.nonfinite for p in parts]))
-    assert {i: type(e) for i, e in whole.faults.errors.items()} == {
-        64 * n + i: type(e) for n, p in enumerate(parts)
+    assert {i: (type(e), str(e)) for i, e in whole.faults.errors.items()} == {
+        width * n + i: (type(e), str(e)) for n, p in enumerate(parts)
         for i, e in p.faults.errors.items()}
 
 

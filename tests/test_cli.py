@@ -347,6 +347,27 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert "[FAIL] doomed" in out
 
 
+def test_check_suite_that_raises_fails_as_a_row(capsys, monkeypatch):
+    # a domain violation inside a suite (an oracle row at b = 3, where the
+    # oracle's points have v <= b) is that suite's FAIL row; the suites
+    # after it still run, and the exit code is that of a failed check
+    spec = cli.get_system("vdw_s", b=3.0)
+    monkeypatch.setitem(cli.SUITES, "oracle",
+                        lambda: [cli._oracle_row("vdw_R_s", spec)])
+    monkeypatch.setitem(cli.SUITES, "criteria",
+                        lambda: [{"check": "criterion:stub", "pass": True}])
+    code, out, _ = run(["check", "all"], capsys)
+    assert code == 5
+    *lines, last = out.strip().splitlines()
+    assert lines[0].startswith("[FAIL] oracle error=DomainViolation: ")
+    assert "v > b" in lines[0]
+    assert lines[-1] == "[PASS] criterion:stub "
+    rows = json.loads(last)["checks"]
+    assert rows[0]["check"] == "oracle" and rows[0]["pass"] is False
+    assert [row["check"] for row in rows[1:]] == SUITE_ROWS[8:] + [
+        "criterion:stub"]
+
+
 # the rows of `check all` before the criteria suite's, in order
 SUITE_ROWS = [
     "oracle:vdw_R_s", "oracle:vdw_R_u", "oracle:vdw_R_vP", "oracle:vdw_R_F_Tv",

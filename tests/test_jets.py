@@ -100,6 +100,20 @@ def test_jet_vs_fd_random_field(rng=np.random.default_rng(7)):
             assert abs(ad - fd) <= 1e-5 * (1.0 + abs(ad))
 
 
+def test_fd_partial_evaluates_each_stencil_point_once():
+    calls = []
+
+    def field(x):
+        calls.append(tuple(x))
+        return f_mixed(x)
+
+    for idx in ((0,), (0, 1), (0, 0, 1, 1)):
+        calls.clear()
+        fd_partial(field, (2.0, 1.0), idx)
+        assert len(calls) == len(set(calls))
+    assert len(calls) < 4 ** 4      # the order-4 stencil has 256 nodes
+
+
 def test_default_fd_step_scales():
     assert default_fd_step(0.0, 1) < default_fd_step(0.0, 4)
     assert default_fd_step(100.0, 2) == pytest.approx(
@@ -262,13 +276,8 @@ def _untruncated_step(t):
     """The Horner step of a composition without truncation: every monomial,
     from the pairs whose right factor is not the constant monomial, padded
     with both factors' zero rows."""
-    groups = [[(i, j) for i, j in group if j != 0] for group in t.mul.pairs]
-    left = np.full((max(map(len, groups)), t.size + 1), t.size, dtype=np.intp)
-    right = left.copy()
-    for k, group in enumerate(groups):
-        for r, (i, j) in enumerate(group):
-            left[r, k], right[r, k] = i, j
-    return jets._Product(left, right, groups)
+    return t._product([(k, i, j) for k, group in enumerate(t.mul.pairs)
+                       for i, j in group if j != 0], t.size, t.size)
 
 
 def _fdot_product(table, a, b):
@@ -281,9 +290,15 @@ def _fdot_product(table, a, b):
     return np.array(cols, dtype=object).T
 
 
+def _padded_product(table, a, b):
+    """A product of the float backend as the padded sum at every width:
+    each monomial's pairs and its padding, summed over the rank axis."""
+    return np.add.reduce(a[table.left] * b[table.right], axis=0)
+
+
 def _reference_compose(jet, series):
     """Jet._compose with an untruncated Horner step at every degree."""
-    product = _fdot_product if jet.bk is jets.MPMATH else jets.FLOAT.product
+    product = _fdot_product if jet.bk is jets.MPMATH else _padded_product
     table = _untruncated_step(jets._tables(jet.nvars, jet.order))
     c = jet.c
     out = c * series[-1]
@@ -388,6 +403,58 @@ def test_composition_matches_untruncated_horner(backend, kind):
                 got = jet._compose(series).c
                 assert _same_bits(got, _reference_compose(jet, series)), \
                     (nvars, order)
+
+
+@pytest.mark.parametrize("batch", [70, 256])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "nonfinite", "affine"])
+def test_wide_composition_matches_untruncated_horner(kind, batch):
+    # batches wide enough for the staircase sums, with NaN and negative
+    # zero rows at some points of the untagged jets
+    assert batch >= jets.STAIRCASE_WIDTH
+    rng = np.random.default_rng(14)
+    with np.errstate(all="ignore"):
+        for nvars in (1, 2, 3):
+            for order in range(1, 5):
+                jet, series = _series_case(rng, nvars, order, batch,
+                                           jets.FLOAT, kind)
+                if kind != "affine":
+                    jet.c[-1, 4::7] = math.nan
+                    jet.c[-1, 5::7] = -0.0
+                got = jet._compose(series).c
+                assert _same_bits(got, _reference_compose(jet, series)), \
+                    (nvars, order)
+
+
+def _product_factor(rng, rows, batch):
+    """Coefficients for a product: about 40% signed zeros and 3% infinities
+    and NaNs, and a zero row that is +0, -0 or NaN by point."""
+    m = rng.standard_normal((rows, batch))
+    pick = rng.random((rows, batch))
+    m[pick < 0.4] = np.copysign(0.0, m[pick < 0.4])
+    m[pick > 0.97] = rng.choice([math.inf, -math.inf, math.nan],
+                                np.count_nonzero(pick > 0.97))
+    m[-1] = rng.choice([0.0, -0.0, math.nan], batch, p=[0.6, 0.3, 0.1])
+    return m.astype(jets.DTYPE)
+
+
+@pytest.mark.parametrize("batch", [4, 70, 256])
+def test_float_product_matches_padded_sum(batch):
+    # the full product and every truncated step, batch against batch and
+    # broadcast against one point either way; from STAIRCASE_WIDTH on the
+    # staircase sums, below it the padded sum itself
+    rng = np.random.default_rng(15)
+    with np.errstate(all="ignore"):
+        for nvars in (1, 2, 3):
+            for order in range(1, 5):
+                t = jets._tables(nvars, order)
+                for table in [t.mul] + t.compose:
+                    a = _product_factor(rng, table.left.max() + 1, batch)
+                    b = _product_factor(rng, t.size + 1, batch)
+                    for x, y in ((a, b), (a[:, :1], b), (a, b[:, :1])):
+                        got = jets.FLOAT.product(table, x, y)
+                        assert got.shape == (len(table.pairs), batch)
+                        assert _same_bits(got, _padded_product(table, x, y)), \
+                            (nvars, order, len(table.pairs))
 
 
 @pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
