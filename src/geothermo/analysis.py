@@ -3,8 +3,7 @@
 Homogeneity detection, curvature-invariance comparisons between
 representations, singularity scans refined by a lockstep Brent search
 against the analytic van der Waals phase-transition locus,
-constant-curvature and degeneracy sweeps, and the qualitative Ising
-curvature profile.
+constant-curvature checks, and the qualitative Ising curvature profile.
 
 The Ising profile runs in extended precision: below T ~ 0.3 the interaction
 term exp(-4J/T) is smaller than the double-precision cancellation floor of
@@ -25,7 +24,7 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 
 from .errors import EmptyGrid, NonFinite, PreconditionFailure
-from .geometry import curvature_at, metric_at, natural_metric, ricci_scalar
+from .geometry import curvature_at, natural_metric, ricci_scalar
 from .jets import EPS, Faults, Jet4, fd_partial, lockstep, one_point
 from .oracle import oracle_eval
 from .systems import SystemSpec, domain_check, get_system
@@ -477,7 +476,7 @@ def locus_numerator_check(a: float, b: float, critical_points):
     return rows
 
 
-# ---- constant curvature & degeneracy -------------------------------------
+# ---- constant curvature --------------------------------------------------
 
 
 def constant_curvature_check(spec: SystemSpec, grid: GridSpec):
@@ -491,22 +490,6 @@ def constant_curvature_check(spec: SystemSpec, grid: GridSpec):
     mean = sum(vals) / len(vals)
     spread = max(abs(v - mean) for v in vals)
     return mean, spread
-
-
-def degeneracy_sweep(alpha_values, beta_values, grid: GridSpec,
-                     s0: float = 1.0, C: float = 1.0):
-    """min |det g| of the dark-fluid entropy metric per (alpha, beta) cell."""
-    pts = np.array(grid.points())       # raises EmptyGrid up front
-    rows = []
-    for al in alpha_values:
-        for be in beta_values:
-            spec = get_system("chap_s", alpha=float(al), beta=float(be),
-                              s0=s0, C=C)
-            m = metric_at(spec, pts, check_degenerate=False)
-            dets = np.abs(m.det[m.faults.ok])
-            best = float(dets.min()) if len(dets) else math.inf
-            rows.append((float(al), float(be), best))
-    return rows
 
 
 # ---- finite-difference-only curvature oracle -----------------------------

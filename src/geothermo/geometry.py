@@ -7,11 +7,17 @@ The metric is a conformal rescaling of the potential's Hessian,
 with the i-th (excluded) pair being the one traded for the potential under a
 change of representation.  First and second coordinate derivatives of g are
 assembled from the order-3/order-4 jet slots by the product rule, which is all
-the Levi-Civita connection and the Riemann tensor need.
+the curvature needs.
 
 Curvature conventions:  R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma}
 - d_nu Gamma^rho_{mu sigma} + Gamma Gamma - Gamma Gamma,
 Ricci_{sigma nu} = R^rho_{sigma rho nu}, R = g^{sigma nu} Ricci_{sigma nu}.
+On a 2-D manifold, which every catalog system has, R = 2K, and
+:func:`ricci_scalar` takes the Gaussian curvature K from Brioschi's formula
+in E, F, G = g_00, g_01, g_11, their first partials and E_vv, F_uv, G_uu
+alone, with the failed points masked.  Any other n goes through the
+Levi-Civita connection (:func:`christoffel`) and the Riemann tensor
+(:func:`riemann_up`), which also check the formula in the tests.
 
 The stages (:func:`natural_metric`, :func:`christoffel`, :func:`ricci_scalar`)
 take a batch of points on a leading axis and record each point's failure in
@@ -127,7 +133,7 @@ def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
 
     A point where some E^j Phi_j in the conformal sum vanishes fails with
     SingularPrefactor in the jet's fault record, which the result carries
-    on.  Degeneracy is left to the connection.
+    on.  Degeneracy is left to the curvature stage.
     """
     if jet.order < 4:
         raise ValueError("natural_metric needs a jet of order 4")
@@ -198,14 +204,19 @@ def _flag_nonfinite(m: MetricTensor):
     m.faults.flag(~finite, lambda i: NonFinite("metric is not finite"))
 
 
-def _connection(m: MetricTensor):
-    """Inverse metric and connection of a batched metric, with degenerate
-    or failed points masked so that one of them cannot abort the batch.
-
-    Returns (degeneracy mask, inverse metric, connection)."""
+def _flag_failures(m: MetricTensor):
+    """Flag degenerate, then non-finite metrics; returns the degeneracy
+    mask."""
     degenerate = _flag_degenerate(m)
     _flag_nonfinite(m)
-    ok = m.faults.ok
+    return degenerate
+
+
+def _connection(m: MetricTensor, ok):
+    """Inverse metric and connection of a batched metric, with the points
+    not ``ok`` masked so that one of them cannot abort the batch.
+
+    Returns (inverse metric, connection)."""
     g = m.g if ok.all() else np.where(ok[:, None, None], m.g, np.eye(m.n))
     ginv = backend_of(m.g).inv(g)
     # dg[c,a,b] = d_c g_ab ; bracket[b,c,d] = d_b g_dc + d_c g_db - d_d g_bc
@@ -220,14 +231,57 @@ def _connection(m: MetricTensor):
                 - ddg.transpose(0, 1, 3, 4, 2))
     dgamma = 0.5 * (np.einsum("zead,zbcd->zeabc", dginv, bracket)
                     + np.einsum("zad,zebcd->zeabc", ginv, dbracket))
-    return degenerate, ginv, ChristoffelArray(gamma=gamma, dgamma=dgamma)
+    return ginv, ChristoffelArray(gamma=gamma, dgamma=dgamma)
+
+
+def _brioschi(m: MetricTensor, ok):
+    """Gaussian curvature K = R/2 of a batched 2-D metric by Brioschi's
+    formula, K = (det A - det B) / (EG - F^2)^2, element by element on the
+    batch axis.  It reads g, dg and three entries of ddg.  The points not
+    ``ok`` take the identity metric with zero derivatives, as in the
+    connection, so that their det g cannot raise (mpmath) or warn."""
+    g, dg, ddg = m.g, m.dg, m.ddg
+    if not ok.all():
+        g = np.where(ok[:, None, None], g, np.eye(2))
+        dg = np.where(ok[:, None, None, None], dg, 0.0)
+        ddg = np.where(ok[:, None, None, None, None], ddg, 0.0)
+    # the entries below are doubled, which makes 4 (det A - det B)
+    scale = 0.25
+    if g.dtype != object:
+        # (EG - F^2)^2 leaves the float64 range where |g| nears 1e-77 or
+        # 1e77.  K[s g] = K[g] / s, so the metric of each point is scaled
+        # by the power of two s that brings max|g_ab| into [0.5, 1): that
+        # changes no bit wherever nothing over- or underflows unscaled.
+        # mpmath numbers have no such range.
+        s = np.ldexp(1.0, -np.frexp(np.abs(g).max(axis=(1, 2)))[1])
+        g = g * s[:, None, None]
+        dg = dg * s[:, None, None, None]
+        ddg = ddg * s[:, None, None, None, None]
+        scale = scale * s
+    # (u, v) = coordinates (0, 1) and (E, F, G) = (g_00, g_01, g_11)
+    E, F, G = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+    Eu, Ev = dg[:, 0, 0, 0], dg[:, 1, 0, 0]
+    Fu, Fv = dg[:, 0, 0, 1], dg[:, 1, 0, 1]
+    Gu, Gv = dg[:, 0, 1, 1], dg[:, 1, 1, 1]
+    Evv, Fuv, Guu = ddg[:, 1, 1, 0, 0], ddg[:, 1, 0, 0, 1], ddg[:, 0, 0, 1, 1]
+    D = E * G - F * F
+    # A and B with their first row and column doubled (exact):
+    # [[a11, Eu, a13], [a21, E, F], [Gv, F, G]] and
+    # [[0, Ev, Gu], [Ev, E, F], [Gu, F, G]], each expanded along its
+    # first row
+    a11 = 2.0 * (2.0 * Fuv - Evv - Guu)
+    a13, a21 = 2.0 * Fu - Ev, 2.0 * Fv - Gu
+    det_a = a11 * D - Eu * (a21 * G - F * Gv) + a13 * (a21 * F - E * Gv)
+    det_b = Gu * (Ev * F - E * Gu) - Ev * (Ev * G - F * Gu)
+    return scale * ((det_a - det_b) / (D * D))
 
 
 def christoffel(m: MetricTensor) -> ChristoffelArray:
     """Levi-Civita connection and its first coordinate derivatives of a
     batched metric; degenerate points fail in its fault record."""
     with np.errstate(all="ignore"):
-        return _connection(m)[2]
+        _flag_failures(m)
+        return _connection(m, m.faults.ok)[1]
 
 
 def riemann_up(ch: ChristoffelArray) -> np.ndarray:
@@ -242,16 +296,20 @@ def riemann_up(ch: ChristoffelArray) -> np.ndarray:
 
 def ricci_scalar(m: MetricTensor) -> CurvatureResult:
     """Ricci scalar of a batched natural metric with degeneracy/blow-up
-    flags.  Failures go to the metric's fault record; R, det g and the
-    conformal factor are NaN there, and R is flagged non-finite.
+    flags: 2K from Brioschi's formula when n = 2, the contracted Riemann
+    tensor otherwise.  Failures go to the metric's fault record; R, det g
+    and the conformal factor are NaN there, and R is flagged non-finite.
     """
     faults = m.faults
     bk = backend_of(m.g)
     with np.errstate(all="ignore"):
-        degenerate, ginv, ch = _connection(m)
-        up = riemann_up(ch)
-        ricci = np.einsum("zrsrn->zsn", up)
-        R = np.einsum("zsn,zsn->z", ginv, ricci)
+        degenerate = _flag_failures(m)
+        if m.n == 2:
+            R = 2.0 * _brioschi(m, faults.ok)
+        else:
+            ginv, ch = _connection(m, faults.ok)
+            ricci = np.einsum("zrsrn->zsn", riemann_up(ch))
+            R = np.einsum("zsn,zsn->z", ginv, ricci)
         finite = bk.isfinite(R)
         faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
         R, det, c = (np.where(faults.ok, a, np.nan)

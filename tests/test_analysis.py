@@ -329,7 +329,7 @@ def test_vdw_locus_roots():
         assert abs(2.0 - r + (0.8 / 27.0) * r ** 3) < 1e-9
 
 
-# ---- constant curvature & degeneracy -------------------------------------
+# ---- constant curvature --------------------------------------------------
 
 
 def test_constant_curvature_chap():
@@ -343,16 +343,6 @@ def test_vdw_not_constant():
     spec = get_system("vdw_s")
     _, spread = an.constant_curvature_check(spec, an.grid_for(spec, 6))
     assert spread > 1e-2
-
-
-def test_degeneracy_sweep():
-    grid = an.GridSpec((("u", 1.0, 3.0, 4), ("v", 1.0, 3.0, 4)))
-    rows = an.degeneracy_sweep([0.0, 1.0], [0.0, 1.0], grid)
-    table = {(al, be): det for al, be, det in rows}
-    assert table[(0.0, 0.0)] < 1e-12
-    assert table[(1.0, 1.0)] > 1e-6
-    with pytest.raises(EmptyGrid):
-        an.degeneracy_sweep([1.0], [1.0], an.GridSpec((("u", 0, 1, 0),)))
 
 
 # ---- Ising ---------------------------------------------------------------

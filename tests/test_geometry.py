@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from geothermo import analysis as an
 from geothermo import cli, geometry
 from geothermo.errors import (DegenerateMetric, DomainViolation, NonFinite,
                               SingularPrefactor)
@@ -12,7 +13,14 @@ from geothermo.geometry import (CHUNK, MetricTensor, christoffel,
                                 curvature_at, metric_at, natural_metric,
                                 ricci_scalar, riemann_up)
 from geothermo.jets import Faults, jet_eval
-from geothermo.systems import domain_check, from_definition, get_system
+from geothermo.systems import (catalog_ids, domain_check, from_definition,
+                               get_system)
+
+# three coordinates, as in tests/test_ising_precision.py
+THREE = from_definition({
+    "id": "three", "coords": [{"name": "x"}, {"name": "y"}, {"name": "z"}],
+    "excluded_index": "x", "domain": ["x > 0", "y > 0", "z > 0"],
+    "relation": "1.5*ln(x) + ln(y) + 0.7*ln(z) + 0.3*ln(x + 2*y + z)"})
 
 
 def test_ideal_entropy_metric_closed_form(rng=np.random.default_rng(3)):
@@ -44,14 +52,111 @@ def test_ideal_gas_flat_everywhere():
         assert abs(res.ricci_scalar) < 1e-10
 
 
-def test_two_dimensional_cross_check():
-    # in two dimensions R = 2 R_0101 / det g
-    m = metric_at(get_system("vdw_s"), np.array([(1.0, 3.0)]))
+@pytest.mark.parametrize("sid", catalog_ids())
+def test_two_dimensional_cross_check(sid):
+    # ricci_scalar takes Brioschi's formula on a 2-D manifold; here it
+    # meets the tensor path (connection, Riemann, contraction) and the
+    # identity R = 2 R_0101 / det g on the sample box
+    spec = get_system(sid)
+    m = metric_at(spec, np.array(an.grid_for(spec, 16).points()))
+    assert m.faults.ok.all()
     up = riemann_up(christoffel(m))
-    down0101 = np.einsum("ze,ze->z", m.g[:, 0, :], up[:, :, 1, 0, 1])
+    tensor = np.einsum("zsn,zsn->z", np.linalg.inv(m.g),
+                       np.einsum("zrsrn->zsn", up))
     R = ricci_scalar(m).ricci_scalar
-    cross_check_dev = np.abs(R - 2.0 * down0101 / m.det)[0]
-    assert cross_check_dev < 1e-9 * (1.0 + abs(R[0]))
+    down0101 = np.einsum("ze,ze->z", m.g[:, 0, :], up[:, :, 1, 0, 1])
+    cross_check_dev = np.abs(R - 2.0 * down0101 / m.det)
+    identity_tol = 1e-9
+    if sid.startswith("ideal"):
+        # flat: R is round-off on both paths
+        assert np.abs(R - tensor).max() <= 1e-12
+    elif sid == "ising_f":
+        # low T cancels in the float jets, by up to 2.4e-7 relative at
+        # (T, H) = (0.5, 2) on either path against 60 digits
+        assert (np.abs(R - tensor) / np.abs(tensor)).max() <= 1e-7
+        exact = curvature_at(spec, m.at, dps=60).ricci_scalar
+        for r in (R, tensor):
+            assert (np.abs(r - exact) / np.abs(exact)).max() <= 2.5e-7
+        identity_tol = 1e-6
+    else:
+        assert (np.abs(R - tensor) / np.abs(tensor)).max() <= 1e-10
+    assert (cross_check_dev < identity_tol * (1.0 + np.abs(R))).all()
+
+
+def test_other_dimensions_take_the_tensor_path(monkeypatch):
+    # a 2-D manifold goes through Brioschi's formula, a 1-D or 3-D one
+    # through the connection and the Riemann tensor, on both backends
+    calls = []
+    brioschi = geometry._brioschi
+    monkeypatch.setattr(geometry, "_brioschi", lambda m, ok:
+                        calls.append(m.n) or brioschi(m, ok))
+    one = from_definition({"id": "one", "coords": [{"name": "x"}],
+                           "excluded_index": "x", "domain": ["x > 0"],
+                           "relation": "ln(x) + x^2"})
+    x3 = np.array([[0.7, 1.1, 2.5], [1.5, 0.5, 1.0]])
+    for dps in (None, 30):
+        # one coordinate leaves the conformal sum empty: g = 0 everywhere
+        res = curvature_at(one, [[0.5], [2.0]], dps=dps)
+        assert all(type(e) is DegenerateMetric
+                   for e in res.faults.errors.values())
+        assert len(res.faults.errors) == 2
+        res = curvature_at(THREE, x3, dps=dps)
+        assert res.faults.ok.all()
+        assert calls == []
+        curvature_at(get_system("vdw_s"), (2.0, 3.0), dps=dps)
+        assert calls == [2]
+        calls.clear()
+    m = metric_at(THREE, x3)
+    ricci = np.einsum("zrsrn->zsn", riemann_up(christoffel(m)))
+    tensor = np.einsum("zsn,zsn->z", np.linalg.inv(m.g), ricci)
+    assert np.array_equal(curvature_at(THREE, x3).ricci_scalar, tensor)
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_failed_point_is_masked_in_its_batch(dps):
+    # g = diag(-1/x^2, 0) at y = 0: the degenerate point takes the identity
+    # in the formula, so that the mpmath backend does not divide by its
+    # det g = 0, and the other points keep the bits they have alone
+    spec = from_definition({
+        "id": "cusp", "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "y", "domain": ["x > 0"],
+        "relation": "ln(x) + x*y^3"})
+    points = np.array([[1.0, 0.5], [1.0, 0.0], [2.0, 1.5], [0.5, -1.0]])
+    res = curvature_at(spec, points, dps=dps)
+    assert list(res.faults.errors) == [1]
+    assert type(res.faults.errors[1]) is DegenerateMetric
+    assert np.isnan(res.ricci_scalar[1])
+    for i in (0, 2, 3):
+        single = curvature_at(spec, points[i], dps=dps).ricci_scalar
+        assert res.ricci_scalar[i] == single != 0.0
+    with pytest.raises(DegenerateMetric):
+        curvature_at(spec, points[1], dps=dps)
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_curvature_of_a_dilated_point_keeps_its_bits(dps):
+    # the metric of a relation homogeneous up to a logarithm is invariant
+    # under dilation, so R at 2^k x is R at x: |g| is 2^(-2k) there, and
+    # the float formula's (EG - F^2)^2 would leave the float64 range by
+    # |k| = 130 without its power-of-two scaling
+    spec = from_definition({
+        "id": "dilation", "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "x", "domain": ["x > 0", "y > 0"],
+        "relation": "ln(x) + ln(y) + ln(x + 2*y)"})
+    points = np.array([[1.0, 0.5], [0.7, 1.3]])
+    R = curvature_at(spec, points, dps=dps).ricci_scalar
+    for k in (-250, -130, 130, 250):
+        res = curvature_at(spec, points * 2.0 ** k, dps=dps)
+        assert np.array_equal(res.ricci_scalar, R)
+
+
+def test_chaplygin_metric_is_not_degenerate_at_alpha_beta_one():
+    # criterion 8 covers alpha = beta = 0, where every point degenerates
+    spec = get_system("chap_s")        # alpha = beta = 1
+    grid = an.GridSpec((("u", 1.0, 3.0, 4), ("v", 1.0, 3.0, 4)))
+    m = metric_at(spec, np.array(grid.points()))
+    assert m.faults.ok.all()
+    assert np.abs(m.det).min() > 1e-6
 
 
 def test_vdw_curvature_reference_value():
