@@ -511,7 +511,8 @@ def _criterion_06():
     # same states, and stays finite on the locus 2ab - av + Pv^3 = 0
     vu, vF = get_system("vdw_u"), get_system("vdw_F")
     points = np.array(analysis.grid_for(vu, 12).points())
-    T = jet_eval(vu.field, points, 1).grad[:, 0]        # T = du/ds
+    T = jet_eval(vu.field, points, 1,
+                 systems.domain_check(vu, points)).grad[:, 0]   # T = du/ds
     r_u = curvature_at(vu, points).ricci_scalar
     r_F = curvature_at(vF, np.column_stack([T, points[:, 1]])).ricci_scalar
     diff = _max_abs(r_F - r_u)
@@ -576,7 +577,7 @@ def _criterion_10():
         lo, hi = np.array(spec.sample_box).T
         for _ in range(20):
             x = lo + (hi - lo) * (0.1 + 0.8 * rng.random(len(lo)))
-            jet = jet_eval(spec.field, x, 4)
+            jet = jet_eval(spec.field, x, 4, systems.domain_check(spec, x))
             for order, t in enumerate(
                     (jet.grad, jet.hess, jet.third, jet.fourth), 1):
                 symmetric = symmetric and all(

@@ -15,17 +15,20 @@ Ricci_{sigma nu} = R^rho_{sigma rho nu}, R = g^{sigma nu} Ricci_{sigma nu}.
 On a 2-D manifold, which every catalog system has, R = 2K, and
 :func:`ricci_scalar` takes the Gaussian curvature K from Brioschi's formula
 in E, F, G = g_00, g_01, g_11, their first partials and E_vv, F_uv, G_uu
-alone, with the failed points masked.  Any other n goes through the
-Levi-Civita connection (:func:`christoffel`) and the Riemann tensor
-(:func:`riemann_up`), which also check the formula in the tests.
+alone.  Any other n goes through the Levi-Civita connection
+(:func:`christoffel`) and the Riemann tensor (:func:`riemann_up`), which also
+check the formula in the tests.  Both paths read the metric with its failed
+points masked to the identity, so that one of them cannot abort the batch.
 
 The stages (:func:`natural_metric`, :func:`christoffel`, :func:`ricci_scalar`)
 take a batch of points on a leading axis and record each point's failure in
-the batch's fault record.  A single point enters only through the functions
-that take coordinates (:func:`metric_at`, :func:`curvature_at`,
-:func:`jets.jet_eval`), which run it as a batch of one and leave it through
-:func:`jets.one_point`, which raises its failure.  Both check the spec's
-domain before its jet.
+the batch's fault record.  :func:`natural_metric` flags every failure of the
+metric itself, and :func:`ricci_scalar` only an R that is not finite.  A
+single point enters only through the functions that take coordinates
+(:func:`metric_at`, :func:`curvature_at`, :func:`jets.jet_eval`), which run
+it as a batch of one and leave it through :func:`jets.one_point`, which
+raises its failure.  The first two build the metric alike, checking the
+spec's domain before its jet.
 
 Every stage runs on the numbers of the jet it is given: float64, or mpmath
 numbers in object arrays (``curvature_at(..., dps=...)``), whose backend
@@ -41,7 +44,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DegenerateMetric, NonFinite, SingularPrefactor
-from .jets import MPMATH, Faults, Jet4, backend_of, jet_eval, one_point
+from .jets import (FLOAT, MPMATH, Faults, Jet4, backend_of, jet_eval,
+                   one_point)
 from .systems import SystemSpec, domain_check
 
 DEGENERACY_RTOL = 1e-12      # |det g| < rtol * max|g_ab|^2 flags degeneracy
@@ -62,6 +66,7 @@ class MetricTensor:
     ddg: np.ndarray        # (d, c, a, b) = d_d d_c g_ab
     det: object
     conformal_factor: object
+    degenerate: object = None   # is_degenerate(), kept by natural_metric
     faults: Faults | None = None
 
     @property
@@ -79,7 +84,8 @@ class MetricTensor:
         # tolist() gives Python floats, or the mpmath numbers themselves
         return MetricTensor(at=self.at[i], g=self.g[i], dg=self.dg[i],
                             ddg=self.ddg[i], det=self.det.tolist()[i],
-                            conformal_factor=self.conformal_factor.tolist()[i])
+                            conformal_factor=self.conformal_factor.tolist()[i],
+                            degenerate=bool(self.degenerate[i]))
 
 
 @dataclass
@@ -131,9 +137,12 @@ def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
     """Assemble g, dg, ddg from a batched Jet4 of the potential at the
     (batch, n) points ``x``.
 
-    A point where some E^j Phi_j in the conformal sum vanishes fails with
-    SingularPrefactor in the jet's fault record, which the result carries
-    on.  Degeneracy is left to the curvature stage.
+    Every failure of the metric is flagged here, in the jet's fault record,
+    which the result carries on: a point where some E^j Phi_j in the
+    conformal sum vanishes fails with SingularPrefactor, then one whose
+    det g is below the degeneracy threshold with DegenerateMetric, then one
+    whose g is not finite with NonFinite.  The degeneracy mask of every
+    point is kept in ``degenerate``.
     """
     if jet.order < 4:
         raise ValueError("natural_metric needs a jet of order 4")
@@ -187,46 +196,41 @@ def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
                + dc[:, :, None, None, None] * T3c[:, None]
                + cb[:, None, None] * F4.transpose(0, 4, 3, 1, 2))
         det = bk.det(g)
-    return MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=det,
-                        conformal_factor=c, faults=faults)
+        m = MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=det,
+                         conformal_factor=c, faults=faults)
+        m.degenerate = m.is_degenerate()
+        faults.flag(m.degenerate, lambda i: DegenerateMetric(
+            f"|det g| = {abs(float(det[i])):.3e} below degeneracy threshold",
+            metric=m.point(i)))
+        finite = bk.isfinite(g.reshape(len(g), -1)).all(axis=1)
+        faults.flag(~finite, lambda i: NonFinite("metric is not finite"))
+    return m
 
 
-def _flag_degenerate(m: MetricTensor):
-    degenerate = m.is_degenerate()
-    m.faults.flag(degenerate, lambda i: DegenerateMetric(
-        f"|det g| = {abs(float(m.det[i])):.3e} below degeneracy threshold",
-        metric=m.point(i)))
-    return degenerate
+def _masked(m: MetricTensor):
+    """g, dg and ddg of a batched metric with the identity metric and zero
+    derivatives at its failed points, so that one of them cannot raise
+    (mpmath) or warn in the curvature of the batch."""
+    ok = m.faults.ok
+    if ok.all():
+        return m.g, m.dg, m.ddg
+    return (np.where(ok[:, None, None], m.g, np.eye(m.n)),
+            np.where(ok[:, None, None, None], m.dg, 0.0),
+            np.where(ok[:, None, None, None, None], m.ddg, 0.0))
 
 
-def _flag_nonfinite(m: MetricTensor):
-    finite = backend_of(m.g).isfinite(m.g.reshape(len(m.g), -1)).all(axis=1)
-    m.faults.flag(~finite, lambda i: NonFinite("metric is not finite"))
-
-
-def _flag_failures(m: MetricTensor):
-    """Flag degenerate, then non-finite metrics; returns the degeneracy
-    mask."""
-    degenerate = _flag_degenerate(m)
-    _flag_nonfinite(m)
-    return degenerate
-
-
-def _connection(m: MetricTensor, ok):
-    """Inverse metric and connection of a batched metric, with the points
-    not ``ok`` masked so that one of them cannot abort the batch.
+def _connection(g, dg, ddg):
+    """Inverse metric and connection of a batched (masked) metric.
 
     Returns (inverse metric, connection)."""
-    g = m.g if ok.all() else np.where(ok[:, None, None], m.g, np.eye(m.n))
-    ginv = backend_of(m.g).inv(g)
+    ginv = backend_of(g).inv(g)
     # dg[c,a,b] = d_c g_ab ; bracket[b,c,d] = d_b g_dc + d_c g_db - d_d g_bc
-    dg = m.dg
     bracket = (dg.transpose(0, 1, 3, 2) + dg.transpose(0, 3, 1, 2)
                - dg.transpose(0, 2, 3, 1))
     gamma = 0.5 * np.einsum("zad,zbcd->zabc", ginv, bracket)
 
     dginv = -ginv[:, None] @ dg @ ginv[:, None]
-    ddg = m.ddg     # (e, b, c, d) = d_e bracket[b,c,d]
+    # dbracket[e, b, c, d] = d_e bracket[b, c, d]
     dbracket = (ddg.transpose(0, 1, 2, 4, 3) + ddg.transpose(0, 1, 4, 2, 3)
                 - ddg.transpose(0, 1, 3, 4, 2))
     dgamma = 0.5 * (np.einsum("zead,zbcd->zeabc", dginv, bracket)
@@ -234,17 +238,10 @@ def _connection(m: MetricTensor, ok):
     return ginv, ChristoffelArray(gamma=gamma, dgamma=dgamma)
 
 
-def _brioschi(m: MetricTensor, ok):
-    """Gaussian curvature K = R/2 of a batched 2-D metric by Brioschi's
-    formula, K = (det A - det B) / (EG - F^2)^2, element by element on the
-    batch axis.  It reads g, dg and three entries of ddg.  The points not
-    ``ok`` take the identity metric with zero derivatives, as in the
-    connection, so that their det g cannot raise (mpmath) or warn."""
-    g, dg, ddg = m.g, m.dg, m.ddg
-    if not ok.all():
-        g = np.where(ok[:, None, None], g, np.eye(2))
-        dg = np.where(ok[:, None, None, None], dg, 0.0)
-        ddg = np.where(ok[:, None, None, None, None], ddg, 0.0)
+def _brioschi(g, dg, ddg):
+    """Gaussian curvature K = R/2 of a batched (masked) 2-D metric by
+    Brioschi's formula, K = (det A - det B) / (EG - F^2)^2, element by
+    element on the batch axis.  It reads g, dg and three entries of ddg."""
     # the entries below are doubled, which makes 4 (det A - det B)
     scale = 0.25
     if g.dtype != object:
@@ -278,10 +275,10 @@ def _brioschi(m: MetricTensor, ok):
 
 def christoffel(m: MetricTensor) -> ChristoffelArray:
     """Levi-Civita connection and its first coordinate derivatives of a
-    batched metric; degenerate points fail in its fault record."""
+    batched metric, with the identity metric at the points that failed
+    (see :func:`natural_metric`)."""
     with np.errstate(all="ignore"):
-        _flag_failures(m)
-        return _connection(m, m.faults.ok)[1]
+        return _connection(*_masked(m))[1]
 
 
 def riemann_up(ch: ChristoffelArray) -> np.ndarray:
@@ -295,28 +292,29 @@ def riemann_up(ch: ChristoffelArray) -> np.ndarray:
 
 
 def ricci_scalar(m: MetricTensor) -> CurvatureResult:
-    """Ricci scalar of a batched natural metric with degeneracy/blow-up
-    flags: 2K from Brioschi's formula when n = 2, the contracted Riemann
-    tensor otherwise.  Failures go to the metric's fault record; R, det g
-    and the conformal factor are NaN there, and R is flagged non-finite.
+    """Ricci scalar of a batched natural metric: 2K from Brioschi's formula
+    when n = 2, the contracted Riemann tensor otherwise, both on the metric
+    with its failed points masked.  A point whose R is not finite fails in
+    the metric's fault record with NonFinite; R, det g and the conformal
+    factor are NaN at every failed point, and R is flagged non-finite.
+    ``degenerate`` is the metric's degeneracy mask.
     """
     faults = m.faults
-    bk = backend_of(m.g)
     with np.errstate(all="ignore"):
-        degenerate = _flag_failures(m)
+        g, dg, ddg = _masked(m)
         if m.n == 2:
-            R = 2.0 * _brioschi(m, faults.ok)
+            R = 2.0 * _brioschi(g, dg, ddg)
         else:
-            ginv, ch = _connection(m, faults.ok)
+            ginv, ch = _connection(g, dg, ddg)
             ricci = np.einsum("zrsrn->zsn", riemann_up(ch))
             R = np.einsum("zsn,zsn->z", ginv, ricci)
-        finite = bk.isfinite(R)
+        finite = backend_of(g).isfinite(R)
         faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
         R, det, c = (np.where(faults.ok, a, np.nan)
                      for a in (R, m.det, m.conformal_factor))
         nonfinite = ~faults.ok | (np.abs(R) > NONFINITE_R)
     return CurvatureResult(at=m.at, ricci_scalar=R, det_g=det,
-                           degenerate=degenerate, conformal_factor=c,
+                           degenerate=m.degenerate, conformal_factor=c,
                            nonfinite=nonfinite, faults=faults)
 
 
@@ -342,46 +340,41 @@ def curvature_at(spec: SystemSpec, x,
 
 
 def _curvature_chunk(spec, points, dps):
-    faults = domain_check(spec, points)
-    if not faults.ok.any():
-        # every point failed its domain check: no jet or metric to compute
-        size = len(points)
-        return CurvatureResult(
-            at=points, ricci_scalar=np.full(size, np.nan),
-            det_g=np.full(size, np.nan), degenerate=np.zeros(size, bool),
-            conformal_factor=np.full(size, np.nan),
-            nonfinite=np.ones(size, bool), faults=faults)
     if dps is None:
-        jet = jet_eval(spec.field, points, 4, faults)
-        return ricci_scalar(natural_metric(jet, points, spec.excluded_index))
+        return ricci_scalar(_metric(spec, points))
     with mp.workdps(dps):
-        jet = jet_eval(spec.field, points, 4, faults, MPMATH)
-        res = ricci_scalar(natural_metric(jet, points, spec.excluded_index))
+        res = ricci_scalar(_metric(spec, points, MPMATH))
     return replace(res, ricci_scalar=res.ricci_scalar.astype(float),
                    det_g=res.det_g.astype(float),
                    conformal_factor=res.conformal_factor.astype(float))
 
 
-def metric_at(spec: SystemSpec, x, check_degenerate: bool = True) -> MetricTensor:
+def metric_at(spec: SystemSpec, x) -> MetricTensor:
     """Natural metric at one point, or at a (batch, n) array of points.
 
-    Points outside the domain fail with DomainViolation, degenerate ones
-    (unless ``check_degenerate`` is False) with DegenerateMetric, and those
-    whose metric is not finite with NonFinite, in the order the curvature
-    checks them.  One point raises its failure; a batch records it in
-    ``faults``.
+    Points outside the domain fail with DomainViolation, then the metric's
+    own failures follow (see :func:`natural_metric`), in the order the
+    curvature meets them.  One point raises its failure; a batch records it
+    in ``faults``.
     """
     points = np.asarray(x, dtype=float)
     if points.ndim == 1:
-        return one_point(_metric_batch(spec, points[None], check_degenerate))
-    return _metric_batch(spec, points, check_degenerate)
+        return one_point(_metric(spec, points[None]))
+    return _metric(spec, points)
 
 
-def _metric_batch(spec, points, check_degenerate):
-    jet = jet_eval(spec.field, points, 4, domain_check(spec, points))
-    m = natural_metric(jet, points, spec.excluded_index)
-    with np.errstate(all="ignore"):
-        if check_degenerate:
-            _flag_degenerate(m)
-        _flag_nonfinite(m)
-    return m
+def _metric(spec, points, backend=FLOAT):
+    """Domain check, order-4 jet and natural metric of a (batch, n) chunk.
+
+    A chunk with no point inside the domain has no jet to take: its metric
+    is NaN, with the domain's fault record."""
+    faults = domain_check(spec, points)
+    if faults.ok.any():
+        jet = jet_eval(spec.field, points, 4, faults, backend)
+        return natural_metric(jet, points, spec.excluded_index)
+    size, n = points.shape
+    nan, g, dg, ddg = (np.full((size,) + (n,) * k, np.nan)
+                       for k in (0, 2, 3, 4))
+    return MetricTensor(at=points, g=g, dg=dg, ddg=ddg, det=nan,
+                        conformal_factor=nan,
+                        degenerate=np.zeros(size, bool), faults=faults)

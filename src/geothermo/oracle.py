@@ -219,7 +219,7 @@ def oracle_vs_pipeline(id: str, spec: SystemSpec, grid):
         raise ValueError("empty grid")
     point_map = _POINT_MAPS.get(id, _named_point)
     if id == "chap_det":
-        res = metric_at(spec, np.array(pts), check_degenerate=False)
+        res = metric_at(spec, np.array(pts))
         pipeline = res.det
     else:
         res = curvature_at(spec, np.array(pts))

@@ -94,14 +94,19 @@ def _box(spec: SystemSpec):
     return [(0.5, 2.0)] * spec.n, [1.0] * spec.n
 
 
-def _newton_solve(seed, lo, hi):
+def _newton_solve(seed, lo, hi, target):
     """Damped Newton for f(z) = 0, bisection fallback, as a coroutine.
 
     It yields each trial z and is sent (f(z), f'(z)) from one evaluation,
     or None where z is invalid, which damping treats as out of range.  An
     accepted trial's derivative is the next Newton step's.  It returns the
     root, or raises DomainViolation.
+
+    f is a value minus ``target``, so a residual is accepted relative to
+    max(1, |target|): scaled by |z| instead, a far trial whose value has
+    flattened out short of the target would pass for a root.
     """
+    tol = max(1.0, abs(target))
     z = float(seed)
     fz = yield z
     if fz is None:
@@ -116,7 +121,7 @@ def _newton_solve(seed, lo, hi):
 
     for _ in range(NEWTON_MAX_ITER):
         f, df = fz
-        if abs(f) <= NEWTON_RTOL * max(1.0, abs(z)):
+        if abs(f) <= NEWTON_RTOL * tol:
             return z
         if not math.isfinite(df) or df == 0.0:
             break
@@ -129,7 +134,7 @@ def _newton_solve(seed, lo, hi):
             lam *= 0.5
         else:
             break
-    if abs(fz[0]) <= 1e-9 * max(1.0, abs(z)):
+    if abs(fz[0]) <= 1e-9 * tol:
         return z
 
     # bisection fallback: the first sign change between neighbouring valid
@@ -308,8 +313,9 @@ class _ImplicitField:
                 out.append((fi, dfi) if ok and math.isfinite(fi) else None)
             return out
 
-        roots = lockstep([_newton_solve(seed, lo, hi)
-                          for seed in self._seeds(points[rows]).tolist()],
+        seeds = self._seeds(points[rows]).tolist()
+        roots = lockstep([_newton_solve(seed, lo, hi, targets[i])
+                          for seed, i in zip(seeds, rows.tolist())],
                          equation)
         base_pts = np.full_like(points, math.nan)
         for i, z in zip(rows.tolist(), roots):

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from geothermo import cli, dsl
+from geothermo.oracle import oracle_eval
 
 
 def run(argv, capsys):
@@ -328,6 +329,31 @@ def test_figure_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[1]
     assert header == "v_r,R_entropy,R_energy"
+
+
+def _figure_columns(path):
+    """The figure's data rows, as columns of their printed text."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    return list(zip(*rows))
+
+
+def test_vdw2_figure_against_vdw1_and_the_closed_forms(tmp_path, capsys):
+    one, two = tmp_path / "vdW1.csv", tmp_path / "vdW2.csv"
+    assert run(["figure", "--recipe", "vdW1", "-o", str(one)], capsys)[0] == 0
+    assert run(["figure", "--recipe", "vdW2", "-o", str(two)], capsys)[0] == 0
+    assert two.read_text().splitlines()[1] == "v_r,R_energy,R_Helmholtz"
+    v_r, R_energy, R_helmholtz = _figure_columns(two)
+    assert R_energy == _figure_columns(one)[2]
+    # the slice P = 0.8 P_c with a = b = 1, where T = (P + a/v^2)(v - b)
+    a = b = 1.0
+    P = cli.VDW_PR * a / (27.0 * b * b)
+    for vr, re, rf in zip(v_r, R_energy, R_helmholtz):
+        v = 3.0 * b * float(vr)
+        T = (P + a / v ** 2) * (v - b)
+        want = oracle_eval("vdw_R_F_Tv", {"T": T, "v": v}, {})
+        assert abs(float(rf) - want) <= 1e-10 * (1.0 + abs(want)), vr
+        want = -oracle_eval("vdw_R_vP", {"v": v, "P": P}, {})
+        assert abs(float(re) - want) <= 1e-10 * (1.0 + abs(want)), vr
 
 
 def test_check_homogeneity_suite(capsys):

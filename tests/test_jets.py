@@ -225,6 +225,24 @@ def test_overflow_is_nonfinite():
         jet_eval(lambda a: jets.cosh(a[0]), (-800.0,), 2)
 
 
+@pytest.mark.parametrize("name", ["exp", "sinh", "cosh"])
+def test_overflow_fails_its_point_with_a_message(name):
+    # the value overflows at 12000 even in long double; the point fails
+    # naming the function and the argument, and its neighbour keeps its bits
+    def field(a):
+        return getattr(jets, name)(a[0])
+
+    batch = jet_eval(field, np.array([[1.0], [12000.0]]), 2)
+    assert batch.faults.ok.tolist() == [True, False]
+    error = batch.faults.errors[1]
+    assert (type(error), str(error)) == (NonFinite,
+                                         f"{name} overflow at 12000.0")
+    alone = jet_eval(field, (1.0,), 2)
+    for slot in ("value", "grad", "hess"):
+        assert (np.asarray(getattr(batch, slot)[0]).tobytes()
+                == np.asarray(getattr(alone, slot)).tobytes()), slot
+
+
 @pytest.mark.parametrize("exponent", [math.inf, math.nan])
 def test_non_finite_exponent_fails_the_point(exponent):
     # an integer test of an inf/nan exponent used to raise OverflowError /

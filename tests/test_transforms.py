@@ -367,6 +367,42 @@ def test_seed_lines_leave_few_trials_per_solve(key, monkeypatch):
     assert sum(len(x) for _, _, x in evals) / len(points) <= 4.0
 
 
+def test_newton_accepts_a_residual_relative_to_its_target():
+    # s(u, 3) of vdw_s flattens out as u grows: a residual scaled by the
+    # trial |u| accepted u = 2.3e14, where s = 50.3, as the preimage of
+    # s = 100, and far trials short of an unreachable s as its preimage
+    base = get_system("vdw_s")
+    spec = _derived("inv_vdw_s")
+    root, faults = _solve(spec, [[100.0, 3.0]])
+    assert faults.ok.all()
+    assert evaluate(base, root[0]) == pytest.approx(100.0, rel=1e-12)
+    for s in (1e3, 1e4):
+        with pytest.raises(DomainViolation, match="out of reach"):
+            curvature_at(spec, (s, 3.0))
+
+
+def test_failed_solves_fail_their_rows_of_a_batch():
+    # rows whose solve fails (no preimage below or above) fail with the
+    # derived domain's violation; the others keep their bits alone
+    spec = _derived("inv_vdw_s")
+    where = "preimage of the vdw_s domain"
+    inside = [[0.5 * (lo + hi) for lo, hi in spec.sample_box],
+              [spec.sample_box[0][0], spec.sample_box[1][1]],
+              [spec.sample_box[0][1], spec.sample_box[1][0]]]
+    points = np.array([inside[0], [-50.0, 3.0], inside[1], [1e4, 3.0],
+                       inside[2]])
+    res = curvature_at(spec, points)
+    assert sorted(res.faults.errors) == [1, 3]
+    for i in (1, 3):
+        exc = res.faults.errors[i]
+        assert type(exc) is DomainViolation
+        assert exc.violations == [where]
+        assert f"outside the {where}" in str(exc)
+    for i in (0, 2, 4):
+        single = curvature_at(spec, points[i]).ricci_scalar
+        assert res.ricci_scalar[i].tobytes() == np.float64(single).tobytes()
+
+
 def test_nested_solve_runs_its_inner_solve_once_per_outer_pass(monkeypatch):
     spec = total_legendre(get_system("vdw_s"), solve="newton")
     outer, inner = spec.field, spec.field.base.field
@@ -408,7 +444,7 @@ def _drive(equation, seed=2.0, lo=0.0, hi=3.0):
     """Root of one equation by the Newton coroutine, run by
     ``jets.lockstep``; ``equation(z)`` is (f, f') at z, or None where z is
     invalid."""
-    (root,) = jets.lockstep([_newton_solve(seed, lo, hi)],
+    (root,) = jets.lockstep([_newton_solve(seed, lo, hi, 0.0)],
                             lambda live, trials: list(map(equation, trials)))
     if isinstance(root, Exception):
         raise root
