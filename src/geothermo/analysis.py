@@ -1,9 +1,10 @@
 """Manifold-level experiments over the catalog.
 
 Homogeneity detection, curvature-invariance comparisons between
-representations, singularity scans refined by a lockstep Brent search
-against the analytic van der Waals phase-transition locus,
-constant-curvature checks, and the qualitative Ising curvature profile.
+representations, singularity scans refined by a batched equally spaced
+search and compared with the analytic van der Waals phase-transition
+locus, constant-curvature checks, and the qualitative Ising curvature
+profile.
 
 The Ising profile runs in extended precision: below T ~ 0.3 the interaction
 term exp(-4J/T) is smaller than the double-precision cancellation floor of
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyGrid, NonFinite, PreconditionFailure
 from .geometry import curvature_at, natural_metric, ricci_scalar
-from .jets import EPS, Faults, Jet4, fd_partial, lockstep, one_point
+from .jets import EPS, Faults, Jet4, fd_partial, one_point
 from .oracle import oracle_eval
 from .systems import SystemSpec, domain_check, get_system
 from .transforms import u_from_vP
@@ -35,6 +36,7 @@ HOMOGENEITY_RTOL = 1e-8
 BLOWUP_THRESHOLD = 1e8
 JUMP_DECADES = 2.0
 REFINE_TOL = 1e-6
+REFINE_POINTS = 15        # trials per bracket and refinement pass
 MERGE_RTOL = 1e-4         # refined detections this close are one detection
 ISING_T_CUTOFF = 0.05
 
@@ -212,15 +214,16 @@ def _scan_eval(spec, evaluator, points):
 def singularity_scan(spec: SystemSpec, grid: GridSpec,
                      blowup_threshold: float = BLOWUP_THRESHOLD,
                      evaluator=None) -> ScanReport:
-    """Locate curvature divergences on a grid and refine them by a lockstep
-    Brent search.
+    """Locate curvature divergences on a grid and refine them along their
+    axis.
 
     A grid segment is a candidate when |R| crosses ``blowup_threshold``, when
     |R| jumps by more than two decades between neighbors, or when R changes
     sign at large magnitude (a pole crossing).  Each candidate segment is
-    refined by Brent's minimiser of 1/|R| along its axis to a relative
-    coordinate tolerance of REFINE_TOL, and it is a detection when |R| at
-    the refined point reaches ``blowup_threshold``.
+    refined toward the maximum of |R| along its axis to a relative
+    coordinate tolerance of REFINE_TOL, REFINE_POINTS trials per segment in
+    each batched pass (:func:`_refine_segment`), and it is a detection when
+    |R| at its best trial reaches ``blowup_threshold``.
 
     ``evaluator`` optionally replaces the pipeline, e.g. for scans in
     non-fundamental coordinates such as (v, P): it maps a (batch, n) array of
@@ -273,106 +276,64 @@ def singularity_scan(spec: SystemSpec, grid: GridSpec,
                       detections=detections, failures=failures)
 
 
-# Brent's golden-section fraction, (3 - sqrt 5) / 2
-GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _brent_search(a, b, tol1):
-    """Brent's minimiser of 1/|R| on [a, b] as a coroutine.
-
-    It yields each abscissa to evaluate and receives |R| there (math.inf on
-    the pole itself).  Once the bracket around its best point x lies within
-    2 * tol1 of x, it returns (x, |R(x)|).  Golden-section steps keep
-    the bracket shrinking; successive parabolic interpolation takes over
-    where 1/|R| is smooth, as at a double pole, where it is locally
-    quadratic (R. P. Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 5).
-    """
-    def f(r):
-        return 1.0 / r if r > 0.0 else math.inf
-
-    tol2 = 2.0 * tol1
-    x = w = v = a + GOLDEN * (b - a)
-    rx = yield x
-    fx = fw = fv = f(rx)
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, rx
-        p = q = r = 0.0
-        if abs(e) > tol1:
-            # parabola through (v, fv), (w, fw), (x, fx); non-finite values
-            # make p or q NaN, and the test below rejects the step
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            else:
-                q = -q
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if x + d - a < tol2 or b - x - d < tol2:
-                d = tol1 if x < m else -tol1
-        else:
-            e = (b if x < m else a) - x
-            d = GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        ru = yield u
-        fu = f(ru)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw = w, fw, x, fx
-            x, fx, rx = u, fu, ru
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def _refine_segment(spec, evaluator, segments, blowup_threshold):
-    """Brent search toward the |R| maximum (1/|R| -> 0), all segments in
-    lockstep.
+    """Simultaneous search toward the |R| maximum (1/|R| -> 0), all
+    segments in one batch per pass.
 
     ``segments`` holds (x0, x1, axis) triples; the result holds, per
-    segment, the refined point, or None when |R| there stays below
-    ``blowup_threshold`` (a smooth local bump rather than a pole).  Each
-    pass evaluates the next trial of every live search in one batch; a
-    search decides only from its own values, so its refined point does not
-    depend on the other segments.  The refined point is within REFINE_TOL
-    * max(1, |x0|, |x1|) of the maximiser along the axis.
+    segment, the refined point, or None when |R| at its best trial stays
+    below ``blowup_threshold`` (a smooth local bump rather than a pole).
+    Each pass evaluates REFINE_POINTS equally spaced interior points of
+    every live bracket in one batch, and the best of them (the largest
+    |R|; a non-finite R is the pole itself) and its two neighbours make
+    the next bracket, which is 2 / (REFINE_POINTS + 1) as wide (J. Kiefer,
+    "Sequential minimax search for a maximum", Proc. AMS 4, 1953).  A
+    segment stops once its bracket is at most REFINE_TOL * max(1, |x0|,
+    |x1|) wide.  Its refined point is the vertex of the parabola through
+    1/|R| at the final three nodes, which locates a double pole, where
+    1/|R| is locally quadratic, far inside the bracket; where the vertex
+    is not inside the bracket, or a bracket end was never evaluated, it is
+    the best node.  A segment decides only from its own values, so its
+    refined point does not depend on the other segments.
     """
-    searches = []
-    for x0, x1, axis in segments:
-        a, b = sorted((x0[axis], x1[axis]))
-        searches.append(_brent_search(
-            a, b, 0.25 * REFINE_TOL * max(1.0, abs(a), abs(b))))
+    if not segments:
+        return []
+    k = REFINE_POINTS
     base = np.array([s[0] for s in segments], dtype=float)
     axes = np.array([s[2] for s in segments], dtype=int)
-
-    def abs_R(live, trials):
-        points = base[live]
-        points[np.arange(len(live)), axes[live]] = trials
+    ends = np.array([sorted((x0[a], x1[a])) for x0, x1, a in segments])
+    tol = REFINE_TOL * np.maximum(1.0, np.abs(ends).max(axis=1))
+    # per segment: the bracket ends with its best node between them (set by
+    # the first pass), and |R| at each, NaN where not evaluated
+    nodes = ends[:, [0, 0, 1]]
+    absR = np.full(nodes.shape, math.nan)
+    steps = np.arange(1, k + 1) / (k + 1)
+    live = np.arange(len(segments))
+    while len(live):
+        lo, hi = nodes[live, :1], nodes[live, 2:]
+        trials = lo + (hi - lo) * steps
+        points = base[live].repeat(k, axis=0)
+        points[np.arange(len(points)), axes[live].repeat(k)] = trials.ravel()
         r = np.abs(_scan_eval(spec, evaluator, points))
         r[~np.isfinite(r)] = math.inf     # landing on the pole itself
-        return r.tolist()
+        r = np.concatenate([absR[live, :1], r.reshape(-1, k),
+                            absR[live, 2:]], axis=1)
+        x = np.concatenate([lo, trials, hi], axis=1)
+        rows = np.arange(len(live))[:, None]
+        pick = r[:, 1:-1].argmax(axis=1)[:, None] + np.arange(3)
+        nodes[live], absR[live] = x[rows, pick], r[rows, pick]
+        live = live[nodes[live, 2] - nodes[live, 0] > tol[live]]
 
+    xl, xm, xr = nodes.T
+    with np.errstate(all="ignore"):
+        fl, fm, fr = 1.0 / absR.T
+        vertex = xm + 0.25 * (xr - xl) * (fl - fr) / (fl - 2.0 * fm + fr)
+    vertex = np.where((xl < vertex) & (vertex < xr), vertex, xm)
     refined = []
-    for point, axis, (x, rx) in zip(base.tolist(), axes.tolist(),
-                                    lockstep(searches, abs_R)):
+    for point, axis, x, best in zip(base.tolist(), axes.tolist(),
+                                    vertex.tolist(), absR[:, 1].tolist()):
         point[axis] = x
-        refined.append(tuple(point) if rx >= blowup_threshold else None)
+        refined.append(tuple(point) if best >= blowup_threshold else None)
     return refined
 
 

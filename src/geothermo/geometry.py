@@ -81,9 +81,11 @@ class MetricTensor:
         return np.abs(self.det) < DEGENERACY_RTOL * np.maximum(s * s, 1e-300)
 
     def point(self, i: int) -> "MetricTensor":
-        # tolist() gives Python floats, or the mpmath numbers themselves
-        return MetricTensor(at=self.at[i], g=self.g[i], dg=self.dg[i],
-                            ddg=self.ddg[i], det=self.det.tolist()[i],
+        # tolist() gives Python floats, or the mpmath numbers themselves;
+        # copies, not views, so that a kept point does not keep its batch
+        return MetricTensor(at=self.at[i].copy(), g=self.g[i].copy(),
+                            dg=self.dg[i].copy(), ddg=self.ddg[i].copy(),
+                            det=self.det.tolist()[i],
                             conformal_factor=self.conformal_factor.tolist()[i],
                             degenerate=bool(self.degenerate[i]))
 

@@ -211,6 +211,22 @@ def test_double_pole_refines_in_few_passes(scan_evals):
     assert len(scan_evals) <= 8       # 32 for the ternary search
 
 
+SHOULDER = _line(lambda x: 1e4 / (x - 2.9) ** 2)    # a pole just off (3, 4)
+
+
+@pytest.mark.parametrize("seg", [((3.0,), (4.0,), 0), ((4.0,), (3.0,), 0),
+                                 ((2.0,), (2.85,), 0)],
+                         ids=["up", "down", "below"])
+def test_shoulder_segment_refines_in_few_passes(scan_evals, seg):
+    # |R| is largest at the segment end nearest the pole: the search walks
+    # to that end as fast as it closes in on an interior pole
+    (x0,), (x1,), _ = seg
+    near = min((x0, x1), key=lambda x: abs(x - 2.9))
+    [(x,)] = an._refine_segment(None, SHOULDER, [seg], 1.0)
+    assert abs(x - near) <= an.REFINE_TOL * max(1.0, abs(x0), abs(x1))
+    assert len(scan_evals) <= 8
+
+
 def test_simple_pole_with_sign_flip_is_detected():
     x0 = 3.0 + math.sqrt(2) / 40
     r3, r4 = (SIMPLE_POLE(np.array([[x]]))[0] for x in (3.0, 4.0))
@@ -255,14 +271,14 @@ def test_each_pass_makes_one_scan_eval_call(scan_evals):
     for seg in SEGMENTS:
         scan_evals.clear()
         an._refine_segment(None, DOUBLE_POLE, [seg], 1e8)
-        assert scan_evals == [1] * len(scan_evals)
+        assert scan_evals == [an.REFINE_POINTS] * len(scan_evals)
         alone.append(len(scan_evals))
     scan_evals.clear()
     an._refine_segment(None, DOUBLE_POLE, SEGMENTS, 1e8)
     # one call per pass: as many calls as the longest search, and every
     # trial of every search in one of them
     assert len(scan_evals) == max(alone)
-    assert sum(scan_evals) == sum(alone)
+    assert sum(scan_evals) == an.REFINE_POINTS * sum(alone)
     assert scan_evals == sorted(scan_evals, reverse=True)
 
 
@@ -289,25 +305,23 @@ def _vdw_s_locus_dev(u, v, axis):
 
 
 def test_benchmark_line_scan_refinement(scan_evals):
-    # the grid_scan benchmark's vdw_vP line: 27 passes for the ternary
-    # search, locus deviations 3.7e-7 and 3.8e-7
+    # the grid_scan benchmark's vdw_vP line
     rep = an.scan_vdw_vP(0.8 / 27.0, (1.2, 9.0), count=241)
-    assert len(scan_evals) <= 10
+    assert len(scan_evals) <= 5
     assert [d.classification for d in rep.detections] == ["locus"] * 2
-    assert max(d.locus_deviation for d in rep.detections) <= 1e-7
+    assert max(d.locus_deviation for d in rep.detections) <= 1e-9
 
 
 def test_benchmark_box_scan_refinement(scan_evals):
-    # the grid_scan benchmark's vdw_s box: 31 passes for the ternary
-    # search, locus deviations up to 2.0e-7
+    # the grid_scan benchmark's vdw_s box
     spec = get_system("vdw_s")
     grid = an.GridSpec((("u", 0.05, 5.0, 60), ("v", 1.2, 6.0, 60)))
     rep = an.singularity_scan(spec, grid)
-    assert len(scan_evals) <= 27
+    assert len(scan_evals) <= 6
     assert len(rep.detections) == 7
     for d in rep.detections:
         assert d.classification == "unclassified"
-        assert _vdw_s_locus_dev(*d.refined, d.axis) <= 2e-7
+        assert _vdw_s_locus_dev(*d.refined, d.axis) <= 1e-9
 
 
 # ---- locus numerator -----------------------------------------------------

@@ -229,6 +229,19 @@ def test_kept_failure_does_not_keep_its_batch(name):
     assert _kept_bytes_per_failure(KEPT_FAILURES[name]) < 1700
 
 
+def test_kept_degenerate_metric_does_not_keep_its_chunk():
+    # a DegenerateMetric carries its point's metric, so it keeps more than
+    # the failures above; that metric is a copy, not views into the g, dg
+    # and ddg of the whole chunk, so a failure on a grid keeps no more than
+    # a single point's
+    spec = SPECS["chap_s_degenerate"]
+    grid = an.grid_for(spec, 16)
+    on_grid = _kept_bytes_per_failure(
+        lambda: an.constant_curvature_check(spec, grid))
+    alone = _kept_bytes_per_failure(lambda: curvature_at(spec, (2.0, 2.0)))
+    assert on_grid <= alone
+
+
 def test_batch_crosses_chunks():
     spec = get_system("vdw_s")
     points = _grid(spec, 40)          # 1600 points, several chunks
