@@ -12,28 +12,44 @@ the curvature needs.
 Curvature conventions:  R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma}
 - d_nu Gamma^rho_{mu sigma} + Gamma Gamma - Gamma Gamma,
 Ricci_{sigma nu} = R^rho_{sigma rho nu}, R = g^{sigma nu} Ricci_{sigma nu}.
-On a 2-D manifold, which every catalog system has, R = 2K, and
-:func:`ricci_scalar` takes the Gaussian curvature K from Brioschi's formula
-in E, F, G = g_00, g_01, g_11, their first partials and E_vv, F_uv, G_uu
-alone.  Any other n goes through the Levi-Civita connection
+On a 2-D manifold, which every catalog system has, R = 2K, and the Gaussian
+curvature K comes from Brioschi's formula (:func:`_brioschi`) in twelve
+batch columns: E, F, G = g_00, g_01, g_11, their first partials and E_vv,
+F_uv, G_uu.  Any other n goes through the Levi-Civita connection
 (:func:`christoffel`) and the Riemann tensor (:func:`riemann_up`), which also
-check the formula in the tests.  Both paths read the metric with its failed
-points masked to the identity, so that one of them cannot abort the batch.
+check the formula in the tests.
+
+Which path builds which arrays:
+
+- :func:`curvature_at` on a 2-D chunk (:func:`_surface_curvature`) goes from
+  the jet to R on 1-D batch columns: g, det g = EG - F^2 and the twelve
+  columns, each in the order of operations of the tensor assembly, so that
+  R keeps its bits.  It builds no full dg or ddg, except for the payload of
+  a DegenerateMetric.
+- :func:`natural_metric` (for :func:`metric_at`, :func:`christoffel` and any
+  other n) builds the full g, dg and ddg, and det g (EG - F^2 when n = 2).
+  :func:`ricci_scalar` slices the twelve columns from it when n = 2, which
+  is the path of the finite-difference oracle, and contracts the Riemann
+  tensor otherwise.
+
+The formula sets EG - F^2 to 1 at a failed point, and the tensor path masks
+a failed point's metric to the identity, so that no failed point can abort
+its batch.
 
 The stages (:func:`natural_metric`, :func:`christoffel`, :func:`ricci_scalar`)
 take a batch of points on a leading axis and record each point's failure in
-the batch's fault record.  :func:`natural_metric` flags every failure of the
-metric itself, and :func:`ricci_scalar` only an R that is not finite.  A
-single point enters only through the functions that take coordinates
-(:func:`metric_at`, :func:`curvature_at`, :func:`jets.jet_eval`), which run
-it as a batch of one and leave it through :func:`jets.one_point`, which
-raises its failure.  The first two build the metric alike, checking the
-spec's domain before its jet.
+the batch's fault record.  Both metric paths flag the failures of the metric
+itself through one helper (:func:`_flag_failures`), and the curvature only an
+R that is not finite.  A single point enters only through the functions that
+take coordinates (:func:`metric_at`, :func:`curvature_at`,
+:func:`jets.jet_eval`), which run it as a batch of one and leave it through
+:func:`jets.one_point`, which raises its failure.  The first two build the
+metric alike, checking the spec's domain before its jet.
 
 Every stage runs on the numbers of the jet it is given: float64, or mpmath
 numbers in object arrays (``curvature_at(..., dps=...)``), whose backend
-(:func:`jets.backend_of`) supplies the determinant, the inverse and the
-finiteness test.
+(:func:`jets.backend_of`) supplies the determinant when n != 2, the inverse
+and the finiteness test.
 """
 
 from __future__ import annotations
@@ -140,73 +156,95 @@ def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
     (batch, n) points ``x``.
 
     Every failure of the metric is flagged here, in the jet's fault record,
-    which the result carries on: a point where some E^j Phi_j in the
-    conformal sum vanishes fails with SingularPrefactor, then one whose
-    det g is below the degeneracy threshold with DegenerateMetric, then one
-    whose g is not finite with NonFinite.  The degeneracy mask of every
-    point is kept in ``degenerate``.
+    which the result carries on (see :func:`_flag_failures`).  The
+    degeneracy mask of every point is kept in ``degenerate``.  det g is
+    EG - F^2 on a 2-D manifold, as Brioschi's formula forms it, and a
+    cofactor or LU determinant otherwise.
     """
     if jet.order < 4:
         raise ValueError("natural_metric needs a jet of order 4")
     x = np.asarray(x, dtype=float)
-    faults = jet.faults
+    js = [j for j in range(jet.n) if j != excluded_index]
+    with np.errstate(all="ignore"):
+        # the terms w = E^j dPhi/dE^j of the conformal sum, and those that
+        # vanish
+        w = x[:, js] * jet.grad[:, js]
+        aw = np.abs(w)
+        scale = np.maximum(1.0, aw.max(axis=1, initial=0.0))
+        small = aw < PREFACTOR_ATOL * scale[:, None]
+        c, g, dg, ddg = _tensors(jet, x, backend_of(w).masked(w, small), js)
+        m = MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=_det(g),
+                         conformal_factor=c, faults=jet.faults)
+        _flag_failures(m, js, w, small.any(axis=1), lambda: m)
+    return m
+
+
+def _tensors(jet: Jet4, x, w, js):
+    """Conformal factor c = sum 1/w and g, dg, ddg by the product rule, from
+    the jet and the conformal terms ``w`` (masked where they vanish)."""
     n = jet.n
     G, H, T3, F4 = jet.grad, jet.hess, jet.third, jet.fourth
-    bk = backend_of(G)
+    # conformal factor and its first/second coordinate derivatives
+    c = np.sum(1.0 / w, axis=1)
+    dc = np.zeros((len(x), n), dtype=w.dtype)
+    ddc = np.zeros((len(x), n, n), dtype=w.dtype)
+    for idx, j in enumerate(js):
+        wj = w[:, idx, None]
+        dw = x[:, j, None] * H[:, j, :]
+        dw[:, j] += G[:, j]
+        ddw = np.zeros((len(x), n, n), dtype=w.dtype)
+        ddw[:, j, :] += H[:, j, :]
+        ddw[:, :, j] += H[:, j, :]
+        ddw += x[:, j, None, None] * T3[:, j]
+        dc += -dw / wj ** 2
+        ddc += (2.0 * (dw[:, :, None] * dw[:, None, :]) / wj[..., None] ** 3
+                - ddw / wj[..., None] ** 2)
 
-    js = [j for j in range(n) if j != excluded_index]
+    cb = c[:, None, None]
+    T3c = T3.transpose(0, 3, 1, 2)     # [z, c, a, b] = T3[z, a, b, c]
+    # dg[z, c] = dc_c H + c T3[..., c]
+    dg = dc[:, :, None, None] * H[:, None] + cb[:, None] * T3c
+    # ddg[z, d, c] = ddc_cd H + dc_c T3[..., d] + dc_d T3[..., c]
+    #                + c F4[..., c, d]
+    ddg = (ddc.transpose(0, 2, 1)[..., None, None] * H[:, None, None]
+           + dc[:, None, :, None, None] * T3c[:, :, None]
+           + dc[:, :, None, None, None] * T3c[:, None]
+           + cb[:, None, None] * F4.transpose(0, 4, 3, 1, 2))
+    return c, cb * H, dg, ddg
+
+
+def _det(g):
+    """det g of a batched metric: EG - F^2 when n = 2."""
+    if g.shape[-1] == 2:
+        return g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 0, 1]
+    return backend_of(g).det(g)
+
+
+def _flag_failures(m: MetricTensor, js, w, singular, full):
+    """Flag the failures of the batched metric ``m`` in its fault record, in
+    the order a point meets them: SingularPrefactor where a term of the
+    conformal sum vanishes (``singular``; ``w`` holds the terms, one column
+    per slot in ``js``), DegenerateMetric where m.is_degenerate(), carrying
+    the point of the metric ``full()`` with its derivatives, then NonFinite
+    where g is not finite.  The degeneracy mask is kept in
+    ``m.degenerate``."""
+    faults = m.faults
 
     def prefactor(i):
-        k = int(np.argmin(aw[i]))
+        k = int(np.argmin(np.abs(w[i])))
         return SingularPrefactor(
             f"E^{js[k]} * dPhi/dE^{js[k]} = {float(w[i, k]):.3e} "
             "vanishes in the conformal sum")
 
-    with np.errstate(all="ignore"):
-        w = x[:, js] * G[:, js]
-        aw = np.abs(w)
-        scale = np.maximum(1.0, aw.max(axis=1, initial=0.0))
-        small = aw < PREFACTOR_ATOL * scale[:, None]
-        faults.flag(small.any(axis=1), prefactor)
-        w = bk.masked(w, small)
-
-        # conformal factor and its first/second coordinate derivatives
-        c = np.sum(1.0 / w, axis=1)
-        dc = np.zeros((len(x), n), dtype=w.dtype)
-        ddc = np.zeros((len(x), n, n), dtype=w.dtype)
-        for idx, j in enumerate(js):
-            wj = w[:, idx, None]
-            dw = x[:, j, None] * H[:, j, :]
-            dw[:, j] += G[:, j]
-            ddw = np.zeros((len(x), n, n), dtype=w.dtype)
-            ddw[:, j, :] += H[:, j, :]
-            ddw[:, :, j] += H[:, j, :]
-            ddw += x[:, j, None, None] * T3[:, j]
-            dc += -dw / wj ** 2
-            ddc += (2.0 * (dw[:, :, None] * dw[:, None, :]) / wj[..., None] ** 3
-                    - ddw / wj[..., None] ** 2)
-
-        cb = c[:, None, None]
-        g = cb * H
-        T3c = T3.transpose(0, 3, 1, 2)     # [z, c, a, b] = T3[z, a, b, c]
-        # dg[z, c] = dc_c H + c T3[..., c]
-        dg = dc[:, :, None, None] * H[:, None] + cb[:, None] * T3c
-        # ddg[z, d, c] = ddc_cd H + dc_c T3[..., d] + dc_d T3[..., c]
-        #                + c F4[..., c, d]
-        ddg = (ddc.transpose(0, 2, 1)[..., None, None] * H[:, None, None]
-               + dc[:, None, :, None, None] * T3c[:, :, None]
-               + dc[:, :, None, None, None] * T3c[:, None]
-               + cb[:, None, None] * F4.transpose(0, 4, 3, 1, 2))
-        det = bk.det(g)
-        m = MetricTensor(at=x, g=g, dg=dg, ddg=ddg, det=det,
-                         conformal_factor=c, faults=faults)
-        m.degenerate = m.is_degenerate()
+    faults.flag(singular, prefactor)
+    m.degenerate = m.is_degenerate()
+    if np.count_nonzero(m.degenerate):
+        metric = full()
         faults.flag(m.degenerate, lambda i: DegenerateMetric(
-            f"|det g| = {abs(float(det[i])):.3e} below degeneracy threshold",
-            metric=m.point(i)))
-        finite = bk.isfinite(g.reshape(len(g), -1)).all(axis=1)
-        faults.flag(~finite, lambda i: NonFinite("metric is not finite"))
-    return m
+            f"|det g| = {abs(float(m.det[i])):.3e} below degeneracy "
+            "threshold", metric=metric.point(i)))
+    finite = backend_of(m.g).isfinite(m.g.reshape(len(m.g), -1)).all(axis=1)
+    faults.flag(~finite, lambda i: NonFinite("metric is not finite"))
 
 
 def _masked(m: MetricTensor):
@@ -240,39 +278,41 @@ def _connection(g, dg, ddg):
     return ginv, ChristoffelArray(gamma=gamma, dgamma=dgamma)
 
 
-def _brioschi(g, dg, ddg):
-    """Gaussian curvature K = R/2 of a batched (masked) 2-D metric by
-    Brioschi's formula, K = (det A - det B) / (EG - F^2)^2, element by
-    element on the batch axis.  It reads g, dg and three entries of ddg."""
+def _brioschi(E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, Evv, Fuv, Guu, ok):
+    """Ricci scalar R = 2K of a batched 2-D metric from Brioschi's formula
+    for its Gaussian curvature, K = (det A - det B) / (EG - F^2)^2, element
+    by element on the batch columns of E, F, G = g_00, g_01, g_11 in
+    coordinates (u, v), their first partials and E_vv, F_uv, G_uu.
+    EG - F^2 is 1 where ``ok`` is False, so that a failed point cannot
+    divide by zero (mpmath raises)."""
     # the entries below are doubled, which makes 4 (det A - det B)
     scale = 0.25
-    if g.dtype != object:
+    if E.dtype != object:
         # (EG - F^2)^2 leaves the float64 range where |g| nears 1e-77 or
         # 1e77.  K[s g] = K[g] / s, so the metric of each point is scaled
         # by the power of two s that brings max|g_ab| into [0.5, 1): that
         # changes no bit wherever nothing over- or underflows unscaled.
         # mpmath numbers have no such range.
-        s = np.ldexp(1.0, -np.frexp(np.abs(g).max(axis=(1, 2)))[1])
-        g = g * s[:, None, None]
-        dg = dg * s[:, None, None, None]
-        ddg = ddg * s[:, None, None, None, None]
+        s = np.ldexp(1.0, -np.frexp(np.maximum(
+            np.maximum(np.abs(E), np.abs(F)), np.abs(G)))[1])
+        E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, Evv, Fuv, Guu = np.array(
+            (E, F, G, Eu, Ev, Fu, Fv, Gu, Gv, Evv, Fuv, Guu)) * s
         scale = scale * s
-    # (u, v) = coordinates (0, 1) and (E, F, G) = (g_00, g_01, g_11)
-    E, F, G = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
-    Eu, Ev = dg[:, 0, 0, 0], dg[:, 1, 0, 0]
-    Fu, Fv = dg[:, 0, 0, 1], dg[:, 1, 0, 1]
-    Gu, Gv = dg[:, 0, 1, 1], dg[:, 1, 1, 1]
-    Evv, Fuv, Guu = ddg[:, 1, 1, 0, 0], ddg[:, 1, 0, 0, 1], ddg[:, 0, 0, 1, 1]
     D = E * G - F * F
-    # A and B with their first row and column doubled (exact):
+    if not ok.all():
+        D = np.where(ok, D, 1.0)
+    # A and B with their first row and column doubled (exact, as is each
+    # doubling by a sum):
     # [[a11, Eu, a13], [a21, E, F], [Gv, F, G]] and
     # [[0, Ev, Gu], [Ev, E, F], [Gu, F, G]], each expanded along its
     # first row
-    a11 = 2.0 * (2.0 * Fuv - Evv - Guu)
-    a13, a21 = 2.0 * Fu - Ev, 2.0 * Fv - Gu
+    a11 = Fuv + Fuv - Evv - Guu
+    a11 = a11 + a11
+    a13, a21 = Fu + Fu - Ev, Fv + Fv - Gu
     det_a = a11 * D - Eu * (a21 * G - F * Gv) + a13 * (a21 * F - E * Gv)
     det_b = Gu * (Ev * F - E * Gu) - Ev * (Ev * G - F * Gu)
-    return scale * ((det_a - det_b) / (D * D))
+    K = scale * ((det_a - det_b) / (D * D))
+    return K + K
 
 
 def christoffel(m: MetricTensor) -> ChristoffelArray:
@@ -295,29 +335,108 @@ def riemann_up(ch: ChristoffelArray) -> np.ndarray:
 
 def ricci_scalar(m: MetricTensor) -> CurvatureResult:
     """Ricci scalar of a batched natural metric: 2K from Brioschi's formula
-    when n = 2, the contracted Riemann tensor otherwise, both on the metric
-    with its failed points masked.  A point whose R is not finite fails in
-    the metric's fault record with NonFinite; R, det g and the conformal
-    factor are NaN at every failed point, and R is flagged non-finite.
-    ``degenerate`` is the metric's degeneracy mask.
+    on the columns of g, dg and ddg when n = 2, the contracted Riemann
+    tensor of the metric with its failed points masked otherwise.  A point
+    whose R is not finite fails in the metric's fault record with
+    NonFinite; R, det g and the conformal factor are NaN at every failed
+    point, and R is flagged non-finite.  ``degenerate`` is the metric's
+    degeneracy mask.
     """
-    faults = m.faults
     with np.errstate(all="ignore"):
-        g, dg, ddg = _masked(m)
         if m.n == 2:
-            R = 2.0 * _brioschi(g, dg, ddg)
+            g, dg, ddg = m.g, m.dg, m.ddg
+            R = _brioschi(
+                g[:, 0, 0], g[:, 0, 1], g[:, 1, 1],
+                dg[:, 0, 0, 0], dg[:, 1, 0, 0], dg[:, 0, 0, 1],
+                dg[:, 1, 0, 1], dg[:, 0, 1, 1], dg[:, 1, 1, 1],
+                ddg[:, 1, 1, 0, 0], ddg[:, 1, 0, 0, 1], ddg[:, 0, 0, 1, 1],
+                m.faults.ok)
         else:
-            ginv, ch = _connection(g, dg, ddg)
+            ginv, ch = _connection(*_masked(m))
             ricci = np.einsum("zrsrn->zsn", riemann_up(ch))
             R = np.einsum("zsn,zsn->z", ginv, ricci)
-        finite = backend_of(g).isfinite(R)
-        faults.flag(~finite, lambda i: NonFinite("Ricci scalar is not finite"))
-        R, det, c = (np.where(faults.ok, a, np.nan)
-                     for a in (R, m.det, m.conformal_factor))
-        nonfinite = ~faults.ok | (np.abs(R) > NONFINITE_R)
+        return _curvature_result(m, R)
+
+
+def _curvature_result(m: MetricTensor, R) -> CurvatureResult:
+    """The CurvatureResult of R on the metric ``m``, with a point whose R is
+    not finite failed (call under ``np.errstate(all="ignore")``)."""
+    faults = m.faults
+    faults.flag(~backend_of(R).isfinite(R),
+                lambda i: NonFinite("Ricci scalar is not finite"))
+    R, det, c = R, m.det, m.conformal_factor
+    if not faults.ok.all():
+        R, det, c = (np.where(faults.ok, a, np.nan) for a in (R, det, c))
+    nonfinite = ~faults.ok | (np.abs(R) > NONFINITE_R)
     return CurvatureResult(at=m.at, ricci_scalar=R, det_g=det,
                            degenerate=m.degenerate, conformal_factor=c,
                            nonfinite=nonfinite, faults=faults)
+
+
+def _surface_curvature(jet: Jet4, x, excluded_index: int) -> CurvatureResult:
+    """:func:`ricci_scalar` of :func:`natural_metric` for a batched 2-D
+    Jet4, on 1-D batch columns.
+
+    It builds the conformal term w of the one slot in the sum with its
+    first and second derivatives, then g, det g = EG - F^2 and the twelve
+    entries of g, dg and ddg that Brioschi's formula reads, each in the
+    order of operations of :func:`_tensors` (a doubling is a sum, which is
+    exact), so that R and det g keep their bits.  The failures are flagged
+    as in :func:`natural_metric`; a DegenerateMetric carries its point's
+    full metric, whose dg and ddg are built for the chunk only then.
+    """
+    x = np.asarray(x, dtype=float)
+    i, j = excluded_index, 1 - excluded_index
+    grad, H, T3 = jet.grad, jet.hess, jet.third
+    u, Hj = x[:, j], H[:, j]
+    with np.errstate(all="ignore"):
+        # natural_metric's conformal term w = x_j Phi_j, and its test
+        w = u * grad[:, j]
+        aw = np.abs(w)
+        small = aw < PREFACTOR_ATOL * np.maximum(1.0, aw)
+        masked = backend_of(w).masked(w, small)
+        # w with its derivatives dw[a] and ddw[a, b] (a <= b), and c = 1/w
+        # with dc[a] and ddc[a, b].  Each sum of _tensors starts from 0.0, which turns
+        # a -0.0 into +0.0, and so does each of these
+        c, w2, w3 = 1.0 / masked, masked ** 2, masked ** 3
+        dw = [u * Hj[:, 0], u * Hj[:, 1]]
+        dw[j] = dw[j] + grad[:, j]
+        ddw = {(j, j): (0.0 + Hj[:, j]) + Hj[:, j] + u * T3[:, j, j, j],
+               (0, 1): (0.0 + Hj[:, i]) + u * T3[:, j, j, i],
+               (i, i): 0.0 + u * T3[:, j, i, i]}
+        dc = [0.0 - d / w2 for d in dw]
+        ddc = {}
+        for a, b in ddw:
+            p = dw[a] * dw[b]
+            ddc[a, b] = 0.0 + ((p + p) / w3 - ddw[a, b] / w2)
+
+        g = c[:, None, None] * H
+        H00, H01, H11 = H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]
+        T000, T001, T011, T111 = (T3[:, 0, 0, 0], T3[:, 0, 0, 1],
+                                  T3[:, 0, 1, 1], T3[:, 1, 1, 1])
+        # dg[c, a, b] = dc_c H_ab + c T3_abc, and ddg[d, c, a, b] at
+        # (1, 1, 0, 0), (1, 0, 0, 1) and (0, 0, 1, 1), where T3 and F4
+        # take one value per monomial
+        cF4 = c * jet.fourth[:, 0, 0, 1, 1]
+        t0, t1 = dc[0] * T011, dc[1] * T001
+        columns = (
+            g[:, 0, 0], g[:, 0, 1], g[:, 1, 1],
+            dc[0] * H00 + c * T000, dc[1] * H00 + c * T001,
+            dc[0] * H01 + c * T001, dc[1] * H01 + c * T011,
+            dc[0] * H11 + c * T011, dc[1] * H11 + c * T111,
+            ddc[1, 1] * H00 + t1 + t1 + cF4,
+            ddc[0, 1] * H01 + t0 + t1 + cF4,
+            ddc[0, 0] * H11 + t0 + t0 + cF4)
+
+        m = MetricTensor(at=x, g=g, dg=None, ddg=None, det=_det(g),
+                         conformal_factor=c, faults=jet.faults)
+
+        def full():
+            _, _, dg, ddg = _tensors(jet, x, masked[:, None], [j])
+            return replace(m, dg=dg, ddg=ddg)
+
+        _flag_failures(m, [j], w[:, None], small, full)
+        return _curvature_result(m, _brioschi(*columns, m.faults.ok))
 
 
 def curvature_at(spec: SystemSpec, x,
@@ -343,9 +462,9 @@ def curvature_at(spec: SystemSpec, x,
 
 def _curvature_chunk(spec, points, dps):
     if dps is None:
-        return ricci_scalar(_metric(spec, points))
+        return _chunk(spec, points, FLOAT, curvature=True)
     with mp.workdps(dps):
-        res = ricci_scalar(_metric(spec, points, MPMATH))
+        res = _chunk(spec, points, MPMATH, curvature=True)
     return replace(res, ricci_scalar=res.ricci_scalar.astype(float),
                    det_g=res.det_g.astype(float),
                    conformal_factor=res.conformal_factor.astype(float))
@@ -361,22 +480,28 @@ def metric_at(spec: SystemSpec, x) -> MetricTensor:
     """
     points = np.asarray(x, dtype=float)
     if points.ndim == 1:
-        return one_point(_metric(spec, points[None]))
-    return _metric(spec, points)
+        return one_point(_chunk(spec, points[None]))
+    return _chunk(spec, points)
 
 
-def _metric(spec, points, backend=FLOAT):
-    """Domain check, order-4 jet and natural metric of a (batch, n) chunk.
+def _chunk(spec, points, backend=FLOAT, curvature=False):
+    """Domain check, order-4 jet and natural metric of a (batch, n) chunk,
+    or with ``curvature`` its Ricci scalar, which a 2-D chunk takes from
+    its jet's columns (:func:`_surface_curvature`).
 
     A chunk with no point inside the domain has no jet to take: its metric
     is NaN, with the domain's fault record."""
     faults = domain_check(spec, points)
     if faults.ok.any():
         jet = jet_eval(spec.field, points, 4, faults, backend)
-        return natural_metric(jet, points, spec.excluded_index)
-    size, n = points.shape
-    nan, g, dg, ddg = (np.full((size,) + (n,) * k, np.nan)
-                       for k in (0, 2, 3, 4))
-    return MetricTensor(at=points, g=g, dg=dg, ddg=ddg, det=nan,
-                        conformal_factor=nan,
-                        degenerate=np.zeros(size, bool), faults=faults)
+        if curvature and jet.n == 2:
+            return _surface_curvature(jet, points, spec.excluded_index)
+        m = natural_metric(jet, points, spec.excluded_index)
+    else:
+        size, n = points.shape
+        nan, g, dg, ddg = (np.full((size,) + (n,) * k, np.nan)
+                           for k in (0, 2, 3, 4))
+        m = MetricTensor(at=points, g=g, dg=dg, ddg=ddg, det=nan,
+                         conformal_factor=nan,
+                         degenerate=np.zeros(size, bool), faults=faults)
+    return ricci_scalar(m) if curvature else m

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from geothermo.errors import (DegenerateMetric, DomainViolation, NonFinite,
 from geothermo.geometry import (CHUNK, MetricTensor, christoffel,
                                 curvature_at, metric_at, natural_metric,
                                 ricci_scalar, riemann_up)
-from geothermo.jets import Faults, jet_eval
+from geothermo.jets import MPMATH, Faults, jet_eval
 from geothermo.systems import (catalog_ids, domain_check, from_definition,
                                get_system)
 
@@ -88,8 +89,9 @@ def test_other_dimensions_take_the_tensor_path(monkeypatch):
     # through the connection and the Riemann tensor, on both backends
     calls = []
     brioschi = geometry._brioschi
-    monkeypatch.setattr(geometry, "_brioschi", lambda g, dg, ddg:
-                        calls.append(g.shape[-1]) or brioschi(g, dg, ddg))
+    # the formula's twelve columns are those of a 2-D metric
+    monkeypatch.setattr(geometry, "_brioschi", lambda *columns:
+                        calls.append(2) or brioschi(*columns))
     one = from_definition({"id": "one", "coords": [{"name": "x"}],
                            "excluded_index": "x", "domain": ["x > 0"],
                            "relation": "ln(x) + x^2"})
@@ -205,6 +207,32 @@ def test_degenerate_point_fails_alike_everywhere(capsys):
     assert code == 3
     assert capsys.readouterr().err == (
         f"geothermo: degenerate metric: {DEGENERATE_MESSAGE}\n")
+
+
+def test_degenerate_point_carries_the_metric_of_metric_at():
+    # curvature_at builds a 2-D chunk's metric only as far as Brioschi's
+    # formula reads it, and the full metric of a degenerate point for its
+    # DegenerateMetric alone: that payload is metric_at's, for one point
+    # and for each degenerate point of a batch
+    spec = get_system("chap_s", alpha=0.0, beta=0.0)
+    errors = []
+    for at in (curvature_at, metric_at):
+        with pytest.raises(DegenerateMetric) as err:
+            at(spec, (2.0, 2.0))
+        errors.append(err.value)
+    points = np.array(an.grid_for(spec, 6).points())
+    batch = curvature_at(spec, points).faults.errors
+    want = metric_at(spec, points).faults.errors
+    assert len(batch) == len(points)
+    pairs = [tuple(errors)] + [(batch[i], want[i]) for i in sorted(want)]
+    for got, want in pairs:
+        assert type(got) is type(want) is DegenerateMetric
+        assert str(got) == str(want)
+        a, b = got.metric, want.metric
+        for name in ("at", "g", "dg", "ddg"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.det, a.conformal_factor, a.degenerate) == (
+            b.det, b.conformal_factor, b.degenerate)
 
 
 def test_degeneracy_tested_once_per_chunk(monkeypatch):
@@ -356,3 +384,65 @@ def test_order_requirement():
     jet = jet_eval(spec.field, (1.0, 1.0), 3)
     with pytest.raises(ValueError):
         natural_metric(jet, (1.0, 1.0), 0)
+
+
+# E^v dPhi/dE^v vanishes on the line v = 2, and det g on the line y = 0,
+# each a row of the 16 x 16 grid over the sample box
+BUMP = from_definition({
+    "id": "bump", "coords": [{"name": "u"}, {"name": "v"}],
+    "excluded_index": "u", "relation": "u^2 + (v - 2)^2",
+    "sample_box": [[0.5, 2.0], [1.0, 2.875]]})
+CUSP = from_definition({
+    "id": "cusp", "coords": [{"name": "x"}, {"name": "y"}],
+    "excluded_index": "y", "domain": ["x > 0"],
+    "relation": "ln(x) + x*y^3", "sample_box": [[0.5, 2.0], [-1.0, 0.875]]})
+COLUMN_SPECS = dict({sid: get_system(sid) for sid in catalog_ids()},
+                    bump=BUMP, cusp=CUSP)
+
+
+def _widened_grid(spec, count):
+    """A grid over the sample box widened by half its size on each side,
+    past the domain of every catalog system."""
+    return np.array(an.GridSpec(tuple(
+        (c.name, lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), count)
+        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points())
+
+
+def _failures(res):
+    return {i: (type(e), str(e)) for i, e in res.faults.errors.items()}
+
+
+@pytest.mark.parametrize("key", sorted(COLUMN_SPECS))
+def test_jet_columns_give_the_numbers_of_the_metric_tensor(key):
+    # curvature_at takes the twelve columns of Brioschi's formula for a 2-D
+    # chunk straight from its jet; ricci_scalar slices them from the full
+    # tensors of natural_metric (the finite-difference oracle's path).  The
+    # two give the same bits and the same failures, inside the sample box
+    # and on a grid widened past the domain, on floats and at 30 digits
+    # (every 4th node there, as a point costs about 2 ms)
+    spec = COLUMN_SPECS[key]
+    grids = [np.array(an.grid_for(spec, 16).points()),
+             _widened_grid(spec, 16)]
+    failed = set()
+    for points in grids:
+        for dps in (None, 30):
+            x = points if dps is None else points[::4]
+            got = curvature_at(spec, x, dps=dps)
+            if dps is None:
+                want = ricci_scalar(metric_at(spec, x))
+            else:
+                with mp.workdps(dps):
+                    jet = jet_eval(spec.field, x, 4, domain_check(spec, x),
+                                   MPMATH)
+                    want = ricci_scalar(natural_metric(
+                        jet, x, spec.excluded_index))
+            for name in ("ricci_scalar", "nonfinite", "degenerate", "det_g",
+                         "conformal_factor"):
+                a, b = (np.asarray(getattr(r, name), dtype=float)
+                        for r in (got, want))
+                assert np.array_equal(a, b, equal_nan=True), (name, dps)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+            assert _failures(got) == _failures(want)
+            failed |= {type(e) for e in got.faults.errors.values()}
+    assert {"bump": SingularPrefactor, "cusp": DegenerateMetric}.get(
+        key, DomainViolation) in failed
