@@ -55,7 +55,12 @@ Coefficients are numbers of a backend: long double by default
 (:data:`FLOAT`), or mpmath numbers in object arrays (:data:`MPMATH`, at the
 working precision of the caller's ``mp.workdps``).  ``jet_poly`` and
 ``jet_eval`` take the backend once per call; every operation of the jets
-they build uses it.
+they build uses it.  An mpmath product gives the bits of ``mp.fdot`` over
+each monomial's pairs without its per-term tuples (see :func:`_dot`): the
+products are exact, the sum is rounded once, a term is dropped where
+``mpf_sum`` drops it, and inf and nan factors fall back to ``mpf_sum``.
+Its Horner steps run on ``_mpf_`` tuples, point by point, and build mpmath
+numbers once per composition (see :meth:`_MpBackend.horner`).
 
 The independent check is :func:`fd_partial`: nested central finite differences,
 sharing no code with the jet propagation.
@@ -73,7 +78,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import mpf_mul, mpf_sum
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_sum
 
 from .errors import (DomainViolation, GeothermoError, NonFinite,
                      SingularDenominator)
@@ -370,15 +375,77 @@ class _FloatBackend:
             out[:len(left)] += a[left] * b[right]
         return out[table.inverse]
 
+    def horner(self, tables, c, series):
+        """The truncated Horner loop of :meth:`Jet._compose` on coefficients
+        ``c``, for order >= 1: one :meth:`product` per step of ``tables``."""
+        out = c * series[-1]
+        out[0] = series[-2]
+        for table, s in zip(tables, series[-3::-1]):
+            out = self.product(table, out, c)
+            out[0] = s
+        return out
+
+
+def _dot(pairs, x, y, prec, rnd):
+    """``mpf_sum([mpf_mul(x[i], y[j]) for i, j in pairs], prec, rnd)``, the
+    sum ``mp.fdot`` takes, with its bits, over ``_mpf_`` tuples.
+
+    Each product's mantissa and exponent go straight into one integer
+    accumulator, and the sum drops or replaces a term where ``mpf_sum``
+    does (its ``max_extra_prec`` is 2 prec), so the accumulator holds the
+    value ``mpf_sum`` rounds, and one ``from_man_exp`` rounds it the same
+    way.  A monomial with an inf or nan factor takes ``mpf_sum`` itself.
+    Mantissas may be ints or gmpy ``mpz``, so only operations both have are
+    used.
+    """
+    limit = 2 * prec
+    man = exp = 0
+    for i, j in pairs:
+        xsign, xman, xexp, xbc = x[i]
+        ysign, yman, yexp, ybc = y[j]
+        m = xman * yman
+        if not m:
+            if xexp and not xman or yexp and not yman:
+                return mpf_sum([mpf_mul(x[i], y[j]) for i, j in pairs],
+                               prec, rnd)
+            continue                # a zero factor: mpf_sum skips fzero
+        if xsign ^ ysign:
+            m = -m
+        e = xexp + yexp
+        if e >= exp:
+            delta = e - exp
+            if delta > limit and (not man or
+                                  delta - abs(man).bit_length() > limit):
+                man, exp = m, e
+            else:
+                man += m << delta
+        else:
+            delta = exp - e
+            # the product has xbc + ybc - 1 or xbc + ybc bits
+            if (delta - xbc - ybc >= limit
+                    and delta - abs(m).bit_length() > limit):
+                if not man:
+                    man, exp = m, e
+            else:
+                man = (man << delta) + m
+                exp = e
+    return from_man_exp(man, exp, prec, rnd)
+
 
 class _MpBackend:
     """mpmath numbers in object arrays at the current working precision.
 
-    A product sums each monomial's (i, j) pairs as ``mp.fdot`` does (see
-    :meth:`product`): an object-array gather would also multiply the
-    padding.  A point is set to NaN where it fails (``masked``): mpmath
-    raises on a zero denominator and returns complex numbers for the
-    logarithm or a fractional power of a negative number.
+    A product sums each monomial's (i, j) pairs with the bits of
+    ``mp.fdot`` (an object-array gather would also multiply the padding),
+    in :func:`_dot` on ``_mpf_`` tuples converted once per point: the
+    products are exact, the sum is rounded once and drops a term where
+    ``mpf_sum`` does, and a monomial with an inf or nan factor is summed by
+    ``mpf_sum`` itself.  The Horner steps of a composition (:meth:`horner`)
+    run on each point's tuple lists, with ``mpf`` objects built at the end.
+
+    A point is set to NaN where it fails (``masked``): mpmath raises on a
+    zero denominator and returns complex numbers for the logarithm or a
+    fractional power of a negative number.
     """
 
     dtype = result_dtype = object
@@ -411,28 +478,46 @@ class _MpBackend:
         return np.where(bad, mp.nan, values) if bad.any() else values
 
     @staticmethod
-    def product(table, a, b):
-        """``mp.fdot`` over each monomial's pairs, point by point: the exact
-        ``mpf_mul`` products summed with one ``mpf_sum`` rounding, on
-        ``_mpf_`` tuples converted once per point, without fdot's per-pair
-        type checks and without a sum for the zero row."""
+    def _points(m, size):
+        """The columns of ``m`` as lists of ``_mpf_`` tuples, one per point
+        of a batch of ``size`` (a single column is repeated)."""
         mpf, convert = mp.mpf, mp.convert
+        cols = [[v._mpf_ if type(v) is mpf else convert(v)._mpf_
+                 for v in col] for col in m.T.tolist()]
+        return cols if len(cols) == size else cols * size
+
+    def product(self, table, a, b):
+        """``mp.fdot`` over each monomial's pairs, point by point (see
+        :func:`_dot`), without a sum for the zero row."""
         size = np.broadcast_shapes(a.shape[1:], b.shape[1:])[0]
-        points = []
-        for m in (a, b):
-            cols = [[v._mpf_ if type(v) is mpf else convert(v)._mpf_
-                     for v in col] for col in m.T.tolist()]
-            points.append(cols if len(cols) == size else cols * size)
         prec, rnd = mp.mp._prec_rounding
-        make, zero = mp.make_mpf, mp.mp.zero
-        out = []
-        for x, y in zip(*points):
-            col = [make(mpf_sum([mpf_mul(x[i], y[j]) for i, j in group],
-                                prec, rnd))
-                   for group in table.pairs[:-1]]
-            col.append(zero)
-            out.append(col)
+        make, zero, dot = mp.make_mpf, mp.mp.zero, _dot
+        groups = table.pairs[:-1]
+        out = [[make(dot(g, x, y, prec, rnd)) for g in groups] + [zero]
+               for x, y in zip(self._points(a, size), self._points(b, size))]
         return np.array(out, dtype=object).T
+
+    def horner(self, tables, c, series):
+        """The truncated Horner loop of :meth:`Jet._compose`, with the bits
+        of one :meth:`product` per step, on tuples: each point's ``out``
+        and ``c`` columns are converted once, each step maps one tuple list
+        to the next, and ``mpf`` objects are built from the last one only.
+        A step's constant monomial has no pairs (its right factor has no
+        constant term), so it is the step's series term."""
+        out = c * series[-1]
+        out[0] = series[-2]
+        if not tables:
+            return out
+        size = out.shape[1]
+        prec, rnd = mp.mp._prec_rounding
+        make, zero, dot = mp.make_mpf, mp.mp.zero, _dot
+        cols = []
+        for o, x, terms in zip(self._points(out, size), self._points(c, size),
+                               self._points(series[-3::-1], size)):
+            for table, s in zip(tables, terms):
+                o = [s] + [dot(g, o, x, prec, rnd) for g in table.pairs[1:-1]]
+            cols.append([make(v) for v in o] + [zero])
+        return np.array(cols, dtype=object).T
 
     @staticmethod
     def det(g):
@@ -692,21 +777,11 @@ class Jet:
             return self._like(out)
         if self.affine is not None and self.order >= 2:
             return self._like(self._compose_affine(series))
-        return self._like(self._horner(self.c, series))
-
-    def _horner(self, c, series):
-        """The truncated Horner loop of :meth:`_compose` on coefficients
-        ``c`` (self's, or some of its points), for order >= 1."""
-        out = c * series[-1]
-        out[0] = series[-2]
-        for table, s in zip(_tables(self.nvars, self.order).compose,
-                            series[-3::-1]):
-            out = self.bk.product(table, out, c)
-            out[0] = s
-        return out
+        return self._like(self.bk.horner(
+            _tables(self.nvars, self.order).compose, self.c, series))
 
     def _compose_affine(self, series):
-        """The bits of :meth:`_horner` for self tagged affine in x_i, whose
+        """The bits of the Horner loop for self tagged affine in x_i, whose
         zero-value part is d = c_1 x_i (c_1 the slope), without a product.
 
         In a Horner step every pair but (x_i^(m-1), x_i) multiplies a zero
@@ -719,7 +794,7 @@ class Jet:
 
         That holds while every term is finite.  A point with an s_m c_1^m
         (m >= 1) that is not finite (from a non-finite series term or
-        slope, or an overflow) goes through :meth:`_horner` instead, which
+        slope, or an overflow) goes through the Horner loop instead, which
         spreads NaN as its steps do.  The zero rows of self are NaN only
         where a non-finite scale made the slope non-finite too.
         """
@@ -735,7 +810,8 @@ class Jet:
         out[_tables(self.nvars, self.order).powers[self.affine]] = powers
         if not bk.isfinite(powers).all():
             bad = np.flatnonzero(~bk.isfinite(powers).all(axis=0))
-            out[:, bad] = self._horner(
+            out[:, bad] = bk.horner(
+                _tables(self.nvars, self.order).compose,
                 *(np.broadcast_to(m, (m.shape[0], size))[:, bad]
                   for m in (c, series)))
         return out

@@ -132,11 +132,20 @@ def test_ising_f_jet_shares_its_repeated_nodes(monkeypatch, backend):
     # and one reciprocal of T leave 18 products of order-4 jets, where
     # evaluating every occurrence makes 19 (a second H/T product).  The
     # reciprocal of the bare T makes none, since its argument is affine in
-    # T; through the Horner loop it makes 3, for 21 and 28
+    # T; through the Horner loop it makes 3, for 21 and 28.  A Horner loop
+    # counts one product per step, however its backend makes them
     calls = []
-    product = backend.product
+    product, horner = backend.product, backend.horner
+
+    def steps(tables, c, series):
+        start = len(calls)
+        out = horner(tables, c, series)
+        calls[start:] = tables
+        return out
+
     monkeypatch.setattr(backend, "product",
                         lambda *a: calls.append(1) or product(*a))
+    monkeypatch.setattr(backend, "horner", steps)
     with mp.workdps(30):
         jet_eval(get_system("ising_f").field, np.array([[1.0, 0.5]]), 4,
                  backend=backend)

@@ -42,6 +42,21 @@ def test_ising_curvature_is_the_shared_pipeline(T, H):
     assert isinstance(res.ricci_scalar, float)
 
 
+# R at full repr as the mpmath jet products summed by mpf_mul and mpf_sum
+# gave it (commit 15fc047), across the working precisions the Ising path
+# takes; the reference table above only checks to 1e-9
+@pytest.mark.parametrize("T,H,R,dps", [
+    (12.0, 0.25, -1.9999996343578486, 30),
+    (1.0, 1.0, 149.4963155431868, 37),
+    (0.3, -0.7, 1001833104.0015721, 51),
+    (0.2, 2.0, 2.569516622966039e+25, 77),
+    (0.08, 0.3, 3.1068259075010774e+27, 99),
+    (0.06, 0.05, 8.917210051574066e+28, 111)])
+def test_ising_curvature_keeps_its_bits(T, H, R, dps):
+    assert an.ising_dps(1.0, H, T) == dps
+    assert repr(an.ising_curvature(T, H)) == repr(R)
+
+
 THREE = {"id": "three",
          "coords": [{"name": "x"}, {"name": "y"}, {"name": "z"}],
          "excluded_index": "x", "domain": ["x > 0", "y > 0", "z > 0"],

@@ -501,11 +501,12 @@ def test_composition_broadcasts_like_untruncated_horner(backend):
 def test_composition_multiplication_count(monkeypatch, nvars, count):
     # untruncated, each of the three Horner steps multiplies every pair of
     # the full step: 30, 165 and 525 multiplications.  An argument affine
-    # in one variable makes none; the sum of two jets drops that tag
+    # in one variable makes none; the sum of two jets drops that tag.  The
+    # mpmath backend multiplies each pair that its per-monomial sum walks
     calls = []
-    mul = jets.mpf_mul
-    monkeypatch.setattr(jets, "mpf_mul",
-                        lambda x, y: calls.append(1) or mul(x, y))
+    dot = jets._dot
+    monkeypatch.setattr(jets, "_dot", lambda pairs, *args: calls.extend(
+        pairs) or dot(pairs, *args))
     jet = Jet.variable(nvars, 4, 0, np.array([0.5]), Faults(1),
                        bk=jets.MPMATH)
     ((2.0 / 3.0) * jet - 1.0).exp()
@@ -550,3 +551,132 @@ def test_mpmath_product_equals_fdot():
                 got = jets.MPMATH.product(step, out, b)
                 assert _same_bits(got, _fdot_product(step, out, b))
                 out = got
+
+
+def _wide_factor(rng, rows, cols, prec):
+    """mpmath coefficients of prec-bit mantissas and exponents spread over
+    +-3 prec, some of them the same power of two of either sign, with a
+    Python int zero row."""
+    m = np.empty((rows, cols), dtype=object)
+    for index in np.ndindex(m.shape):
+        man = int.from_bytes(rng.bytes(prec // 8 + 1), "big") >> (
+            8 - prec % 8)
+        if rng.random() < 0.2:
+            man = 1 << (prec - 1)
+        sign = -1 if rng.random() < 0.5 else 1
+        m[index] = mp.ldexp(mp.mpf(sign * man),
+                            int(rng.integers(-3 * prec, 3 * prec + 1)) - prec)
+    m[-1] = 0
+    return m
+
+
+@pytest.mark.parametrize("dps", [25, 40, 120])
+def test_mpmath_product_equals_fdot_over_wide_exponents(dps):
+    # terms far above and below the running sum, which mpf_sum drops or
+    # lets replace it, through the full product and every truncated step,
+    # a 3-point batch against one point either way, and the composition
+    t = jets._tables(2, 4)
+    rng = np.random.default_rng(dps)
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        for _ in range(6):
+            a = _wide_factor(rng, t.size + 1, 3, prec)
+            b = _wide_factor(rng, t.size + 1, 1, prec)
+            for x, y in ((a, b), (b, a)):
+                assert _same_bits(jets.MPMATH.product(t.mul, x, y),
+                                  _fdot_product(t.mul, x, y))
+            out = a
+            for step in t.compose:
+                got = jets.MPMATH.product(step, out, b)
+                assert _same_bits(got, _fdot_product(step, out, b))
+                out = got
+            series = _wide_factor(rng, 5, 3, prec)
+            for c in (a, b):
+                jet = jets.Jet(2, 4, c, jets.Faults(c.shape[1]), jets.MPMATH)
+                assert _same_bits(jet._compose(series).c,
+                                  _reference_compose(jet, series))
+
+
+# three products a 2^k times b on the pairs of one monomial, k a function
+# of the precision p, and what mpf_sum makes of them with max_extra_prec =
+# 2p: each sum is exactly its middle product, but a product more than 2p
+# bits below the running sum's exponent is dropped, and one more than 2p
+# bits above it replaces the sum
+_DROPS = [
+    # 1 between 2^(3p) and -2^(3p), in both orders, is dropped
+    ([(lambda p: 3 * p, 1, 1), (lambda p: 0, 1, 1),
+      (lambda p: 3 * p, -1, 1)], 0),
+    ([(lambda p: 3 * p, -1, 1), (lambda p: 0, 1, 1),
+      (lambda p: 3 * p, 1, 1)], 0),
+    # after 2^p the sum sits at exponent 0: 2^(-2p-1) is kept, 2^(-2p-2)
+    # dropped, and 9 2^(-2p-4), of as many bits as its factors' together,
+    # kept
+    ([(lambda p: p, 1, 1), (lambda p: -2 * p - 1, 1, 1),
+      (lambda p: p, -1, 1)], lambda p: mp.ldexp(1, -2 * p - 1)),
+    ([(lambda p: p, 1, 1), (lambda p: -2 * p - 2, 1, 1),
+      (lambda p: p, -1, 1)], 0),
+    ([(lambda p: p, 1, 1), (lambda p: -2 * p - 4, 3, 3),
+      (lambda p: p, -1, 1)], lambda p: mp.ldexp(9, -2 * p - 4)),
+    # after 1, 2^(2p+1) is added to the sum and 2^(2p+2) replaces it
+    ([(lambda p: 0, 1, 1), (lambda p: 2 * p + 1, 1, 1),
+      (lambda p: 2 * p + 1, -1, 1)], lambda p: 1),
+    ([(lambda p: 0, 1, 1), (lambda p: 2 * p + 2, 1, 1),
+      (lambda p: 2 * p + 2, -1, 1)], 0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_DROPS)))
+def test_mpmath_product_drops_what_fdot_drops(case):
+    # the three pairs of x^2: (0, 2), (1, 1) and (2, 0)
+    terms, want = _DROPS[case]
+    t = jets._tables(1, 2)
+    assert t.mul.pairs[2] == [(0, 2), (1, 1), (2, 0)]
+    with mp.workdps(25):
+        p = mp.mp.prec
+        a = np.array([[mp.ldexp(x, k(p))] for k, x, _ in terms] + [[0]],
+                     dtype=object)
+        b = np.array([[mp.mpf(y)] for _, _, y in reversed(terms)] + [[0]],
+                     dtype=object)
+        got = jets.MPMATH.product(t.mul, a, b)
+        assert _same_bits(got, _fdot_product(t.mul, a, b))
+        assert got[2, 0] == (want(p) if want else 0)
+
+
+def test_mpmath_product_falls_back_on_non_finite_factors():
+    # a zero (Python int or mpf) or finite factor against inf and nan, in
+    # the monomials of degree 3 and 4 and not below, through the full
+    # product and a step
+    t = jets._tables(2, 4)
+    with mp.workdps(30):
+        values = [mp.inf, -mp.inf, mp.nan]
+        for k in range(len(values)):
+            a = np.array([[values[(k + r) % len(values)] if r in (5, 10)
+                           else mp.mpf(r % 3 and r + 1) for _ in range(2)]
+                          for r in range(t.size + 1)], dtype=object)
+            b = np.array([[values[(k + 2 * r) % len(values)] if r in (3, 10)
+                           else 0 if r % 4 == 1 else mp.mpf(-r)]
+                          for r in range(t.size + 1)], dtype=object)
+            a[-1] = b[-1] = 0
+            got = jets.MPMATH.product(t.mul, a, b)
+            assert _same_bits(got, _fdot_product(t.mul, a, b)), k
+            finite = [mp.isfinite(v) for v in got[:-1, 0]]
+            assert any(finite) and not all(finite)
+            step = t.compose[1]
+            assert _same_bits(jets.MPMATH.product(step, got, b),
+                              _fdot_product(step, got, b))
+
+
+def test_mpmath_composition_chain_with_a_non_finite_term():
+    # each composition feeds the next, so the tuples of one Horner loop
+    # carry inf and nan into the next one's factors
+    rng = np.random.default_rng(17)
+    with mp.workdps(30):
+        jet, series = _series_case(rng, 2, 4, 4, jets.MPMATH, "dense")
+        series[3, 1] = mp.inf
+        series[0, 2] = mp.nan
+        for _ in range(3):
+            got = jet._compose(series)
+            assert _same_bits(got.c, _reference_compose(jet, series))
+            jet = got
+            _, series = _series_case(rng, 2, 4, 4, jets.MPMATH, "dense")
+        assert not all(mp.isfinite(v) for v in jet.c[:, 1])
