@@ -6,6 +6,10 @@ search and compared with the analytic van der Waals phase-transition
 locus, constant-curvature checks, and the qualitative Ising curvature
 profile.
 
+A grid's points are one (count, n) float64 array in ``itertools.product``
+order (:meth:`GridSpec.points`), and a scan's R and flags are arrays in the
+same order (:class:`ScanReport`).
+
 The Ising profile runs in extended precision: below T ~ 0.3 the interaction
 term exp(-4J/T) is smaller than the double-precision cancellation floor of
 the surrounding hyperbolic terms, and the curvature — which lives entirely
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -52,11 +56,7 @@ class Axis:
     count: int
 
     def values(self):
-        if self.count <= 0:
-            return np.empty(0)
-        if self.count == 1:
-            return np.array([self.lo])
-        return np.linspace(self.lo, self.hi, self.count)
+        return np.linspace(self.lo, self.hi, max(self.count, 0))
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,13 @@ class GridSpec:
             a if isinstance(a, Axis) else Axis(*a) for a in self.axes))
 
     def points(self):
-        vals = [a.values().tolist() for a in self.axes]
+        """The (count, n) float64 array of the grid's points, the last axis
+        varying fastest (the order of ``itertools.product``)."""
+        vals = [a.values() for a in self.axes]
         if any(len(v) == 0 for v in vals) or not vals:
             raise EmptyGrid("grid has no points")
-        return list(product(*vals))
+        return np.stack([c.ravel() for c in np.meshgrid(*vals, indexing="ij")],
+                        axis=-1)
 
     def shape(self):
         return tuple(a.count for a in self.axes)
@@ -157,12 +160,11 @@ def invariance_report(spec_a: SystemSpec, spec_b: SystemSpec, map_ab,
     fails are not mapped.  Per-point failures of R_a, of the map and of R_b
     are excluded from the maxima and counted.
     """
-    pts = grid.points()
-    points = np.array(pts)
+    points = grid.points()
     ra = curvature_at(spec_a, points).ricci_scalar
     ok = np.flatnonzero(~np.isnan(ra))
     if not len(ok):
-        return InvarianceReport([], 0.0, 0.0, len(pts))
+        return InvarianceReport([], 0.0, 0.0, len(points))
     faults = Faults(len(ok))
     mapped = np.asarray(map_ab(points[ok], faults), dtype=float)
     ok, mapped = ok[faults.ok], mapped[faults.ok]
@@ -170,15 +172,14 @@ def invariance_report(spec_a: SystemSpec, spec_b: SystemSpec, map_ab,
     rows = []
     max_abs = 0.0
     max_rel = 0.0
-    for i, r_b in zip(ok.tolist(), rb):
+    for x, r_a, r_b in zip(points[ok].tolist(), ra[ok].tolist(), rb):
         if math.isnan(r_b):
             continue
-        x, r_a = pts[i], float(ra[i])
         d = abs(r_a - r_b)
-        rows.append((x, r_a, r_b, d))
+        rows.append((tuple(x), r_a, r_b, d))
         max_abs = max(max_abs, d)
         max_rel = max(max_rel, d / (1.0 + abs(r_a)))
-    return InvarianceReport(rows, max_abs, max_rel, len(pts) - len(rows))
+    return InvarianceReport(rows, max_abs, max_rel, len(points) - len(rows))
 
 
 # ---- singularity scan ----------------------------------------------------
@@ -196,8 +197,10 @@ class Detection:
 @dataclass
 class ScanReport:
     grid: GridSpec
-    values: dict                  # point -> R (math.nan on failure)
-    nonfinite: dict               # point -> flag
+    R: np.ndarray                 # per grid point, in points() order; NaN
+                                  # where the point fails
+    nonfinite: np.ndarray         # per grid point: R not finite or above
+                                  # the blowup threshold
     detections: list
     locus_points: tuple = ()
     max_locus_dev: float | None = None
@@ -229,16 +232,14 @@ def singularity_scan(spec: SystemSpec, grid: GridSpec,
     non-fundamental coordinates such as (v, P): it maps a (batch, n) array of
     points to their R values, NaN where a point fails.
     """
-    pts = grid.points()
-    R = _scan_eval(spec, evaluator, np.array(pts))
+    points = grid.points()
+    R = _scan_eval(spec, evaluator, points)
     failures = int(np.count_nonzero(np.isnan(R)))
-    flagged = ~np.isfinite(R) | (np.abs(R) > blowup_threshold)
-    values = dict(zip(pts, R.tolist()))
-    nonfinite = dict(zip(pts, flagged.tolist()))
+    nonfinite = ~np.isfinite(R) | (np.abs(R) > blowup_threshold)
 
     shape = grid.shape()
     V = R.reshape(shape)
-    index = np.arange(len(pts)).reshape(shape)
+    index = np.arange(len(points)).reshape(shape)
     found = []      # (grid index of x, axis, kind, segment ends)
     with np.errstate(all="ignore"):
         for axis in range(len(shape)):
@@ -265,14 +266,15 @@ def singularity_scan(spec: SystemSpec, grid: GridSpec,
                 idx[:-2][peak].tolist(), idx[1:-1][peak].tolist(),
                 idx[2:][peak].tolist())]
     found.sort(key=lambda c: c[:3])
-    candidates = [(pts[a], pts[b], axis) for _, axis, _, (a, b) in found]
+    candidates = [(tuple(points[a].tolist()), tuple(points[b].tolist()), axis)
+                  for _, axis, _, (a, b) in found]
 
     refined = _refine_segment(spec, evaluator, candidates, blowup_threshold)
     detections = [Detection(segment=(x, y), refined=r, axis=axis)
                   for (x, y, axis), r in zip(candidates, refined)
                   if r is not None]
     detections = _merge_detections(detections)
-    return ScanReport(grid=grid, values=values, nonfinite=nonfinite,
+    return ScanReport(grid=grid, R=R, nonfinite=nonfinite,
                       detections=detections, failures=failures)
 
 
@@ -442,7 +444,7 @@ def locus_numerator_check(a: float, b: float, critical_points):
 
 def constant_curvature_check(spec: SystemSpec, grid: GridSpec):
     """(mean R, max |R - mean|) over an in-domain grid."""
-    res = curvature_at(spec, np.array(grid.points()))
+    res = curvature_at(spec, grid.points())
     error = res.faults.pop_first()
     if error is not None:
         del res             # not kept by the raised failure's frames

@@ -184,17 +184,17 @@ def oracle_eval(id: str, point: dict, params: dict) -> float:
 
 # how a pipeline point of the matching spec maps to oracle coordinates
 def _named_point(spec, x):
-    return dict(zip(spec.coord_names(), (float(c) for c in x)))
+    return dict(zip(spec.coord_names(), x))
 
 
 def _vP_from_uv(spec, x):
-    u, v = float(x[0]), float(x[1])
+    u, v = x
     a, b = spec.params.get("a", 1.0), spec.params.get("b", 1.0)
     return {"v": v, "P": (2*u*v**2 - a*v + 3*a*b) / (3*v**2*(v - b))}
 
 
 def _vP_from_Tv(spec, x):
-    T, v = float(x[0]), float(x[1])
+    T, v = x
     a, b = spec.params.get("a", 1.0), spec.params.get("b", 1.0)
     return {"v": v, "P": T/(v - b) - a/v**2}
 
@@ -205,41 +205,42 @@ _POINT_MAPS = {
 }
 
 
-def oracle_vs_pipeline(id: str, spec: SystemSpec, grid):
-    """Compare the pipeline against a closed form over a point grid.
+def oracle_vs_pipeline(id: str, spec: SystemSpec, points):
+    """Compare the pipeline against a closed form over a batch of points.
 
     Determines the single global sign factor s in {+1, -1} at the first
-    grid point, then reports (s, max over the grid of
+    point, then reports (s, max over the points of
     |R_pipeline - s * R_oracle| / (1 + |R_oracle|)).
 
-    ``grid`` is an iterable of points in the spec's coordinates.
+    ``points`` is a (count, n) array of points in the spec's coordinates,
+    such as ``GridSpec.points()``.
     """
-    pts = [tuple(float(c) for c in x) for x in grid]
-    if not pts:
+    points = np.asarray(points, dtype=float)
+    if not len(points):
         raise ValueError("empty grid")
     point_map = _POINT_MAPS.get(id, _named_point)
     if id == "chap_det":
-        res = metric_at(spec, np.array(pts))
+        res = metric_at(spec, points)
         pipeline = res.det
     else:
-        res = curvature_at(spec, np.array(pts))
+        res = curvature_at(spec, points)
         pipeline = res.ricci_scalar
     # the points before the first failed one are compared, so that an
     # oracle failure there still raises first; the batch goes before any
     # raise, as a raised failure keeps the frames it passes through
-    first = min(res.faults.errors, default=len(pts))
+    first = min(res.faults.errors, default=len(points))
     error = res.faults.pop_first()
     values = pipeline[:first].tolist()
     del res, pipeline
 
     sign = None
     worst = 0.0
-    for x, got in zip(pts, values):
+    for x, got in zip(points.tolist(), values):
         ref = oracle_eval(id, point_map(spec, x), spec.params)
         if sign is None:
             sign = 1 if abs(got - ref) <= abs(got + ref) else -1
         worst = max(worst, abs(got - sign * ref) / (1.0 + abs(ref)))
     if error is not None:
-        del pts, values
+        del points, values
         raise error
     return sign, worst

@@ -1,5 +1,6 @@
 """Experiments: homogeneity, invariance, scans, sweeps, Ising profile."""
 
+import itertools
 import math
 
 import numpy as np
@@ -101,7 +102,8 @@ def test_invariance_report_maps_its_grid_in_one_call(build):
     assert calls == [36]
     # the row the map failed is counted, and no other
     assert rep.failures == 1
-    assert [x for x, *_ in rep.rows] == an.grid_for(vs, 6).points()[1:]
+    assert [x for x, *_ in rep.rows] == [
+        tuple(x) for x in an.grid_for(vs, 6).points()[1:].tolist()]
     assert rep.max_rel < 1e-8
 
 
@@ -109,11 +111,23 @@ def test_invariance_report_maps_its_grid_in_one_call(build):
 
 
 def test_grid_points_order_and_empty():
-    g = an.GridSpec((("x", 0.0, 1.0, 2), ("y", 0.0, 1.0, 3)))
-    pts = g.points()
-    assert len(pts) == 6
-    assert pts[0] == (0.0, 0.0)
-    assert pts[1] == (0.0, 0.5)
+    # the last axis varies fastest, as in itertools.product, and an axis
+    # holds np.linspace's bits over it, lo alone when its count is 1 (the P
+    # axis of a vdw_vP line), whichever way it runs
+    for axes in [(("x", 0.0, 1.0, 5),),
+                 (("x", 0.0, 1.0, 2), ("y", 0.0, 1.0, 3)),
+                 (("u", 0.05, 5.0, 4), ("v", 1.2, 6.0, 3),
+                  ("w", -1.0, 1.0, 2)),
+                 (("v", 1.2, 9.0, 7), ("P", 0.0296, 0.0296, 1)),
+                 (("P", 0.03, 0.05, 1), ("v", 1.2, 9.0, 7)),
+                 (("x", 2.0, 0.5, 7), ("y", 0.1, 0.3, 3))]:
+        pts = an.GridSpec(axes).points()
+        want = np.array(list(itertools.product(*(
+            [lo] if count == 1 else np.linspace(lo, hi, count).tolist()
+            for _, lo, hi, count in axes))))
+        assert pts.shape == (math.prod(c for *_, c in axes), len(axes))
+        assert pts.dtype == np.float64
+        assert pts.tobytes() == want.tobytes(), axes
     with pytest.raises(EmptyGrid):
         an.GridSpec((("x", 0.0, 1.0, 0),)).points()
 
@@ -136,7 +150,7 @@ def test_vdw_scan_hits_the_locus(P_r):
 def test_scan_determinism():
     r1 = an.scan_vdw_vP(0.8 / 27.0, (1.2, 9.0), count=121)
     r2 = an.scan_vdw_vP(0.8 / 27.0, (1.2, 9.0), count=121)
-    assert r1.values == r2.values
+    assert np.array_equal(r1.R, r2.R, equal_nan=True)
     assert [d.refined for d in r1.detections] == [d.refined
                                                   for d in r2.detections]
 
@@ -145,7 +159,7 @@ def test_ideal_gas_scan_clean():
     spec = get_system("ideal_s")
     rep = an.singularity_scan(spec, an.grid_for(spec, 12))
     assert rep.detections == []
-    assert not any(rep.nonfinite.values())
+    assert not rep.nonfinite.any()
 
 
 def test_ising_scan_no_interior_singularities():
@@ -157,7 +171,7 @@ def test_ising_scan_no_interior_singularities():
         spec, grid, blowup_threshold=1e18,
         evaluator=lambda pts: [an.ising_curvature(T, H) for T, H in pts])
     assert rep.detections == []
-    assert all(math.isfinite(r) for r in rep.values.values())
+    assert np.isfinite(rep.R).all()
 
 
 # ---- refinement ----------------------------------------------------------
@@ -238,7 +252,8 @@ def test_simple_pole_with_sign_flip_is_detected():
 
 def test_pole_on_a_node_is_detected():
     rep = an.singularity_scan(None, LINE, evaluator=NODE_POLE)
-    assert rep.nonfinite[(3.0,)] and rep.values[(3.0,)] == math.inf
+    [node] = np.flatnonzero(LINE.points()[:, 0] == 3.0)
+    assert rep.nonfinite[node] and rep.R[node] == math.inf
     assert len(rep.detections) == 1
     assert abs(rep.detections[0].refined[0] - 3.0) <= an.REFINE_TOL * 4.0
 

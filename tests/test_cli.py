@@ -4,9 +4,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from geothermo import cli, dsl
+from geothermo import analysis, cli, dsl, systems
 from geothermo.oracle import oracle_eval
 
 
@@ -117,6 +118,17 @@ def test_exit_code_unwritable(capsys):
         cli.cmd_figure(type("A", (), {"recipe": "vdW1",
                                       "output": "/nonexistent/x.csv"})())
     assert exc.value.code == 4
+
+
+def test_unwritable_sidecar_exits_4(tmp_path, capsys):
+    # the CSV is written, and its sidecar's path is a directory
+    (tmp_path / "s.csv.loci.json").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--system", "ideal_s", "--grid", "u=0.5:5:2",
+                  "--grid", "v=0.5:5:2", "-o", str(tmp_path / "s.csv")])
+    assert exc.value.code == 4
+    assert capsys.readouterr().err.startswith(
+        f"cannot write {tmp_path / 's.csv.loci.json'}: ")
 
 
 def test_system_file_loading(tmp_path, capsys):
@@ -230,8 +242,16 @@ VP_GRID = ["--grid", "v=1.2:9:41", "--grid", "P=0.0296:0.0296:1"]
     ["--system", "vdw_s", "--threshold", "nan"] + S_GRID,
     ["--system", "vdw_s", "--threshold", "inf"] + S_GRID,
     ["--system", "vdw_s", "--threshold", "-1"] + S_GRID,
+    ["--system", "vdw_s"] + S_GRID + ["--grid", "w=0:1:3"],
+    ["--system", "vdw_s", "--grid", "u=0.05:5:60", "--grid", "u=1:2:3",
+     "--grid", "v=1.2:6:60"],
+    ["--system", "vdw_vP"] + VP_GRID + ["--grid", "u=0:1:3"],
+    ["--system", "vdw_vP", "--grid", "v=1.2:9:41", "--grid", "v=2:3:5",
+     "--grid", "P=0.0296:0.0296:1"],
 ], ids=["nan-bound", "inf-bound", "nan-param", "nan-pressure",
-        "nan-threshold", "inf-threshold", "negative-threshold"])
+        "nan-threshold", "inf-threshold", "negative-threshold",
+        "unknown-axis", "repeated-axis", "unknown-axis-vP",
+        "repeated-axis-vP"])
 def test_scan_rejects_meaningless_input(tmp_path, capsys, argv):
     # unchecked, these raise KeyError or LinAlgError out of the CLI, or exit
     # 0 with no detection or with every node flagged
@@ -241,6 +261,57 @@ def test_scan_rejects_meaningless_input(tmp_path, capsys, argv):
     assert "Traceback" not in out + err
     assert err.count("\n") == 1 and err.startswith("geothermo: error: ")
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["unknown", "repeated"])
+def test_scan_axis_error_names_the_axes(tmp_path, capsys, flag):
+    extra = "w=0:1:3" if flag == "unknown" else "u=1:2:3"
+    code, _, err = run(["scan", "--system", "vdw_s"] + S_GRID
+                       + ["--grid", extra, "-o", "-"], capsys)
+    assert code == 1
+    assert f"{flag} ['{extra[0]}']" in err
+
+
+# the zero denominator of tests/test_batch.py: 1/(x - y) has a pole on the
+# diagonal, and each node there is a failed point
+POLE = dict(TOY, id="pole", domain=["x > 0", "y > 0"],
+            relation="ln(x) + 1/(x - y)")
+
+
+@pytest.mark.parametrize("output", ["file", "-"])
+def test_scan_csv_rows_are_the_report(tmp_path, capsys, output):
+    # each row holds its grid point, R and flag as the report has them: a
+    # failed node, a finite node above the threshold and one below it; R
+    # reads back exactly through float(), as %.17g keeps every bit
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(POLE))
+    out_path = tmp_path / "pole.csv"
+    code, out, err = run(["scan", "--file", str(path), "--grid", "x=0.5:2:7",
+                          "--grid", "y=2:0.5:7", "--threshold", "3", "-o",
+                          str(out_path) if output == "file" else "-"],
+                         capsys)
+    assert code == 0, err
+    if output == "file":
+        lines = out_path.read_text().splitlines()
+        loci = json.loads((tmp_path / "pole.csv.loci.json").read_text())
+    else:
+        *lines, last = out.splitlines()
+        loci = json.loads(last)
+    grid = analysis.GridSpec((("x", 0.5, 2.0, 7), ("y", 2.0, 0.5, 7)))
+    rep = analysis.singularity_scan(systems.from_definition(POLE), grid, 3.0)
+    assert np.isnan(rep.R).any() and (rep.nonfinite & ~np.isnan(rep.R)).any()
+    assert not rep.nonfinite.all()
+    assert loci["failures"] == rep.failures == 7
+    assert lines[1] == "x,y,R,nonfinite"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 49
+    for (x, y, r, flag), point, want, bad in zip(
+            rows, grid.points().tolist(), rep.R.tolist(),
+            rep.nonfinite.tolist()):
+        assert [float(x), float(y)] == point
+        got = float(r)
+        assert got == want or (math.isnan(got) and math.isnan(want)), point
+        assert flag == ("1" if bad else "0"), point
 
 
 def test_vP_scan_at_overflowing_pressure_is_silent(tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_two_dimensional_cross_check(sid):
     # meets the tensor path (connection, Riemann, contraction) and the
     # identity R = 2 R_0101 / det g on the sample box
     spec = get_system(sid)
-    m = metric_at(spec, np.array(an.grid_for(spec, 16).points()))
+    m = metric_at(spec, an.grid_for(spec, 16).points())
     assert m.faults.ok.all()
     up = riemann_up(christoffel(m))
     tensor = np.einsum("zsn,zsn->z", np.linalg.inv(m.g),
@@ -156,7 +156,7 @@ def test_chaplygin_metric_is_not_degenerate_at_alpha_beta_one():
     # criterion 8 covers alpha = beta = 0, where every point degenerates
     spec = get_system("chap_s")        # alpha = beta = 1
     grid = an.GridSpec((("u", 1.0, 3.0, 4), ("v", 1.0, 3.0, 4)))
-    m = metric_at(spec, np.array(grid.points()))
+    m = metric_at(spec, grid.points())
     assert m.faults.ok.all()
     assert np.abs(m.det).min() > 1e-6
 
@@ -220,7 +220,7 @@ def test_degenerate_point_carries_the_metric_of_metric_at():
         with pytest.raises(DegenerateMetric) as err:
             at(spec, (2.0, 2.0))
         errors.append(err.value)
-    points = np.array(an.grid_for(spec, 6).points())
+    points = an.grid_for(spec, 6).points()
     batch = curvature_at(spec, points).faults.errors
     want = metric_at(spec, points).faults.errors
     assert len(batch) == len(points)
@@ -403,9 +403,9 @@ COLUMN_SPECS = dict({sid: get_system(sid) for sid in catalog_ids()},
 def _widened_grid(spec, count):
     """A grid over the sample box widened by half its size on each side,
     past the domain of every catalog system."""
-    return np.array(an.GridSpec(tuple(
+    return an.GridSpec(tuple(
         (c.name, lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), count)
-        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points())
+        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points()
 
 
 def _failures(res):
@@ -421,7 +421,7 @@ def test_jet_columns_give_the_numbers_of_the_metric_tensor(key):
     # and on a grid widened past the domain, on floats and at 30 digits
     # (every 4th node there, as a point costs about 2 ms)
     spec = COLUMN_SPECS[key]
-    grids = [np.array(an.grid_for(spec, 16).points()),
+    grids = [an.grid_for(spec, 16).points(),
              _widened_grid(spec, 16)]
     failed = set()
     for points in grids:

@@ -90,7 +90,7 @@ def _wide_grid(spec, count=5):
     """The sample box widened by half its size on each side."""
     axes = [(c.name, lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), count)
             for c, (lo, hi) in zip(spec.coords, spec.sample_box)]
-    return np.array(an.GridSpec(tuple(axes)).points())
+    return an.GridSpec(tuple(axes)).points()
 
 
 @pytest.mark.parametrize("key", ["vdw_s", "prefactor", "degenerate",

@@ -302,7 +302,7 @@ def _derived(key):
 def _widened(spec, count):
     axes = tuple((c.name, lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), count)
                  for c, (lo, hi) in zip(spec.coords, spec.sample_box))
-    return np.array(GridSpec(axes).points())
+    return GridSpec(axes).points()
 
 
 @pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
@@ -357,9 +357,9 @@ def test_points_outside_the_fixed_predicates_fail_before_any_trial(
 @pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
 def test_seed_lines_leave_few_trials_per_solve(key, monkeypatch):
     spec = _derived(key)
-    points = np.array(GridSpec(tuple(
+    points = GridSpec(tuple(
         (c.name, lo, hi, 9)
-        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points())
+        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points()
     evals, _ = _count_passes(monkeypatch)
     _, faults = _solve(spec, points)
     assert faults.ok.all()
@@ -416,9 +416,9 @@ def test_nested_solve_runs_its_inner_solve_once_per_outer_pass(monkeypatch):
     monkeypatch.setattr(transforms._ImplicitField, "solve_base_point",
                         counted)
     evals, _ = _count_passes(monkeypatch)
-    points = np.array(GridSpec(tuple(
+    points = GridSpec(tuple(
         (c.name, lo, hi, 3)
-        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points())
+        for c, (lo, hi) in zip(spec.coords, spec.sample_box))).points()
     values = evaluate(spec, points)
     assert np.isfinite(values).all()
     assert [n for field, n in calls if field is outer] == [len(points)]
