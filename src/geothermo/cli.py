@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 # ---- flag parsing helpers ------------------------------------------------
 
 
-def _parse_kv(text: str, cast=float) -> dict:
+def _parse_kv(text: str) -> dict:
     out = {}
     for part in text.split(","):
         part = part.strip()
@@ -68,10 +68,13 @@ def _parse_kv(text: str, cast=float) -> dict:
         if "=" not in part:
             raise _Usage(f"expected name=value, got {part!r}")
         k, v = part.split("=", 1)
+        k = k.strip()
+        if k in out:
+            raise _Usage(f"{k!r} is set twice in {text!r}")
         try:
-            out[k.strip()] = cast(v)
+            out[k] = float(v)
         except ValueError:
-            raise _Usage(f"bad value {v!r} for {k.strip()!r}")
+            raise _Usage(f"bad value {v!r} for {k!r}")
     if not out:
         raise _Usage(f"no assignments in {text!r}")
     return out
@@ -80,7 +83,11 @@ def _parse_kv(text: str, cast=float) -> dict:
 def _params(args) -> dict:
     params = {}
     for p in args.param or ():
-        params.update(_parse_kv(p))
+        kv = _parse_kv(p)
+        twice = set(kv) & set(params)
+        if twice:
+            raise _Usage(f"--param sets {sorted(twice)} more than once")
+        params.update(kv)
     for name, value in params.items():
         if not math.isfinite(value):
             raise _Usage(f"--param {name} must be finite, got {value!r}")
@@ -151,6 +158,10 @@ def _parse_axes(grid_flags, coord_names):
             f"grid must set each of {coord_names} once; missing "
             f"{sorted(missing)}, unknown {sorted(unknown)}, repeated "
             f"{sorted(repeated)}")
+    # the (count, n) float64 array of the points must be addressable
+    count = math.prod(max(axes[n].count, 0) for n in coord_names)
+    if count * len(coord_names) > sys.maxsize // 8:
+        raise _Usage(f"grid of {count} points is too large")
     return analysis.GridSpec(tuple(axes[n] for n in coord_names))
 
 
@@ -706,6 +717,9 @@ def main(argv=None) -> int:
         return 3
     except GeothermoError as e:
         print(f"geothermo: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"geothermo: error: out of memory: {e}", file=sys.stderr)
         return 1
 
 

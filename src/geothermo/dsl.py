@@ -1,25 +1,27 @@
-"""Infix DSL for fundamental relations.
+"""Infix DSL for fundamental relations and their domain predicates.
 
 Relations are written in plain ASCII infix notation, e.g.
 ``(3/2)*ln(u + a/v) + ln(v - b)``.  Precedence is ``^`` (right-associative)
 over unary minus over ``*``/``/`` over ``+``/``-``; parentheses as usual.
 Identifiers resolve against the declared coordinate and parameter names.
+A domain predicate is two such expressions joined by one of ``>``, ``>=``,
+``<``, ``<=`` and ``!=``, e.g. ``v - b > 0``.
 
-Each parsed relation is compiled once to a register tape, the operator tape
-of algorithmic differentiation (Griewank & Walther, *Evaluating
-Derivatives*, SIAM 2008, ch. 2).  Nodes are hash-consed by operator and
-operand registers, so a repeated subexpression is one op, run once, and
-every division by the same coordinate-dependent expression shares one
-reciprocal of it.  Coordinates, parameters and constants are registers: the
-tape belongs to the AST, and :func:`compile_relation` binds parameter values
-into a copy of its register template, so one tape serves every parameter
-set.  :func:`parse_relation` returns the AST of a live relation parsed
-before with the same names, so an override build reuses its AST and tape.
-Predicate sides compile the same way, and :func:`parse_predicate` reuses
-the parsed sides of a live predicate likewise, binding them once per spec.
-One loop runs a tape over floats or over :class:`~geothermo.jets.Jet`
-operands of either number backend, so the same program serves plain
-evaluation and jet differentiation.
+The parser builds a register tape as it reads, the operator tape of
+algorithmic differentiation (Griewank & Walther, *Evaluating Derivatives*,
+SIAM 2008, ch. 2); there is no tree in between.  Nodes are hash-consed by
+operator and operand registers, so a repeated subexpression is one op, run
+once, and every division by the same coordinate-dependent expression
+shares one reciprocal of it.  A predicate is one tape too, whose last op is
+its comparison, so a subexpression of both sides also runs once.
+Coordinates, parameters and constants are registers: the tape belongs to
+the AST, and :func:`compile_relation` binds parameter values into a copy of
+its register template, so one tape serves every parameter set.
+:func:`parse_relation` and :func:`parse_predicate` return the AST of a live
+source parsed before with the same names, so an override build reuses its
+ASTs and tapes and only binds them.  One loop runs a tape over floats or
+over :class:`~geothermo.jets.Jet` operands of either number backend, so the
+same program serves plain evaluation and jet differentiation.
 """
 
 from __future__ import annotations
@@ -76,80 +78,53 @@ def tokenize(source: str) -> list:
     return tokens
 
 
-# ---- AST nodes -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Param:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: object
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
-
-
 class RelationAst:
-    """Parsed relation plus its name environment and its compiled tape."""
+    """A parsed relation or predicate: its name environment and its tape."""
 
-    def __init__(self, root, coords, params):
-        self.root = root
+    def __init__(self, tape, coords, params):
+        self.tape = tape
         self.coords = tuple(coords)
         self.params = tuple(params)
-        self.tape = _Tape(root)
 
     def pretty(self) -> str:
-        return _pretty(self.root)
+        """The tape as fully parenthesised source over the same names."""
+        tape = self.tape
+        formats = {fn: name + ("({})" if arity == 1 else "({}, {})")
+                   for name, (fn, arity) in FUNCTIONS.items()}
+        formats.update(_FORMATS)
+        text = [repr(value) for value in tape.template]
+        for reg, index in tape.coords:
+            text[reg] = self.coords[index]
+        for reg, name in tape.params:
+            text[reg] = name
+        for fn, out, a, b in tape.code:
+            text[out] = formats[fn].format(
+                *(text[r] for r in (a, b) if r is not None))
+        return text[tape.root]
 
     def parameter_names(self) -> set:
         return {name for _, name in self.tape.params}
 
 
-def _pretty(node) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Param):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_pretty(node.child)})"
-    if isinstance(node, Bin):
-        return f"({_pretty(node.left)} {node.op} {_pretty(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_pretty(a) for a in node.args)})"
-    raise TypeError(f"unknown node {node!r}")
-
-
 class _Parser:
+    """Recursive descent that builds a :class:`_Tape` as it reads.
+
+    Each construct is interned by its operator and operand registers as
+    soon as its operands are read, that is in post order, so a repeated
+    subexpression gets one register and one op, in the order of its first
+    occurrence.  ``x / y`` with a coordinate-dependent ``y`` becomes a
+    shared ``_reciprocal(y)`` and a product; a constant divisor stays a
+    division.
+    """
+
     def __init__(self, tokens, coords, params):
         self.tokens = tokens
         self.i = 0
         self.coords = list(coords)
         self.params = set(params)
+        self.tape = _Tape()
+        self.registers = {}     # node key -> register
+        self.depends = []       # register -> involves a coordinate
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -166,51 +141,89 @@ class _Parser:
                              tok.pos, expected={text})
         return self.advance()
 
+    def intern(self, key, value=None, dep=False):
+        """Register of the node ``key``, and whether it is new."""
+        reg = self.registers.get(key)
+        if reg is not None:
+            return reg, False
+        reg = self.registers[key] = len(self.depends)
+        self.tape.template.append(value)
+        self.depends.append(dep)
+        return reg, True
+
+    def op(self, fn, a, b=None):
+        dep = self.depends[a] or (b is not None and self.depends[b])
+        reg, new = self.intern((fn, a, b), dep=dep)
+        if new:
+            self.tape.code.append((fn, reg, a, b))
+        return reg
+
+    def binary(self, symbol, a, b):
+        if symbol == "/" and self.depends[b]:
+            return self.op(_times_reciprocal, a, self.op(_reciprocal, b))
+        return self.op(_BINARY[symbol], a, b)
+
+    def parse(self, predicate):
+        """The tape of the whole input: ``expr``, or ``expr cmp expr`` for
+        a predicate, whose last op is then its comparison."""
+        root = self.parse_expr()
+        if predicate:
+            tok = self.advance()
+            if tok.kind != "cmp":
+                raise ParseError(
+                    f"expected a comparison, found {tok.text or 'end of input'!r}",
+                    tok.pos, expected=set(_COMPARE))
+            root = self.op(_COMPARE[tok.text], root, self.parse_expr())
+        end = self.peek()
+        if end.kind != "end":
+            raise ParseError(f"trailing input {end.text!r}", end.pos)
+        self.tape.root = root
+        return self.tape
+
     def parse_expr(self):
-        node = self.parse_term()
+        reg = self.parse_term()
         while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            node = Bin(op, node, self.parse_term())
-        return node
+            reg = self.binary(self.advance().text, reg, self.parse_term())
+        return reg
 
     def parse_term(self):
-        node = self.parse_unary()
+        reg = self.parse_unary()
         while self.peek().text in ("*", "/"):
-            op = self.advance().text
-            node = Bin(op, node, self.parse_unary())
-        return node
+            reg = self.binary(self.advance().text, reg, self.parse_unary())
+        return reg
 
     def parse_unary(self):
         if self.peek().text == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            return self.op(operator.neg, self.parse_unary())
         return self.parse_power()
 
     def parse_power(self):
         base = self.parse_atom()
         if self.peek().text == "^":
             self.advance()
-            return Bin("^", base, self.parse_power_exponent())
+            return self.binary("^", base, self.parse_power_exponent())
         return base
 
     def parse_power_exponent(self):
         # exponent may carry a unary minus: v^-2
         if self.peek().text == "-":
             self.advance()
-            return Neg(self.parse_power_exponent())
+            return self.op(operator.neg, self.parse_power_exponent())
         return self.parse_power()
 
     def parse_atom(self):
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            return self.intern(("num", value), value)[0]
         if tok.kind == "ident":
             self.advance()
             if self.peek().text == "(":
                 if tok.text not in FUNCTIONS:
                     raise UnknownIdentifier(tok.text, tok.pos)
-                _, arity = FUNCTIONS[tok.text]
+                fn, arity = FUNCTIONS[tok.text]
                 self.expect("(")
                 args = [self.parse_expr()]
                 while self.peek().text == ",":
@@ -221,25 +234,44 @@ class _Parser:
                     raise ParseError(
                         f"{tok.text} takes {arity} argument(s), got {len(args)}",
                         tok.pos)
-                return Call(tok.text, tuple(args))
+                return self.op(fn, *args)
             if tok.text in self.coords:
-                return Var(self.coords.index(tok.text), tok.text)
+                index = self.coords.index(tok.text)
+                reg, new = self.intern(("var", index), dep=True)
+                if new:
+                    self.tape.coords.append((reg, index))
+                return reg
             if tok.text in self.params:
-                return Param(tok.text)
+                reg, new = self.intern(("param", tok.text))
+                if new:
+                    self.tape.params.append((reg, tok.text))
+                return reg
             raise UnknownIdentifier(tok.text, tok.pos)
         if tok.text == "(":
             self.advance()
-            node = self.parse_expr()
+            reg = self.parse_expr()
             self.expect(")")
-            return node
+            return reg
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
                          tok.pos, expected={"number", "identifier", "("})
 
 
-# parsed relations by (source, coords, params), held while anything else
-# holds them: an override build of a live spec reuses its AST and tape, and
-# a dropped spec's relation is freed with it
+# parsed relations and predicates by (source, coords, params, predicate),
+# held while anything else holds them: an override build of a live spec
+# reuses its ASTs and tapes, and a dropped spec's are freed with it
 _PARSED = weakref.WeakValueDictionary()
+
+
+def _parse(source, coords, params, predicate) -> RelationAst:
+    key = (source, tuple(coords), tuple(params), predicate)
+    ast = _PARSED.get(key)
+    if ast is None:
+        if not source or not source.strip():
+            kind = "predicate" if predicate else "relation"
+            raise ParseError(f"empty {kind} source", 0)
+        tape = _Parser(tokenize(source), coords, params).parse(predicate)
+        ast = _PARSED[key] = RelationAst(tape, coords, params)
+    return ast
 
 
 def parse_relation(source: str, coords, params=()) -> RelationAst:
@@ -248,19 +280,7 @@ def parse_relation(source: str, coords, params=()) -> RelationAst:
     A source parsed before with the same names, whose AST is still alive,
     returns that AST (and so its tape) again.
     """
-    key = (source, tuple(coords), tuple(params))
-    ast = _PARSED.get(key)
-    if ast is not None:
-        return ast
-    if not source or not source.strip():
-        raise ParseError("empty relation source", 0)
-    parser = _Parser(tokenize(source), coords, params)
-    root = parser.parse_expr()
-    end = parser.peek()
-    if end.kind != "end":
-        raise ParseError(f"trailing input {end.text!r}", end.pos)
-    ast = _PARSED[key] = RelationAst(root, coords, params)
-    return ast
+    return _parse(source, coords, params, False)
 
 
 def _reciprocal(y):
@@ -274,6 +294,15 @@ def _times_reciprocal(x, r):
     return x * r if isinstance(r, jets.Jet) else jets.divide(x, r)
 
 
+def _comparison(test):
+    """The op of a predicate's comparison: ``test`` on the values of Jets
+    (order 0 in :meth:`Predicate.mask`) or on floats."""
+    def compare(a, b):
+        return test(a.value if isinstance(a, jets.Jet) else a,
+                    b.value if isinstance(b, jets.Jet) else b)
+    return compare
+
+
 _BINARY = {
     "+": operator.add,
     "-": operator.sub,
@@ -282,73 +311,34 @@ _BINARY = {
     "^": jets.power,
 }
 
+_COMPARE = {text: _comparison(test) for text, test in (
+    (">", operator.gt), (">=", operator.ge), ("<", operator.lt),
+    ("<=", operator.le), ("!=", operator.ne))}
+
+# how pretty() writes each op that is no function call; a comparison is
+# always the root, so it takes no parentheses
+_FORMATS = {operator.neg: "(-{})", _reciprocal: "{}",
+            _times_reciprocal: "({} / {})",
+            **{fn: f"({{}} {text} {{}})" for text, fn in _BINARY.items()},
+            **{fn: f"{{}} {text} {{}}" for text, fn in _COMPARE.items()}}
+
 
 class _Tape:
     """A relation compiled to one flat program over registers.
-
-    A post-order walk interns every node by its operator and operand
-    registers, so a repeated subexpression gets one register and one op, in
-    the order of its first occurrence.  ``x / y`` with a coordinate-dependent
-    ``y`` becomes a shared ``_reciprocal(y)`` and a product; a constant
-    divisor stays a division.
 
     ``template`` holds the initial registers (constants; None for the
     coordinate, parameter and op registers).  ``coords`` and ``params``
     list (register, coordinate index) and (register, parameter name) pairs.
     Op ``(fn, out, a, b)`` sets register ``out`` to fn(a), or to fn(a, b)
     when ``b`` is not None; ``root`` is the register of the result.
+    :class:`_Parser` fills it in.
     """
 
     __slots__ = ("template", "coords", "params", "code", "root")
 
-    def __init__(self, root):
+    def __init__(self):
         self.template, self.coords, self.params, self.code = [], [], [], []
-        registers = {}      # node key -> register
-        depends = []        # register -> involves a coordinate
-
-        def intern(key, value=None, dep=False):
-            """Register of the node ``key``, and whether it is new."""
-            reg = registers.get(key)
-            if reg is not None:
-                return reg, False
-            reg = registers[key] = len(self.template)
-            self.template.append(value)
-            depends.append(dep)
-            return reg, True
-
-        def op(fn, a, b=None):
-            reg, new = intern((fn, a, b),
-                              dep=depends[a] or (b is not None and depends[b]))
-            if new:
-                self.code.append((fn, reg, a, b))
-            return reg
-
-        def walk(node):
-            if isinstance(node, Num):
-                return intern(("num", node.value), node.value)[0]
-            if isinstance(node, Var):
-                reg, new = intern(("var", node.index), dep=True)
-                if new:
-                    self.coords.append((reg, node.index))
-                return reg
-            if isinstance(node, Param):
-                reg, new = intern(("param", node.name))
-                if new:
-                    self.params.append((reg, node.name))
-                return reg
-            if isinstance(node, Neg):
-                return op(operator.neg, walk(node.child))
-            if isinstance(node, Bin):
-                a, b = walk(node.left), walk(node.right)
-                if node.op == "/" and depends[b]:
-                    return op(_times_reciprocal, a, op(_reciprocal, b))
-                return op(_BINARY[node.op], a, b)
-            if isinstance(node, Call):
-                fn, _ = FUNCTIONS[node.fn]
-                return op(fn, *[walk(a) for a in node.args])
-            raise TypeError(f"unknown node {node!r}")
-
-        self.root = walk(root)
+        self.root = None
 
     def bind(self, param_values: dict) -> list:
         """The register template with the parameter values filled in."""
@@ -389,42 +379,18 @@ def compile_relation(ast: RelationAst, param_values: dict) -> ScalarField:
     return ScalarField(ast, param_values)
 
 
-_CMP = {
-    ">": operator.gt,
-    ">=": operator.ge,
-    "<": operator.lt,
-    "<=": operator.le,
-    "!=": operator.ne,
-}
-
-
-class Comparison:
-    """A parsed inequality: the ASTs of its two sides and its operator.
-
-    :func:`parse_predicate` shares one Comparison among the predicates of
-    every live spec that uses the same source and names."""
-
-    def __init__(self, left_ast, op, right_ast):
-        self.left = left_ast
-        self.op = op
-        self.right = right_ast
-
-
 class Predicate:
-    """Inequality between two DSL expressions, e.g. ``v > b``.
+    """Comparison of two DSL expressions, e.g. ``v > b``.
 
-    Both sides are bound to one spec's parameter values when it is built;
-    each spec builds predicates of its own over the shared parsed sides.
-    :meth:`mask` evaluates them on order-0 jets; a single point is a batch
-    of one.
+    Its source parses to one tape whose last op is the comparison, bound
+    to one spec's parameter values (``field``) when the spec is built; each
+    spec builds predicates of its own over the shared parsed tape.
+    :meth:`mask` runs it on order-0 jets; a single point is a batch of one.
     """
 
-    def __init__(self, source, comparison, param_values: dict):
+    def __init__(self, source, ast, param_values: dict):
         self.source = source
-        self.comparison = comparison
-        self.op = comparison.op
-        self.left = ScalarField(comparison.left, param_values)
-        self.right = ScalarField(comparison.right, param_values)
+        self.field = ScalarField(ast, param_values)
 
     def mask(self, points):
         """Evaluate at each row of a (batch, n) array.
@@ -438,9 +404,7 @@ class Predicate:
                 for i in range(n)]
         try:
             with np.errstate(all="ignore"):
-                sides = [out.value if isinstance(out, jets.Jet) else out
-                         for out in (self.left(args), self.right(args))]
-                holds = _CMP[self.op](*sides)
+                holds = self.field(args)
         except GeothermoError as exc:
             # a side that involves no coordinate fails on floats, for
             # every point alike
@@ -452,41 +416,12 @@ class Predicate:
         return self.source
 
 
-# parsed predicates by (source, coords, params), held while a predicate
-# uses them, as _PARSED holds relations
-_COMPARISONS = weakref.WeakValueDictionary()
-
-
 def parse_predicate(source: str, coords, params=()) -> Predicate:
-    """Parse an inequality string like ``"u + a/v > 0"`` and bind it to the
+    """Parse a comparison like ``"u + a/v > 0"`` and bind it to the
     parameter values ``params`` (a mapping from name to value).
 
-    A source parsed before with the same names, whose sides are still
-    alive, gets a new predicate over the same sides (and so their tapes).
+    A source parsed before with the same names, whose tape is still alive,
+    gets a new predicate over the same tape.
     """
-    key = (source, tuple(coords), tuple(params))
-    comparison = _COMPARISONS.get(key)
-    if comparison is None:
-        comparison = _COMPARISONS[key] = _parse_comparison(source, coords,
-                                                           params)
-    return Predicate(source, comparison, dict(params))
-
-
-def _parse_comparison(source, coords, params) -> Comparison:
-    tokens = tokenize(source)
-    split = [i for i, t in enumerate(tokens) if t.kind == "cmp"]
-    if len(split) != 1:
-        raise ParseError("predicate needs exactly one comparison operator",
-                         0 if not split else tokens[split[-1]].pos)
-    i = split[0]
-    op = tokens[i].text
-    left = _Parser(tokens[:i] + [Token("end", "", tokens[i].pos)], coords, params)
-    left_root = left.parse_expr()
-    if left.peek().kind != "end":
-        raise ParseError("trailing input before comparison", left.peek().pos)
-    right = _Parser(tokens[i + 1:], coords, params)
-    right_root = right.parse_expr()
-    if right.peek().kind != "end":
-        raise ParseError("trailing input after comparison", right.peek().pos)
-    return Comparison(RelationAst(left_root, coords, params), op,
-                      RelationAst(right_root, coords, params))
+    return Predicate(source, _parse(source, coords, params, True),
+                     dict(params))

@@ -227,8 +227,7 @@ class _ImplicitField:
             # the base with only the predicates that do (or do not) read
             # the slot, or None when there are none
             preds = tuple(p for p in base.domain if reads_slot == any(
-                index == slot for side in (p.left, p.right)
-                for _, index in side.ast.tape.coords))
+                index == slot for _, index in p.field.ast.tape.coords))
             return replace(base, domain=preds) if preds else None
 
         self._fixed, self._trial = split(False), split(True)

@@ -190,13 +190,18 @@ TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
     {"params": {"k": float("nan")}},
     {"params": {"k": float("-inf")}},
     {"domain": "x > 0"},
+    {"domain": ["x > y > 0"]},
+    {"domain": ["x + y"]},
+    {"domain": ["x y > 0"]},
     {"sample_box": [[0.5, 2.0, 3.0]]},
     {"sample_box": [[0.5, 2.0]]},
     {"sample_box": [[0.5, 2.0], [1.0, float("nan")]]},
     {"sample_box": [[0.5, 2.0], [3.0, 3.0]]},
 ], ids=["duplicate-names", "no-coords", "coords-not-list", "coord-no-name",
         "no-relation", "no-excluded-index", "excluded-index-unknown",
-        "param-not-number", "param-nan", "param-infinite", "domain-not-list", "bad-sample-box",
+        "param-not-number", "param-nan", "param-infinite", "domain-not-list",
+        "two-comparisons", "no-comparison", "trailing-before-comparison",
+        "bad-sample-box",
         "sample-box-pair-count", "sample-box-not-finite",
         "sample-box-lo-not-below-hi"])
 def test_malformed_system_file_is_a_parse_error(tmp_path, capsys, change):
@@ -248,10 +253,14 @@ VP_GRID = ["--grid", "v=1.2:9:41", "--grid", "P=0.0296:0.0296:1"]
     ["--system", "vdw_vP"] + VP_GRID + ["--grid", "u=0:1:3"],
     ["--system", "vdw_vP", "--grid", "v=1.2:9:41", "--grid", "v=2:3:5",
      "--grid", "P=0.0296:0.0296:1"],
+    # 2^62 nodes of 2 coordinates cannot be addressed as float64s: the
+    # grid is rejected before any array is made
+    ["--system", "ideal_s", "--grid", f"u=0.5:5:{2 ** 62}",
+     "--grid", "v=0.5:5:2"],
 ], ids=["nan-bound", "inf-bound", "nan-param", "nan-pressure",
         "nan-threshold", "inf-threshold", "negative-threshold",
         "unknown-axis", "repeated-axis", "unknown-axis-vP",
-        "repeated-axis-vP"])
+        "repeated-axis-vP", "grid-beyond-address-space"])
 def test_scan_rejects_meaningless_input(tmp_path, capsys, argv):
     # unchecked, these raise KeyError or LinAlgError out of the CLI, or exit
     # 0 with no detection or with every node flagged
@@ -270,6 +279,38 @@ def test_scan_axis_error_names_the_axes(tmp_path, capsys, flag):
                        + ["--grid", extra, "-o", "-"], capsys)
     assert code == 1
     assert f"{flag} ['{extra[0]}']" in err
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("u", ["curvature", "--system", "vdw_s", "--at", "u=1,v=3,u=2"]),
+    ("a", ["curvature", "--system", "vdw_s", "--param", "a=1,a=2",
+           "--at", "u=2,v=3"]),
+    ("a", ["curvature", "--system", "vdw_s", "--param", "a=2",
+           "--param", "a=1", "--at", "u=2,v=3"]),
+    ("a", ["scan", "--system", "vdw_vP", "--param", "a=1", "--param", "a=2"]
+     + VP_GRID + ["-o", "-"]),
+], ids=["at", "param-flag", "param-flags", "param-flags-vP"])
+def test_repeated_name_is_rejected(capsys, name, argv):
+    # unchecked, the last value of the name wins with no message
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("geothermo: error: ")
+    assert f"'{name}'" in err
+
+
+def test_out_of_memory_is_reported(monkeypatch, capsys):
+    def points(self):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(analysis.GridSpec, "points", points)
+    code, out, err = run(["scan", "--system", "ideal_s",
+                          "--grid", "u=0.5:5:3", "--grid", "v=0.5:5:3",
+                          "-o", "-"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("geothermo: error: out of memory: "
+                   "Unable to allocate 74.5 GiB\n")
 
 
 # the zero denominator of tests/test_batch.py: 1/(x - y) has a pole on the

@@ -107,10 +107,14 @@ def test_parameter_names_collected():
 
 def test_predicate():
     p = dsl.parse_predicate("v - b > 0", ["u", "v"], {"b": 1.0})
-    holds, faults = p.mask(np.array([[1.0, 2.0], [1.0, 0.5]]))
+    points = np.array([[1.0, 2.0], [1.0, 0.5]])
+    holds, faults = p.mask(points)
     assert holds.tolist() == [True, False]
     assert not faults.errors
     assert str(p) == "v - b > 0"
+    # the tape writes back as a predicate of the same truth
+    again = dsl.parse_predicate(p.field.ast.pretty(), ["u", "v"], {"b": 1.0})
+    assert again.mask(points)[0].tolist() == [True, False]
 
 
 def test_predicate_needs_one_comparison():
@@ -164,6 +168,22 @@ def test_repeated_subexpression_is_evaluated_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_predicate_sides_share_their_subexpressions(monkeypatch):
+    calls = []
+    monkeypatch.setitem(dsl.FUNCTIONS, "ln",
+                        (lambda x: calls.append(x) or jets.ln(x), 1))
+    # coordinate names of this test alone, so the predicate is parsed anew
+    p = dsl.parse_predicate("ln(p) + 1 > ln(p)", ["p", "q"])
+    ops = [op[0] for op in p.field.ast.tape.code]
+    assert ops[-1] is dsl._COMPARE[">"]
+    for _ in range(2):
+        calls.clear()
+        holds, faults = p.mask(np.array([[2.0, 1.0], [-1.0, 1.0]]))
+        assert len(calls) == 1
+        assert holds.tolist() == [True, False]
+        assert list(faults.errors) == [1]
+
+
 def test_division_shares_the_reciprocal_and_divides_floats():
     f = compiled("u/v + 1/v + u/3")
     ops = [op[0] for op in f.ast.tape.code]
@@ -178,8 +198,7 @@ def test_division_shares_the_reciprocal_and_divides_floats():
 def test_one_tape_serves_every_parameter_set(monkeypatch):
     tapes = []
     tape = dsl._Tape
-    monkeypatch.setattr(dsl, "_Tape",
-                        lambda root: tapes.append(root) or tape(root))
+    monkeypatch.setattr(dsl, "_Tape", lambda: tapes.append(1) or tape())
     ast = dsl.parse_relation("a*ln(r) + b*s", ["r", "s"], ["a", "b"])
     f1 = dsl.compile_relation(ast, {"a": 2.0, "b": 1.0})
     f2 = dsl.compile_relation(ast, {"a": -1.0, "b": 3.0})
@@ -198,14 +217,14 @@ def test_dropped_spec_frees_its_asts():
         "excluded_index": "x", "params": {"k": 2.0},
         "domain": ["x - k/7 > 0"], "relation": "k*ln(x) + ln(y) + x/(7*y)"})
     pred = spec.domain[0]
-    refs = [weakref.ref(a) for a in (spec.field.ast, pred.comparison,
-                                     pred.left.ast, pred.right.ast)]
-    key = ("x - k/7 > 0", ("x", "y"), ("k",))
-    assert dsl._COMPARISONS[key] is pred.comparison
+    refs = [weakref.ref(a) for a in (spec.field.ast, pred.field.ast)]
+    keys = [("k*ln(x) + ln(y) + x/(7*y)", ("x", "y"), ("k",), False),
+            ("x - k/7 > 0", ("x", "y"), ("k",), True)]
+    assert [dsl._PARSED[key] for key in keys] == [r() for r in refs]
     del spec, pred
     gc.collect()
-    assert [r() for r in refs] == [None] * 4
-    assert key not in dsl._COMPARISONS
+    assert [r() for r in refs] == [None] * 2
+    assert not any(key in dsl._PARSED for key in keys)
 
 
 def test_override_builds_share_predicates_and_bind_once(monkeypatch):
@@ -216,11 +235,11 @@ def test_override_builds_share_predicates_and_bind_once(monkeypatch):
                         or field(ast, values))
     base = get_system("chap_s")
     other = get_system("chap_s", alpha=0.5)
-    assert all(p.comparison is q.comparison
+    assert all(p.field.ast is q.field.ast
                for p, q in zip(base.domain, other.domain))
-    # each build binds its relation and both sides of each predicate once
-    sides = [ast for ast in binds if ast is not base.field.ast]
-    assert len(sides) == 2 * 2 * len(base.domain)
+    # each build binds its relation and each predicate once
+    preds = [ast for ast in binds if ast is not base.field.ast]
+    assert len(preds) == 2 * len(base.domain)
     # the two specs' checks alternate and bind nothing
     binds.clear()
     for _ in range(3):
