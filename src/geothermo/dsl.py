@@ -3,7 +3,10 @@
 Relations are written in plain ASCII infix notation, e.g.
 ``(3/2)*ln(u + a/v) + ln(v - b)``.  Precedence is ``^`` (right-associative)
 over unary minus over ``*``/``/`` over ``+``/``-``; parentheses as usual.
-Identifiers resolve against the declared coordinate and parameter names.
+Identifiers resolve against the declared coordinate and parameter names;
+an unknown one (:class:`~geothermo.errors.UnknownIdentifier`), a call of a
+coordinate or parameter and a function name without its parentheses are
+parse errors.
 A domain predicate is two such expressions joined by one of ``>``, ``>=``,
 ``<``, ``<=`` and ``!=``, e.g. ``v - b > 0``.
 
@@ -34,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import (GeothermoError, ParseError, UnboundParameter,
-                     UnknownIdentifier)
+from .errors import ParseError, UnboundParameter, UnknownIdentifier
 
 FUNCTIONS = {
     "ln": (jets.ln, 1),
@@ -138,7 +140,7 @@ class _Parser:
         tok = self.peek()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.pos, expected={text})
+                             tok.pos)
         return self.advance()
 
     def intern(self, key, value=None, dep=False):
@@ -172,7 +174,7 @@ class _Parser:
             if tok.kind != "cmp":
                 raise ParseError(
                     f"expected a comparison, found {tok.text or 'end of input'!r}",
-                    tok.pos, expected=set(_COMPARE))
+                    tok.pos)
             root = self.op(_COMPARE[tok.text], root, self.parse_expr())
         end = self.peek()
         if end.kind != "end":
@@ -222,6 +224,9 @@ class _Parser:
             self.advance()
             if self.peek().text == "(":
                 if tok.text not in FUNCTIONS:
+                    if tok.text in self.coords or tok.text in self.params:
+                        raise ParseError(f"{tok.text!r} is not a function",
+                                         tok.pos)
                     raise UnknownIdentifier(tok.text, tok.pos)
                 fn, arity = FUNCTIONS[tok.text]
                 self.expect("(")
@@ -246,6 +251,9 @@ class _Parser:
                 if new:
                     self.tape.params.append((reg, tok.text))
                 return reg
+            if tok.text in FUNCTIONS:
+                raise ParseError(f"function {tok.text!r} takes its arguments "
+                                 "in parentheses", tok.pos)
             raise UnknownIdentifier(tok.text, tok.pos)
         if tok.text == "(":
             self.advance()
@@ -253,7 +261,7 @@ class _Parser:
             self.expect(")")
             return reg
         raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}",
-                         tok.pos, expected={"number", "identifier", "("})
+                         tok.pos)
 
 
 # parsed relations and predicates by (source, coords, params, predicate),
@@ -385,7 +393,9 @@ class Predicate:
     Its source parses to one tape whose last op is the comparison, bound
     to one spec's parameter values (``field``) when the spec is built; each
     spec builds predicates of its own over the shared parsed tape.
-    :meth:`mask` runs it on order-0 jets; a single point is a batch of one.
+    :meth:`mask` runs it on order-0 jets through :func:`jets.run_field`,
+    the batch run of :func:`jets.jet_poly`; a single point is a batch of
+    one.
     """
 
     def __init__(self, source, ast, param_values: dict):
@@ -396,21 +406,12 @@ class Predicate:
         """Evaluate at each row of a (batch, n) array.
 
         Returns (holds, faults): ``holds`` is False wherever a side could
-        not be evaluated, and ``faults`` records why.
+        not be evaluated (a side that involves no coordinate fails every
+        point alike), and ``faults`` records why.
         """
-        size, n = points.shape
-        faults = jets.Faults(size)
-        args = [jets.Jet.variable(n, 0, i, points[:, i], faults)
-                for i in range(n)]
-        try:
-            with np.errstate(all="ignore"):
-                holds = self.field(args)
-        except GeothermoError as exc:
-            # a side that involves no coordinate fails on floats, for
-            # every point alike
-            faults.flag(np.ones(size, dtype=bool), lambda i: exc)
-            holds = False
-        return np.logical_and(holds, faults.ok), faults
+        with np.errstate(all="ignore"):
+            holds, faults = jets.run_field(self.field, points)
+            return np.logical_and(holds, faults.ok), faults
 
     def __str__(self):
         return self.source

@@ -25,11 +25,10 @@ class ParseError(GeothermoError):
     """Syntax error in a relation source string (``position`` None when the
     error has no place in one)."""
 
-    def __init__(self, message, position=None, expected=None):
+    def __init__(self, message, position=None):
         super().__init__(message if position is None
                          else f"{message} (at position {position})")
         self.position = position
-        self.expected = tuple(expected) if expected else ()
 
 
 class DefinitionError(ParseError, ValueError):
@@ -37,16 +36,12 @@ class DefinitionError(ParseError, ValueError):
     which ``from_definition`` raised for such documents before."""
 
 
-class UnknownIdentifier(GeothermoError):
+class UnknownIdentifier(ParseError):
     """An identifier resolves to neither a coordinate nor a parameter."""
 
     def __init__(self, name, position=None):
-        msg = f"unknown identifier '{name}'"
-        if position is not None:
-            msg += f" (at position {position})"
-        super().__init__(msg)
+        super().__init__(f"unknown identifier '{name}'", position)
         self.name = name
-        self.position = position
 
 
 class UnboundParameter(GeothermoError):

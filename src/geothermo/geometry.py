@@ -227,7 +227,10 @@ def _flag_failures(m: MetricTensor, js, w, singular, full):
     per slot in ``js``), DegenerateMetric where m.is_degenerate(), carrying
     the point of the metric ``full()`` with its derivatives, then NonFinite
     where g is not finite.  The degeneracy mask is kept in
-    ``m.degenerate``."""
+    ``m.degenerate``; it is False at a point that failed before the test
+    (outside the domain, or at a vanishing conformal term), whose metric
+    is whatever its jet gave, so that its flag does not depend on its
+    chunk."""
     faults = m.faults
 
     def prefactor(i):
@@ -237,7 +240,7 @@ def _flag_failures(m: MetricTensor, js, w, singular, full):
             "vanishes in the conformal sum")
 
     faults.flag(singular, prefactor)
-    m.degenerate = m.is_degenerate()
+    m.degenerate = m.is_degenerate() & faults.ok
     if np.count_nonzero(m.degenerate):
         metric = full()
         faults.flag(m.degenerate, lambda i: DegenerateMetric(

@@ -60,7 +60,8 @@ each monomial's pairs without its per-term tuples (see :func:`_dot`): the
 products are exact, the sum is rounded once, a term is dropped where
 ``mpf_sum`` drops it, and inf and nan factors fall back to ``mpf_sum``.
 Its Horner steps run on ``_mpf_`` tuples, point by point, and build mpmath
-numbers once per composition (see :meth:`_MpBackend.horner`).
+numbers once per composition, with no multiplication of mpmath numbers
+(see :meth:`_MpBackend.horner`).
 
 The independent check is :func:`fd_partial`: nested central finite differences,
 sharing no code with the jet propagation.
@@ -440,8 +441,11 @@ class _MpBackend:
     in :func:`_dot` on ``_mpf_`` tuples converted once per point: the
     products are exact, the sum is rounded once and drops a term where
     ``mpf_sum`` does, and a monomial with an inf or nan factor is summed by
-    ``mpf_sum`` itself.  The Horner steps of a composition (:meth:`horner`)
-    run on each point's tuple lists, with ``mpf`` objects built at the end.
+    ``mpf_sum`` itself.  Every group of a table's pairs is summed, the zero
+    row's empty one to zero.  The Horner steps of a composition
+    (:meth:`horner`) run on each point's tuple lists from the first step,
+    whose products are ``mpf_mul`` calls, with ``mpf`` objects built at the
+    end: no step multiplies mpmath numbers.
 
     A point is set to NaN where it fails (``masked``): mpmath raises on a
     zero denominator and returns complex numbers for the logarithm or a
@@ -488,35 +492,35 @@ class _MpBackend:
 
     def product(self, table, a, b):
         """``mp.fdot`` over each monomial's pairs, point by point (see
-        :func:`_dot`), without a sum for the zero row."""
+        :func:`_dot`).  The zero row's group of ``table.pairs`` is empty,
+        and its sum is zero."""
         size = np.broadcast_shapes(a.shape[1:], b.shape[1:])[0]
         prec, rnd = mp.mp._prec_rounding
-        make, zero, dot = mp.make_mpf, mp.mp.zero, _dot
-        groups = table.pairs[:-1]
-        out = [[make(dot(g, x, y, prec, rnd)) for g in groups] + [zero]
+        make, dot = mp.make_mpf, _dot
+        out = [[make(dot(g, x, y, prec, rnd)) for g in table.pairs]
                for x, y in zip(self._points(a, size), self._points(b, size))]
         return np.array(out, dtype=object).T
 
     def horner(self, tables, c, series):
-        """The truncated Horner loop of :meth:`Jet._compose`, with the bits
-        of one :meth:`product` per step, on tuples: each point's ``out``
-        and ``c`` columns are converted once, each step maps one tuple list
-        to the next, and ``mpf`` objects are built from the last one only.
-        A step's constant monomial has no pairs (its right factor has no
-        constant term), so it is the step's series term."""
-        out = c * series[-1]
-        out[0] = series[-2]
-        if not tables:
-            return out
-        size = out.shape[1]
+        """The truncated Horner loop of :meth:`Jet._compose`, for order >=
+        1, on ``_mpf_`` tuples: each point's ``c`` column and series are
+        converted once, and ``mpf`` objects are built at the end.  The first
+        step is ``c * s_order`` by ``mpf_mul`` with its constant monomial
+        set to s_(order-1); each later step sums ``table.pairs`` as
+        :meth:`product` does, with the bits of one product per step.  A
+        step's constant monomial has no pairs (its right factor has no
+        constant term), so it is the step's series term, and its zero row's
+        group is empty, so that row is zero."""
+        size = np.broadcast_shapes(c.shape[1:], series.shape[1:])[0]
         prec, rnd = mp.mp._prec_rounding
-        make, zero, dot = mp.make_mpf, mp.mp.zero, _dot
+        make, dot, mul = mp.make_mpf, _dot, mpf_mul
         cols = []
-        for o, x, terms in zip(self._points(out, size), self._points(c, size),
-                               self._points(series[-3::-1], size)):
-            for table, s in zip(tables, terms):
-                o = [s] + [dot(g, o, x, prec, rnd) for g in table.pairs[1:-1]]
-            cols.append([make(v) for v in o] + [zero])
+        for x, terms in zip(self._points(c, size),
+                            self._points(series[::-1], size)):
+            o = [terms[1]] + [mul(v, terms[0], prec, rnd) for v in x[1:]]
+            for table, s in zip(tables, terms[2:]):
+                o = [s] + [dot(g, o, x, prec, rnd) for g in table.pairs[1:]]
+            cols.append([make(v) for v in o])
         return np.array(cols, dtype=object).T
 
     @staticmethod
@@ -639,13 +643,8 @@ class Jet:
 
     def _shift(self, k):
         """self + k for a constant k (a float or one value per point)."""
-        c = self.c
-        if not isinstance(k, float):
-            k = self.bk.asarray(k)
-            if k.ndim and k.shape[-1] != c.shape[1]:
-                c = np.broadcast_to(c, (c.shape[0], k.shape[-1]))
-        out = c.copy()
-        out[0] += k
+        out = self.c.copy()
+        out[0] += k if isinstance(k, float) else self.bk.asarray(k)
         return self._like(out, self.affine)
 
     def __add__(self, other):
@@ -945,21 +944,37 @@ def jet_poly(field, x, order: int = MAX_ORDER, faults=None,
     ``x`` is one point, or a (batch, n) array of points.  Failures are
     recorded in ``faults``, or in a new record, which the result carries.
     ``backend`` (:data:`FLOAT` or :data:`MPMATH`) holds the coefficients.
+    The field runs in :func:`run_field`; a result that involves no
+    coordinate becomes a constant jet, one column per point.
     """
     x = np.asarray(x, dtype=float)
     points = x.reshape(-1, x.shape[-1])
-    n, size = points.shape[1], points.shape[0]
+    result, faults = run_field(field, points, order, faults, backend)
+    return _as_jet(result, points.shape[1], order, points.shape[0], faults,
+                   backend)
+
+
+def run_field(field, points, order: int = 0, faults=None, backend=FLOAT):
+    """``field`` run on the order-``order`` variables of the (batch, n)
+    array ``points``, the batch run of :func:`jet_poly` and of a domain
+    predicate's mask.
+
+    Returns (result, faults): what the field returns (a Jet, a float where
+    it involves no coordinate, or a predicate's truth value per point), and
+    the failure record (``faults``, or a new one) that its jets carry.  A
+    failure before any jet saw it (a float subexpression that involves no
+    coordinate) belongs to every point of the batch: each fails with it,
+    and the result is NaN.
+    """
+    size, n = points.shape
     faults = faults or Faults(size)
     args = [Jet.variable(n, order, i, points[:, i], faults, backend)
             for i in range(n)]
     try:
-        result = field(args)
+        return field(args), faults
     except GeothermoError as exc:
-        # a failure before any jet saw it (a float subexpression that
-        # involves no coordinate) belongs to every point of the batch
         faults.flag(np.ones(size, dtype=bool), lambda i: exc)
-        result = math.nan
-    return _as_jet(result, n, order, size, faults, backend)
+        return math.nan, faults
 
 
 def jet_eval(field, x, order: int = MAX_ORDER, faults=None,

@@ -193,6 +193,10 @@ TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
     {"domain": ["x > y > 0"]},
     {"domain": ["x + y"]},
     {"domain": ["x y > 0"]},
+    {"domain": ["z > 0"]},
+    {"domain": ["x (y) > 0"]},
+    {"domain": ["ln > 0"]},
+    {"relation": "ln(x) + k*ln(y)"},
     {"sample_box": [[0.5, 2.0, 3.0]]},
     {"sample_box": [[0.5, 2.0]]},
     {"sample_box": [[0.5, 2.0], [1.0, float("nan")]]},
@@ -201,6 +205,8 @@ TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
         "no-relation", "no-excluded-index", "excluded-index-unknown",
         "param-not-number", "param-nan", "param-infinite", "domain-not-list",
         "two-comparisons", "no-comparison", "trailing-before-comparison",
+        "unknown-identifier", "coordinate-called", "function-not-called",
+        "unknown-parameter",
         "bad-sample-box",
         "sample-box-pair-count", "sample-box-not-finite",
         "sample-box-lo-not-below-hi"])
@@ -415,11 +421,16 @@ def test_scan_constant_out_of_domain_fails_each_point(tmp_path, capsys):
     ("pow(0 - 0.5, 1e400) + x*y", 2),
     ("(0 - 2)^x + y", 2),
     ("2^(x*y) + ln(x)", 0),
+    ("x + exp(800)", 1),
+    ("x + sinh(800)", 1),
+    ("x*cosh(800)", 1),
 ], ids=["inf-exponent", "nan-exponent", "negative-base-inf-exponent",
-        "negative-constant-base", "constant-base"])
+        "negative-constant-base", "constant-base", "constant-exp-overflow",
+        "constant-sinh-overflow", "constant-cosh-overflow"])
 def test_powers_keep_the_exit_code_contract(tmp_path, capsys, relation, code):
-    # a non-finite exponent or a constant base to a coordinate power fails
-    # the point (or none) instead of escaping as a traceback
+    # a non-finite exponent, a constant base to a coordinate power or a
+    # constant that overflows fails the point (or none) instead of
+    # escaping as a traceback
     path = tmp_path / "pow.json"
     path.write_text(json.dumps(dict(TOY, id="pow", relation=relation)))
     got, _, err = run(["curvature", "--file", str(path), "--at", "x=1,y=1"],

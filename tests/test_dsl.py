@@ -56,6 +56,28 @@ def test_unknown_identifier_reports_name():
     with pytest.raises(UnknownIdentifier) as err:
         dsl.parse_relation("u + w", ["u", "v"])
     assert err.value.name == "w"
+    assert isinstance(err.value, ParseError) and err.value.position == 4
+    assert str(err.value) == "unknown identifier 'w' (at position 4)"
+
+
+@pytest.mark.parametrize("source,message", [
+    ("u (v)", "'u' is not a function (at position 0)"),
+    ("v + a(u)", "'a' is not a function (at position 4)"),
+    ("ln + u", "function 'ln' takes its arguments in parentheses "
+               "(at position 0)"),
+    ("w(u)", "unknown identifier 'w' (at position 0)"),
+])
+def test_misused_identifier_is_a_parse_error(source, message):
+    with pytest.raises(ParseError) as err:
+        dsl.parse_relation(source, ["u", "v"], ["a"])
+    assert str(err.value) == message
+
+
+def test_coordinate_may_share_a_function_name():
+    # read as the coordinate where no parenthesis follows, and as the
+    # function where one does
+    f = compiled("exp + exp(1)", ("exp",))
+    assert f([2.0]) == 2.0 + math.exp(1.0)
 
 
 def test_parse_error_carries_position():

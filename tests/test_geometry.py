@@ -136,6 +136,38 @@ def test_failed_point_is_masked_in_its_batch(dps):
 
 
 @pytest.mark.parametrize("dps", [None, 30])
+def test_a_failed_point_is_flagged_alike_alone_and_in_its_batch(dps):
+    # the out-of-domain point has a jet beside an in-domain point and none
+    # alone; its metric is that jet's, so no degeneracy test reads it
+    spec = get_system("chap_s", alpha=0.0, beta=0.0)
+    pair = curvature_at(spec, [[2.0, 2.0], [-1.0, 2.0]], dps=dps)
+    alone = curvature_at(spec, [[-1.0, 2.0]], dps=dps)
+    assert type(pair.faults.errors[0]) is DegenerateMetric
+    assert type(pair.faults.errors[1]) is DomainViolation
+    assert pair.degenerate.tolist() == [True, False]
+    for name in ("degenerate", "nonfinite", "det_g", "conformal_factor"):
+        assert np.array_equal(getattr(pair, name)[1:], getattr(alone, name),
+                              equal_nan=True), name
+    assert metric_at(spec, [[2.0, 2.0], [-1.0, 2.0]]).degenerate.tolist() \
+        == [True, False]
+    assert metric_at(spec, [[-1.0, 2.0]]).degenerate.tolist() == [False]
+
+
+def test_three_coordinates_at_dps_keep_their_bits_beside_a_failed_point():
+    # the cofactor determinant and inverse of the mpmath backend take the
+    # NaN metric of the out-of-domain point in their stack
+    points = np.array([[0.7, 1.1, 2.5], [-0.7, 1.1, 2.5]])
+    res = curvature_at(THREE, points, dps=30)
+    assert list(res.faults.errors) == [1]
+    assert type(res.faults.errors[1]) is DomainViolation
+    single = curvature_at(THREE, points[0], dps=30)
+    assert res.ricci_scalar[0] == single.ricci_scalar != 0.0
+    assert res.det_g[0] == single.det_g
+    assert res.conformal_factor[0] == single.conformal_factor
+    assert np.isnan(res.ricci_scalar[1]) and res.nonfinite[1]
+
+
+@pytest.mark.parametrize("dps", [None, 30])
 def test_curvature_of_a_dilated_point_keeps_its_bits(dps):
     # the metric of a relation homogeneous up to a logarithm is invariant
     # under dilation, so R at 2^k x is R at x: |g| is 2^(-2k) there, and

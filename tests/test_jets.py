@@ -680,3 +680,24 @@ def test_mpmath_composition_chain_with_a_non_finite_term():
             jet = got
             _, series = _series_case(rng, 2, 4, 4, jets.MPMATH, "dense")
         assert not all(mp.isfinite(v) for v in jet.c[:, 1])
+
+
+def test_mpmath_horner_makes_no_mpf_multiplication(monkeypatch):
+    # every step of the loop, its first one (c times the last series term)
+    # included, multiplies _mpf_ tuples; mpf objects are only built
+    rng = np.random.default_rng(18)
+    mpf = type(mp.mpf(1))
+    with mp.workdps(30):
+        cases = []
+        for order in range(1, 5):
+            jet, series = _series_case(rng, 2, order, 3, jets.MPMATH, "dense")
+            cases.append((order, jet, series, _reference_compose(jet, series)))
+        calls = []
+        mul = mpf.__mul__
+        monkeypatch.setattr(mpf, "__mul__", lambda a, b: calls.append(
+            (a, b)) or mul(a, b))
+        for order, jet, series, want in cases:
+            got = jets.MPMATH.horner(jets._tables(2, order).compose, jet.c,
+                                     series)
+            assert not calls, order
+            assert _same_bits(got, want), order

@@ -9,7 +9,7 @@ from geothermo import dsl, jets, transforms
 from geothermo.errors import (DomainViolation, InversionFailure,
                               PreconditionFailure)
 from geothermo.geometry import curvature_at
-from geothermo.analysis import GridSpec
+from geothermo.analysis import GridSpec, fd_ricci_scalar
 from geothermo.jets import Faults, jet_poly
 from geothermo.systems import evaluate, from_definition, get_system
 from geothermo.transforms import (_newton_solve, equations_of_state,
@@ -438,6 +438,19 @@ def test_derived_point_is_a_batch_of_one(key, rng=np.random.default_rng(21)):
     batch = evaluate(spec, points)
     for i, x in enumerate(points):
         assert evaluate(spec, x) == batch[i], x
+
+
+@pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
+def test_derived_field_runs_on_floats(key):
+    # the field called on floats takes the jet path at order 0, with the
+    # bits of evaluate; finite differences of those floats give the
+    # curvature of the jets
+    spec = _derived(key)
+    x = [0.5 * (lo + hi) for lo, hi in spec.sample_box]
+    value = spec.field(x)
+    assert type(value) is float and value == evaluate(spec, x)
+    R = curvature_at(spec, x).ricci_scalar
+    assert abs(fd_ricci_scalar(spec, x) - R) <= 1e-3 * (1.0 + abs(R))
 
 
 def _drive(equation, seed=2.0, lo=0.0, hi=3.0):
