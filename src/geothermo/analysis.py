@@ -297,6 +297,11 @@ def _refine_segment(spec, evaluator, segments, blowup_threshold):
     is not inside the bracket, or a bracket end was never evaluated, it is
     the best node.  A segment decides only from its own values, so its
     refined point does not depend on the other segments.
+
+    The middle trial of a pass lies halfway between the best node's
+    neighbours, and is mostly the best node itself, bit for bit: there its
+    |R| is taken from the pass before, not evaluated again (a point's R
+    does not depend on its batch).
     """
     if not segments:
         return []
@@ -314,12 +319,20 @@ def _refine_segment(spec, evaluator, segments, blowup_threshold):
     while len(live):
         lo, hi = nodes[live, :1], nodes[live, 2:]
         trials = lo + (hi - lo) * steps
+        # every trial but a middle one that repeats the best node bit for
+        # bit, where that node was evaluated (not in the first pass)
+        mid, best = k // 2, absR[live, 1]
+        fresh = np.ones(trials.shape, dtype=bool)
+        fresh[:, mid] = ((trials[:, mid].view(np.int64)
+                          != nodes[live, 1].view(np.int64)) | np.isnan(best))
         points = base[live].repeat(k, axis=0)
         points[np.arange(len(points)), axes[live].repeat(k)] = trials.ravel()
-        r = np.abs(_scan_eval(spec, evaluator, points))
+        r = np.empty(trials.shape)
+        r[:, mid] = best
+        r[fresh] = np.abs(_scan_eval(spec, evaluator,
+                                     points[fresh.ravel()]))
         r[~np.isfinite(r)] = math.inf     # landing on the pole itself
-        r = np.concatenate([absR[live, :1], r.reshape(-1, k),
-                            absR[live, 2:]], axis=1)
+        r = np.concatenate([absR[live, :1], r, absR[live, 2:]], axis=1)
         x = np.concatenate([lo, trials, hi], axis=1)
         rows = np.arange(len(live))[:, None]
         pick = r[:, 1:-1].argmax(axis=1)[:, None] + np.arange(3)

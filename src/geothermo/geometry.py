@@ -25,12 +25,15 @@ Which path builds which arrays:
   the jet to R on 1-D batch columns: g, det g = EG - F^2 and the twelve
   columns, each in the order of operations of the tensor assembly, so that
   R keeps its bits.  It builds no full dg or ddg, except for the payload of
-  a DegenerateMetric.
+  a DegenerateMetric.  Of the fourth-order partials it reads Phi_uuvv
+  alone, so the jet of a compiled relation holds only the monomials of
+  degree <= 3 and u^2 v^2 (:data:`SURFACE_TOP`); a DegenerateMetric's
+  payload takes a full jet of its chunk's degenerate points.
 - :func:`natural_metric` (for :func:`metric_at`, :func:`christoffel` and any
-  other n) builds the full g, dg and ddg, and det g (EG - F^2 when n = 2).
-  :func:`ricci_scalar` slices the twelve columns from it when n = 2, which
-  is the path of the finite-difference oracle, and contracts the Riemann
-  tensor otherwise.
+  other n) builds the full g, dg and ddg, and det g (EG - F^2 when n = 2),
+  from a full jet.  :func:`ricci_scalar` slices the twelve columns from it
+  when n = 2, which is the path of the finite-difference oracle, and
+  contracts the Riemann tensor otherwise.
 
 The formula sets EG - F^2 to 1 at a failed point, and the tensor path masks
 a failed point's metric to the identity, so that no failed point can abort
@@ -59,6 +62,7 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 import numpy as np
 
+from .dsl import ScalarField
 from .errors import DegenerateMetric, NonFinite, SingularPrefactor
 from .jets import (FLOAT, MPMATH, Faults, Jet4, backend_of, jet_eval,
                    one_point)
@@ -67,6 +71,9 @@ from .systems import SystemSpec, domain_check
 DEGENERACY_RTOL = 1e-12      # |det g| < rtol * max|g_ab|^2 flags degeneracy
 PREFACTOR_ATOL = 1e-13       # |E^j Phi_j| below this (times scale) is singular
 NONFINITE_R = 1e12           # |R| beyond this is reported, not trusted
+# the degree-4 monomials a 2-D curvature reads: u^2 v^2, through E_vv, F_uv
+# and G_uu (see _chunk)
+SURFACE_TOP = ((2, 2),)
 # points per pass of the batched pipeline: wider passes share out each
 # pass's fixed NumPy cost, against jet transients of about 5.5 KB per point
 CHUNK = 256
@@ -159,10 +166,11 @@ def natural_metric(jet: Jet4, x, excluded_index: int) -> MetricTensor:
     which the result carries on (see :func:`_flag_failures`).  The
     degeneracy mask of every point is kept in ``degenerate``.  det g is
     EG - F^2 on a 2-D manifold, as Brioschi's formula forms it, and a
-    cofactor or LU determinant otherwise.
+    cofactor or LU determinant otherwise.  ddg reads every fourth-order
+    partial, so the jet must hold every monomial through order 4.
     """
-    if jet.order < 4:
-        raise ValueError("natural_metric needs a jet of order 4")
+    if jet.order < 4 or jet.top is not None:
+        raise ValueError("natural_metric needs a full jet of order 4")
     x = np.asarray(x, dtype=float)
     js = [j for j in range(jet.n) if j != excluded_index]
     with np.errstate(all="ignore"):
@@ -376,20 +384,24 @@ def _curvature_result(m: MetricTensor, R) -> CurvatureResult:
                            nonfinite=nonfinite, faults=faults)
 
 
-def _surface_curvature(jet: Jet4, x, excluded_index: int) -> CurvatureResult:
+def _surface_curvature(spec: SystemSpec, jet: Jet4, x) -> CurvatureResult:
     """:func:`ricci_scalar` of :func:`natural_metric` for a batched 2-D
-    Jet4, on 1-D batch columns.
+    Jet4 of ``spec``'s field, on 1-D batch columns.
 
     It builds the conformal term w of the one slot in the sum with its
     first and second derivatives, then g, det g = EG - F^2 and the twelve
     entries of g, dg and ddg that Brioschi's formula reads, each in the
     order of operations of :func:`_tensors` (a doubling is a sum, which is
-    exact), so that R and det g keep their bits.  The failures are flagged
-    as in :func:`natural_metric`; a DegenerateMetric carries its point's
-    full metric, whose dg and ddg are built for the chunk only then.
+    exact), so that R and det g keep their bits.  Of the fourth-order
+    partials it reads Phi_uuvv alone, so the jet may hold only the 2-D
+    curvature's monomial set (see :func:`_chunk`).  The failures are
+    flagged as in :func:`natural_metric`; a DegenerateMetric carries its
+    point's full metric, whose dg and ddg are built only then, from a full
+    order-4 jet of the chunk's degenerate points.
     """
     x = np.asarray(x, dtype=float)
-    i, j = excluded_index, 1 - excluded_index
+    i = spec.excluded_index
+    j = 1 - i
     grad, H, T3 = jet.grad, jet.hess, jet.third
     u, Hj = x[:, j], H[:, j]
     with np.errstate(all="ignore"):
@@ -435,7 +447,16 @@ def _surface_curvature(jet: Jet4, x, excluded_index: int) -> CurvatureResult:
                          conformal_factor=c, faults=jet.faults)
 
         def full():
-            _, _, dg, ddg = _tensors(jet, x, masked[:, None], [j])
+            # the degenerate points have passed the domain check, and a
+            # point's jet does not depend on its batch
+            rows = np.flatnonzero(m.degenerate)
+            at = x[rows]
+            whole = jet_eval(spec.field, at, 4, Faults(len(rows)),
+                             backend_of(w))
+            _, _, dg4, ddg4 = _tensors(whole, at, masked[rows, None], [j])
+            dg, ddg = (np.full((len(x),) + a.shape[1:], np.nan, a.dtype)
+                       for a in (dg4, ddg4))
+            dg[rows], ddg[rows] = dg4, ddg4
             return replace(m, dg=dg, ddg=ddg)
 
         _flag_failures(m, [j], w[:, None], small, full)
@@ -492,13 +513,23 @@ def _chunk(spec, points, backend=FLOAT, curvature=False):
     or with ``curvature`` its Ricci scalar, which a 2-D chunk takes from
     its jet's columns (:func:`_surface_curvature`).
 
+    The 2-D curvature of a compiled relation takes a jet of the monomials
+    it reads, every one of degree <= 3 and u^2 v^2 (:data:`SURFACE_TOP`),
+    which has the same bits on them as the full jet.  Every other jet is
+    full: the metric's ddg reads each fourth-order partial, and the jet of
+    a derived spec's implicit field reads the base jet's pure fourth-order
+    terms in its u^2 v^2 coefficient.
+
     A chunk with no point inside the domain has no jet to take: its metric
     is NaN, with the domain's fault record."""
     faults = domain_check(spec, points)
     if faults.ok.any():
-        jet = jet_eval(spec.field, points, 4, faults, backend)
-        if curvature and jet.n == 2:
-            return _surface_curvature(jet, points, spec.excluded_index)
+        surface = curvature and points.shape[1] == 2
+        top = (SURFACE_TOP if surface and isinstance(spec.field, ScalarField)
+               else None)
+        jet = jet_eval(spec.field, points, 4, faults, backend, top)
+        if surface:
+            return _surface_curvature(spec, jet, points)
         m = natural_metric(jet, points, spec.excluded_index)
     else:
         size, n = points.shape

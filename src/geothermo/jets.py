@@ -8,14 +8,23 @@ partial derivatives of the expression at every point of the batch, which is
 what the metric/curvature pipeline consumes.  A single point is a batch of
 one.
 
+A jet holds the monomials of one set (see :class:`_Tables`): all of degree
+<= order, or all of degree below the order and some of degree order.  Such a
+set is closed under division, so each coefficient it holds has the bits the
+full jet gives it.  The 2-D curvature reads one fourth-order coefficient,
+Phi_uuvv, and its chunks take the set {degree <= 3} + {u^2 v^2} (see
+:func:`geometry._chunk`): for two variables 11 coefficient rows instead of
+15, 44 pairs per product instead of 70, and Horner steps of 9, 25 and 33
+pairs instead of 9, 25 and 55.
+
 Products go through precomputed index tables (forward propagation of
 truncated Taylor coefficients; Griewank, Utke & Walther, Math. Comp. 69,
 2000).  Most products are Horner steps of a series composition (analytic
 functions, reciprocals and fractional powers), and each step is truncated at
 the degree that the later steps read (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., 2008, ch. 13): for two variables at order 4 a
-composition makes 89 multiplications instead of 165, with the same bits (see
-:meth:`Jet._compose`).
+composition makes 89 multiplications instead of 165 (67 on the 2-D
+curvature's set), with the same bits (see :meth:`Jet._compose`).
 
 A float product sums each monomial's pairs in one of two layouts with the
 same bits (see :meth:`_Tables._product`).  Below :data:`STAIRCASE_WIDTH`
@@ -73,7 +82,6 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
@@ -237,27 +245,41 @@ class _Product(NamedTuple):
 
 
 class _Tables:
-    """Monomials of total degree <= order in ``nvars`` variables.
+    """One monomial set in ``nvars`` variables: every monomial of total
+    degree below ``order``, and those of degree ``order`` whose exponent
+    tuples ``top`` lists (all of them when ``top`` is None).
+
+    Such a set is closed under division, so a product truncated to it sums
+    each monomial it holds from the same pairs, in the same order, as the
+    product on every monomial of degree <= order (forward Taylor
+    propagation; Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+    For two variables at order 4 the full set has 15 monomials; the 2-D
+    curvature's set, ``top=((2, 2),)``, keeps the 10 of degree <= 3 and
+    u^2 v^2 (see :func:`geometry._chunk`), 11 in all.
 
     Monomials are numbered by degree; within a degree they follow the sorted
     index tuples of ``combinations_with_replacement``, so the degree-1
-    monomial of variable i is number 1 + i.  Coefficient arrays carry one
-    more row, number ``size``, that is always zero: the product tables pad
-    with it.
+    monomial of variable i is number 1 + i, and a monomial of degree below
+    ``order`` has the same number in every set.  Coefficient arrays carry
+    one more row, number ``size``, that is always zero: the product tables
+    pad with it.
     """
 
-    def __init__(self, nvars: int, order: int):
-        combos = [c for d in range(order + 1)
-                  for c in combinations_with_replacement(range(nvars), d)]
-        exps = [tuple(c.count(v) for v in range(nvars)) for c in combos]
+    def __init__(self, nvars: int, order: int, top=None):
+        self.nvars, self.order, self.top = nvars, order, top
+        exps = [tuple(c.count(v) for v in range(nvars))
+                for d in range(order + 1)
+                for c in combinations_with_replacement(range(nvars), d)]
+        exps = [e for e in exps if sum(e) < order or top is None or e in top]
         number = {e: k for k, e in enumerate(exps)}
         self.size = len(exps)
         self.exps = exps
-        self.degree = [len(c) for c in combos]
-        # products a_i * b_j landing on monomial k, in (k, i, j) order
-        pairs = sorted((number[tuple(x + y for x, y in zip(ei, ej))], i, j)
-                       for i, ei in enumerate(exps) for j, ej in enumerate(exps)
-                       if self.degree[i] + self.degree[j] <= order)
+        self.degree = [sum(e) for e in exps]
+        # products a_i * b_j landing on a monomial k of the set, in
+        # (k, i, j) order
+        sums = ((tuple(x + y for x, y in zip(ei, ej)), i, j)
+                for i, ei in enumerate(exps) for j, ej in enumerate(exps))
+        pairs = sorted((number[e], i, j) for e, i, j in sums if e in number)
         self.mul = self._product(pairs, self.size, self.size)
         # Horner steps of a series composition (see Jet._compose): step D
         # multiplies by a right factor without constant term and keeps the
@@ -269,18 +291,24 @@ class _Tables:
             self._product([p for p in pairs if p[2] != 0 and p[0] < count[d]],
                           count[d], self.size if d == 2 else count[d - 1])
             for d in range(2, order + 1)]
-        # monomials x_v^1..x_v^order of each variable v: the rows a
-        # composition of an argument affine in x_v writes (Jet._compose)
-        self.powers = [np.array([number[tuple(m * (u == v)
-                                              for u in range(nvars))]
-                                 for m in range(1, order + 1)], dtype=np.intp)
-                       for v in range(nvars)]
+        # the monomials x_v^1, x_v^2, ... of each variable v that the set
+        # holds: the rows a composition of an argument affine in x_v writes
+        # (Jet._compose_affine)
+        self.powers = []
+        for v in range(nvars):
+            rows = (number.get(tuple(m * (u == v) for u in range(nvars)))
+                    for m in range(1, order + 1))
+            self.powers.append(np.array([k for k in rows if k is not None],
+                                        dtype=np.intp))
         # Taylor coefficient -> partial derivative, and the monomial behind
-        # every entry of the symmetric derivative tensors of degree 1..order
-        self.weights = np.array([float(math.prod(math.factorial(x) for x in e))
-                                 for e in exps])[:, None]
+        # every entry of the symmetric derivative tensors of degree 1..order.
+        # An entry of a monomial the set does not hold reads the zero row,
+        # whose weight is NaN
+        self.weights = np.array(
+            [float(math.prod(math.factorial(x) for x in e)) for e in exps]
+            + [math.nan])[:, None]
         self.tensor_index = np.array(
-            [number[tuple(p.count(v) for v in range(nvars))]
+            [number.get(tuple(p.count(v) for v in range(nvars)), self.size)
              for d in range(1, order + 1)
              for p in product(range(nvars), repeat=d)], dtype=np.intp)
 
@@ -306,7 +334,9 @@ class _Tables:
         changes nothing.  For two variables at order 4 the full product
         gathers 85 entries (70 pairs) instead of 144, and the Horner steps
         of a composition 15, 34 and 70 (9, 25 and 55 pairs) instead of 21,
-        55 and 128."""
+        55 and 128; on the 2-D curvature's set the product gathers 55
+        (44 pairs) instead of 108, and the last Horner step 44 (33 pairs)
+        instead of 96."""
         groups = [[] for _ in range(height + 1)]
         for k, i, j in pairs:
             groups[k].append((i, j))
@@ -332,9 +362,17 @@ class _Tables:
         return _Product(left, right, groups, tuple(blocks), inverse)
 
 
-@lru_cache(maxsize=None)
-def _tables(nvars: int, order: int) -> _Tables:
-    return _Tables(nvars, order)
+_TABLES = {}
+
+
+def _tables(nvars: int, order: int, top=None) -> _Tables:
+    """The tables of one monomial set (see :class:`_Tables`), built once
+    per set: ``top`` is a tuple of the degree-``order`` exponent tuples
+    kept, or None for all of them."""
+    key = (nvars, order, top)
+    if key not in _TABLES:
+        _TABLES[key] = _Tables(nvars, order, top)
+    return _TABLES[key]
 
 
 # ---- number backends -----------------------------------------------------
@@ -580,11 +618,14 @@ def _binomials(r, order):
 
 
 class Jet:
-    """Multivariate Taylor polynomials truncated at total degree ``order``.
+    """Multivariate Taylor polynomials truncated to one monomial set.
 
-    ``c[k, b]`` is the coefficient of monomial k (see :class:`_Tables`) at
+    ``t`` is the set's :class:`_Tables` (from :func:`_tables`): every
+    monomial of degree below ``order`` and the degree-``order`` ones it
+    keeps.  ``c[k, b]`` is the coefficient of monomial k of the set at
     point b of the batch: the mixed partial divided by ``prod k_i!``.  The
-    last row of ``c`` is zero.
+    last row of ``c`` is zero.  Every operand of an operation carries the
+    same set.
     ``faults`` is the batch's failure record, shared by every jet of one
     evaluation.  ``bk`` is the number backend of ``c``.
 
@@ -597,35 +638,39 @@ class Jet:
     product and composition too.
     """
 
-    __slots__ = ("nvars", "order", "c", "faults", "bk", "affine")
+    __slots__ = ("t", "c", "faults", "bk", "affine")
     __array_ufunc__ = None      # ndarray (op) Jet defers to the Jet
 
-    def __init__(self, nvars: int, order: int, c, faults, bk=FLOAT,
-                 affine=None):
-        self.nvars = nvars
-        self.order = order
+    def __init__(self, t: _Tables, c, faults, bk=FLOAT, affine=None):
+        self.t = t
         self.c = c
         self.faults = faults
         self.bk = bk
         self.affine = affine
 
     @classmethod
-    def constant(cls, nvars: int, order: int, value, faults,
-                 bk=FLOAT) -> "Jet":
+    def constant(cls, t: _Tables, value, faults, bk=FLOAT) -> "Jet":
         value = bk.asarray(value).reshape(-1)
-        c = np.zeros((_tables(nvars, order).size + 1, value.shape[0]),
-                     dtype=bk.dtype)
+        c = np.zeros((t.size + 1, value.shape[0]), dtype=bk.dtype)
         c[0] = value
-        return cls(nvars, order, c, faults, bk)
+        return cls(t, c, faults, bk)
 
     @classmethod
-    def variable(cls, nvars: int, order: int, index: int, value, faults,
+    def variable(cls, t: _Tables, index: int, value, faults,
                  bk=FLOAT) -> "Jet":
-        out = cls.constant(nvars, order, value, faults, bk)
-        if order >= 1:
+        out = cls.constant(t, value, faults, bk)
+        if t.order >= 1:
             out.c[1 + index] = bk.asarray(1.0)
         out.affine = index
         return out
+
+    @property
+    def nvars(self) -> int:
+        return self.t.nvars
+
+    @property
+    def order(self) -> int:
+        return self.t.order
 
     @property
     def value(self) -> np.ndarray:
@@ -637,7 +682,7 @@ class Jet:
         return self.c.shape[1]
 
     def _like(self, c, affine=None) -> "Jet":
-        return Jet(self.nvars, self.order, c, self.faults, self.bk, affine)
+        return Jet(self.t, c, self.faults, self.bk, affine)
 
     # ---- ring operations -------------------------------------------------
 
@@ -673,8 +718,7 @@ class Jet:
             return self._like(self.c * other, self.affine)
         if self.order == 0:
             return self._like(self.c * other.c)
-        return self._like(self.bk.product(_tables(self.nvars, self.order).mul,
-                                          self.c, other.c))
+        return self._like(self.bk.product(self.t.mul, self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -727,8 +771,8 @@ class Jet:
             if m:
                 base = base * base
         if result is None:
-            return Jet.constant(self.nvars, self.order,
-                                np.ones(self.size), self.faults, self.bk)
+            return Jet.constant(self.t, np.ones(self.size), self.faults,
+                                self.bk)
         return result
 
     def _reciprocal(self) -> "Jet":
@@ -776,8 +820,7 @@ class Jet:
             return self._like(out)
         if self.affine is not None and self.order >= 2:
             return self._like(self._compose_affine(series))
-        return self._like(self.bk.horner(
-            _tables(self.nvars, self.order).compose, self.c, series))
+        return self._like(self.bk.horner(self.t.compose, self.c, series))
 
     def _compose_affine(self, series):
         """The bits of the Horner loop for self tagged affine in x_i, whose
@@ -795,9 +838,12 @@ class Jet:
         (m >= 1) that is not finite (from a non-finite series term or
         slope, or an overflow) goes through the Horner loop instead, which
         spreads NaN as its steps do.  The zero rows of self are NaN only
-        where a non-finite scale made the slope non-finite too.
+        where a non-finite scale made the slope non-finite too.  Every
+        s_m c_1^m is tested, also where the set does not hold x_i^m (only
+        the rows it holds are written), since the loop's NaN reaches every
+        monomial the set holds.
         """
-        bk, c = self.bk, self.c
+        bk, c, t = self.bk, self.c, self.t
         slope = c[1 + self.affine]
         powers = series[1:] * slope
         for m in range(1, self.order):
@@ -806,13 +852,13 @@ class Jet:
         size = powers.shape[1]
         out = bk.zeros((c.shape[0], size), powers.dtype)
         out[0] = series[0]
-        out[_tables(self.nvars, self.order).powers[self.affine]] = powers
+        rows = t.powers[self.affine]
+        out[rows] = powers[:len(rows)]
         if not bk.isfinite(powers).all():
             bad = np.flatnonzero(~bk.isfinite(powers).all(axis=0))
             out[:, bad] = bk.horner(
-                _tables(self.nvars, self.order).compose,
-                *(np.broadcast_to(m, (m.shape[0], size))[:, bad]
-                  for m in (c, series)))
+                t.compose, *(np.broadcast_to(m, (m.shape[0], size))[:, bad]
+                             for m in (c, series)))
         return out
 
     def _overflow(self, name, *values):
@@ -881,7 +927,7 @@ class Jet:
         point by point.  An A_m with no displaced term is a coefficient
         row, one value per point.
         """
-        t = _tables(self.nvars, self.order)
+        t = self.t
         powers = {}
         series = [None] * (self.order + 1)
         for k, e in enumerate(t.exps):
@@ -907,6 +953,9 @@ class Jet4:
 
     For a batch every array carries a leading batch axis (``value`` has
     shape (batch,)), and ``faults`` records the points that failed.
+    ``top`` is the monomial set's (see :class:`_Tables`): None for all
+    monomials through ``order``, otherwise the degree-``order`` exponent
+    tuples held, whose entries alone are not NaN at that degree.
     """
 
     value: object
@@ -915,6 +964,7 @@ class Jet4:
     third: np.ndarray
     fourth: np.ndarray
     order: int = MAX_ORDER
+    top: tuple | None = None
     faults: Faults | None = None
 
     @property
@@ -924,22 +974,22 @@ class Jet4:
     def point(self, i: int) -> "Jet4":
         """Point ``i`` of a batch as a single-point Jet4."""
         return Jet4(self.value.tolist()[i], self.grad[i], self.hess[i],
-                    self.third[i], self.fourth[i], self.order)
+                    self.third[i], self.fourth[i], self.order, self.top)
 
 
-def _as_jet(result, nvars: int, order: int, size: int, faults, bk) -> Jet:
+def _as_jet(result, t: _Tables, size: int, faults, bk) -> Jet:
     if not isinstance(result, Jet):
-        result = Jet.constant(nvars, order, result, faults, bk)
+        result = Jet.constant(t, result, faults, bk)
     if result.size != size:
-        result = Jet(nvars, order,
-                     np.broadcast_to(result.c, (result.c.shape[0], size)),
+        result = Jet(t, np.broadcast_to(result.c, (result.c.shape[0], size)),
                      faults, bk)
     return result
 
 
 def jet_poly(field, x, order: int = MAX_ORDER, faults=None,
-             backend=FLOAT) -> Jet:
-    """Raw truncated Taylor polynomial of ``field`` around ``x``.
+             backend=FLOAT, top=None) -> Jet:
+    """Raw truncated Taylor polynomial of ``field`` around ``x``, on the
+    monomial set of ``order`` and ``top`` (see :func:`_tables`).
 
     ``x`` is one point, or a (batch, n) array of points.  Failures are
     recorded in ``faults``, or in a new record, which the result carries.
@@ -949,14 +999,16 @@ def jet_poly(field, x, order: int = MAX_ORDER, faults=None,
     """
     x = np.asarray(x, dtype=float)
     points = x.reshape(-1, x.shape[-1])
-    result, faults = run_field(field, points, order, faults, backend)
-    return _as_jet(result, points.shape[1], order, points.shape[0], faults,
-                   backend)
+    result, faults = run_field(field, points, order, faults, backend, top)
+    return _as_jet(result, _tables(points.shape[1], order, top),
+                   points.shape[0], faults, backend)
 
 
-def run_field(field, points, order: int = 0, faults=None, backend=FLOAT):
-    """``field`` run on the order-``order`` variables of the (batch, n)
-    array ``points``, the batch run of :func:`jet_poly` and of a domain
+def run_field(field, points, order: int = 0, faults=None, backend=FLOAT,
+              top=None):
+    """``field`` run on the variables of the (batch, n) array ``points``,
+    jets on the monomial set of ``order`` and ``top`` (see
+    :func:`_tables`): the batch run of :func:`jet_poly` and of a domain
     predicate's mask.
 
     Returns (result, faults): what the field returns (a Jet, a float where
@@ -968,7 +1020,8 @@ def run_field(field, points, order: int = 0, faults=None, backend=FLOAT):
     """
     size, n = points.shape
     faults = faults or Faults(size)
-    args = [Jet.variable(n, order, i, points[:, i], faults, backend)
+    t = _tables(n, order, top)
+    args = [Jet.variable(t, i, points[:, i], faults, backend)
             for i in range(n)]
     try:
         return field(args), faults
@@ -978,12 +1031,18 @@ def run_field(field, points, order: int = 0, faults=None, backend=FLOAT):
 
 
 def jet_eval(field, x, order: int = MAX_ORDER, faults=None,
-             backend=FLOAT) -> Jet4:
+             backend=FLOAT, top=None) -> Jet4:
     """Evaluate ``field`` and its partials through ``order``.
 
     ``field`` is any callable accepting a sequence of Jets (or floats) and
     combining them with arithmetic and the analytic functions above.  Unused
     higher-order slots of the result are zero-filled.
+
+    ``top`` truncates the jet to a monomial set (see :class:`_Tables`): a
+    tuple of the degree-``order`` exponent tuples to keep, or None for all.
+    The entries of the degree-``order`` monomials it drops are NaN, and a
+    point fails with NonFinite only where a coefficient the set holds is
+    not finite.
 
     For a single point ``x`` the result is a single-point Jet4 and a failure
     raises.  For a (batch, n) array the result carries a leading batch axis
@@ -996,19 +1055,22 @@ def jet_eval(field, x, order: int = MAX_ORDER, faults=None,
         raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return one_point(_jet_batch(field, x[None], order, faults, backend))
-    return _jet_batch(field, x, order, faults, backend)
+        return one_point(_jet_batch(field, x[None], order, faults, backend,
+                                    top))
+    return _jet_batch(field, x, order, faults, backend, top)
 
 
-def _jet_batch(field, x, order, faults, backend) -> Jet4:
+def _jet_batch(field, x, order, faults, backend, top) -> Jet4:
     points = x.reshape(-1, x.shape[-1])
     size, n = points.shape
-    t = _tables(n, order)
+    t = _tables(n, order, top)
     with np.errstate(all="ignore"):
-        jet = jet_poly(field, points, order, faults, backend)
-        derivs = (jet.c[:-1] * t.weights).T.astype(backend.result_dtype)
+        jet = jet_poly(field, points, order, faults, backend, top)
+        # one column per monomial of the set, then the zero row's NaN, which
+        # the entries of the monomials the set drops read
+        derivs = (jet.c * t.weights).T.astype(backend.result_dtype)
     record = jet.faults
-    finite = backend.isfinite(derivs)
+    finite = backend.isfinite(derivs[:, :-1])
     record.flag(~finite.all(axis=1), lambda i: NonFinite(
         _coefficient_message(t, finite[i])))
     value = derivs[:, 0].copy()
@@ -1022,7 +1084,7 @@ def _jet_batch(field, x, order, faults, backend) -> Jet4:
         stop = start + n ** d
         tensors.append(entries[:, start:stop].reshape(shape))
         start = stop
-    return Jet4(value, *tensors, order=order, faults=record)
+    return Jet4(value, *tensors, order=order, top=top, faults=record)
 
 
 def _coefficient_message(t, finite):

@@ -282,19 +282,39 @@ SEGMENTS = [((2.0,), (4.0,), 0), ((3.0,), (4.0,), 0), ((4.0,), (3.0,), 0),
 
 
 def test_each_pass_makes_one_scan_eval_call(scan_evals):
+    k = an.REFINE_POINTS
     alone = []
     for seg in SEGMENTS:
         scan_evals.clear()
         an._refine_segment(None, DOUBLE_POLE, [seg], 1e8)
-        assert scan_evals == [an.REFINE_POINTS] * len(scan_evals)
-        alone.append(len(scan_evals))
+        # every trial of the first pass; later passes skip the middle trial
+        # where it repeats the best node
+        assert scan_evals[0] == k
+        assert set(scan_evals[1:]) <= {k - 1, k}
+        alone.append(list(scan_evals))
     scan_evals.clear()
     an._refine_segment(None, DOUBLE_POLE, SEGMENTS, 1e8)
     # one call per pass: as many calls as the longest search, and every
-    # trial of every search in one of them
-    assert len(scan_evals) == max(alone)
-    assert sum(scan_evals) == an.REFINE_POINTS * sum(alone)
-    assert scan_evals == sorted(scan_evals, reverse=True)
+    # trial each search evaluates alone in the same pass
+    assert scan_evals == [sum(a[p] for a in alone if len(a) > p)
+                          for p in range(max(map(len, alone)))]
+
+
+def test_refinement_evaluates_no_point_twice(monkeypatch):
+    # a pass's middle trial is mostly the best node of the pass before,
+    # bit for bit, whose |R| is reused
+    seen = []
+    real = an._scan_eval
+
+    def recorded(spec, evaluator, points):
+        seen.extend(p.tobytes() for p in points)
+        return real(spec, evaluator, points)
+
+    monkeypatch.setattr(an, "_scan_eval", recorded)
+    for seg in SEGMENTS:
+        seen.clear()
+        an._refine_segment(None, DOUBLE_POLE, [seg], 1.0)
+        assert len(set(seen)) == len(seen), seg
 
 
 def test_segment_refined_alone_equals_it_among_others():
@@ -333,6 +353,8 @@ def test_benchmark_box_scan_refinement(scan_evals):
     grid = an.GridSpec((("u", 0.05, 5.0, 60), ("v", 1.2, 6.0, 60)))
     rep = an.singularity_scan(spec, grid)
     assert len(scan_evals) <= 6
+    # 1200 trials, 53 of them a middle trial that repeats its best node
+    assert sum(scan_evals) < 1200
     assert len(rep.detections) == 7
     for d in rep.detections:
         assert d.classification == "unclassified"

@@ -1,6 +1,7 @@
 """Natural metric assembly, connection, curvature."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -412,10 +413,14 @@ def test_ricci_scalar_scales_inversely_with_metric():
 
 
 def test_order_requirement():
+    # every partial through order 4: an order-3 jet and a jet of the 2-D
+    # curvature's monomial set lack some
     spec = get_system("ideal_s")
-    jet = jet_eval(spec.field, (1.0, 1.0), 3)
-    with pytest.raises(ValueError):
-        natural_metric(jet, (1.0, 1.0), 0)
+    for jet in (jet_eval(spec.field, (1.0, 1.0), 3),
+                jet_eval(spec.field, (1.0, 1.0), 4,
+                         top=geometry.SURFACE_TOP)):
+        with pytest.raises(ValueError):
+            natural_metric(jet, (1.0, 1.0), 0)
 
 
 # E^v dPhi/dE^v vanishes on the line v = 2, and det g on the line y = 0,
@@ -478,3 +483,58 @@ def test_jet_columns_give_the_numbers_of_the_metric_tensor(key):
             failed |= {type(e) for e in got.faults.errors.values()}
     assert {"bump": SingularPrefactor, "cusp": DegenerateMetric}.get(
         key, DomainViolation) in failed
+
+
+def _record(res):
+    """The bits of every field of a batched CurvatureResult, and its
+    failures."""
+    return ([np.asarray(getattr(res, name), dtype=float).tobytes()
+             for name in ("ricci_scalar", "det_g", "conformal_factor",
+                          "nonfinite", "degenerate")], _failures(res))
+
+
+@pytest.mark.parametrize("sid", catalog_ids())
+def test_surface_jets_keep_every_bit_of_full_jets(sid, monkeypatch):
+    # a 2-D curvature chunk of a compiled relation takes the jets of the
+    # monomials it reads (geometry.SURFACE_TOP); full jets give the same R,
+    # det g, conformal factor, flags and failures, inside the sample box and
+    # on a grid widened past the domain, on floats and at 30 digits
+    spec = get_system(sid)
+    points = np.concatenate([an.grid_for(spec, 20).points(),
+                             _widened_grid(spec, 20)])
+    tops = []
+    real = geometry.jet_eval
+
+    def spied(field, x, order, faults, backend, top=None):
+        tops.append(top)
+        return real(field, x, order, faults, backend, top)
+
+    monkeypatch.setattr(geometry, "jet_eval", spied)
+    runs = []
+    for top in (geometry.SURFACE_TOP, None):
+        monkeypatch.setattr(geometry, "SURFACE_TOP", top)
+        runs.append([_record(curvature_at(spec, points)),
+                     _record(curvature_at(spec, points[::97], dps=30))])
+    assert runs[0] == runs[1]
+    assert set(tops) == {((2, 2),), None}
+
+
+@pytest.mark.parametrize("at,index", [((1e-90, 1.0), (4, 0)),
+                                      ((1.0, 1e-90), (0, 4))])
+def test_a_coefficient_the_jet_does_not_hold_does_not_fail_the_point(
+        at, index, capsys):
+    # a point fails with NonFinite where a Taylor coefficient its jet holds
+    # is not finite.  At these ideal_s points the pure fourth-order partial
+    # overflows float64: metric_at, on a full jet, fails there, and the
+    # curvature, whose jet does not hold that monomial, goes on to a
+    # metric whose determinant is too small for its scale
+    spec = get_system("ideal_s")
+    with pytest.raises(NonFinite,
+                       match=f"coefficient for index {re.escape(str(index))}"):
+        metric_at(spec, at)
+    with pytest.raises(DegenerateMetric):
+        curvature_at(spec, at)
+    code = cli.main(["curvature", "--system", "ideal_s", "--at",
+                     f"u={at[0]!r},v={at[1]!r}"])
+    assert code == 3
+    assert "degenerate metric" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 from geothermo.errors import DomainViolation, NonFinite, SingularDenominator
 from geothermo.jets import (Faults, Jet, default_fd_step, fd_partial,
                             jet_eval, jet_poly)
-from geothermo import jets
+from geothermo import analysis, geometry, jets
 
 
 def f_mixed(args):
@@ -137,8 +137,8 @@ def test_jet_poly_deriv_and_eval():
 def test_slot_series_with_jet_deltas_matches_the_polynomial():
     # A_m(dv) t^m summed with jet displacements recomposes the polynomial
     p = jet_poly(f_mixed, np.array([[2.0, 1.0], [1.5, 0.7]]), 4)
-    du = Jet.variable(2, 4, 0, np.zeros(2), p.faults)
-    dv = Jet.variable(2, 4, 1, np.zeros(2), p.faults)
+    du = Jet.variable(jets._tables(2, 4), 0, np.zeros(2), p.faults)
+    dv = Jet.variable(jets._tables(2, 4), 1, np.zeros(2), p.faults)
     series = p.slot_series(0, [None, dv])
     total = series[-1]
     for a in reversed(series[:-1]):
@@ -155,8 +155,8 @@ def test_division_and_int_pow():
 
 def test_constant_and_variable_constructors():
     faults = Faults(1)
-    c = Jet.constant(2, 4, 5.0, faults)
-    v = Jet.variable(2, 4, 1, 3.0, faults)
+    c = Jet.constant(jets._tables(2, 4), 5.0, faults)
+    v = Jet.variable(jets._tables(2, 4), 1, 3.0, faults)
     s = c * v + v
     assert s.value[0] == pytest.approx(18.0)
     assert s.slot_series(1, [0.0, None])[1][0] == pytest.approx(6.0)
@@ -180,8 +180,8 @@ def test_batch_of_points_matches_single_points():
 
 def test_batch_constants_broadcast():
     faults = Faults(3)
-    v = Jet.variable(2, 4, 0, np.array([1.0, 2.0, 3.0]), faults)
-    s = Jet.constant(2, 4, 2.0, faults) * v + 1.0
+    v = Jet.variable(jets._tables(2, 4), 0, np.array([1.0, 2.0, 3.0]), faults)
+    s = Jet.constant(jets._tables(2, 4), 2.0, faults) * v + 1.0
     assert s.size == 3
     assert np.array_equal(s.value, [3.0, 5.0, 7.0])
     assert np.array_equal(s.slot_series(0, [None, 0.0])[1], [2.0, 2.0, 2.0])
@@ -202,7 +202,7 @@ def test_batch_failures_are_per_point():
 
 def test_jet_records_its_failures_and_carries_on():
     faults = Faults(2)
-    x = Jet.variable(1, 2, 0, np.array([1.0, -1.0]), faults)
+    x = Jet.variable(jets._tables(1, 2), 0, np.array([1.0, -1.0]), faults)
     with np.errstate(all="ignore"):
         y = (x - 1.0)._reciprocal()     # point 0 divides by zero
         z = x.ln()                      # point 1 takes ln(-1)
@@ -364,11 +364,12 @@ def _affine_jet(rng, nvars, order, batch, backend):
     index = order % nvars
     cols = []
     for b in range(batch):
-        v = Jet.variable(nvars, order, index, rng.uniform(0.5, 2.0, 1),
-                         jets.Faults(1), backend)
+        v = Jet.variable(jets._tables(nvars, order), index,
+                         rng.uniform(0.5, 2.0, 1), jets.Faults(1), backend)
         cols.append(_AFFINE_FORMS[b % len(_AFFINE_FORMS)](v, k))
     assert all(j.affine == index for j in cols)
-    return jets.Jet(nvars, order, np.concatenate([j.c for j in cols], axis=1),
+    return jets.Jet(jets._tables(nvars, order),
+                    np.concatenate([j.c for j in cols], axis=1),
                     jets.Faults(batch), backend, index)
 
 
@@ -404,7 +405,8 @@ def _series_case(rng, nvars, order, batch, backend, kind):
                           dtype=object)
     if kind == "affine":
         return _affine_jet(rng, nvars, order, batch, backend), series
-    return jets.Jet(nvars, order, c, jets.Faults(batch), backend), series
+    return (jets.Jet(jets._tables(nvars, order), c, jets.Faults(batch),
+                     backend), series)
 
 
 @pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
@@ -485,7 +487,7 @@ def test_composition_broadcasts_like_untruncated_horner(backend):
     with mp.workdps(30), np.errstate(all="ignore"):
         for kind in ("dense", "affine"):
             jet, series = _series_case(rng, 2, 4, 1, backend, kind)
-            wide = jets.Jet(2, 4,
+            wide = jets.Jet(jets._tables(2, 4),
                             np.broadcast_to(jet.c, (jet.c.shape[0], 3)),
                             jets.Faults(3), backend, jet.affine)
             _, many = _series_case(rng, 2, 4, 3, backend, "dense")
@@ -507,11 +509,12 @@ def test_composition_multiplication_count(monkeypatch, nvars, count):
     dot = jets._dot
     monkeypatch.setattr(jets, "_dot", lambda pairs, *args: calls.extend(
         pairs) or dot(pairs, *args))
-    jet = Jet.variable(nvars, 4, 0, np.array([0.5]), Faults(1),
+    jet = Jet.variable(jets._tables(nvars, 4), 0, np.array([0.5]), Faults(1),
                        bk=jets.MPMATH)
     ((2.0 / 3.0) * jet - 1.0).exp()
     assert not calls
-    (jet + Jet.constant(nvars, 4, 0.0, jet.faults, bk=jets.MPMATH)).exp()
+    (jet + Jet.constant(jets._tables(nvars, 4), 0.0, jet.faults,
+                        bk=jets.MPMATH)).exp()
     assert len(calls) == count
     full = _untruncated_step(jets._tables(nvars, 4)).pairs
     assert 3 * sum(map(len, full)) == {1: 30, 2: 165, 3: 525}[nvars]
@@ -519,8 +522,8 @@ def test_composition_multiplication_count(monkeypatch, nvars, count):
 
 def test_affine_tag_follows_the_operations():
     faults = Faults(2)
-    x = Jet.variable(2, 4, 1, np.array([1.0, 2.0]), faults)
-    y = Jet.variable(2, 4, 0, np.array([1.0, 2.0]), faults)
+    x = Jet.variable(jets._tables(2, 4), 1, np.array([1.0, 2.0]), faults)
+    y = Jet.variable(jets._tables(2, 4), 0, np.array([1.0, 2.0]), faults)
     per_point = np.array([2.0, -3.0])
     kept = [x, x + 1.0, 1.0 + x, x - per_point, 2.0 - x, -x, 1.5 * x,
             x * per_point, x / 4.0, x / per_point]
@@ -592,7 +595,8 @@ def test_mpmath_product_equals_fdot_over_wide_exponents(dps):
                 out = got
             series = _wide_factor(rng, 5, 3, prec)
             for c in (a, b):
-                jet = jets.Jet(2, 4, c, jets.Faults(c.shape[1]), jets.MPMATH)
+                jet = jets.Jet(jets._tables(2, 4), c,
+                               jets.Faults(c.shape[1]), jets.MPMATH)
                 assert _same_bits(jet._compose(series).c,
                                   _reference_compose(jet, series))
 
@@ -701,3 +705,142 @@ def test_mpmath_horner_makes_no_mpf_multiplication(monkeypatch):
                                      series)
             assert not calls, order
             assert _same_bits(got, want), order
+
+
+# ---- the 2-D curvature's monomial set ------------------------------------
+
+SURFACE = ((2, 2),)
+
+
+def test_surface_set_counts():
+    # every monomial of degree <= 3 keeps its number, and u^2 v^2 takes row
+    # 10; a product and the Horner steps sum only the pairs that land on
+    # the set
+    full, top = jets._tables(2, 4), jets._tables(2, 4, SURFACE)
+    assert jets._tables(2, 4, SURFACE) is top
+    assert (full.size, top.size) == (15, 11)
+    assert top.exps == full.exps[:10] + [(2, 2)] and full.exps[12] == (2, 2)
+    assert [sum(map(len, t.mul.pairs)) for t in (full, top)] == [70, 44]
+    assert ([sum(map(len, s.pairs)) for s in top.compose]
+            == [9, 25, 33])
+    assert [sum(map(len, s.pairs)) for s in full.compose] == [9, 25, 55]
+    # an affine composition writes no u^4 or v^4 row
+    assert [p.tolist() for p in top.powers] == [[1, 3, 6], [2, 5, 9]]
+    assert [p.tolist() for p in full.powers] == [[1, 3, 6, 10],
+                                                 [2, 5, 9, 14]]
+
+
+def _surface_relation(args):
+    # every operation of a compiled relation, the affine compositions of a
+    # variable included
+    x, y = args
+    return (jets.ln(x * y + 1.0) + jets.exp(x / y) - jets.sqrt(x)
+            * jets.cosh(y) + x ** 2.5 / (1.0 + jets.tanh(x * y))
+            + jets.sinh(0.5 * y) * y ** -3 + jets.ln(y))
+
+
+@pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
+                         ids=["float", "mpmath"])
+def test_surface_jet_keeps_the_bits_of_the_full_jet(backend):
+    # on the rows the set holds, at a single point, below and from
+    # STAIRCASE_WIDTH points, and where a point overflows or fails
+    full, top = jets._tables(2, 4), jets._tables(2, 4, SURFACE)
+    rows = [full.exps.index(e) for e in top.exps] + [full.size]
+    rng = np.random.default_rng(29)
+    points = rng.uniform(0.3, 3.0, (jets.STAIRCASE_WIDTH + 2, 2))
+    points[1] = (1e-90, 1.0)            # coefficients past float64's range
+    points[2] = (-1.0, 0.5)             # sqrt fails
+    with mp.workdps(30), np.errstate(all="ignore"):
+        for x in (points[:1], points[:5], points):
+            if backend is jets.MPMATH and len(x) > 5:
+                x = x[:8]
+            want = jet_poly(_surface_relation, x, 4, backend=backend)
+            got = jet_poly(_surface_relation, x, 4, backend=backend,
+                           top=SURFACE)
+            assert got.t is top and want.t is full
+            assert _same_bits(got.c, want.c[rows])
+            assert got.faults.errors.keys() == want.faults.errors.keys()
+
+
+@pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
+                         ids=["float", "mpmath"])
+def test_surface_set_steps_keep_the_bits_of_full_ones(backend):
+    # products with signed zeros, infinities and NaNs, in the padded
+    # rectangle and in staircase blocks, and compositions of every kind,
+    # an affine jet whose s_4 c^4 alone is not finite among them (u^4 and
+    # v^4 are not in the set, but the Horner loop's NaN reaches it)
+    full, top = jets._tables(2, 4), jets._tables(2, 4, SURFACE)
+    rows = [full.exps.index(e) for e in top.exps] + [full.size]
+    rng = np.random.default_rng(30)
+    widths = [4] if backend is jets.MPMATH else [4, 70]
+    with mp.workdps(30), np.errstate(all="ignore"):
+        for batch in widths:
+            a, b = (_product_factor(rng, full.size + 1, batch)
+                    for _ in range(2))
+            if backend is jets.MPMATH:
+                a, b = (np.array([[mp.mpf(float(v)) for v in row]
+                                  for row in m], dtype=object)
+                        for m in (a, b))
+            assert _same_bits(backend.product(top.mul, a[rows], b[rows]),
+                              backend.product(full.mul, a, b)[rows])
+        for kind in ("dense", "sparse", "nonfinite", "affine"):
+            batch = 3 * len(_AFFINE_FORMS) if kind == "affine" else 4
+            jet, series = _series_case(rng, 2, 4, batch, backend, kind)
+            cut = jets.Jet(top, jet.c[rows], jet.faults, backend, jet.affine)
+            assert _same_bits(cut._compose(series).c,
+                              jet._compose(series).c[rows]), kind
+
+
+def test_surface_jet4_is_nan_where_the_set_holds_no_monomial():
+    def f(args):
+        u, v = args
+        return jets.ln(u) * jets.exp(v / 2.0) + jets.ln(v) + u * u * v * v
+
+    x = np.array([[2.0, 3.0], [1.0, 1e-90]])
+    got = jet_eval(f, x, 4, top=SURFACE)
+    want = jet_eval(f, x, 4)
+    for name in ("value", "grad", "hess", "third"):
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=True), name
+    held = np.zeros((2,) * 4, dtype=bool)
+    for idx in np.ndindex(held.shape):
+        held[idx] = sorted(idx) == [0, 0, 1, 1]
+    assert np.array_equal(got.fourth[:, held], want.fourth[:, held])
+    assert np.isnan(got.fourth[:, ~held]).all()
+    assert (got.top, want.top) == (SURFACE, None)
+    assert got.point(0).top == SURFACE
+    # a point fails only on a coefficient its jet holds: d^4/dv^4 ln v
+    # overflows float64 at v = 1e-90, and the set does not hold v^4
+    assert list(want.faults.errors) == [1] and got.faults.ok.all()
+    assert str(want.faults.errors[1]) == (
+        "non-finite Taylor coefficient for index (0, 4)")
+    # the failure names the exponents of the set's own row: u^2 v^2, whose
+    # row is 10 there, the row of u^4 in the full set
+    x = np.array([[1e-90, 1e-90]])
+    def g(args):
+        return jets.ln(args[0]) * jets.ln(args[1])
+
+    assert [str(jet_eval(g, x, 4, top=top).faults.errors[0])
+            for top in (None, SURFACE)] == [
+        f"non-finite Taylor coefficient for index {e}"
+        for e in ((4, 0), (2, 2))]
+
+
+def test_mpmath_ising_point_sums_fewer_product_pairs(monkeypatch):
+    # the pairs the exact integer kernel walks per extended-precision
+    # ising_f point, on the 2-D curvature's set and on full jets
+    walked = []
+    dot = jets._dot
+
+    def counted(pairs, *args):
+        walked.append(len(pairs))
+        return dot(pairs, *args)
+
+    monkeypatch.setattr(jets, "_dot", counted)
+    counts = []
+    for top in (geometry.SURFACE_TOP, None):
+        monkeypatch.setattr(geometry, "SURFACE_TOP", top)
+        walked.clear()
+        analysis.ising_curvature(1.0, 0.5)
+        counts.append(sum(walked))
+    assert counts == [467, 655]

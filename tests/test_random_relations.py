@@ -5,7 +5,8 @@ parameter, small constants, 0 and an overflowing literal (1e400 reads as
 inf); nodes are the binary operators, unary minus and every function.
 Each relation runs through ``curvature --file`` at one point and
 ``scan --file`` on a 3x3 grid; every call must return a documented exit
-code (0-5) and raise nothing.
+code (0-5) and raise nothing.  The same relations on their grids check the
+2-D curvature's truncated jets against full ones.
 """
 
 import contextlib
@@ -13,7 +14,9 @@ import io
 import json
 import random
 
-from geothermo import cli, dsl
+import numpy as np
+
+from geothermo import analysis, cli, dsl, geometry, systems
 
 LEAVES = ("x", "y", "k", "0.5", "2", "3", "0", "1e400")
 BINARY = ("+", "-", "*", "/", "^")
@@ -59,3 +62,33 @@ def test_random_relations_exit_with_documented_codes(tmp_path):
     # the sample reaches success, parse-free library errors and domain
     # violations, so it exercises more than one branch of the contract
     assert {0, 1, 2} <= codes
+
+
+def test_random_relations_keep_their_bits_on_truncated_jets(monkeypatch):
+    # a 2-D curvature chunk takes jets of the monomials it reads
+    # (geometry.SURFACE_TOP): R, det g, the conformal factor, the flags and
+    # the failures are those of full jets, bit for bit
+    rng = random.Random(20261029)
+    grid = analysis.GridSpec((("x", 0.5, 2.0, 3), ("y", -1.0, 2.0, 3)))
+    points = grid.points()
+    fields = ("ricci_scalar", "det_g", "conformal_factor", "nonfinite",
+              "degenerate")
+    finite = 0
+    for _ in range(200):
+        relation = random_relation(rng)
+        spec = systems.from_definition({
+            "id": "random", "coords": [{"name": "x"}, {"name": "y"}],
+            "excluded_index": "x", "params": {"k": 1.5},
+            "domain": ["x > 0"], "relation": relation})
+        runs = []
+        for top in (geometry.SURFACE_TOP, None):
+            monkeypatch.setattr(geometry, "SURFACE_TOP", top)
+            res = geometry.curvature_at(spec, points)
+            runs.append(([np.asarray(getattr(res, name), dtype=float)
+                          .tobytes() for name in fields],
+                         {i: (type(e), str(e))
+                          for i, e in res.faults.errors.items()}))
+        assert runs[0] == runs[1], relation
+        finite += int(np.count_nonzero(res.faults.ok))
+    # the sample reaches an R, not only failures: at 51 of its 1800 points
+    assert finite >= 50
