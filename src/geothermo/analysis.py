@@ -24,13 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from .errors import EmptyGrid, NonFinite, PreconditionFailure
-from .geometry import curvature_at, natural_metric, ricci_scalar
-from .jets import EPS, Faults, Jet4, fd_partial, one_point
+from .geometry import curvature_at, jet_curvature
+from .jets import Faults, fd_jet4, one_point
 from .oracle import oracle_eval
 from .systems import SystemSpec, domain_check, get_system
 from .transforms import u_from_vP
@@ -471,43 +470,10 @@ def constant_curvature_check(spec: SystemSpec, grid: GridSpec):
 # ---- finite-difference-only curvature oracle -----------------------------
 
 
-def fd_jet4(fieldval, x) -> Jet4:
-    """All partials through order 4 by nested central differences only,
-    as a batch of one point."""
-    x = [float(c) for c in x]
-    n = len(x)
-    value = float(fieldval(x))
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    third = np.empty((n, n, n))
-    fourth = np.empty((n, n, n, n))
-    def h_for(idx):
-        # fd_partial's stencil is fourth-order accurate, so the balanced
-        # step grows to eps^(1/(k+4)); the default eps^(1/(k+2)) leaves
-        # round-off dominant at order 4
-        scale = max([1.0] + [abs(x[a]) for a in idx])
-        return EPS ** (1.0 / (len(idx) + 4)) * scale
-
-    for i in range(n):
-        grad[i] = fd_partial(fieldval, x, (i,), step=h_for((i,)))
-    for i in range(n):
-        for j in range(i, n):
-            hess[i, j] = hess[j, i] = fd_partial(fieldval, x, (i, j),
-                                                 step=h_for((i, j)))
-    for idx in combinations_with_replacement(range(n), 3):
-        v = fd_partial(fieldval, x, idx, step=h_for(idx))
-        for p in permutations(idx):
-            third[p] = v
-    for idx in combinations_with_replacement(range(n), 4):
-        v = fd_partial(fieldval, x, idx, step=h_for(idx))
-        for p in permutations(idx):
-            fourth[p] = v
-    return Jet4(value=np.array([value]), grad=grad[None], hess=hess[None],
-                third=third[None], fourth=fourth[None], faults=Faults(1))
-
-
 def fd_ricci_scalar(spec: SystemSpec, x) -> float:
-    """Curvature through the same geometric assembly but FD derivatives only.
+    """Curvature with finite-difference derivatives only: the Jet4 of
+    :func:`jets.fd_jet4` goes through the curvature stage of every
+    :func:`curvature_at` chunk (:func:`geometry.jet_curvature`).
 
     ``x`` is checked against the spec's domain before any stencil, as
     :func:`curvature_at` checks it before its jet; a point outside raises
@@ -515,8 +481,8 @@ def fd_ricci_scalar(spec: SystemSpec, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     domain_check(spec, x).raise_first()
-    return one_point(ricci_scalar(natural_metric(
-        fd_jet4(spec.field, x), x[None], spec.excluded_index))).ricci_scalar
+    return one_point(jet_curvature(spec, fd_jet4(spec.field, x),
+                                   x[None])).ricci_scalar
 
 
 # ---- Ising profile (extended precision) ----------------------------------

@@ -12,28 +12,31 @@ the curvature needs.
 Curvature conventions:  R^rho_{sigma mu nu} = d_mu Gamma^rho_{nu sigma}
 - d_nu Gamma^rho_{mu sigma} + Gamma Gamma - Gamma Gamma,
 Ricci_{sigma nu} = R^rho_{sigma rho nu}, R = g^{sigma nu} Ricci_{sigma nu}.
-On a 2-D manifold, which every catalog system has, R = 2K, and the Gaussian
-curvature K comes from Brioschi's formula (:func:`_brioschi`) in twelve
-batch columns: E, F, G = g_00, g_01, g_11, their first partials and E_vv,
-F_uv, G_uu.  Any other n goes through the Levi-Civita connection
-(:func:`christoffel`) and the Riemann tensor (:func:`riemann_up`), which also
-check the formula in the tests.
+On a 2-D manifold, which every catalog system has, the curvature stage takes
+R = 2K, and the Gaussian curvature K comes from Brioschi's formula
+(:func:`_brioschi`) in twelve batch columns: E, F, G = g_00, g_01, g_11,
+their first partials and E_vv, F_uv, G_uu.  Any other n goes through the
+Levi-Civita connection (:func:`christoffel`) and the Riemann tensor
+(:func:`riemann_up`), which also check the formula in the tests.
 
 Which path builds which arrays:
 
-- :func:`curvature_at` on a 2-D chunk (:func:`_surface_curvature`) goes from
-  the jet to R on 1-D batch columns: g, det g = EG - F^2 and the twelve
-  columns, each in the order of operations of the tensor assembly, so that
-  R keeps its bits.  It builds no full dg or ddg, except for the payload of
-  a DegenerateMetric.  Of the fourth-order partials it reads Phi_uuvv
-  alone, so the jet of a compiled relation holds only the monomials of
-  degree <= 3 and u^2 v^2 (:data:`SURFACE_TOP`); a DegenerateMetric's
-  payload takes a full jet of its chunk's degenerate points.
+- The curvature of a jet (:func:`jet_curvature`) is the stage of every
+  :func:`curvature_at` chunk and of the finite-difference oracle.  On a 2-D
+  jet (:func:`_surface_curvature`) it goes to R on 1-D batch columns: g,
+  det g = EG - F^2 and the twelve columns, each in the order of operations
+  of the tensor assembly.  It builds no full dg or ddg, except for the
+  payload of a DegenerateMetric.  Of the fourth-order partials it reads
+  Phi_uuvv alone, so the jet of a compiled relation holds only the
+  monomials of degree <= 3 and u^2 v^2 (:data:`SURFACE_TOP`); a
+  DegenerateMetric's payload then takes a full jet of its chunk's
+  degenerate points.  Any other n takes :func:`ricci_scalar` of
+  :func:`natural_metric`.
 - :func:`natural_metric` (for :func:`metric_at`, :func:`christoffel` and any
   other n) builds the full g, dg and ddg, and det g (EG - F^2 when n = 2),
-  from a full jet.  :func:`ricci_scalar` slices the twelve columns from it
-  when n = 2, which is the path of the finite-difference oracle, and
-  contracts the Riemann tensor otherwise.
+  from a full jet.  :func:`ricci_scalar` contracts the Riemann tensor of
+  such a metric for every n, so on a 2-D metric it agrees with
+  :func:`curvature_at` to the tensor path's round-off, not bit for bit.
 
 The formula sets EG - F^2 to 1 at a failed point, and the tensor path masks
 a failed point's metric to the identity, so that no failed point can abort
@@ -345,27 +348,17 @@ def riemann_up(ch: ChristoffelArray) -> np.ndarray:
 
 
 def ricci_scalar(m: MetricTensor) -> CurvatureResult:
-    """Ricci scalar of a batched natural metric: 2K from Brioschi's formula
-    on the columns of g, dg and ddg when n = 2, the contracted Riemann
-    tensor of the metric with its failed points masked otherwise.  A point
-    whose R is not finite fails in the metric's fault record with
+    """Ricci scalar of a batched natural metric, of any dimension: the
+    contracted Riemann tensor of the metric with its failed points masked.
+    A point whose R is not finite fails in the metric's fault record with
     NonFinite; R, det g and the conformal factor are NaN at every failed
     point, and R is flagged non-finite.  ``degenerate`` is the metric's
     degeneracy mask.
     """
     with np.errstate(all="ignore"):
-        if m.n == 2:
-            g, dg, ddg = m.g, m.dg, m.ddg
-            R = _brioschi(
-                g[:, 0, 0], g[:, 0, 1], g[:, 1, 1],
-                dg[:, 0, 0, 0], dg[:, 1, 0, 0], dg[:, 0, 0, 1],
-                dg[:, 1, 0, 1], dg[:, 0, 1, 1], dg[:, 1, 1, 1],
-                ddg[:, 1, 1, 0, 0], ddg[:, 1, 0, 0, 1], ddg[:, 0, 0, 1, 1],
-                m.faults.ok)
-        else:
-            ginv, ch = _connection(*_masked(m))
-            ricci = np.einsum("zrsrn->zsn", riemann_up(ch))
-            R = np.einsum("zsn,zsn->z", ginv, ricci)
+        ginv, ch = _connection(*_masked(m))
+        ricci = np.einsum("zrsrn->zsn", riemann_up(ch))
+        R = np.einsum("zsn,zsn->z", ginv, ricci)
         return _curvature_result(m, R)
 
 
@@ -396,8 +389,9 @@ def _surface_curvature(spec: SystemSpec, jet: Jet4, x) -> CurvatureResult:
     partials it reads Phi_uuvv alone, so the jet may hold only the 2-D
     curvature's monomial set (see :func:`_chunk`).  The failures are
     flagged as in :func:`natural_metric`; a DegenerateMetric carries its
-    point's full metric, whose dg and ddg are built only then, from a full
-    order-4 jet of the chunk's degenerate points.
+    point's full metric, whose dg and ddg are built only then, from the
+    jet when it is full, or else from a full order-4 jet of the chunk's
+    degenerate points.
     """
     x = np.asarray(x, dtype=float)
     i = spec.excluded_index
@@ -447,8 +441,13 @@ def _surface_curvature(spec: SystemSpec, jet: Jet4, x) -> CurvatureResult:
                          conformal_factor=c, faults=jet.faults)
 
         def full():
-            # the degenerate points have passed the domain check, and a
-            # point's jet does not depend on its batch
+            # the metric with dg and ddg, which a DegenerateMetric reads at
+            # its point alone: from the jet when it is full, or else from a
+            # full jet of the degenerate points, which have passed the
+            # domain check (a point's jet does not depend on its batch)
+            if jet.top is None:
+                _, _, dg, ddg = _tensors(jet, x, masked[:, None], [j])
+                return replace(m, dg=dg, ddg=ddg)
             rows = np.flatnonzero(m.degenerate)
             at = x[rows]
             whole = jet_eval(spec.field, at, 4, Faults(len(rows)),
@@ -461,6 +460,18 @@ def _surface_curvature(spec: SystemSpec, jet: Jet4, x) -> CurvatureResult:
 
         _flag_failures(m, [j], w[:, None], small, full)
         return _curvature_result(m, _brioschi(*columns, m.faults.ok))
+
+
+def jet_curvature(spec: SystemSpec, jet: Jet4, x) -> CurvatureResult:
+    """Ricci scalar of ``spec``'s natural metric from a batched Jet4 of its
+    field at the (batch, n) points ``x``, whose fault record it carries on:
+    :func:`_surface_curvature` when n = 2, :func:`ricci_scalar` of
+    :func:`natural_metric` otherwise.  The stage of every curvature chunk,
+    and of the finite-difference oracle (:func:`analysis.fd_ricci_scalar`),
+    whose jet differs only in where its derivatives come from."""
+    if jet.n == 2:
+        return _surface_curvature(spec, jet, x)
+    return ricci_scalar(natural_metric(jet, x, spec.excluded_index))
 
 
 def curvature_at(spec: SystemSpec, x,
@@ -476,9 +487,11 @@ def curvature_at(spec: SystemSpec, x,
     With ``dps`` the jets and the geometry run in mpmath at ``dps``
     significant digits, and the results are rounded to float at the end.
     """
+    if np.ndim(x) == 1:
+        # no array local: a raised failure keeps this frame
+        return one_point(_curvature_chunk(
+            spec, np.asarray(x, dtype=float)[None], dps))
     points = np.asarray(x, dtype=float)
-    if points.ndim == 1:
-        return one_point(_curvature_chunk(spec, points[None], dps))
     return CurvatureResult.concat([
         _curvature_chunk(spec, points[i:i + CHUNK], dps)
         for i in range(0, len(points), CHUNK)])
@@ -502,16 +515,14 @@ def metric_at(spec: SystemSpec, x) -> MetricTensor:
     curvature meets them.  One point raises its failure; a batch records it
     in ``faults``.
     """
-    points = np.asarray(x, dtype=float)
-    if points.ndim == 1:
-        return one_point(_chunk(spec, points[None]))
-    return _chunk(spec, points)
+    if np.ndim(x) == 1:
+        return one_point(_chunk(spec, np.asarray(x, dtype=float)[None]))
+    return _chunk(spec, np.asarray(x, dtype=float))
 
 
 def _chunk(spec, points, backend=FLOAT, curvature=False):
     """Domain check, order-4 jet and natural metric of a (batch, n) chunk,
-    or with ``curvature`` its Ricci scalar, which a 2-D chunk takes from
-    its jet's columns (:func:`_surface_curvature`).
+    or with ``curvature`` its Ricci scalar (:func:`jet_curvature`).
 
     The 2-D curvature of a compiled relation takes a jet of the monomials
     it reads, every one of degree <= 3 and u^2 v^2 (:data:`SURFACE_TOP`),
@@ -521,21 +532,20 @@ def _chunk(spec, points, backend=FLOAT, curvature=False):
     terms in its u^2 v^2 coefficient.
 
     A chunk with no point inside the domain has no jet to take: its metric
-    is NaN, with the domain's fault record."""
+    and its curvature are NaN, with the domain's fault record, and no
+    formula runs."""
     faults = domain_check(spec, points)
     if faults.ok.any():
-        surface = curvature and points.shape[1] == 2
-        top = (SURFACE_TOP if surface and isinstance(spec.field, ScalarField)
-               else None)
+        top = (SURFACE_TOP if curvature and points.shape[1] == 2
+               and isinstance(spec.field, ScalarField) else None)
         jet = jet_eval(spec.field, points, 4, faults, backend, top)
-        if surface:
-            return _surface_curvature(spec, jet, points)
-        m = natural_metric(jet, points, spec.excluded_index)
-    else:
-        size, n = points.shape
-        nan, g, dg, ddg = (np.full((size,) + (n,) * k, np.nan)
-                           for k in (0, 2, 3, 4))
-        m = MetricTensor(at=points, g=g, dg=dg, ddg=ddg, det=nan,
-                         conformal_factor=nan,
-                         degenerate=np.zeros(size, bool), faults=faults)
-    return ricci_scalar(m) if curvature else m
+        if curvature:
+            return jet_curvature(spec, jet, points)
+        return natural_metric(jet, points, spec.excluded_index)
+    size, n = points.shape
+    nan, g, dg, ddg = (np.full((size,) + (n,) * k, np.nan)
+                       for k in (0, 2, 3, 4))
+    m = MetricTensor(at=points, g=g, dg=dg, ddg=ddg, det=nan,
+                     conformal_factor=nan, degenerate=np.zeros(size, bool),
+                     faults=faults)
+    return _curvature_result(m, nan) if curvature else m

@@ -73,7 +73,9 @@ numbers once per composition, with no multiplication of mpmath numbers
 (see :meth:`_MpBackend.horner`).
 
 The independent check is :func:`fd_partial`: nested central finite differences,
-sharing no code with the jet propagation.
+sharing no code with the jet propagation.  :func:`fd_jet4` takes one per
+monomial of the full order-4 set, and the same scatter as a jet's
+(:func:`_jet4`) makes its Jet4.
 """
 
 from __future__ import annotations
@@ -1062,8 +1064,7 @@ def jet_eval(field, x, order: int = MAX_ORDER, faults=None,
 
 def _jet_batch(field, x, order, faults, backend, top) -> Jet4:
     points = x.reshape(-1, x.shape[-1])
-    size, n = points.shape
-    t = _tables(n, order, top)
+    t = _tables(points.shape[1], order, top)
     with np.errstate(all="ignore"):
         jet = jet_poly(field, points, order, faults, backend, top)
         # one column per monomial of the set, then the zero row's NaN, which
@@ -1073,18 +1074,27 @@ def _jet_batch(field, x, order, faults, backend, top) -> Jet4:
     finite = backend.isfinite(derivs[:, :-1])
     record.flag(~finite.all(axis=1), lambda i: NonFinite(
         _coefficient_message(t, finite[i])))
+    return _jet4(t, derivs, record)
+
+
+def _jet4(t: _Tables, derivs, faults) -> Jet4:
+    """The Jet4 of the monomial set ``t`` from its partials ``derivs``, a
+    (batch, t.size + 1) array: one column per monomial of the set, then
+    the NaN that the entries of the monomials the set drops read.  The
+    tensors of degree above the set's order are zero."""
+    size, n = len(derivs), t.nvars
     value = derivs[:, 0].copy()
     entries = derivs[:, t.tensor_index]
     tensors, start = [], 0
     for d in range(1, MAX_ORDER + 1):
         shape = (size,) + (n,) * d
-        if d > order:
+        if d > t.order:
             tensors.append(np.zeros(shape, dtype=derivs.dtype))
             continue
         stop = start + n ** d
         tensors.append(entries[:, start:stop].reshape(shape))
         start = stop
-    return Jet4(value, *tensors, order=order, top=top, faults=record)
+    return Jet4(value, *tensors, order=t.order, top=t.top, faults=faults)
 
 
 def _coefficient_message(t, finite):
@@ -1208,3 +1218,22 @@ def fd_partial(field, x, multi_index, step: float | None = None) -> float:
     if not math.isfinite(out):
         raise NonFinite("finite-difference estimate is not finite")
     return out
+
+
+def fd_jet4(field, x) -> Jet4:
+    """All partials through order 4 by nested central differences only, one
+    :func:`fd_partial` per monomial, as a batch of one point."""
+    x = [float(c) for c in x]
+    t = _tables(len(x), MAX_ORDER)
+
+    def partial(exps):
+        idx = [v for v, k in enumerate(exps) for _ in range(k)]
+        # fd_partial's stencil is fourth-order accurate, so the balanced
+        # step grows to eps^(1/(k+4)); the default eps^(1/(k+2)) leaves
+        # round-off dominant at order 4
+        scale = max([1.0] + [abs(x[a]) for a in idx])
+        return fd_partial(field, x, idx,
+                          step=EPS ** (1.0 / (len(idx) + 4)) * scale)
+
+    derivs = [float(field(x))] + [partial(e) for e in t.exps[1:]]
+    return _jet4(t, np.array([derivs + [math.nan]]), Faults(1))

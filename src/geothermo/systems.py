@@ -109,10 +109,11 @@ def evaluate(spec: SystemSpec, x):
     the first failing point raises).  A point is a batch of one, so it gets
     the bits and the failure it would get in any batch.
     """
-    points = np.asarray(x, dtype=float)
-    if points.ndim == 1:
-        return float(one_point(_values(spec, points[None])).value)
-    values = _values(spec, points)
+    if np.ndim(x) == 1:
+        # no array local: a raised failure keeps this frame
+        return float(one_point(_values(
+            spec, np.asarray(x, dtype=float)[None])).value)
+    values = _values(spec, np.asarray(x, dtype=float))
     error = values.faults.pop_first()
     if error is None:
         return values.value

@@ -100,7 +100,10 @@ def _newton_solve(seed, lo, hi, target):
     It yields each trial z and is sent (f(z), f'(z)) from one evaluation,
     or None where z is invalid, which damping treats as out of range.  An
     accepted trial's derivative is the next Newton step's.  It returns the
-    root, or raises DomainViolation.
+    root, or raises DomainViolation.  Bisection returns only a midpoint
+    whose f it has seen: zero, or small where the bracket closes; a sign
+    change at a pole and a bracket that does not close in 200 halvings
+    fail.
 
     f is a value minus ``target``, so a residual is accepted relative to
     max(1, |target|): scaled by |z| instead, a far trial whose value has
@@ -152,7 +155,9 @@ def _newton_solve(seed, lo, hi, target):
         z0, f0 = z1, f1
     else:
         raise DomainViolation("inversion target is out of reach on the domain")
-    a, b, fa = z0, z1, f0
+    # a root, not a pole, where the bracket closes: |f| there falls below
+    # its larger value at the sampled ends, as a pole's does not
+    a, b, fa, reach = z0, z1, f0, max(abs(f0), abs(f1))
     for _ in range(200):
         mid = 0.5 * (a + b)
         out = yield mid
@@ -161,13 +166,19 @@ def _newton_solve(seed, lo, hi, target):
                 f"inversion equation is undefined at {mid!r} inside the "
                 f"bracket [{a!r}, {b!r}]")
         fm = out[0]
-        if fm == 0.0 or (b - a) < 1e-15 * max(1.0, abs(mid)):
+        if fm == 0.0:
             return mid
+        if (b - a) < 1e-15 * max(1.0, abs(mid)):
+            if abs(fm) < reach:
+                return mid
+            raise DomainViolation(
+                f"inversion equation changes sign at a pole near {mid!r}")
         if fa * fm < 0.0:
             b = mid
         else:
             a, fa = mid, fm
-    return 0.5 * (a + b)
+    raise DomainViolation(
+        f"bisection of the bracket [{a!r}, {b!r}] did not converge")
 
 
 # ---- implicit fields -----------------------------------------------------

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from geothermo import analysis as an
-from geothermo.errors import DomainViolation, EmptyGrid, PreconditionFailure
-from geothermo.geometry import curvature_at
-from geothermo.jets import jet_eval
+from geothermo.errors import (DegenerateMetric, DomainViolation, EmptyGrid,
+                              PreconditionFailure)
+from geothermo.geometry import curvature_at, natural_metric
+from geothermo.jets import fd_jet4, jet_eval
 from geothermo.systems import evaluate, get_system
 from geothermo.transforms import invert_representation, total_legendre
 
@@ -434,6 +435,24 @@ def test_fd_pipeline_matches_jets():
     r_ad = curvature_at(spec, (1.0, 1.0)).ricci_scalar
     r_fd = an.fd_ricci_scalar(spec, (1.0, 1.0))
     assert abs(r_ad - r_fd) <= 1e-3 * (1.0 + abs(r_ad))
+
+
+def test_fd_degenerate_point_carries_its_finite_difference_metric():
+    # the oracle runs the pipeline's curvature stage on its own full jet,
+    # so a DegenerateMetric carries the metric of that jet, not of the
+    # pipeline's jets
+    spec = get_system("chap_s", alpha=0.0, beta=0.0)
+    x = np.array([5.0, 5.0])        # det g is 0 in both
+    with pytest.raises(DegenerateMetric) as err:
+        an.fd_ricci_scalar(spec, x)
+    want = natural_metric(fd_jet4(spec.field, x), x[None],
+                          spec.excluded_index)
+    got = err.value.metric
+    for name in ("g", "dg", "ddg"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)[0])
+    with pytest.raises(DegenerateMetric) as err:
+        curvature_at(spec, x)
+    assert not np.array_equal(err.value.metric.ddg, got.ddg)
 
 
 def test_fd_curvature_checks_the_domain():

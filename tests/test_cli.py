@@ -61,7 +61,7 @@ def test_exit_code_degenerate(capsys):
     assert "degenerate" in err.lower()
 
 
-def test_exit_code_usage(capsys):
+def test_exit_code_usage(tmp_path, capsys):
     assert run(["curvature", "--at", "u=1,v=1"], capsys)[0] == 1
     assert run(["curvature", "--system", "nope", "--at", "u=1"], capsys)[0] == 1
     assert run(["curvature", "--system", "ideal_s", "--at", "w=1"],
@@ -74,6 +74,18 @@ def test_exit_code_usage(capsys):
     assert run(["figure", "--recipe", "vdW9"], capsys)[0] == 1
     assert run(["check", "nosuch"], capsys)[0] == 1
     assert run(["bogus-command"], capsys)[0] == 1
+    # malformed points and system files: one line on stderr, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for argv in (["--system", "vdw_s", "--at", "u"],
+                 ["--system", "vdw_s", "--at", "u=x,v=3"],
+                 ["--system", "vdw_s", "--at", ","],
+                 ["--file", str(tmp_path / "missing.json"), "--at", "x=1"],
+                 ["--file", str(bad), "--at", "x=1"]):
+        code, out, err = run(["curvature"] + argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("geothermo: error: "), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
 
 
 @pytest.mark.parametrize("system,param", [
@@ -263,10 +275,15 @@ VP_GRID = ["--grid", "v=1.2:9:41", "--grid", "P=0.0296:0.0296:1"]
     # grid is rejected before any array is made
     ["--system", "ideal_s", "--grid", f"u=0.5:5:{2 ** 62}",
      "--grid", "v=0.5:5:2"],
+    ["--system", "ideal_s", "--grid", "u=a:b:c", "--grid", "v=0.5:5:4"],
+    ["--system", "ideal_s", "--grid", "u=0.5:5:4.5", "--grid", "v=0.5:5:4"],
+    ["--system", "vdw_vP", "--grid", "v=1.2:9:41",
+     "--grid", "P=0.02:0.03:2"],
 ], ids=["nan-bound", "inf-bound", "nan-param", "nan-pressure",
         "nan-threshold", "inf-threshold", "negative-threshold",
         "unknown-axis", "repeated-axis", "unknown-axis-vP",
-        "repeated-axis-vP", "grid-beyond-address-space"])
+        "repeated-axis-vP", "grid-beyond-address-space", "non-numeric-grid",
+        "fractional-count", "two-pressures-vP"])
 def test_scan_rejects_meaningless_input(tmp_path, capsys, argv):
     # unchecked, these raise KeyError or LinAlgError out of the CLI, or exit
     # 0 with no detection or with every node flagged

@@ -56,16 +56,18 @@ def test_ideal_gas_flat_everywhere():
 
 @pytest.mark.parametrize("sid", catalog_ids())
 def test_two_dimensional_cross_check(sid):
-    # ricci_scalar takes Brioschi's formula on a 2-D manifold; here it
-    # meets the tensor path (connection, Riemann, contraction) and the
-    # identity R = 2 R_0101 / det g on the sample box
+    # curvature_at takes Brioschi's formula on a 2-D manifold; here it
+    # meets the tensor path (connection, Riemann, contraction), which is
+    # ricci_scalar's, and the identity R = 2 R_0101 / det g on the sample
+    # box
     spec = get_system(sid)
     m = metric_at(spec, an.grid_for(spec, 16).points())
     assert m.faults.ok.all()
     up = riemann_up(christoffel(m))
     tensor = np.einsum("zsn,zsn->z", np.linalg.inv(m.g),
                        np.einsum("zrsrn->zsn", up))
-    R = ricci_scalar(m).ricci_scalar
+    assert np.array_equal(ricci_scalar(m).ricci_scalar, tensor)
+    R = curvature_at(spec, m.at).ricci_scalar
     down0101 = np.einsum("ze,ze->z", m.g[:, 0, :], up[:, :, 1, 0, 1])
     cross_check_dev = np.abs(R - 2.0 * down0101 / m.det)
     identity_tol = 1e-9
@@ -449,14 +451,28 @@ def _failures(res):
     return {i: (type(e), str(e)) for i, e in res.faults.errors.items()}
 
 
+def _sliced_brioschi(m):
+    """The CurvatureResult of Brioschi's formula on the twelve columns
+    sliced from the full tensors of the batched 2-D metric ``m``."""
+    g, dg, ddg = m.g, m.dg, m.ddg
+    with np.errstate(all="ignore"):
+        R = geometry._brioschi(
+            g[:, 0, 0], g[:, 0, 1], g[:, 1, 1],
+            dg[:, 0, 0, 0], dg[:, 1, 0, 0], dg[:, 0, 0, 1],
+            dg[:, 1, 0, 1], dg[:, 0, 1, 1], dg[:, 1, 1, 1],
+            ddg[:, 1, 1, 0, 0], ddg[:, 1, 0, 0, 1], ddg[:, 0, 0, 1, 1],
+            m.faults.ok)
+        return geometry._curvature_result(m, R)
+
+
 @pytest.mark.parametrize("key", sorted(COLUMN_SPECS))
 def test_jet_columns_give_the_numbers_of_the_metric_tensor(key):
     # curvature_at takes the twelve columns of Brioschi's formula for a 2-D
-    # chunk straight from its jet; ricci_scalar slices them from the full
-    # tensors of natural_metric (the finite-difference oracle's path).  The
-    # two give the same bits and the same failures, inside the sample box
-    # and on a grid widened past the domain, on floats and at 30 digits
-    # (every 4th node there, as a point costs about 2 ms)
+    # chunk straight from its jet; here they are sliced from the full
+    # tensors of natural_metric instead.  The two give the same bits and
+    # the same failures, inside the sample box and on a grid widened past
+    # the domain, on floats and at 30 digits (every 4th node there, as a
+    # point costs about 2 ms)
     spec = COLUMN_SPECS[key]
     grids = [an.grid_for(spec, 16).points(),
              _widened_grid(spec, 16)]
@@ -466,12 +482,12 @@ def test_jet_columns_give_the_numbers_of_the_metric_tensor(key):
             x = points if dps is None else points[::4]
             got = curvature_at(spec, x, dps=dps)
             if dps is None:
-                want = ricci_scalar(metric_at(spec, x))
+                want = _sliced_brioschi(metric_at(spec, x))
             else:
                 with mp.workdps(dps):
                     jet = jet_eval(spec.field, x, 4, domain_check(spec, x),
                                    MPMATH)
-                    want = ricci_scalar(natural_metric(
+                    want = _sliced_brioschi(natural_metric(
                         jet, x, spec.excluded_index))
             for name in ("ricci_scalar", "nonfinite", "degenerate", "det_g",
                          "conformal_factor"):

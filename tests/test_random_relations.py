@@ -64,22 +64,24 @@ def test_random_relations_exit_with_documented_codes(tmp_path):
     assert {0, 1, 2} <= codes
 
 
-def test_random_relations_keep_their_bits_on_truncated_jets(monkeypatch):
-    # a 2-D curvature chunk takes jets of the monomials it reads
-    # (geometry.SURFACE_TOP): R, det g, the conformal factor, the flags and
-    # the failures are those of full jets, bit for bit
-    rng = random.Random(20261029)
+def _random_spec(relation):
+    return systems.from_definition({
+        "id": "random", "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "x", "params": {"k": 1.5},
+        "domain": ["x > 0"], "relation": relation})
+
+
+def _reaches_on_truncated_jets(specs, monkeypatch):
+    """Check that a 2-D curvature chunk on the jets of the monomials it
+    reads (geometry.SURFACE_TOP) gives R, det g, the conformal factor, the
+    flags and the failures of full jets, bit for bit, for each spec on a
+    3x3 grid; returns the number of points that reach an R."""
     grid = analysis.GridSpec((("x", 0.5, 2.0, 3), ("y", -1.0, 2.0, 3)))
     points = grid.points()
     fields = ("ricci_scalar", "det_g", "conformal_factor", "nonfinite",
               "degenerate")
     finite = 0
-    for _ in range(200):
-        relation = random_relation(rng)
-        spec = systems.from_definition({
-            "id": "random", "coords": [{"name": "x"}, {"name": "y"}],
-            "excluded_index": "x", "params": {"k": 1.5},
-            "domain": ["x > 0"], "relation": relation})
+    for spec in specs:
         runs = []
         for top in (geometry.SURFACE_TOP, None):
             monkeypatch.setattr(geometry, "SURFACE_TOP", top)
@@ -88,7 +90,29 @@ def test_random_relations_keep_their_bits_on_truncated_jets(monkeypatch):
                           .tobytes() for name in fields],
                          {i: (type(e), str(e))
                           for i, e in res.faults.errors.items()}))
-        assert runs[0] == runs[1], relation
+        assert runs[0] == runs[1], spec.meta
         finite += int(np.count_nonzero(res.faults.ok))
+    return finite
+
+
+def test_random_relations_keep_their_bits_on_truncated_jets(monkeypatch):
+    rng = random.Random(20261029)
+    specs = [_random_spec(random_relation(rng)) for _ in range(200)]
     # the sample reaches an R, not only failures: at 51 of its 1800 points
-    assert finite >= 50
+    assert _reaches_on_truncated_jets(specs, monkeypatch) >= 50
+
+
+def test_relations_of_both_coordinates_keep_their_bits_on_truncated_jets(
+        monkeypatch):
+    # most relations of the sample above read one coordinate only, and
+    # fail every point with a vanishing conformal term or a degenerate
+    # metric; these are drawn until their tape reads both x and y
+    rng = random.Random(20261029)
+    specs, draws = [], 0
+    while len(specs) < 200:
+        spec = _random_spec(random_relation(rng))
+        draws += 1
+        if {index for _, index in spec.field.ast.tape.coords} == {0, 1}:
+            specs.append(spec)
+    assert draws == 3159
+    assert _reaches_on_truncated_jets(specs, monkeypatch) == 704

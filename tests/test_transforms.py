@@ -453,12 +453,16 @@ def test_derived_field_runs_on_floats(key):
     assert abs(fd_ricci_scalar(spec, x) - R) <= 1e-3 * (1.0 + abs(R))
 
 
-def _drive(equation, seed=2.0, lo=0.0, hi=3.0):
+def _drive(equation, seed=2.0, lo=0.0, hi=3.0, passes=None):
     """Root of one equation by the Newton coroutine, run by
     ``jets.lockstep``; ``equation(z)`` is (f, f') at z, or None where z is
-    invalid."""
-    (root,) = jets.lockstep([_newton_solve(seed, lo, hi, 0.0)],
-                            lambda live, trials: list(map(equation, trials)))
+    invalid.  ``passes``, a list, gets one entry per pass."""
+    def evaluate(live, trials):
+        if passes is not None:
+            passes.append(trials)
+        return list(map(equation, trials))
+
+    (root,) = jets.lockstep([_newton_solve(seed, lo, hi, 0.0)], evaluate)
     if isinstance(root, Exception):
         raise root
     return root
@@ -475,6 +479,45 @@ def test_bisection_fallback():
 
     with pytest.raises(DomainViolation):
         _drive(holed)
+
+
+def test_bisection_returns_only_a_root_it_has_checked():
+    # on a zero slope every solve bisects: a steep root is found, while a
+    # sign change at a pole (f = -4.5e15 where its bracket closes) and a
+    # bracket that 200 halvings cannot close (about 1e298 wide around
+    # 2.1) are not roots
+    assert _drive(lambda z: (1e12 * (z - 0.5), 0.0)) == pytest.approx(
+        0.5, abs=1e-12)
+    with pytest.raises(DomainViolation, match="pole near 0.4999"):
+        _drive(lambda z: (1.0 / (z - 0.5), 0.0))
+    with pytest.raises(DomainViolation, match="did not converge"):
+        _drive(lambda z: (z - 2.1, 0.0), lo=-1e300, hi=1e300)
+
+
+def test_newton_nudges_an_invalid_seed_into_the_valid_region():
+    # z^2 - 4 is undefined at z <= 1.5: the seed 1.0 moves along the
+    # sample interval (0.5, 3) until a trial is valid, then Newton runs
+    passes = []
+    root = _drive(lambda z: None if z <= 1.5 else (z * z - 4.0, 2.0 * z),
+                  seed=1.0, lo=0.5, hi=3.0, passes=passes)
+    assert root == pytest.approx(2.0, rel=1e-14)
+    assert len(passes) == 14
+    # nowhere valid: the seed and its 32 nudges, then the failure
+    passes.clear()
+    with pytest.raises(DomainViolation, match="no valid seed"):
+        _drive(lambda z: None, passes=passes)
+    assert len(passes) == 33
+
+
+def test_stalled_newton_accepts_a_residual_within_1e_9():
+    # f has a floor of 5e-10 at z <= 0.5, where no damped step decreases
+    # |f|: Newton stops there and accepts it, while bisection, which finds
+    # no sign change, would fail
+    passes = []
+    root = _drive(lambda z: (max(z - 0.5, 5e-10), 1.0), passes=passes)
+    assert root == 0.5
+    # the seed, the Newton step to 0.5, and 60 halvings that do not help
+    assert len(passes) == 62
 
 
 def test_invert_non_monotone_rejected():
@@ -548,6 +591,25 @@ def _holed(extra):
         "excluded_index": "x", "relation": "ln(x) + y",
         "domain": ["x > 0", "y > 0", extra],
         "sample_box": [[0.0, 31.0], [0.5, 2.0]]})
+
+
+def test_too_few_valid_samples_on_the_centre_line_fail_the_build():
+    # of the samples on the integers 0..31 only 30 and 31 are inside
+    with pytest.raises(InversionFailure, match="too few valid samples"):
+        invert_representation(_holed("x > 29.5"), 0, solve="newton")
+
+
+def test_seed_line_without_valid_samples_takes_the_centre_line():
+    # the seed lines sit at y = 0.5, 0.6875, ..., 2; the first is outside
+    # y > 0.6 and takes the samples of the centre line (y = 1.25), while
+    # the others keep their own
+    nodes, lines = transforms._sample_lines(_holed("y > 0.6"), 0, 0)
+    assert nodes[0][0] == 0.5 and len(lines) == 9
+    centre = lines[4]
+    for k, (coords, values) in enumerate(lines):
+        own = k != 0 and k != 4
+        assert np.array_equal(coords, centre[0])
+        assert np.array_equal(values, centre[1]) is not own, k
 
 
 def test_slot_range_with_a_hole_certifies_from_the_valid_samples():
