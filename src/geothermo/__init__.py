@@ -15,7 +15,7 @@ from .geometry import (CurvatureResult, MetricTensor, christoffel,
 from .jets import Jet, Jet4, fd_partial, jet_eval, jet_poly
 from .systems import (SystemSpec, catalog, catalog_ids, evaluate,
                       from_definition, get_system)
-from .transforms import (IntensiveVector, LegendrePartner, equations_of_state,
+from .transforms import (IntensiveVector, equations_of_state,
                          first_law_residual, invert_representation,
                          partial_legendre, reduced_variables, to_vP,
                          total_legendre, u_from_vP)
@@ -33,7 +33,7 @@ __all__ = [
     "from_definition",
     "MetricTensor", "CurvatureResult", "natural_metric", "metric_at",
     "christoffel", "ricci_scalar", "curvature_at",
-    "IntensiveVector", "LegendrePartner", "equations_of_state",
+    "IntensiveVector", "equations_of_state",
     "partial_legendre", "total_legendre", "invert_representation",
     "to_vP", "u_from_vP", "reduced_variables", "first_law_residual",
 ]

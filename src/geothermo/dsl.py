@@ -204,15 +204,9 @@ class _Parser:
         base = self.parse_atom()
         if self.peek().text == "^":
             self.advance()
-            return self.binary("^", base, self.parse_power_exponent())
+            # the exponent may carry a unary minus: v^-2
+            return self.binary("^", base, self.parse_unary())
         return base
-
-    def parse_power_exponent(self):
-        # exponent may carry a unary minus: v^-2
-        if self.peek().text == "-":
-            self.advance()
-            return self.op(operator.neg, self.parse_power_exponent())
-        return self.parse_power()
 
     def parse_atom(self):
         tok = self.peek()

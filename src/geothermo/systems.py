@@ -221,24 +221,19 @@ _CATALOG = {
 }
 
 # mutual partner links: canonical <-> inverse representation and
-# Legendre partners (slot indices refer to the source spec's coordinates)
+# Legendre partners, {slot: id} per slot transform (slot indices refer to
+# the source spec's coordinates)
 PARTNERS = {
-    "ideal_s": {"inverse": ("ideal_u", 0)},
-    "ideal_u": {"inverse": ("ideal_s", 0),
+    "ideal_s": {"inverse": {0: "ideal_u"}},
+    "ideal_u": {"inverse": {0: "ideal_s"},
                 "partial_legendre": {0: "ideal_F"},
                 "total_legendre": "ideal_g"},
-    "vdw_s": {"inverse": ("vdw_u", 0)},
-    "vdw_u": {"inverse": ("vdw_s", 0),
+    "vdw_s": {"inverse": {0: "vdw_u"}},
+    "vdw_u": {"inverse": {0: "vdw_s"},
               "partial_legendre": {0: "vdw_F"}},
-    "chap_s": {"inverse": ("chap_u", 0)},
-    "chap_u": {"inverse": ("chap_s", 0)},
+    "chap_s": {"inverse": {0: "chap_u"}},
+    "chap_u": {"inverse": {0: "chap_s"}},
 }
-
-
-@dataclass
-class CatalogEntry:
-    spec: SystemSpec
-    partners: dict
 
 
 def catalog():
@@ -248,10 +243,6 @@ def catalog():
 
 def catalog_ids():
     return list(_CATALOG)
-
-
-def catalog_entry(id: str) -> CatalogEntry:
-    return CatalogEntry(spec=get_system(id), partners=dict(PARTNERS.get(id, {})))
 
 
 def get_system(id: str, **param_overrides) -> SystemSpec:
@@ -281,8 +272,6 @@ def closed_partner(spec: SystemSpec, kind: str, slot=None):
             or spec.coords != entry.coords:
         return None
     link = PARTNERS.get(spec.id, {}).get(kind)
-    if kind == "inverse" and link is not None:
-        link = {link[1]: link[0]}
     if isinstance(link, dict):
         link = link.get(slot)
     if link is None:

@@ -31,9 +31,12 @@ Each transform records its point map in the spec's ``meta``: a batch map
 from a (batch, n) array of base points, with the batch's Faults record, to
 the points of the new representation (:func:`legendre_point` maps one).
 Every transform builds it with one :func:`_point_map`, which checks the
-base domain before it evaluates the base potential, so a base point that
-does not exist does not map; a partial Legendre chain composes the maps of
-its steps.
+base domain before it makes one evaluation of the base potential, so a
+base point that does not exist does not map.  A chain of partial Legendre
+transforms maps in one evaluation too: at fixed I_a, the derivative of
+Phi - I_a E^a in E^b is dPhi/dE^b.  Every Legendre output records
+``point_map``, ``legendre_of`` (the base's id) and ``legendre_slots``; an
+inversion records ``point_map`` and ``inverse_of``.
 """
 
 from __future__ import annotations
@@ -66,13 +69,6 @@ class IntensiveVector:
 
     values: np.ndarray
     at: np.ndarray
-
-
-@dataclass
-class LegendrePartner:
-    source_id: str
-    transformed_slots: tuple
-    spec: SystemSpec
 
 
 def equations_of_state(spec: SystemSpec, x) -> IntensiveVector:
@@ -560,46 +556,44 @@ def partial_legendre(spec: SystemSpec, slot: int, solve: str = "auto") -> System
 
 def _legendre_chain(spec: SystemSpec, slots, solve: str) -> SystemSpec:
     """Partial Legendre transforms of ``spec`` on ``slots`` in turn,
-    recorded as one transform of ``spec``: the point map composes the
-    maps of the steps."""
-    out, maps = spec, []
+    recorded as one transform of ``spec``: its point map is one order-1
+    evaluation of ``spec``'s potential, as the closed form's is.  A base
+    point that a derived step cannot solve maps all the same, and fails
+    where the chain's potential is evaluated at its image."""
+    out = spec
     for slot in slots:
         out = partial_legendre(out, slot, solve=solve)
-        maps.append(out.meta["point_map"])
-
-    def point_map(points, faults):
-        for step in maps:
-            points = step(points, faults)
-        return points
-
-    out.meta.update(point_map=point_map, legendre_of=spec.id,
-                    legendre_slots=tuple(slots))
-    return out
+    return _legendre_of(spec, slots, out)
 
 
 def total_legendre(spec: SystemSpec, solve: str = "auto") -> SystemSpec:
-    """Legendre-transform every slot (identity for already-total potentials)."""
+    """Legendre-transform every slot (identity for already-total potentials,
+    whose point map transforms no slot)."""
+    slots = tuple(range(spec.n))
     if spec.meta.get("already_total_legendre"):
         _check_solve(solve)
         return replace(spec, meta=dict(
-            spec.meta, point_map=_point_map(spec, (), 0, spec.coords)))
-    slots = tuple(range(spec.n))
+            spec.meta, point_map=_point_map(spec, (), 0, spec.coords),
+            legendre_of=spec.id, legendre_slots=slots))
     out = _closed_partner(spec, "total_legendre", None, solve)
     if out is not None:
         return _legendre_of(spec, slots, out)
     return _legendre_chain(spec, slots, "newton")
 
 
-def legendre_partner(spec: SystemSpec, slots=None, solve: str = "auto") -> LegendrePartner:
-    """Transform record: source id, slots, and the transformed SystemSpec."""
+def legendre_partner(spec: SystemSpec, slots=None,
+                     solve: str = "auto") -> SystemSpec:
+    """The Legendre transform of ``spec`` on ``slots`` (every slot when
+    None), whose ``meta`` records ``legendre_of`` and ``legendre_slots``.
+    The slots must be distinct: a slot transformed twice is not the one
+    forward map that the record holds."""
     if slots is None or tuple(slots) == tuple(range(spec.n)):
-        new = total_legendre(spec, solve=solve)
-        return LegendrePartner(spec.id, tuple(range(spec.n)), new)
+        return total_legendre(spec, solve=solve)
     slots = tuple(slots)
-    if not slots:
-        raise PreconditionFailure("transformed slots must be nonempty")
-    return LegendrePartner(spec.id, slots,
-                           _legendre_chain(spec, slots, solve))
+    if not slots or len(set(slots)) < len(slots):
+        raise PreconditionFailure(
+            f"transformed slots must be nonempty and distinct, got {slots}")
+    return _legendre_chain(spec, slots, solve)
 
 
 # ---- representation inversion --------------------------------------------

@@ -10,9 +10,10 @@ from geothermo import analysis as an
 from geothermo.errors import (DegenerateMetric, DomainViolation, EmptyGrid,
                               PreconditionFailure)
 from geothermo.geometry import curvature_at, natural_metric
-from geothermo.jets import fd_jet4, jet_eval
+from geothermo.jets import Faults, fd_jet4, jet_eval
 from geothermo.systems import evaluate, get_system
-from geothermo.transforms import invert_representation, total_legendre
+from geothermo.transforms import (invert_representation, partial_legendre,
+                                  total_legendre)
 
 
 # ---- homogeneity ---------------------------------------------------------
@@ -44,6 +45,16 @@ def test_homogeneity_scale_start_independence():
         rep = an.homogeneity_degree(f, (lam0 * 1.0, lam0 * 2.0))
         assert rep.degree == 3.0
         assert rep.max_residual <= 1e-10 * (1.0 + abs(f((lam0, 2 * lam0))))
+
+
+def test_homogeneity_needs_two_usable_ratios():
+    # Phi(E) = 0 gives no ratio to fit, and a Phi that keeps its sign only
+    # at lambda = 2 gives one: neither fits a degree
+    for f, base in [(lambda x: 0.0, (1.0, 2.0)),
+                    (lambda x: 1.0 if x[0] in (2.0, 4.0) else -1.0, (2.0,))]:
+        rep = an.homogeneity_degree(f, base)
+        assert not rep.is_homogeneous
+        assert rep.degree is None and rep.max_residual == math.inf
 
 
 def test_homogeneity_rejects_nonpositive_lambda():
@@ -108,6 +119,41 @@ def test_invariance_report_maps_its_grid_in_one_call(build):
     assert rep.max_rel < 1e-8
 
 
+def test_invariance_report_skips_and_counts_a_failed_R_b():
+    # the map sends the first vdw_u row to T < 0, outside vdw_F's domain:
+    # its R_b is NaN, so the row is left out and counted; every other row
+    # keeps the R of its mapped point
+    vu = get_system("vdw_u")
+    vF = partial_legendre(vu, 0)
+    grid = an.grid_for(vu, 4)
+
+    def to_negative_T(points, faults):
+        mapped = vF.meta["point_map"](points, faults)
+        mapped[0, 0] = -1.0
+        return mapped
+
+    rep = an.invariance_report(vu, vF, to_negative_T, grid)
+    assert rep.failures == 1
+    assert [x for x, *_ in rep.rows] == [
+        tuple(x) for x in grid.points()[1:].tolist()]
+    faults = Faults(len(grid.points()))
+    mapped = vF.meta["point_map"](grid.points(), faults)
+    assert [r_b for *_, r_b, _ in rep.rows] == curvature_at(
+        vF, mapped[1:]).ricci_scalar.tolist()
+
+
+def test_invariance_report_on_a_grid_where_no_R_a_is_finite():
+    # every point has v < b: nothing is mapped, and every point is counted
+    vs = get_system("vdw_s")
+    calls = []
+    rep = an.invariance_report(
+        vs, vs, lambda points, faults: calls.append(points),
+        an.GridSpec((("u", 1.0, 2.0, 3), ("v", 0.2, 0.8, 3))))
+    assert calls == []
+    assert (rep.rows, rep.max_abs, rep.max_rel, rep.failures) == (
+        [], 0.0, 0.0, 9)
+
+
 # ---- grids ---------------------------------------------------------------
 
 
@@ -146,6 +192,20 @@ def test_vdw_scan_hits_the_locus(P_r):
         v, P = d.refined
         assert abs(2.0 - v + P * v ** 3) <= 1e-3      # a = b = 1
     assert rep.failures == 0
+
+
+def test_vdw_scan_classifies_detections_off_the_locus():
+    # a low threshold detects smooth maxima of |R|; at P = 0.05 there is no
+    # locus, so those are "unclassified", and next to v = b a detection is
+    # "other"
+    rep = an.scan_vdw_vP(0.05, (1.2, 9.0), count=41, blowup_threshold=5.0)
+    assert rep.locus_points == () and rep.max_locus_dev is None
+    assert len(rep.detections) == 3
+    assert {d.classification for d in rep.detections} == {"unclassified"}
+    rep = an.scan_vdw_vP(0.05, (1.0005, 9.0), count=41,
+                         blowup_threshold=1e3)
+    assert [d.classification for d in rep.detections] == ["other"]
+    assert abs(rep.detections[0].refined[0] - 1.0) < 1e-3
 
 
 def test_scan_determinism():
@@ -428,6 +488,9 @@ def test_ising_guards():
         an.ising_curvature(1.0, 0.0)
     with pytest.raises(PreconditionFailure):
         an.ising_profile(1.0, (1.0,), (0.01, 1.0))
+    for T_range in [(1.0, 0.5), (1.0, 1.0)]:
+        with pytest.raises(PreconditionFailure, match="increasing"):
+            an.ising_profile(1.0, (1.0,), T_range)
 
 
 def test_fd_pipeline_matches_jets():

@@ -122,6 +122,21 @@ def test_pretty_round_trip():
     assert f1([2.0, 3.0]) == pytest.approx(f2([2.0, 3.0]), rel=1e-15)
 
 
+@pytest.mark.parametrize("source, text", [
+    ("v^-2", "(v ^ (-2.0))"),
+    ("u^-v^-2", "(u ^ (-(v ^ (-2.0))))"),
+    ("-u^2", "(-(u ^ 2.0))"),
+    ("2^--u", "(2.0 ^ (-(-u)))"),
+    ("a^-u^-a", "(a ^ (-(u ^ (-a))))"),
+    ("--u^-2*v", "((-(-(u ^ (-2.0)))) * v)"),
+])
+def test_unary_minus_binds_below_power_in_and_out_of_an_exponent(source,
+                                                                 text):
+    # an exponent is read like any operand of unary minus: -u^2 is
+    # -(u^2), and u^-v^-2 is u^(-(v^(-2)))
+    assert dsl.parse_relation(source, ["u", "v"], ["a"]).pretty() == text
+
+
 def test_parameter_names_collected():
     ast = dsl.parse_relation("a*u + pow(v, b)", ["u", "v"], ["a", "b"])
     assert ast.parameter_names() == {"a", "b"}

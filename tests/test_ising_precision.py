@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from geothermo import analysis as an
+from geothermo import cli
 from geothermo import jets
 from geothermo.errors import (DomainViolation, PreconditionFailure,
                               SingularDenominator)
@@ -181,3 +182,21 @@ def test_ising_guards_hold_before_the_pipeline():
     # the guards stand in for the domain check: R is even in H
     assert an.ising_curvature(0.4, -1.5) == pytest.approx(
         an.ising_curvature(0.4, 1.5), rel=1e-12)
+
+
+def test_ising_figure_is_the_reference_table(tmp_path):
+    # the whole figure, through the CLI: its header, 60 rows, and every T
+    # and R at full repr as the committed reference holds them
+    out = tmp_path / "ising.csv"
+    assert cli.main(["figure", "--recipe", "ising", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[:2] == [
+        '# figure ising {"H": [0.5, 1.0, 1.5, 2.0], "J": 1.0, '
+        '"T": [0.2, 10.0], "samples": 60}',
+        "T,R_H0.5,R_H1,R_H1.5,R_H2"]
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[2:]]
+    assert len(rows) == 60 and {len(row) for row in rows} == {5}
+    T, *R = zip(*rows)
+    assert list(map(repr, T)) == list(map(repr, REF["T"]))
+    assert [list(map(repr, curve)) for curve in R] == [
+        list(map(repr, curve)) for curve in REF["R"]]

@@ -7,7 +7,7 @@ import pytest
 
 from geothermo import dsl, jets
 from geothermo.errors import DomainViolation
-from geothermo.systems import (PARTNERS, catalog, catalog_entry, catalog_ids,
+from geothermo.systems import (PARTNERS, catalog, catalog_ids,
                                closed_partner, domain_check, evaluate,
                                from_definition, get_system)
 
@@ -116,16 +116,16 @@ def test_ising_spec_shape():
 
 
 def test_catalog_entry_partners():
-    entry = catalog_entry("vdw_u")
-    assert entry.partners["inverse"] == ("vdw_s", 0)
-    assert entry.partners["partial_legendre"][0] == "vdw_F"
+    # every slot transform links {slot: id}
+    assert PARTNERS["vdw_u"]["inverse"] == {0: "vdw_s"}
+    assert PARTNERS["vdw_u"]["partial_legendre"] == {0: "vdw_F"}
 
 
 def test_partner_links_join_catalog_systems_with_equal_defaults():
     # a closed-form partner inherits only the parameters the two share, so
     # closed-form invariance needs both ends to agree on every default
     for source, links in PARTNERS.items():
-        targets = [links["inverse"][0],
+        targets = [*links["inverse"].values(),
                    *links.get("partial_legendre", {}).values()]
         if "total_legendre" in links:
             targets.append(links["total_legendre"])

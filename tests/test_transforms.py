@@ -9,8 +9,8 @@ from geothermo import dsl, jets, transforms
 from geothermo.errors import (DomainViolation, InversionFailure,
                               PreconditionFailure)
 from geothermo.geometry import curvature_at
-from geothermo.analysis import GridSpec, fd_ricci_scalar
-from geothermo.jets import Faults, jet_poly
+from geothermo.analysis import GridSpec, fd_ricci_scalar, grid_for
+from geothermo.jets import Faults, jet_eval, jet_poly
 from geothermo.systems import evaluate, from_definition, get_system
 from geothermo.transforms import (_newton_solve, equations_of_state,
                                   first_law_residual,
@@ -147,6 +147,11 @@ def test_legendre_point_checks_the_base_domain():
     assert err.value.violations == ["v > b"]
 
 
+def test_legendre_point_needs_a_point_map():
+    with pytest.raises(PreconditionFailure, match="records no point map"):
+        legendre_point(get_system("vdw_u"), (1.0, 2.0))
+
+
 def test_ising_passthrough_checks_the_domain():
     out = total_legendre(get_system("ising_f"))
     with pytest.raises(DomainViolation) as err:
@@ -164,13 +169,17 @@ def test_total_legendre_constant_field_fails():
 
 
 def test_legendre_partner_record():
+    # the transformed spec is the record: its meta names the base and slots
     vu = get_system("vdw_u")
     p = legendre_partner(vu, (0,))
-    assert p.source_id == "vdw_u"
-    assert p.transformed_slots == (0,)
-    assert p.spec.id == "vdw_F"
+    assert p.id == "vdw_F"
+    assert p.meta["legendre_of"] == "vdw_u"
+    assert p.meta["legendre_slots"] == (0,)
     with pytest.raises(PreconditionFailure):
         legendre_partner(vu, ())
+    # a slot transformed twice is not one forward map of the base
+    with pytest.raises(PreconditionFailure, match="distinct"):
+        legendre_partner(vu, (0, 0))
 
 
 def test_legendre_partner_on_some_slots_records_the_composed_transform():
@@ -180,11 +189,70 @@ def test_legendre_partner_on_some_slots_records_the_composed_transform():
         "domain": ["x > 0", "y > 0", "z > 0"],
         "sample_box": [[0.5, 2.0], [0.5, 2.0], [0.5, 2.0]]})
     p = legendre_partner(spec, (0, 1))
-    assert p.spec.meta["legendre_of"] == "q3"
-    assert p.spec.meta["legendre_slots"] == (0, 1)
+    assert p.meta["legendre_of"] == "q3"
+    assert p.meta["legendre_slots"] == (0, 1)
     # (x, y, z) -> (2x, 2y, z)
-    assert legendre_point(p.spec, [1.0, 1.0, 1.0]) == pytest.approx(
+    assert legendre_point(p, [1.0, 1.0, 1.0]) == pytest.approx(
         [2.0, 2.0, 1.0], rel=1e-12)
+
+
+@pytest.mark.parametrize("sid, slots, id", [
+    ("ideal_u", None, "ideal_g"),           # closed form
+    ("ideal_u", (0, 1), "ideal_g"),
+    ("vdw_u", None, "vdw_u~L0~L1"),         # a Newton chain
+    ("ising_f", (0, 1), "ising_f"),         # the passthrough
+])
+def test_legendre_partner_over_every_slot_is_total_legendre(sid, slots, id):
+    out = legendre_partner(get_system(sid), slots)
+    assert out.id == id
+    assert out.meta["legendre_of"] == sid
+    assert out.meta["legendre_slots"] == (0, 1)
+
+
+@pytest.mark.parametrize("build, base, slots", [
+    (lambda: partial_legendre(get_system("vdw_u"), 0), "vdw_u", (0,)),
+    (lambda: partial_legendre(get_system("vdw_u"), 0, solve="newton"),
+     "vdw_u", (0,)),
+    (lambda: total_legendre(get_system("ideal_u")), "ideal_u", (0, 1)),
+    (lambda: total_legendre(get_system("vdw_s"), solve="newton"),
+     "vdw_s", (0, 1)),
+    (lambda: total_legendre(get_system("ising_f")), "ising_f", (0, 1)),
+], ids=["closed", "newton", "total_closed", "chain", "passthrough"])
+def test_every_legendre_output_records_its_map_base_and_slots(build, base,
+                                                              slots):
+    out = build()
+    assert callable(out.meta["point_map"])
+    assert out.meta["legendre_of"] == base
+    assert out.meta["legendre_slots"] == slots
+
+
+@pytest.mark.parametrize("sid", ["vdw_s", "vdw_u", "ideal_u", "ideal_s",
+                                 "chap_u", "ideal_F", "vdw_F"])
+def test_a_chain_maps_in_one_evaluation_of_its_base(sid, monkeypatch):
+    # one order-1 evaluation of the base gives the chain's point, as its
+    # steps' maps composed do: at fixed I_0, d(Phi - I_0 E^0)/dE^1 is
+    # dPhi/dE^1
+    spec = get_system(sid)
+    chain = total_legendre(spec, solve="newton")
+    first = partial_legendre(spec, 0, solve="newton")
+    second = partial_legendre(first, 1, solve="newton")
+    points = grid_for(spec, 8).points()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return jet_eval(*args)
+
+    monkeypatch.setattr(transforms, "jet_eval", counted)
+    faults = Faults(len(points))
+    one = chain.meta["point_map"](points, faults)
+    assert len(calls) == 1 and faults.ok.all()
+    monkeypatch.undo()
+    faults = Faults(len(points))
+    composed = second.meta["point_map"](
+        first.meta["point_map"](points, faults), faults)
+    assert faults.ok.all()
+    np.testing.assert_allclose(one, composed, rtol=1e-15, atol=0.0)
 
 
 # ---- representation inversion --------------------------------------------
@@ -199,6 +267,12 @@ def test_invert_representation_ideal_round_trip(rng=np.random.default_rng(5)):
         v = rng.uniform(0.5, 5.0)
         s = evaluate(is_, (u, v))
         assert evaluate(inv, (s, v)) == pytest.approx(u, rel=1e-10)
+
+
+def test_invert_representation_slot_out_of_range():
+    for slot in (-1, 2):
+        with pytest.raises(PreconditionFailure, match="out of range"):
+            invert_representation(get_system("vdw_s"), slot)
 
 
 def test_invert_representation_numeric(rng=np.random.default_rng(6)):
@@ -354,6 +428,22 @@ def test_points_outside_the_fixed_predicates_fail_before_any_trial(
         assert "violates ['v > b']" in str(exc)
 
 
+def test_a_fixed_predicate_that_cannot_be_evaluated_fails_its_point():
+    # 1/(y - 1) > 0 does not read the solved slot x; at y = 1 it fails on
+    # its division, not as a violation, and the point fails before any
+    # trial, naming the preimage and the predicate's error
+    spec = from_definition({
+        "id": "pole", "coords": [{"name": "x"}, {"name": "y"}],
+        "excluded_index": "x", "relation": "ln(x) + y",
+        "domain": ["x > 0", "1/(y - 1) > 0"],
+        "sample_box": [[0.5, 2.0], [1.5, 3.0]]})
+    inv = invert_representation(spec, 0, solve="newton")
+    assert evaluate(inv, (1.0, 2.0)) == pytest.approx(math.exp(-1.0))
+    with pytest.raises(DomainViolation, match="division by zero") as err:
+        evaluate(inv, (1.0, 1.0))
+    assert err.value.violations == ["preimage of the pole domain"]
+
+
 @pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
 def test_seed_lines_leave_few_trials_per_solve(key, monkeypatch):
     spec = _derived(key)
@@ -492,6 +582,20 @@ def test_bisection_returns_only_a_root_it_has_checked():
         _drive(lambda z: (1.0 / (z - 0.5), 0.0))
     with pytest.raises(DomainViolation, match="did not converge"):
         _drive(lambda z: (z - 2.1, 0.0), lo=-1e300, hi=1e300)
+
+
+def test_bisection_returns_an_exact_zero_it_samples():
+    # a zero slope stops Newton at once; the bisection window is 257
+    # samples of [-6, 9]
+    window = np.linspace(-6.0, 9.0, 257).tolist()
+    # a window sample that is a root returns before any sign change
+    root = window[120]
+    assert _drive(lambda z: (z - root, 0.0)) == root
+    # a root halfway between two samples is the bracket's first midpoint
+    root = 0.5 * (window[120] + window[121])
+    passes = []
+    assert _drive(lambda z: (z - root, 0.0), passes=passes) == root
+    assert passes[-1] == [root]
 
 
 def test_newton_nudges_an_invalid_seed_into_the_valid_region():
@@ -714,6 +818,11 @@ def test_u_from_vP_round_trip(rng=np.random.default_rng(8)):
         v = rng.uniform(1.5, 6.0)
         _, P = to_vP(spec, u, v)
         assert u_from_vP(v, P) == pytest.approx(u, rel=1e-12)
+    # v <= b is outside the surface, for a point or any row of an array
+    for v in (1.0, np.array([2.0, 0.5])):
+        with pytest.raises(DomainViolation) as err:
+            u_from_vP(v, 0.1)
+        assert err.value.violations == ["v > 1.0"]
 
 
 def test_reduced_variables():
@@ -732,6 +841,9 @@ def test_first_law_residual():
     path = [(1.0 + t, 1.0 + t) for t in np.linspace(0.0, 1.0, 1001)]
     assert first_law_residual(spec, path) < 1e-5
     assert first_law_residual(spec, [(1.0, 1.0)]) == 0.0
+    # no path, and a path whose segments all have zero length
+    assert first_law_residual(spec, []) == 0.0
+    assert first_law_residual(spec, [(1.0, 2.0)] * 3) == 0.0
     bad = [(2.0, 2.0), (2.0, 0.5)]       # crosses v = b of the vdW domain
     with pytest.raises(DomainViolation):
         first_law_residual(get_system("vdw_s"), bad)
