@@ -12,7 +12,7 @@ from .errors import (DefinitionError, DegenerateMetric, DomainViolation,
                      SingularPrefactor, UnboundParameter, UnknownIdentifier)
 from .geometry import (CurvatureResult, MetricTensor, christoffel,
                        curvature_at, metric_at, natural_metric, ricci_scalar)
-from .jets import Jet, Jet4, fd_partial, jet_eval, jet_poly
+from .jets import Jet, Jet4, fd_jet4, jet_eval, jet_poly
 from .systems import (SystemSpec, catalog, catalog_ids, evaluate,
                       from_definition, get_system)
 from .transforms import (IntensiveVector, equations_of_state,
@@ -28,7 +28,7 @@ __all__ = [
     "UnknownIdentifier", "UnboundParameter", "SingularPrefactor",
     "DegenerateMetric", "InversionFailure", "SingularDenominator",
     "PreconditionFailure", "EmptyGrid",
-    "Jet", "Jet4", "jet_eval", "jet_poly", "fd_partial",
+    "Jet", "Jet4", "jet_eval", "jet_poly", "fd_jet4",
     "SystemSpec", "catalog", "catalog_ids", "get_system", "evaluate",
     "from_definition",
     "MetricTensor", "CurvatureResult", "natural_metric", "metric_at",

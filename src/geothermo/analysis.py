@@ -472,12 +472,14 @@ def constant_curvature_check(spec: SystemSpec, grid: GridSpec):
 
 def fd_ricci_scalar(spec: SystemSpec, x) -> float:
     """Curvature with finite-difference derivatives only: the Jet4 of
-    :func:`jets.fd_jet4` goes through the curvature stage of every
-    :func:`curvature_at` chunk (:func:`geometry.jet_curvature`).
+    :func:`jets.fd_jet4` at the one row ``x`` goes through the curvature
+    stage of every :func:`curvature_at` chunk
+    (:func:`geometry.jet_curvature`).
 
     ``x`` is checked against the spec's domain before any stencil, as
     :func:`curvature_at` checks it before its jet; a point outside raises
-    DomainViolation, and a later failure of the point raises as well.
+    DomainViolation.  A stencil node that fails raises its failure, and a
+    failure of the curvature stage raises as well.
     """
     x = np.asarray(x, dtype=float)
     domain_check(spec, x).raise_first()

@@ -492,9 +492,10 @@ def curvature_at(spec: SystemSpec, x,
         return one_point(_curvature_chunk(
             spec, np.asarray(x, dtype=float)[None], dps))
     points = np.asarray(x, dtype=float)
+    # an empty batch is one empty chunk
     return CurvatureResult.concat([
         _curvature_chunk(spec, points[i:i + CHUNK], dps)
-        for i in range(0, len(points), CHUNK)])
+        for i in range(0, max(len(points), 1), CHUNK)])
 
 
 def _curvature_chunk(spec, points, dps):

@@ -72,16 +72,19 @@ Its Horner steps run on ``_mpf_`` tuples, point by point, and build mpmath
 numbers once per composition, with no multiplication of mpmath numbers
 (see :meth:`_MpBackend.horner`).
 
-The independent check is :func:`fd_partial`: nested central finite differences,
-sharing no code with the jet propagation.  :func:`fd_jet4` takes one per
-monomial of the full order-4 set, and the same scatter as a jet's
+The independent check is :func:`fd_jet4`: every partial through order 4
+at each point of a batch by nested central finite differences on the
+field's float path, sharing no code with the jet propagation.  An order-k
+partial along axis a steps h_a = eps^(1/(k+4)) * max(1, |x_a|); its 4^k
+stencil nodes are built as arrays, every distinct node of the call is
+evaluated once, and the differences are reduced axis by axis with the
+bits of the recursion over the axes.  The same scatter as a jet's
 (:func:`_jet4`) makes its Jet4.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
@@ -1166,74 +1169,87 @@ def divide(x, y):
     return x / y
 
 
-def default_fd_step(x_a: float, total_order: int) -> float:
-    """Truncation/round-off balanced step for an order-k partial."""
-    return EPS ** (1.0 / (total_order + 2)) * max(1.0, abs(x_a))
+# the fourth-order central first difference
+# (f(x - 2h) - 8 f(x - h) + 8 f(x + h) - f(x + 2h)) / (12 h): its nodes'
+# offsets in units of h
+_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
 
 
-def fd_partial(field, x, multi_index, step: float | None = None) -> float:
-    """Nested central finite-difference estimate of a mixed partial.
+def fd_jet4(field, points) -> Jet4:
+    """Every partial through order 4 at each row of the (batch, n) array
+    ``points`` (one point is a batch of one) by nested central differences
+    on the field's float path, sharing no code with the jet propagation.
 
-    ``multi_index`` lists coordinate indices, one per differentiation
-    (length <= 4).  Raises DomainViolation if any stencil point leaves the
-    field's domain.
+    An order-k partial along the axes a_1 <= ... <= a_k nests the stencil
+    of :data:`_STENCIL` once per axis, with the step
+    h_a = eps^(1/(k+4)) * max(1, |x_a|) along axis a: the stencil is
+    fourth-order accurate, so this balances its h^4 truncation against
+    round-off.  Its 4^k nodes are built as arrays (see :func:`_stencil`),
+    and its differences are reduced axis by axis from the last, so each
+    entry has the bits of the recursion over the axes.  Stencil order runs
+    point by point, and within a point monomial by monomial as
+    :class:`_Tables` numbers them (the point itself first).  Every distinct
+    node, keyed by its bits (-0.0 apart from 0.0), is evaluated once per
+    call, in that order, and the first that fails raises its failure; a
+    non-finite entry raises NonFinite.  The entries go through the same
+    scatter as a jet's (:func:`_jet4`).
     """
-    multi_index = list(multi_index)
-    if len(multi_index) > MAX_ORDER:
-        raise ValueError("fd_partial supports orders up to 4")
-    x = [float(c) for c in x]
-    k = len(multi_index)
-    # the nested stencil visits 4^k nodes, many of them the same float
-    # point (at vdw_s (2, 3) the order-4 partial along u visits 42
-    # distinct points), so each point is evaluated once, keyed by its
-    # exact bits (-0.0 apart from 0.0)
-    values = {}
-
-    def plain(pt):
-        key = struct.pack(f"{len(pt)}d", *pt)
-        if key not in values:
-            values[key] = float(field([float(c) for c in pt]))
-        return values[key]
-
-    def shifted(idxs, pt, a, mult, h):
-        out = list(pt)
-        out[a] += mult * h
-        return recurse(idxs, out)
-
-    def recurse(idxs, pt):
-        if not idxs:
-            return plain(pt)
-        a = idxs[0]
-        h = step if step is not None else default_fd_step(x[a], k)
-        # fourth-order-accurate central first derivative; at step
-        # h ~ eps^(1/(k+2)) the truncation term h^4 f^(5) is negligible
-        # against round-off, which keeps nested high-order estimates
-        # inside the 1e-4 oracle budget
-        return (shifted(idxs[1:], pt, a, -2, h)
-                - 8.0 * shifted(idxs[1:], pt, a, -1, h)
-                + 8.0 * shifted(idxs[1:], pt, a, 1, h)
-                - shifted(idxs[1:], pt, a, 2, h)) / (12.0 * h)
-
-    out = recurse(multi_index, x)
-    if not math.isfinite(out):
+    x = np.array(points, dtype=float, ndmin=2)
+    t = _tables(x.shape[1], MAX_ORDER)
+    # the step of an order-k partial along axis a at row i: steps[k, i, a]
+    steps = np.array([EPS ** (1.0 / (k + 4)) for k in range(MAX_ORDER + 1)]
+                     )[:, None, None] * np.maximum(1.0, np.abs(x))
+    with np.errstate(all="ignore"):
+        derivs = _nested_differences(_values_once(field, np.concatenate(
+            [_stencil(x, e, steps) for e in t.exps], axis=1)), t.exps, steps)
+    if not np.isfinite(derivs).all():
         raise NonFinite("finite-difference estimate is not finite")
+    return _jet4(t, np.column_stack(derivs + [np.full(len(x), math.nan)]),
+                 Faults(len(x)))
+
+
+def _stencil(x, exps, steps):
+    """The 4^k nodes of the nested stencil of the order-k monomial ``exps``
+    at each row of ``x``: a (batch, 4^k, n) array, the offsets along the
+    first axis outermost.  Each level adds its offsets to the coordinates
+    the levels before it left, as a recursion over the axes adds them."""
+    nodes = x[:, None]
+    for a in np.repeat(range(len(exps)), exps):     # the axes, sorted
+        nodes = np.repeat(nodes[:, :, None], 4, axis=2)
+        nodes[..., a] += _STENCIL * steps[sum(exps), :, a, None, None]
+        nodes = nodes.reshape(len(x), -1, x.shape[1])
+    return nodes
+
+
+def _values_once(field, nodes):
+    """``field`` on its float path at each node of the (batch, count, n)
+    array ``nodes``, a (batch, count) array.  Each distinct node, keyed by
+    its bits (-0.0 apart from 0.0), is evaluated once, in first-occurrence
+    order, and the first that fails raises its failure."""
+    number = {}
+    inverse = [number.setdefault(bits, len(number)) for bits in nodes.view(
+        np.dtype((np.void, 8 * nodes.shape[-1]))).ravel().tolist()]
+    values = []
+    try:
+        for bits in number:
+            values.append(float(field(np.frombuffer(bits).tolist())))
+    except GeothermoError:
+        # a raised failure keeps this frame alive, but not the stencils
+        del nodes, number, inverse, values
+        raise
+    return np.array(values)[inverse].reshape(nodes.shape[:-1])
+
+
+def _nested_differences(values, exps, steps):
+    """The partials of the (batch, count) node values of the stencils of
+    the monomials ``exps`` in turn, each in :func:`_stencil`'s order and
+    reduced axis by axis from the last: one (batch,) array per monomial."""
+    out = []
+    for e, d in zip(exps, np.split(values, np.cumsum(
+            [4 ** sum(e) for e in exps])[:-1], axis=1)):
+        for a in np.repeat(range(len(e)), e)[::-1]:
+            d = d.reshape(len(d), -1, 4)
+            d = (d[..., 0] - 8.0 * d[..., 1] + 8.0 * d[..., 2]
+                 - d[..., 3]) / (12.0 * steps[sum(e), :, a, None])
+        out.append(d[:, 0])
     return out
-
-
-def fd_jet4(field, x) -> Jet4:
-    """All partials through order 4 by nested central differences only, one
-    :func:`fd_partial` per monomial, as a batch of one point."""
-    x = [float(c) for c in x]
-    t = _tables(len(x), MAX_ORDER)
-
-    def partial(exps):
-        idx = [v for v, k in enumerate(exps) for _ in range(k)]
-        # fd_partial's stencil is fourth-order accurate, so the balanced
-        # step grows to eps^(1/(k+4)); the default eps^(1/(k+2)) leaves
-        # round-off dominant at order 4
-        scale = max([1.0] + [abs(x[a]) for a in idx])
-        return fd_partial(field, x, idx,
-                          step=EPS ** (1.0 / (len(idx) + 4)) * scale)
-
-    derivs = [float(field(x))] + [partial(e) for e in t.exps[1:]]
-    return _jet4(t, np.array([derivs + [math.nan]]), Faults(1))

@@ -30,6 +30,7 @@ def criterion(num, label):
     assert row["check"] == f"criterion:{num:02d}"
     verdict(num, label, row["pass"], ", ".join(
         f"{k} = {v}" for k, v in row.items() if k not in ("check", "pass")))
+    return row
 
 
 def test_criterion_01_ideal_gas_flatness():
@@ -67,13 +68,18 @@ def test_criterion_08_chaplygin_degeneracy():
 
 
 def test_criterion_09_ising_profile():
-    criterion(9, "Ising profile: finite, low-T growth, large-T plateau, "
-                 "AD=FD")
+    row = criterion(9, "Ising profile: finite, low-T growth, large-T "
+                       "plateau, AD=FD")
+    # the finite-difference oracle's bits at (T, H) = (1, 1)
+    assert repr(row["ad_fd_gap"]) == "0.0010190938171490416"
 
 
 def test_criterion_10_derivative_engine():
-    criterion(10, "jet derivatives through order 4 agree with finite "
-                  "differences")
+    row = criterion(10, "jet derivatives through order 4 agree with finite "
+                        "differences")
+    # the bits of the nested differences under the step rule
+    # h_a = eps^(1/(k+4)) * max(1, |x_a|)
+    assert repr(row["max_rel_dev"]) == "3.823417597381096e-05"
 
 
 def test_criterion_11_homogeneity_detector():

@@ -229,6 +229,15 @@ def test_kept_failure_does_not_keep_its_batch(name):
     assert _kept_bytes_per_failure(KEPT_FAILURES[name]) < 1700
 
 
+def test_failed_stencil_node_does_not_keep_the_stencils():
+    # fd_jet4 at 4 points builds 6372 stencil nodes; the failure of the
+    # first node that fails lets go of them (350 KB per kept failure
+    # otherwise) and keeps its frames, the points and their steps
+    points = np.column_stack([np.full(4, 1e-3), np.linspace(1.0, 2.0, 4)])
+    assert _kept_bytes_per_failure(
+        lambda: jets.fd_jet4(lambda a: jets.ln(a[0]), points)) < 8000
+
+
 def test_kept_degenerate_metric_does_not_keep_its_chunk():
     # a DegenerateMetric carries its point's metric, so it keeps more than
     # the failures above; that metric is a copy, not views into the g, dg

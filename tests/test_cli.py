@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geothermo import analysis, cli, dsl, systems
+from geothermo.errors import DomainViolation
 from geothermo.oracle import oracle_eval
 
 
@@ -532,6 +533,27 @@ def test_check_suite_that_raises_fails_as_a_row(capsys, monkeypatch):
     assert rows[0]["check"] == "oracle" and rows[0]["pass"] is False
     assert [row["check"] for row in rows[1:]] == SUITE_ROWS[8:] + [
         "criterion:stub"]
+
+
+def test_check_criterion_that_raises_fails_as_its_row(capsys, monkeypatch):
+    # a criterion whose computation raises is its own FAIL row, and the
+    # other ten still print; stubs stand for them
+    def stub(num):
+        return lambda: cli._criterion(num, True)
+
+    def doomed():
+        raise DomainViolation("a stencil node left the domain")
+
+    monkeypatch.setattr(cli, "CRITERIA", tuple(
+        doomed if num == 10 else stub(num) for num in range(1, 12)))
+    code, out, _ = run(["check", "criteria"], capsys)
+    assert code == 5
+    *lines, last = out.strip().splitlines()
+    assert lines == [f"[PASS] criterion:{num:02d} " for num in range(1, 10)] + [
+        "[FAIL] criterion:10 error=DomainViolation: a stencil node left "
+        "the domain", "[PASS] criterion:11 "]
+    assert [row["pass"] for row in json.loads(last)["checks"]] == [
+        num != 10 for num in range(1, 12)]
 
 
 # the rows of `check all` before the criteria suite's, in order

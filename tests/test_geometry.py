@@ -325,11 +325,14 @@ def test_chunk_outside_the_domain_skips_jets(monkeypatch):
     assert str(err.value) == "ising_f: point (1.0, -1.0) violates ['H > 0']"
     want = {i: (type(e), str(e))
             for i, e in domain_check(spec, outside).errors.items()}
+    # an empty batch is one chunk with no point inside the domain
     for dps in (None, 30):
-        res = curvature_at(spec, outside, dps=dps)
-        assert np.isnan(res.ricci_scalar).all() and res.nonfinite.all()
-        assert {i: (type(e), str(e))
-                for i, e in res.faults.errors.items()} == want
+        for points, errors in ((outside, want), (outside[:0], {})):
+            res = curvature_at(spec, points, dps=dps)
+            assert len(res.ricci_scalar) == len(res.nonfinite) == len(points)
+            assert np.isnan(res.ricci_scalar).all() and res.nonfinite.all()
+            assert {i: (type(e), str(e))
+                    for i, e in res.faults.errors.items()} == errors
     assert calls == []
     # with a point inside, the chunk runs, and its failed points read alike
     mixed = curvature_at(spec, np.vstack([[[1.0, 0.5]], outside]))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from geothermo.errors import DomainViolation, NonFinite, SingularDenominator
-from geothermo.jets import (Faults, Jet, default_fd_step, fd_partial,
-                            jet_eval, jet_poly)
+from geothermo.jets import EPS, Faults, Jet, fd_jet4, jet_eval, jet_poly
 from geothermo import analysis, geometry, jets
+from geothermo.systems import get_system
+from geothermo.transforms import invert_representation
 
 
 def f_mixed(args):
@@ -88,36 +89,170 @@ def test_domain_errors():
 
 
 def test_jet_vs_fd_random_field(rng=np.random.default_rng(7)):
-    for _ in range(5):
-        x = rng.uniform(0.6, 2.0, size=2)
-        j = jet_eval(f_mixed, x, 4)
-        for idx in [(0,), (1,), (0, 1), (0, 0), (1, 1), (0, 0, 1),
-                    (0, 1, 1), (0, 0, 1, 1)]:
-            fd = fd_partial(f_mixed, x, idx)
-            ad = j.value
-            arr = {1: j.grad, 2: j.hess, 3: j.third, 4: j.fourth}[len(idx)]
-            ad = arr[tuple(idx)]
-            assert abs(ad - fd) <= 1e-5 * (1.0 + abs(ad))
+    x = rng.uniform(0.6, 2.0, size=(5, 2))
+    j = jet_eval(f_mixed, x, 4)
+    fd = fd_jet4(f_mixed, x)
+    for idx in [(0,), (1,), (0, 1), (0, 0), (1, 1), (0, 0, 1),
+                (0, 1, 1), (0, 0, 1, 1)]:
+        name = ("grad", "hess", "third", "fourth")[len(idx) - 1]
+        ad = getattr(j, name)[(slice(None),) + idx]
+        assert np.all(abs(ad - getattr(fd, name)[(slice(None),) + idx])
+                      <= 1e-5 * (1.0 + abs(ad))), idx
 
 
-def test_fd_partial_evaluates_each_stencil_point_once():
+def nested_fd(field, x, idx):
+    """The nested central difference of the partial along the axes ``idx``
+    at ``x``, as a recursion over the axes (first axis outermost) with
+    fd_jet4's step rule."""
+    x = [float(c) for c in x]
+
+    def recurse(axes, pt):
+        if not axes:
+            return float(field(list(pt)))
+        a = axes[0]
+        h = EPS ** (1.0 / (len(idx) + 4)) * max(1.0, abs(x[a]))
+
+        def shifted(mult):
+            out = list(pt)
+            out[a] += mult * h
+            return recurse(axes[1:], out)
+
+        return (shifted(-2) - 8.0 * shifted(-1) + 8.0 * shifted(1)
+                - shifted(2)) / (12.0 * h)
+
+    return recurse(list(idx), x)
+
+
+def _once(field):
+    """``field`` evaluated once per point, keyed by its bits (-0.0 apart
+    from 0.0): a node that fd_jet4 and the recursion both visit costs one
+    Newton solve on a derived spec, and a node of other bits is a new
+    evaluation."""
+    values = {}
+
+    def once(x):
+        key = np.array(x).tobytes()
+        if key not in values:
+            values[key] = field(x)
+        return values[key]
+
+    return once
+
+
+def _fd_entries(fd, i):
+    """The entries of point ``i`` of a Jet4, one per monomial of the full
+    order-4 set, with the sorted axis tuple of each."""
+    tensors = (fd.value, fd.grad, fd.hess, fd.third, fd.fourth)
+    for exps in jets._tables(fd.n, 4).exps:
+        idx = tuple(a for a, k in enumerate(exps) for _ in range(k))
+        yield idx, tensors[len(idx)][(i,) + idx]
+
+
+@pytest.mark.parametrize("field,points", [
+    (f_mixed, [[2.0, 1.0], [0.7, 1.9]]),
+    (get_system("vdw_s").field, [[2.0, 3.0], [0.4, 1.7]]),
+    (get_system("ising_f").field, [[1.0, 1.0], [0.6, 0.3]]),
+    (get_system("chap_u").field, [[2.5, 1.0], [3.5, 0.7]]),
+    (get_system("ideal_g").field, [[1.0, 2.0], [3.0, 0.5]]),
+    (invert_representation(get_system("vdw_s"), 0, solve="newton").field,
+     [[1.5 * math.log(2.0 + 1.0 / 3.0) + math.log(2.0), 3.0]]),
+], ids=["f_mixed", "vdw_s", "ising_f", "chap_u", "ideal_g", "inv_vdw_s"])
+def test_fd_jet4_has_the_bits_of_the_recursion(field, points):
+    # batched stencils, each node evaluated once per call and the
+    # differences reduced axis by axis, give every entry the bits of the
+    # recursion over the axes
+    field = _once(field)
+    fd = fd_jet4(field, np.array(points))
+    for i, x in enumerate(points):
+        for idx, got in _fd_entries(fd, i):
+            assert got == nested_fd(field, x, idx), (x, idx)
+
+
+def test_fd_jet4_evaluates_each_stencil_node_once():
+    calls = []
+
+    def field(x):
+        calls.append(np.array(x).tobytes())
+        return f_mixed(x)
+
+    # the third point repeats the first, whose nodes it shares
+    points = np.array([[2.0, 1.0], [1.5, 0.5], [2.0, 1.0]])
+    fd = fd_jet4(field, points)
+    assert len(calls) == len(set(calls))
+    count = len(calls)
+    calls.clear()
+    fd_jet4(field, points[:2])
+    assert len(calls) == count
+    # each point's stencils have 1 + 2*4 + 3*16 + 4*64 + 5*256 nodes
+    assert count < 2 * 1593
+    assert np.array_equal(fd.fourth[0], fd.fourth[2])
+
+
+def test_fd_jet4_step_scales_with_each_axis():
+    # an order-k partial along axis a steps eps^(1/(k+4)) * max(1, |x_a|):
+    # longer at a higher order, and along each axis by its own coordinate
     calls = []
 
     def field(x):
         calls.append(tuple(x))
-        return f_mixed(x)
+        return x[0] * x[1]
 
-    for idx in ((0,), (0, 1), (0, 0, 1, 1)):
-        calls.clear()
-        fd_partial(field, (2.0, 1.0), idx)
-        assert len(calls) == len(set(calls))
-    assert len(calls) < 4 ** 4      # the order-4 stencil has 256 nodes
+    fd_jet4(field, (0.5, 100.0))
+    # the point, then the first-order stencils along u and along v (nodes
+    # x - 2h, x - h, x + h, x + 2h), then the first nodes of the
+    # second-order stencil along u, (u - 2h) - 2h
+    assert calls[0] == (0.5, 100.0)
+    assert calls[3][0] - 0.5 == pytest.approx(EPS ** (1 / 5))
+    assert calls[7][1] - 100.0 == pytest.approx(100.0 * EPS ** (1 / 5))
+    assert calls[9][0] - 0.5 == pytest.approx(-4.0 * EPS ** (1 / 6))
 
 
-def test_default_fd_step_scales():
-    assert default_fd_step(0.0, 1) < default_fd_step(0.0, 4)
-    assert default_fd_step(100.0, 2) == pytest.approx(
-        100.0 * default_fd_step(1.0, 2))
+def test_fd_jet4_keeps_signed_zeros_apart():
+    # at u = -0.0 the point itself is a node, and the second-order stencil
+    # along u comes back to +0.0 at (-0.0 - h) + h; a field that tells the
+    # two apart gets both values
+    calls = []
+
+    def field(x):
+        calls.append(tuple(x))
+        return math.copysign(1.0, x[0]) + x[0] * x[1]
+
+    x = (-0.0, 1.0)
+    fd = fd_jet4(field, x)
+    signs = [math.copysign(1.0, u) for u, v in calls if u == 0.0 and v == 1.0]
+    assert signs == [-1.0, 1.0]
+    for idx, got in _fd_entries(fd, 0):
+        assert got == nested_fd(field, x, idx), idx
+
+
+def test_fd_jet4_raises_the_first_failing_node():
+    # stencil order runs point by point: point 1 first fails at the
+    # second-order stencil along u, point 2 already at the first-order one,
+    # and point 1's failure is raised
+    def field(x):
+        if x[0] <= 0.0:
+            raise DomainViolation(f"at {x!r}")
+        return math.log(x[0]) * x[1]
+
+    points = np.array([[1.0, 1.0], [2e-3, 2.0], [1e-3, 3.0]])
+    h = EPS ** (1 / 6)
+    first = 2e-3
+    first += -2 * h
+    first += -2 * h
+    with pytest.raises(DomainViolation) as err:
+        fd_jet4(field, points)
+    assert str(err.value) == f"at {[first, 2.0]!r}"
+    with pytest.raises(DomainViolation) as err:
+        fd_jet4(field, points[2:])
+    assert str(err.value) == f"at {[1e-3 - 2 * EPS ** (1 / 5), 3.0]!r}"
+
+
+def test_fd_jet4_non_finite_estimate():
+    # the field is finite at the point and overflows to inf at the far
+    # nodes of the stencils along u
+    with pytest.raises(NonFinite, match="finite-difference estimate is "
+                                        "not finite"):
+        fd_jet4(lambda x: 1e308 * x[0] * x[0] + x[1], (1.3, 1.0))
 
 
 def test_jet_poly_deriv_and_eval():

@@ -2,11 +2,13 @@
 
 The generator walks the DSL grammar: leaves are the coordinates, a
 parameter, small constants, 0 and an overflowing literal (1e400 reads as
-inf); nodes are the binary operators, unary minus and every function.
-Each relation runs through ``curvature --file`` at one point and
-``scan --file`` on a 3x3 grid; every call must return a documented exit
-code (0-5) and raise nothing.  The same relations on their grids check the
-2-D curvature's truncated jets against full ones.
+inf); nodes are the binary operators, unary minus and every function.  A
+domain predicate compares two such expressions.  Each relation, with
+``x > 0`` and a random predicate as its domain, runs through
+``curvature --file`` at one point and ``scan --file`` on a 3x3 grid, under
+a random ``--param k=`` override; every call must return a documented exit
+code (0-5) and raise nothing.  The relations of the bare generator on
+their grids check the 2-D curvature's truncated jets against full ones.
 """
 
 import contextlib
@@ -21,6 +23,10 @@ from geothermo import analysis, cli, dsl, geometry, systems
 LEAVES = ("x", "y", "k", "0.5", "2", "3", "0", "1e400")
 BINARY = ("+", "-", "*", "/", "^")
 FUNCTIONS = tuple(dsl.FUNCTIONS)
+COMPARISONS = (">", ">=", "<", "<=", "!=")
+# values of the parameter k: the file's own, zero, negative, the float
+# range's ends and a second ordinary value
+PARAMS = ("1.5", "0", "-2", "1e308", "1e-308", "3")
 
 
 def random_relation(rng, depth=3):
@@ -40,28 +46,43 @@ def random_relation(rng, depth=3):
     return f"{fn}({', '.join(args)})"
 
 
-def test_random_relations_exit_with_documented_codes(tmp_path):
-    rng = random.Random(20261018)
+def random_predicate(rng):
+    """DSL source of a random domain predicate."""
+    return (f"{random_relation(rng, 2)} {rng.choice(COMPARISONS)} "
+            f"{random_relation(rng, 2)}")
+
+
+def exit_codes(seed, count, tmp_path):
+    """The exit codes of ``count`` random relations, each with a random
+    domain predicate and ``--param k=`` override, through ``curvature``
+    and ``scan``; asserts that each is documented."""
+    rng = random.Random(seed)
     path = tmp_path / "system.json"
     out = str(tmp_path / "scan.csv")
     codes = set()
-    for _ in range(300):
+    for _ in range(count):
         relation = random_relation(rng)
+        domain = ["x > 0", random_predicate(rng)]
+        param = ["--param", f"k={rng.choice(PARAMS)}"]
         path.write_text(json.dumps({
             "id": "random", "coords": [{"name": "x"}, {"name": "y"}],
             "excluded_index": "x", "params": {"k": 1.5},
-            "domain": ["x > 0"], "relation": relation}))
+            "domain": domain, "relation": relation}))
         for argv in (["curvature", "--file", str(path), "--at", "x=0.7,y=1.3"],
                      ["scan", "--file", str(path), "--grid", "x=0.5:2:3",
                       "--grid", "y=-1:2:3", "-o", out]):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv)
-            assert code in range(6), (relation, argv[0], code)
+                code = cli.main(argv + param)
+            assert code in range(6), (relation, domain, param, argv[0], code)
             codes.add(code)
+    return codes
+
+
+def test_random_relations_exit_with_documented_codes(tmp_path):
     # the sample reaches success, parse-free library errors and domain
     # violations, so it exercises more than one branch of the contract
-    assert {0, 1, 2} <= codes
+    assert {0, 1, 2} <= exit_codes(20261018, 300, tmp_path)
 
 
 def _random_spec(relation):
