@@ -281,7 +281,6 @@ def _vdw_figure_rows(which):
     P = VDW_PR * a / (27.0 * b * b)
     vdw_s = get_system("vdw_s")
     vdw_u = get_system("vdw_u")
-    vdw_F = get_system("vdw_F")
     vrs = np.linspace(VDW_VR_RANGE[0], VDW_VR_RANGE[1], VDW_SAMPLES)
 
     def curvature(spec, *columns):
@@ -301,7 +300,8 @@ def _vdw_figure_rows(which):
         if which == "vdW1":
             cols = (v_r, curvature(vdw_s, u, v), Ru)
         else:
-            cols = (v_r, Ru, curvature(vdw_F, jet.grad[:, 0] ** -1.0, v))
+            cols = (v_r, Ru, curvature(get_system("vdw_F"),
+                                       jet.grad[:, 0] ** -1.0, v))
         return [c.tolist() for c in cols]
 
     # one batch for the whole figure

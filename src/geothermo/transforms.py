@@ -16,11 +16,26 @@ it seed each solve.  The float solves of a batch advance in lockstep
 (:func:`jets.lockstep`), each pass one evaluation of the base field over
 every live trial, checked against the base predicates that read the solved
 slot; the others are checked once per point, before the first trial.  A
-derived base solves once per pass.  The jet-space correction is Newton
-iteration on the order-4 Taylor polynomial, expanded once as a series in
-the solved slot: from the float root, k iterations are exact through degree
-2^k - 1.  A point decides only from its own values, and a call on floats is
-a batch of one at order 0, so a point and its batch give the same bits.
+trial reads f and f' from the coefficient rows of that evaluation
+(:func:`jets.jet_partials`), under the NonFinite rule of ``jet_eval`` and
+without its scatter into tensors.  A derived base solves once per pass.
+The jet-space correction is Newton iteration on the order-4 Taylor
+polynomial, expanded once as a series in the solved slot: from the float
+root, k iterations are exact through degree 2^k - 1.  A point decides only
+from its own values, and a call on floats is a batch of one at order 0, so
+a point and its batch give the same bits.
+
+A single query is a batch of one, and its cost is mostly fixed per call.
+Measured in process with stage wrappers (2-core machine, 48 points of the
+sample box, best of 5 passes), an ``inv_vdw_s`` query costs about 980 us:
+the float solve 450-490 (seeds 33, 3.8 trial evaluations 215-235, 4.8
+domain checks 150-165), the base's order-4 jet 100, the series 45, the jet
+Newton 200-220 and the curvature outside the field 160-180.  Reading the
+trials' rows in place of jet_eval's scatter, interpolating only the seed
+lines that bracket a point, placing the series coefficients without
+products and gathering the jet products' pairs with ``take`` took it from
+about 1170 us (solve 550-600, seeds 60, series 85, jet Newton 260-280);
+``pl_vdw_u`` went from about 1190 to 960 us.
 
 A numerically derived spec has no domain predicates.  Its domain is the set
 of points whose float Newton solve succeeds inside the base domain, and a
@@ -50,12 +65,20 @@ import numpy as np
 from . import systems
 from .errors import (DomainViolation, GeothermoError, InversionFailure,
                      PreconditionFailure)
-from .jets import Faults, Jet, jet_eval, jet_poly, lockstep
+from .jets import (Faults, Jet, jet_eval, jet_partials, jet_poly, lockstep,
+                   monomial_number)
 from .systems import (EXTENSIVE, INTENSIVE, Coordinate, SystemSpec,
                       domain_check, evaluate)
 
 NEWTON_MAX_ITER = 100
 NEWTON_RTOL = 1e-12
+# where bisection's bracket closes, |f| at a root has fallen from its
+# larger value at the bracket's first ends at least in proportion to the
+# width, give or take this factor: it admits a root up to about 1e6 times
+# steeper than the bracket's mean slope (tanh(1e6 (z - 0.5)) on a bracket
+# 0.06 wide) and rounding in f of a few ulp of the target, and on such a
+# bracket it rejects a jump of more than about 1e-8 of the ends' |f|
+BISECTION_SLACK = 1e6
 MONOTONE_SAMPLES = 32
 SEED_LINES = 8
 
@@ -97,9 +120,11 @@ def _newton_solve(seed, lo, hi, target):
     or None where z is invalid, which damping treats as out of range.  An
     accepted trial's derivative is the next Newton step's.  It returns the
     root, or raises DomainViolation.  Bisection returns only a midpoint
-    whose f it has seen: zero, or small where the bracket closes; a sign
-    change at a pole and a bracket that does not close in 200 halvings
-    fail.
+    whose f it has seen: zero, or, where the bracket closes, an |f| that
+    fell with the bracket's width (see :data:`BISECTION_SLACK`).  A sign
+    change at a pole (|f| grows), a jump across zero (|f| stays bounded)
+    and a bracket that does not close in 200 halvings fail, each with its
+    own message.
 
     f is a value minus ``target``, so a residual is accepted relative to
     max(1, |target|): scaled by |z| instead, a far trial whose value has
@@ -151,9 +176,12 @@ def _newton_solve(seed, lo, hi, target):
         z0, f0 = z1, f1
     else:
         raise DomainViolation("inversion target is out of reach on the domain")
-    # a root, not a pole, where the bracket closes: |f| there falls below
-    # its larger value at the sampled ends, as a pole's does not
-    a, b, fa, reach = z0, z1, f0, max(abs(f0), abs(f1))
+    # a root where the bracket closes: |f| there has fallen from its larger
+    # value at the sampled ends about as much as the bracket has shrunk.  A
+    # pole's |f| grows past that value, and a jump's stays near half its
+    # step
+    a, b, fa = z0, z1, f0
+    reach, width = max(abs(f0), abs(f1)), z1 - z0
     for _ in range(200):
         mid = 0.5 * (a + b)
         out = yield mid
@@ -165,10 +193,13 @@ def _newton_solve(seed, lo, hi, target):
         if fm == 0.0:
             return mid
         if (b - a) < 1e-15 * max(1.0, abs(mid)):
-            if abs(fm) < reach:
+            if abs(fm) <= BISECTION_SLACK * reach * ((b - a) / width):
                 return mid
+            if abs(fm) > reach:
+                raise DomainViolation(
+                    f"inversion equation changes sign at a pole near {mid!r}")
             raise DomainViolation(
-                f"inversion equation changes sign at a pole near {mid!r}")
+                f"inversion equation jumps across zero near {mid!r}")
         if fa * fm < 0.0:
             b = mid
         else:
@@ -189,9 +220,11 @@ def _horner(series, t):
 
 
 def _derivative(series, d):
-    """Coefficients of the d-th derivative in t of sum_m series[m] t^m."""
-    return [float(math.perm(m, d)) * a
-            for m, a in enumerate(series) if m >= d]
+    """Coefficients of the d-th derivative in t of sum_m series[m] t^m.  A
+    product by a factor m!/(m-d)! of 1 is exact, so it is not taken."""
+    factors = [math.perm(m, d) for m in range(d, len(series))]
+    return [a if f == 1 else float(f) * a
+            for f, a in zip(factors, series[d:])]
 
 
 class _ImplicitField:
@@ -208,18 +241,28 @@ class _ImplicitField:
     predicates are split once by whether their tapes read the solved slot:
     those that do not hold or fail alike for every trial of a point.
 
+    A trial reads f and f' from the coefficient rows of one evaluation of
+    the base (:func:`jets.jet_partials`, the columns ``_along``), and a
+    point is seeded from the 2^(n-1) seed lines that bracket it
+    (:meth:`_seeds`).
+
     The jet-level result expands the order-4 Taylor polynomial of the base
     potential in the solved slot once, as a series in t = z - z0 whose
     coefficients are jets of the other coordinates
-    (:meth:`Jet.slot_series`).  Newton's method on that series doubles the
+    (:meth:`Jet.slot_series`, which places the coefficients of a
+    two-coordinate base without products, since each displacement is its
+    variable shifted to zero).  Newton's method on that series doubles the
     order of contact with every step (Brent & Kung, J. ACM 25, 1978): from
     the float root, k steps are exact through degree 2^k - 1, so
     ``order.bit_length()`` steps reach the truncation order (3 at order 4).
     The new potential is the solved z for inversion and Phi - I z, from the
     same series, for a Legendre transform.  A call on floats is a batch of
-    one at order 0 whose failure raises; a call on jets records failures in
-    their evaluation's fault record.
+    one at order 0 whose failure raises (so ``float_batch`` lets
+    :func:`jets.fd_jet4` run its stencil nodes as one batch); a call on jets
+    records failures in their evaluation's fault record.
     """
+
+    float_batch = True
 
     def __init__(self, base: SystemSpec, slot: int, derivative: int,
                  nodes, lines):
@@ -227,6 +270,12 @@ class _ImplicitField:
         self.slot = slot
         self.derivative = derivative
         self._others = [j for j in range(base.n) if j != slot]
+        self._interval = _box(base)[0][slot]
+        # the partials of the base in the slot, of degree 0, 1 and 2: the
+        # columns a trial reads
+        self._along = [monomial_number([m * (j == slot)
+                                        for j in range(base.n)])
+                       for m in range(3)]
         self._nodes = nodes
         self._lines = lines
 
@@ -245,25 +294,34 @@ class _ImplicitField:
         """Newton seeds for the rows of ``points``: the slot coordinate at
         which each seed line's samples interpolate the row's target,
         blended linearly across the lines that bracket the row's other
-        coordinates (clamped to the grid of lines)."""
-        size = len(points)
-        weights = np.ones((size, 1))
+        coordinates (clamped to the grid of lines).
+
+        Only the 2^(n-1) bracketing lines of each row are read: each
+        corner of its cell is one line, with the product of the row's hat
+        weights along the other coordinates, taken in line order.  A row
+        adds a line's interpolant where its weight is positive."""
+        # per corner of each row's cell: its line and its weight
+        corners = [(np.zeros(len(points), dtype=np.intp),
+                    np.ones(len(points)))]
         for j, nodes in zip(self._others, self._nodes):
             x = points[:, j]
-            k = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                        0, len(nodes) - 2)
-            t = np.clip((x - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0, 1.0)
-            hats = np.zeros((size, len(nodes)))
-            hats[np.arange(size), k] = 1.0 - t
-            hats[np.arange(size), k + 1] = t
-            weights = (weights[:, :, None] * hats[:, None, :]).reshape(
-                size, weights.shape[1] * len(nodes))
+            # the lower node of the row's interval, clamped to the grid
+            k = np.searchsorted(nodes[1:-1], x, side="right")
+            t = np.minimum(np.maximum(
+                (x - nodes[k]) / (nodes[k + 1] - nodes[k]), 0.0), 1.0)
+            cells = []
+            for line, weight in corners:
+                low = line * len(nodes) + k
+                cells += [(low, weight * (1.0 - t)), (low + 1, weight * t)]
+            corners = cells
         targets = points[:, self.slot]
-        seeds = np.zeros(size)
-        for w, (coords, values) in zip(weights.T, self._lines):
-            if w.any():
+        seeds = np.zeros(len(points))
+        for line, weight in corners:
+            for i in set(line.tolist()):
+                coords, values = self._lines[i]
                 seeds = np.where(
-                    w > 0.0, seeds + w * np.interp(targets, values, coords),
+                    (line == i) & (weight > 0.0),
+                    seeds + weight * np.interp(targets, values, coords),
                     seeds)
         return seeds
 
@@ -299,30 +357,32 @@ class _ImplicitField:
 
             faults.flag(~record.ok, fixed_violation)
         rows = np.flatnonzero(faults.ok)
-        targets = points[:, slot].tolist()
-        lo, hi = _box(self.base)[0][slot]
+        unsolved = points[rows]
+        targets = unsolved[:, slot].tolist()
+        lo, hi = self._interval
+        along = [self._along[order - 1], self._along[order]]
 
         def equation(live, trials):
-            # (f, df/dz) at each trial; None where it fails or f is not finite
-            at = rows[live]
-            trial_pts = points[at]
+            # (f, df/dz) at each trial, read from the base's partials; None
+            # where the trial fails, a partial is not finite (the NonFinite
+            # rule of jet_eval) or f is not finite
+            trial_pts = unsolved.take(live, axis=0)
             trial_pts[:, slot] = trials
-            record = (Faults(len(at)) if self._trial is None
+            record = (Faults(len(live)) if self._trial is None
                       else domain_check(self._trial, trial_pts))
-            jet = jet_eval(self.base.field, trial_pts, order, record)
-            along = (jet.value, jet.grad[:, slot], jet.hess[:, slot, slot])
-            f, df = along[order - 1], along[order]
+            derivs = jet_partials(self.base.field, trial_pts, order, record)
             out = []
-            for i, ok, fi, dfi in zip(at.tolist(), record.ok.tolist(),
-                                      f.tolist(), df.tolist()):
+            for i, ok, (fi, dfi) in zip(live, record.ok.tolist(),
+                                        derivs.take(along, axis=1).tolist()):
                 fi -= targets[i]
                 out.append((fi, dfi) if ok and math.isfinite(fi) else None)
             return out
 
-        seeds = self._seeds(points[rows]).tolist()
-        roots = lockstep([_newton_solve(seed, lo, hi, targets[i])
-                          for seed, i in zip(seeds, rows.tolist())],
-                         equation)
+        seeds = self._seeds(unsolved).tolist()
+        with np.errstate(all="ignore"):
+            roots = lockstep([_newton_solve(seed, lo, hi, target)
+                              for seed, target in zip(seeds, targets)],
+                             equation)
         base_pts = np.full_like(points, math.nan)
         for i, z in zip(rows.tolist(), roots):
             if isinstance(z, GeothermoError):
@@ -339,7 +399,7 @@ class _ImplicitField:
             return jet_eval(self, [float(a) for a in args], 0).value
         # jets of one evaluation, carrying its fault record
         order, faults = args[0].order, args[0].faults
-        y0 = np.column_stack([a.value for a in args])
+        y0 = np.array([a.value for a in args]).T
         # the solve is also the domain check; a failed point stays NaN
         base_pts = self.solve_base_point(y0.astype(float), faults)
         # the polynomial needs at least order 2 so that the Newton slope of
@@ -348,7 +408,8 @@ class _ImplicitField:
         poly = jet_poly(self.base.field, base_pts, max(order, 2), faults,
                         args[0].bk)
         series = poly.slot_series(
-            self.slot, [args[j] - y0[:, j] for j in range(len(args))])
+            self.slot, [None if j == self.slot else args[j] - y0[:, j]
+                        for j in range(len(args))])
         equation = _derivative(series, self.derivative)
         slope = _derivative(equation, 1)
         target = args[self.slot]

@@ -238,6 +238,17 @@ def test_failed_stencil_node_does_not_keep_the_stencils():
         lambda: jets.fd_jet4(lambda a: jets.ln(a[0]), points)) < 8000
 
 
+def test_failed_derived_stencil_node_does_not_keep_the_stencils():
+    # a Newton-derived field's nodes run as one order-0 batch: the failure
+    # of its first failing node (below v = b) keeps neither the stencils
+    # nor that batch
+    spec = SPECS["inv_vdw_s"]
+    points = np.column_stack([np.full(4, spec.sample_box[0][0]),
+                              np.linspace(1.0 + 2e-4, 2.0, 4)])
+    assert _kept_bytes_per_failure(
+        lambda: jets.fd_jet4(spec.field, points)) < 8000
+
+
 def test_kept_degenerate_metric_does_not_keep_its_chunk():
     # a DegenerateMetric carries its point's metric, so it keeps more than
     # the failures above; that metric is a copy, not views into the g, dg

@@ -10,7 +10,7 @@ from geothermo.errors import DomainViolation, NonFinite, SingularDenominator
 from geothermo.jets import EPS, Faults, Jet, fd_jet4, jet_eval, jet_poly
 from geothermo import analysis, geometry, jets
 from geothermo.systems import get_system
-from geothermo.transforms import invert_representation
+from geothermo.transforms import invert_representation, partial_legendre
 
 
 def f_mixed(args):
@@ -255,6 +255,54 @@ def test_fd_jet4_non_finite_estimate():
         fd_jet4(lambda x: 1e308 * x[0] * x[0] + x[1], (1.3, 1.0))
 
 
+def _derived(key):
+    if key == "inv_vdw_s":
+        return invert_representation(get_system("vdw_s"), 0, solve="newton")
+    return partial_legendre(get_system("vdw_u"), 0, solve="newton")
+
+
+@pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
+def test_fd_jet4_runs_a_derived_field_as_one_batch(key, monkeypatch):
+    # a Newton-derived field's float path is an order-0 batch of one, so
+    # its distinct stencil nodes run as one order-0 batch, one solve, with
+    # the bits of one call per node
+    spec = _derived(key)
+    field = spec.field
+    points = np.array([[0.5 * (lo + hi) for lo, hi in spec.sample_box],
+                       [lo + 0.25 * (hi - lo) for lo, hi in spec.sample_box]])
+    per_node = fd_jet4(lambda x: field(x), points)
+    solves = []
+    solve = type(field).solve_base_point
+
+    def counted(self, x, faults):
+        solves.append(len(x))
+        return solve(self, x, faults)
+
+    monkeypatch.setattr(type(field), "solve_base_point", counted)
+    batched = fd_jet4(field, points)
+    assert len(solves) == 1 and solves[0] < 2 * 1593
+    for name in ("value", "grad", "hess", "third", "fourth"):
+        assert getattr(batched, name).tobytes() == \
+            getattr(per_node, name).tobytes(), name
+
+
+@pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
+def test_fd_jet4_of_a_derived_field_raises_the_first_failing_node(key):
+    # v = b + 2e-4: the stencils along v step below b, outside the preimage
+    # of the base domain; the batch raises the failure of the first such
+    # node in stencil order, as one call per node does
+    spec = _derived(key)
+    (s_lo, s_hi), _ = spec.sample_box
+    points = np.array([[0.5 * (s_lo + s_hi), 3.0], [s_lo, 1.0 + 2e-4]])
+    errors = []
+    for field in (spec.field, lambda x: spec.field(x)):
+        with pytest.raises(DomainViolation) as err:
+            fd_jet4(field, points)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert "it violates ['v > b']" in errors[0]
+
+
 def test_jet_poly_deriv_and_eval():
     p = jet_poly(f_mixed, (2.0, 1.0), 4)
     assert p.c.shape == (15 + 1, 1)       # 15 monomials, one point
@@ -280,6 +328,44 @@ def test_slot_series_with_jet_deltas_matches_the_polynomial():
         total = total * du + a
     assert np.allclose(np.asarray(total.c, dtype=float),
                        np.asarray(p.c, dtype=float), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("order, top", [(0, None), (1, None), (2, None),
+                                        (3, None), (4, None), (4, ((2, 2),))])
+@pytest.mark.parametrize("batch", [1, 70])
+def test_placed_series_has_the_bits_of_the_products(order, top, batch,
+                                                     monkeypatch):
+    # displacements that are the variables shifted to zero place each
+    # coefficient instead of multiplying it out: every series entry keeps
+    # the type, tag and bits of the products and sums, on coefficients that
+    # hold signed zeros, infinities, NaN, all-zero rows and huge values,
+    # and on delta sets that drop x^p (low orders, the 2-D curvature's set).
+    # A variable at -0.0 or at NaN is no zero shift and multiplies out
+    rng = np.random.default_rng(10 * order + batch)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e-308,
+               2.5, -3.0]
+    t = jets._tables(2, max(order, 2))
+    c = rng.choice(special, size=(t.size + 1, batch)).astype(jets.DTYPE)
+    c[rng.integers(1, t.size, 3)] = 0.0
+    c[-1] = 0.0
+    poly = Jet(t, c, Faults(batch))
+    at = rng.uniform(0.5, 2.0, batch)
+    for slot, value in ((0, at), (1, at), (0, -0.0), (1, math.nan)):
+        delta = Jet.variable(jets._tables(2, order, top), 1 - slot,
+                             np.full(batch, value), poly.faults)
+        deltas = [None, None]
+        deltas[1 - slot] = delta - delta.value if value is at else delta
+        with np.errstate(all="ignore"):
+            placed = poly.slot_series(slot, deltas)
+            monkeypatch.setattr(jets, "_is_zero_shift", lambda d, i: False)
+            looped = poly.slot_series(slot, deltas)
+            monkeypatch.undo()
+        for a, b in zip(placed, looped):
+            assert type(a) is type(b)
+            if isinstance(a, Jet):
+                assert (a.t, a.affine) == (b.t, b.affine)
+                a, b = a.c, b.c
+            assert _same_bits(a, b)
 
 
 def test_division_and_int_pow():

@@ -314,9 +314,10 @@ def test_inverted_taylor_coefficients_are_exact_through_order_4():
 
 def _count_passes(monkeypatch):
     """Record (spec id, predicates, points) of every transforms.domain_check
-    call and (field, order, points) of every transforms.jet_eval call."""
+    call and (field, order, points) of every transforms.jet_partials call,
+    the evaluation a Newton trial makes."""
     evals, checks = [], []
-    real_eval, real_check = transforms.jet_eval, transforms.domain_check
+    real_eval, real_check = transforms.jet_partials, transforms.domain_check
 
     def counted_eval(field, x, order=4, *args, **kwargs):
         evals.append((field, order, np.asarray(x).tolist()))
@@ -327,7 +328,7 @@ def _count_passes(monkeypatch):
                        np.asarray(x).tolist()))
         return real_check(spec, x)
 
-    monkeypatch.setattr(transforms, "jet_eval", counted_eval)
+    monkeypatch.setattr(transforms, "jet_partials", counted_eval)
     monkeypatch.setattr(transforms, "domain_check", counted_check)
     return evals, checks
 
@@ -530,6 +531,69 @@ def test_derived_point_is_a_batch_of_one(key, rng=np.random.default_rng(21)):
         assert evaluate(spec, x) == batch[i], x
 
 
+# R at single points of the derived specs, to its last bit, or the point's
+# failure: eight points inside the sample box, two below v = b and two
+# targets out of reach (the Legendre transform reaches T = 1e4)
+DERIVED_BITS = {
+    "inv_vdw_s": [
+        ((1.9280432664634752, 4.058210363660503), -0.4314921094526051),
+        ((3.0021203177275733, 2.644122990744609), -0.449741849275913),
+        ((2.2636803267374113, 3.11605494274641), -0.46106909816532043),
+        ((2.6512411442571073, 3.943764878749948), -0.3527942272208728),
+        ((1.369435834194837, 3.822473783867492), -0.5972645292495404),
+        ((1.4618706135284492, 1.7230720875743015), -0.6124020441521814),
+        ((1.1632375031561444, 3.04254651380829), -0.7223858752940745),
+        ((0.9378081342611873, 4.976800434116925), -0.7485938260528605),
+        ((-0.2541492046150464, -0.75),
+         "point (-0.2541492046150464, -0.75) is outside the preimage of the "
+         "vdw_s domain: it violates ['v > b']"),
+        ((3.2146322661610247, 0.999),
+         "point (3.2146322661610247, 0.999) is outside the preimage of the "
+         "vdw_s domain: it violates ['v > b']"),
+        ((-50.0, 3.0),
+         "point (-50.0, 3.0) is outside the preimage of the vdw_s domain: "
+         "inversion target is out of reach on the domain"),
+        ((10000.0, 3.0),
+         "point (10000.0, 3.0) is outside the preimage of the vdw_s domain: "
+         "inversion target is out of reach on the domain"),
+    ],
+    "pl_vdw_u": [
+        ((1.0445505985309815, 1.592691415126731), -0.29717144789771516),
+        ((0.8339320727673575, 3.4438916867743243), -0.2959692158916961),
+        ((0.739020727746166, 1.823655215174114), -0.3604892539001271),
+        ((1.148141655918855, 2.8354990841595202), -0.3089092040765932),
+        ((1.1421589205443592, 3.3158937472570003), -0.2654835205878361),
+        ((0.593598884669533, 2.630025884961895), -0.48462577433904247),
+        ((0.6224293228907961, 5.121761919898519), -0.20071099924341793),
+        ((1.0639949968803983, 5.137700598568633), -0.15861067705561166),
+        ((0.054987773981568344, -0.75),
+         "point (0.054987773981568344, -0.75) is outside the preimage of "
+         "the vdw_u domain: it violates ['v > b']"),
+        ((1.1936012020094222, 0.999),
+         "point (1.1936012020094222, 0.999) is outside the preimage of the "
+         "vdw_u domain: it violates ['v > b']"),
+        ((-50.0, 3.0),
+         "point (-50.0, 3.0) is outside the preimage of the vdw_u domain: "
+         "inversion target is out of reach on the domain"),
+        ((10000.0, 3.0), -0.20000844465185666),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(DERIVED_BITS))
+def test_derived_queries_keep_their_bits(key):
+    # every R to its last bit (repr), and every failure's class and message
+    spec = _derived(key)
+    for point, want in DERIVED_BITS[key]:
+        if isinstance(want, str):
+            with pytest.raises(DomainViolation) as err:
+                curvature_at(spec, point)
+            assert type(err.value) is DomainViolation
+            assert str(err.value) == want
+        else:
+            assert repr(curvature_at(spec, point).ricci_scalar) == repr(want)
+
+
 @pytest.mark.parametrize("key", ["inv_vdw_s", "pl_vdw_u"])
 def test_derived_field_runs_on_floats(key):
     # the field called on floats takes the jet path at order 0, with the
@@ -596,6 +660,24 @@ def test_bisection_returns_an_exact_zero_it_samples():
     passes = []
     assert _drive(lambda z: (z - root, 0.0), passes=passes) == root
     assert passes[-1] == [root]
+
+
+@pytest.mark.parametrize("equation", [
+    lambda z: (z - 0.5) + 0.1 * math.copysign(1.0, z - 0.5),
+    lambda z: math.copysign(1.0, z - 0.5),
+], ids=["step_on_a_slope", "sign"])
+def test_bisection_fails_a_jump_across_zero(equation):
+    # f jumps across zero at 0.5, by 0.2 on a slope and by 2 alone: where
+    # the bracket closes |f| is still about 0.1 or 1, not a root's value,
+    # which falls with the bracket, nor a pole's, which grows
+    with pytest.raises(DomainViolation, match="jumps across zero near 0.4999"):
+        _drive(lambda z: (equation(z), 0.0))
+
+
+def test_bisection_accepts_a_steep_smooth_root():
+    # slope 1e6 at the root, about 3e4 times the bracket's mean slope
+    assert _drive(lambda z: (math.tanh(1e6 * (z - 0.5)), 0.0)) == \
+        pytest.approx(0.5, abs=1e-12)
 
 
 def test_newton_nudges_an_invalid_seed_into_the_valid_region():
