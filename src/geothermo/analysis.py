@@ -435,16 +435,21 @@ def scan_vdw_vP(P: float, v_range, count: int = 241,
 def locus_numerator_check(a: float, b: float, critical_points):
     """Numerator of R(v, P) on the locus: finite, generically nonzero.
 
-    Each (v_c, P_c) must satisfy 2ab - a v_c + P_c v_c^3 = 0 to 1e-8.
+    Each (v_c, P_c) must satisfy 2ab - a v_c + P_c v_c^3 = 0 to 1e-8.  A
+    point where a float power overflows raises NonFinite.
     """
     rows = []
     for vc, Pc in critical_points:
-        locus = 2*a*b - a*vc + Pc*vc**3
-        if abs(locus) > 1e-8 * max(1.0, abs(a*b), abs(Pc*vc**3)):
-            raise PreconditionFailure(
-                f"({vc}, {Pc}) is not on the transition locus "
-                f"(2ab - av + Pv^3 = {locus:.3e})")
-        num = oracle_eval("numR_at_critical", {"v": vc}, {"a": a, "b": b})
+        try:
+            locus = 2*a*b - a*vc + Pc*vc**3
+            if abs(locus) > 1e-8 * max(1.0, abs(a*b), abs(Pc*vc**3)):
+                raise PreconditionFailure(
+                    f"({vc}, {Pc}) is not on the transition locus "
+                    f"(2ab - av + Pv^3 = {locus:.3e})")
+            num = oracle_eval("numR_at_critical", {"v": vc},
+                              {"a": a, "b": b})
+        except OverflowError:       # a float ** raises where it overflows
+            num = math.inf
         if not math.isfinite(num):
             raise NonFinite(f"locus numerator not finite at ({vc}, {Pc})")
         rows.append((vc, Pc, num))

@@ -25,17 +25,18 @@ Which path builds which arrays:
   :func:`curvature_at` chunk and of the finite-difference oracle.  On a 2-D
   jet (:func:`_surface_curvature`) it goes to R on 1-D batch columns: g,
   det g = EG - F^2 and the twelve columns, each in the order of operations
-  of the tensor assembly.  It builds no full dg or ddg, except for the
-  payload of a DegenerateMetric.  Of the fourth-order partials it reads
-  Phi_uuvv alone, so the jet of a compiled relation holds only the
-  monomials of degree <= 3 and u^2 v^2 (:data:`SURFACE_TOP`); a
-  DegenerateMetric's payload then takes a full jet of its chunk's
-  degenerate points.  Any other n takes :func:`ricci_scalar` of
+  of the tensor assembly.  It builds no full dg or ddg.  Of the
+  fourth-order partials it reads Phi_uuvv alone, so the jet of a compiled
+  relation holds only the monomials of degree <= 3 and u^2 v^2
+  (:data:`SURFACE_TOP`).  Any other n takes :func:`ricci_scalar` of
   :func:`natural_metric`.
-- :func:`natural_metric` (for :func:`metric_at`, :func:`christoffel` and any
-  other n) builds the full g, dg and ddg, and det g (EG - F^2 when n = 2),
-  from a full jet.  :func:`ricci_scalar` contracts the Riemann tensor of
-  such a metric for every n, so on a 2-D metric it agrees with
+- :func:`natural_metric` (for :func:`metric_at`, :func:`christoffel`, any
+  other n and the payload of a 2-D DegenerateMetric) is the one builder of
+  the full g, dg and ddg, and det g (EG - F^2 when n = 2), from a full jet.
+  The payload is natural_metric of the chunk's jet when that is full (the
+  finite-difference oracle, a Newton-derived spec), and otherwise of a full
+  order-4 jet of the chunk.  :func:`ricci_scalar` contracts the Riemann
+  tensor of such a metric for every n, so on a 2-D metric it agrees with
   :func:`curvature_at` to the tensor path's round-off, not bit for bit.
 
 The formula sets EG - F^2 to 1 at a failed point, and the tensor path masks
@@ -107,12 +108,14 @@ class MetricTensor:
         return np.abs(self.det) < DEGENERACY_RTOL * np.maximum(s * s, 1e-300)
 
     def point(self, i: int) -> "MetricTensor":
-        # tolist() gives Python floats, or the mpmath numbers themselves;
-        # copies, not views, so that a kept point does not keep its batch
+        # item() gives a Python float, or the mpmath number itself, without
+        # converting the batch; copies, not views, so that a kept point does
+        # not keep its batch
         return MetricTensor(at=self.at[i].copy(), g=self.g[i].copy(),
                             dg=self.dg[i].copy(), ddg=self.ddg[i].copy(),
-                            det=self.det.tolist()[i],
-                            conformal_factor=self.conformal_factor.tolist()[i],
+                            det=self.det[i:i + 1].item(),
+                            conformal_factor=self.conformal_factor[
+                                i:i + 1].item(),
                             degenerate=bool(self.degenerate[i]))
 
 
@@ -389,9 +392,8 @@ def _surface_curvature(spec: SystemSpec, jet: Jet4, x) -> CurvatureResult:
     partials it reads Phi_uuvv alone, so the jet may hold only the 2-D
     curvature's monomial set (see :func:`_chunk`).  The failures are
     flagged as in :func:`natural_metric`; a DegenerateMetric carries its
-    point's full metric, whose dg and ddg are built only then, from the
-    jet when it is full, or else from a full order-4 jet of the chunk's
-    degenerate points.
+    point's full metric, which is built only then, as :func:`natural_metric`
+    of the jet when it is full, or else of a full order-4 jet of the chunk.
     """
     x = np.asarray(x, dtype=float)
     i = spec.excluded_index
@@ -441,22 +443,13 @@ def _surface_curvature(spec: SystemSpec, jet: Jet4, x) -> CurvatureResult:
                          conformal_factor=c, faults=jet.faults)
 
         def full():
-            # the metric with dg and ddg, which a DegenerateMetric reads at
-            # its point alone: from the jet when it is full, or else from a
-            # full jet of the degenerate points, which have passed the
-            # domain check (a point's jet does not depend on its batch)
-            if jet.top is None:
-                _, _, dg, ddg = _tensors(jet, x, masked[:, None], [j])
-                return replace(m, dg=dg, ddg=ddg)
-            rows = np.flatnonzero(m.degenerate)
-            at = x[rows]
-            whole = jet_eval(spec.field, at, 4, Faults(len(rows)),
-                             backend_of(w))
-            _, _, dg4, ddg4 = _tensors(whole, at, masked[rows, None], [j])
-            dg, ddg = (np.full((len(x),) + a.shape[1:], np.nan, a.dtype)
-                       for a in (dg4, ddg4))
-            dg[rows], ddg[rows] = dg4, ddg4
-            return replace(m, dg=dg, ddg=ddg)
+            # natural_metric of the chunk's jet when it is full, or else of
+            # a full jet of the chunk (a point's jet does not depend on its
+            # batch), each on a record of its own, so that a coefficient
+            # the chunk's jet does not hold fails no point
+            whole = jet if jet.top is None else jet_eval(
+                spec.field, x, 4, None, backend_of(w))
+            return natural_metric(replace(whole, faults=Faults(len(x))), x, i)
 
         _flag_failures(m, [j], w[:, None], small, full)
         return _curvature_result(m, _brioschi(*columns, m.faults.ok))

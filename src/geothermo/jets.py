@@ -1210,8 +1210,6 @@ def _coefficient_message(t, finite):
 def _float_guard(fn, name, x):
     try:
         out = fn(x)
-    except ValueError as exc:
-        raise DomainViolation(f"{name} of out-of-domain argument {x!r}") from exc
     except OverflowError as exc:
         raise NonFinite(f"{name} overflow at {x!r}") from exc
     return out
@@ -1314,7 +1312,7 @@ def _stencil(x, exps, steps):
     for a in np.repeat(range(len(exps)), exps):     # the axes, sorted
         nodes = np.repeat(nodes[:, :, None], 4, axis=2)
         nodes[..., a] += _STENCIL * steps[sum(exps), :, a, None, None]
-        nodes = nodes.reshape(len(x), -1, x.shape[1])
+        nodes = nodes.reshape(len(x), 4 * nodes.shape[1], x.shape[1])
     return nodes
 
 
@@ -1359,7 +1357,7 @@ def _nested_differences(values, exps, steps):
     for e, d in zip(exps, np.split(values, np.cumsum(
             [4 ** sum(e) for e in exps])[:-1], axis=1)):
         for a in np.repeat(range(len(e)), e)[::-1]:
-            d = d.reshape(len(d), -1, 4)
+            d = d.reshape(len(d), d.shape[1] // 4, 4)
             d = (d[..., 0] - 8.0 * d[..., 1] + 8.0 * d[..., 2]
                  - d[..., 3]) / (12.0 * steps[sum(e), :, a, None])
         out.append(d[:, 0])

@@ -30,12 +30,8 @@ Measured in process with stage wrappers (2-core machine, 48 points of the
 sample box, best of 5 passes), an ``inv_vdw_s`` query costs about 980 us:
 the float solve 450-490 (seeds 33, 3.8 trial evaluations 215-235, 4.8
 domain checks 150-165), the base's order-4 jet 100, the series 45, the jet
-Newton 200-220 and the curvature outside the field 160-180.  Reading the
-trials' rows in place of jet_eval's scatter, interpolating only the seed
-lines that bracket a point, placing the series coefficients without
-products and gathering the jet products' pairs with ``take`` took it from
-about 1170 us (solve 550-600, seeds 60, series 85, jet Newton 260-280);
-``pl_vdw_u`` went from about 1190 to 960 us.
+Newton 200-220 and the curvature outside the field 160-180.  A
+``pl_vdw_u`` query costs about 960 us.
 
 A numerically derived spec has no domain predicates.  Its domain is the set
 of points whose float Newton solve succeeds inside the base domain, and a

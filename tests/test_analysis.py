@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from geothermo import analysis as an
 from geothermo.errors import (DegenerateMetric, DomainViolation, EmptyGrid,
-                              PreconditionFailure)
+                              NonFinite, PreconditionFailure)
 from geothermo.geometry import curvature_at, natural_metric
 from geothermo.jets import Faults, fd_jet4, jet_eval
 from geothermo.systems import evaluate, get_system
@@ -432,6 +433,12 @@ def test_locus_numerator_check():
     assert rows[0][2] == 0.0
     with pytest.raises(PreconditionFailure):
         an.locus_numerator_check(1.0, 1.0, [(3.0, 0.5)])
+    # on the locus, where the cube v_c^3 overflows (a float ** raises) and
+    # where the numerator does (a float product turns inf)
+    for a, vc, Pc in ((1.0, 1e103, 1e-206), (1e3, 1e100, 1e-197)):
+        with pytest.raises(NonFinite, match=re.escape(
+                f"locus numerator not finite at ({vc}, {Pc})")):
+            an.locus_numerator_check(a, 1.0, [(vc, Pc)])
 
 
 def test_vdw_locus_roots():

@@ -210,6 +210,8 @@ TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
     {"domain": ["x (y) > 0"]},
     {"domain": ["ln > 0"]},
     {"relation": "ln(x) + k*ln(y)"},
+    {"relation": "ln(x) @ ln(y)"},
+    {"relation": "ln(x"},
     {"sample_box": [[0.5, 2.0, 3.0]]},
     {"sample_box": [[0.5, 2.0]]},
     {"sample_box": [[0.5, 2.0], [1.0, float("nan")]]},
@@ -219,7 +221,7 @@ TOY = {"id": "toy", "coords": [{"name": "x"}, {"name": "y"}],
         "param-not-number", "param-nan", "param-infinite", "domain-not-list",
         "two-comparisons", "no-comparison", "trailing-before-comparison",
         "unknown-identifier", "coordinate-called", "function-not-called",
-        "unknown-parameter",
+        "unknown-parameter", "unexpected-character", "unclosed-parenthesis",
         "bad-sample-box",
         "sample-box-pair-count", "sample-box-not-finite",
         "sample-box-lo-not-below-hi"])
@@ -442,9 +444,11 @@ def test_scan_constant_out_of_domain_fails_each_point(tmp_path, capsys):
     ("x + exp(800)", 1),
     ("x + sinh(800)", 1),
     ("x*cosh(800)", 1),
+    ("pow(0, 0 - 1) + ln(x) + ln(y)", 2),
 ], ids=["inf-exponent", "nan-exponent", "negative-base-inf-exponent",
         "negative-constant-base", "constant-base", "constant-exp-overflow",
-        "constant-sinh-overflow", "constant-cosh-overflow"])
+        "constant-sinh-overflow", "constant-cosh-overflow",
+        "zero-base-negative-exponent"])
 def test_powers_keep_the_exit_code_contract(tmp_path, capsys, relation, code):
     # a non-finite exponent, a constant base to a coordinate power or a
     # constant that overflows fails the point (or none) instead of

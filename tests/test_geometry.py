@@ -14,7 +14,7 @@ from geothermo.errors import (DegenerateMetric, DomainViolation, NonFinite,
 from geothermo.geometry import (CHUNK, MetricTensor, christoffel,
                                 curvature_at, metric_at, natural_metric,
                                 ricci_scalar, riemann_up)
-from geothermo.jets import MPMATH, Faults, jet_eval
+from geothermo.jets import MPMATH, Faults, jet_eval, one_point
 from geothermo.systems import (catalog_ids, domain_check, from_definition,
                                get_system)
 
@@ -247,27 +247,39 @@ def test_degenerate_point_fails_alike_everywhere(capsys):
 def test_degenerate_point_carries_the_metric_of_metric_at():
     # curvature_at builds a 2-D chunk's metric only as far as Brioschi's
     # formula reads it, and the full metric of a degenerate point for its
-    # DegenerateMetric alone: that payload is metric_at's, for one point
-    # and for each degenerate point of a batch
+    # DegenerateMetric alone: that payload is metric_at's (natural_metric's
+    # at 30 digits), for one point and for each degenerate point of a batch
     spec = get_system("chap_s", alpha=0.0, beta=0.0)
-    errors = []
-    for at in (curvature_at, metric_at):
-        with pytest.raises(DegenerateMetric) as err:
-            at(spec, (2.0, 2.0))
-        errors.append(err.value)
     points = an.grid_for(spec, 6).points()
-    batch = curvature_at(spec, points).faults.errors
-    want = metric_at(spec, points).faults.errors
-    assert len(batch) == len(points)
-    pairs = [tuple(errors)] + [(batch[i], want[i]) for i in sorted(want)]
-    for got, want in pairs:
-        assert type(got) is type(want) is DegenerateMetric
-        assert str(got) == str(want)
-        a, b = got.metric, want.metric
-        for name in ("at", "g", "dg", "ddg"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert (a.det, a.conformal_factor, a.degenerate) == (
-            b.det, b.conformal_factor, b.degenerate)
+    for dps in (None, 30):
+        def metric(x):
+            if dps is None:
+                return metric_at(spec, x)
+            batch = np.atleast_2d(x)
+            with mp.workdps(dps):
+                jet = jet_eval(spec.field, batch, 4,
+                               domain_check(spec, batch), MPMATH)
+                m = natural_metric(jet, batch, spec.excluded_index)
+            return m if np.ndim(x) == 2 else one_point(m)
+
+        errors = []
+        for at in (lambda x: curvature_at(spec, x, dps=dps), metric):
+            with pytest.raises(DegenerateMetric) as err:
+                at((2.0, 2.0))
+            errors.append(err.value)
+        batch = curvature_at(spec, points, dps=dps).faults.errors
+        want = metric(points).faults.errors
+        assert len(batch) == len(points)
+        pairs = [tuple(errors)] + [(batch[i], want[i]) for i in sorted(want)]
+        for got, want in pairs:
+            assert type(got) is type(want) is DegenerateMetric
+            assert str(got) == str(want)
+            a, b = got.metric, want.metric
+            for name in ("at", "g", "dg", "ddg"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), \
+                    (name, dps)
+            assert (a.det, a.conformal_factor, a.degenerate) == (
+                b.det, b.conformal_factor, b.degenerate)
 
 
 def test_degeneracy_tested_once_per_chunk(monkeypatch):
@@ -557,3 +569,17 @@ def test_a_coefficient_the_jet_does_not_hold_does_not_fail_the_point(
                      f"u={at[0]!r},v={at[1]!r}"])
     assert code == 3
     assert "degenerate metric" in capsys.readouterr().err
+
+
+def test_degenerate_payload_holds_what_the_jet_does_not():
+    # the payload of a 2-D DegenerateMetric is natural_metric of a full jet
+    # on a fault record of its own: at this ideal_s point its ddg holds the
+    # pure fourth-order term that the curvature's jet drops, past the
+    # float64 range, and it is still a degenerate metric
+    spec = get_system("ideal_s")
+    for dps in (None, 30):
+        with pytest.raises(DegenerateMetric) as err:
+            curvature_at(spec, (1e-90, 1.0), dps=dps)
+        metric = err.value.metric
+        assert metric.degenerate is True
+        assert metric.ddg[0, 0, 0, 0] < -1e308

@@ -37,6 +37,12 @@ def test_high_order_against_closed_form():
     assert j.third[0, 0, 1] == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("order", [-1, 5])
+def test_jet_eval_rejects_an_order_outside_0_to_4(order):
+    with pytest.raises(ValueError, match=f"order must be in 0..4, got {order}"):
+        jet_eval(f_mixed, (2.0, 1.0), order)
+
+
 def test_symmetry_of_derivative_arrays():
     j = jet_eval(f_mixed, (1.7, 0.9), 4)
     assert j.hess[0, 1] == j.hess[1, 0]
@@ -253,6 +259,21 @@ def test_fd_jet4_non_finite_estimate():
     with pytest.raises(NonFinite, match="finite-difference estimate is "
                                         "not finite"):
         fd_jet4(lambda x: 1e308 * x[0] * x[0] + x[1], (1.3, 1.0))
+
+
+@pytest.mark.parametrize("key", ["vdw_s", "inv_vdw_s"])
+def test_fd_jet4_of_an_empty_batch(key):
+    # an empty batch has no stencil node: its Jet4 is empty, with the
+    # shapes of jet_eval's and an empty record, for a ScalarField and for
+    # a Newton-derived field, whose nodes run as one order-0 batch
+    field = (get_system(key) if key == "vdw_s" else _derived(key)).field
+    points = np.empty((0, 2))
+    fd, want = fd_jet4(field, points), jet_eval(field, points, 4)
+    for name in ("value", "grad", "hess", "third", "fourth"):
+        a, b = getattr(fd, name), getattr(want, name)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+    assert (fd.order, fd.top) == (4, None)
+    assert fd.faults.ok.shape == (0,) and fd.faults.errors == {}
 
 
 def _derived(key):

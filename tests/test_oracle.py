@@ -107,6 +107,11 @@ def test_first_failure_in_grid_order_raises(monkeypatch, oracle_fails_at,
         oracle_vs_pipeline("vdw_R_s", get_system("vdw_s"), points)
 
 
+def test_oracle_vs_pipeline_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="empty grid"):
+        oracle_vs_pipeline("vdw_R_s", get_system("vdw_s"), np.empty((0, 2)))
+
+
 def test_helmholtz_vP_transcription_disagrees():
     # the printed (v, P) Helmholtz form does not reduce to the (T, v) form
     # under the equation of state (its P^3 terms carry the opposite sign);

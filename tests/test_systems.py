@@ -1,5 +1,6 @@
 """Catalog integrity and the SystemSpec container."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -182,6 +183,13 @@ def test_from_definition_validation():
             "excluded_index": "z", "relation": "x + y"}
     with pytest.raises(ValueError):
         from_definition(base)
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_excluded_index_out_of_range(index):
+    with pytest.raises(ValueError, match=f"excluded_index {index} out of "
+                                         "range for 2 coordinates"):
+        dataclasses.replace(get_system("ideal_s"), excluded_index=index)
 
 
 def test_domain_check_dimension_mismatch():
