@@ -10,9 +10,10 @@ from .errors import (DefinitionError, DegenerateMetric, DomainViolation,
                      EmptyGrid, GeothermoError, InversionFailure, NonFinite,
                      ParseError, PreconditionFailure, SingularDenominator,
                      SingularPrefactor, UnboundParameter, UnknownIdentifier)
+from .fd import fd_jet4
 from .geometry import (CurvatureResult, MetricTensor, christoffel,
                        curvature_at, metric_at, natural_metric, ricci_scalar)
-from .jets import Jet, Jet4, fd_jet4, jet_eval, jet_poly
+from .jets import Jet, Jet4, jet_eval, jet_poly
 from .systems import (SystemSpec, catalog, catalog_ids, evaluate,
                       from_definition, get_system)
 from .transforms import (IntensiveVector, equations_of_state,

@@ -10,10 +10,11 @@ A grid's points are one (count, n) float64 array in ``itertools.product``
 order (:meth:`GridSpec.points`), and a scan's R and flags are arrays in the
 same order (:class:`ScanReport`).
 
-The Ising profile runs in extended precision: below T ~ 0.3 the interaction
-term exp(-4J/T) is smaller than the double-precision cancellation floor of
-the surrounding hyperbolic terms, and the curvature — which lives entirely
-in that term — cannot be resolved with float64.  Extended precision is the
+The Ising profile runs in extended precision.  The catalog's ising_f keeps
+the O(1) part -H out of its logarithm, so float64 R is within 1e-10 of 60
+digits on its sample box, but at low T the curvature lives in terms of size
+exp(-(4J + 2H)/T), and float64 R drifts from the exact one (1.4e-5 relative
+at T = 0.2, H = 2, where |R| is 2.6e25).  Extended precision is the
 same jet/metric/curvature pipeline as everywhere else, run on mpmath numbers
 (``curvature_at(spec, x, dps=...)``) at the digits :func:`ising_dps` asks
 for, not a separate copy of it.
@@ -28,8 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyGrid, NonFinite, PreconditionFailure
+from .fd import fd_jet4
 from .geometry import curvature_at, jet_curvature
-from .jets import Faults, fd_jet4, one_point
+from .jets import Faults, one_point
 from .oracle import oracle_eval
 from .systems import SystemSpec, domain_check, get_system
 from .transforms import u_from_vP
@@ -477,7 +479,7 @@ def constant_curvature_check(spec: SystemSpec, grid: GridSpec):
 
 def fd_ricci_scalar(spec: SystemSpec, x) -> float:
     """Curvature with finite-difference derivatives only: the Jet4 of
-    :func:`jets.fd_jet4` at the one row ``x`` goes through the curvature
+    :func:`fd.fd_jet4` at the one row ``x`` goes through the curvature
     stage of every :func:`curvature_at` chunk
     (:func:`geometry.jet_curvature`).
 

@@ -1,4 +1,4 @@
-"""Truncated Taylor (jet) arithmetic and the finite-difference oracle.
+"""Truncated Taylor (jet) arithmetic.
 
 A :class:`Jet` is a multivariate Taylor polynomial of a scalar field,
 truncated at a total degree (at most 4 here), held for a whole batch of
@@ -47,77 +47,55 @@ product and every composition).  A tagged composition writes the series
 times powers of the slope, with the bits the Horner loop gives (see
 :meth:`Jet._compose_affine`).  ``ln(u)``, ``1/v``, ``ln(v - b)``,
 ``(v - b)^(2/3)`` and ``exp((2/3)*s)`` are such compositions, and per
-order-4 jet the ten catalog relations make 45 products instead of 99:
+order-4 jet the ten catalog relations make 47 products instead of 101:
 ideal_s 0 (6), ideal_u 4 (10), ideal_F 1 (7), ideal_g 5 (11), vdw_s 3 (9),
-vdw_u 4 (13), vdw_F 1 (10), ising_f 18 (21), chap_s 5 (5), chap_u 4 (7),
+vdw_u 4 (13), vdw_F 1 (10), ising_f 20 (23), chap_s 5 (5), chap_u 4 (7),
 with the Horner loop's count in parentheses.
 
 The series of ``ln`` and of the reciprocal, sign/(k u0^k) and
 sign/u0^(k+1), take the powers of the value u0 as a running product, each
 power the one before times u0 (see :func:`_powers`), rather than one pow
-call per point and degree.  The fractional power's u0^(r-k) stays a pow.
+call per point and degree.  The fractional power's u0^(r-k) stays a pow
+per row on floats; on mpmath it is one pow and a running product of 1/u0
+(see :meth:`_MpBackend.fractional_powers`).
 
 A point whose evaluation fails (a logarithm of a non-positive value, an
 overflow, a zero denominator) is recorded in the batch's :class:`Faults`,
 which every jet of the evaluation carries, and the rest of the batch
 carries on.
 
-Coefficients are numbers of a backend: long double by default
-(:data:`FLOAT`), or mpmath numbers in object arrays (:data:`MPMATH`, at the
-working precision of the caller's ``mp.workdps``).  ``jet_poly`` and
-``jet_eval`` take the backend once per call; every operation of the jets
-they build uses it.  An mpmath product gives the bits of ``mp.fdot`` over
-each monomial's pairs without its per-term tuples (see :func:`_dot`): the
-products are exact, the sum is rounded once, a term is dropped where
-``mpf_sum`` drops it, and inf and nan factors fall back to ``mpf_sum``.
-Its Horner steps run on ``_mpf_`` tuples, point by point, and build mpmath
-numbers once per composition, with no multiplication of mpmath numbers
-(see :meth:`_MpBackend.horner`).
+Coefficients are numbers of a backend: float64 by default (:data:`FLOAT`),
+the one float type, which domain predicates run on too, or mpmath numbers in
+object arrays (:data:`MPMATH`, at the working precision of the caller's
+``mp.workdps``).  ``jet_poly`` and ``jet_eval`` take the backend once per
+call; every operation of the jets they build uses it.  An mpmath product
+gives the bits of ``mp.fdot`` over each monomial's pairs without its
+per-term tuples (see :func:`_dot`): the products are exact, the sum is
+rounded once, a term is dropped where ``mpf_sum`` drops it, and inf and nan
+factors fall back to ``mpf_sum``.  Its Horner steps run on ``_mpf_`` tuples,
+point by point, and build mpmath numbers once per composition, with no
+multiplication of mpmath numbers (see :meth:`_MpBackend.horner`).
 
-The independent check is :func:`fd_jet4`: every partial through order 4
-at each point of a batch by nested central finite differences on the
-field's float path, sharing no code with the jet propagation.  An order-k
-partial along axis a steps h_a = eps^(1/(k+4)) * max(1, |x_a|); its 4^k
-stencil nodes are built as arrays, every distinct node of the call is
-evaluated once (as one order-0 batch for a field whose float path is a
-batch of one, such as a Newton-derived one), and the differences are
-reduced axis by axis with the bits of the recursion over the axes.  The
-same scatter as a jet's (:func:`_jet4`) makes its Jet4.
+The independent check of the jets is :func:`fd.fd_jet4`, the
+finite-difference oracle, which shares no code with them but the scatter
+into a :class:`Jet4` (:func:`_jet4`).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sum
+from mpmath.libmp import from_float, from_man_exp, mpf_mul, mpf_sum
 
 from .errors import (DomainViolation, GeothermoError, NonFinite,
                      SingularDenominator)
 
-EPS = sys.float_info.epsilon
 MAX_ORDER = 4
-
-# Taylor coefficients are carried in extended precision (80-bit on x86;
-# plain double where the platform has no wider type) and rounded to float64
-# when the derivatives leave the jet.  The curvature of float ising_f near
-# T = 0.5, H = 2 lives in a term about 1e-6 of the leading ones, so the
-# rounding of double-precision products and sums reaches the oracle
-# tolerance there.  Element-wise long double functions also come from the C
-# library, point by point, so a point's value does not depend on the batch
-# it is evaluated in.
-DTYPE = np.longdouble
-
-# per-degree constants of the univariate series, one row per degree k
-_K = np.arange(MAX_ORDER + 1, dtype=float)[:, None]
-_SIGN = (-1.0) ** _K
-_INV_FACTORIAL = np.array([1.0 / math.factorial(k)
-                           for k in range(MAX_ORDER + 1)])[:, None]
 
 
 class Faults:
@@ -177,34 +155,6 @@ class Faults:
             out.errors.update((offset + i, e) for i, e in p.errors.items())
             offset += len(p.ok)
         return out
-
-
-def lockstep(searches, evaluate):
-    """Results of coroutine searches run in lockstep passes.
-
-    A search yields trials, is sent the answer to each, and returns its
-    result, or raises a GeothermoError, which is then its result.  A pass
-    is one call ``evaluate(live, trials)`` on the live searches' indices
-    and latest trials, returning one answer per trial.  A search decides
-    only from its own answers, so its result does not depend on the others.
-    """
-    results = [None] * len(searches)
-    live, answers = range(len(searches)), [None] * len(searches)
-    while live:
-        still, trials = [], []
-        for i, answer in zip(live, answers):
-            try:
-                trials.append(searches[i].send(answer))
-            except StopIteration as stop:
-                results[i] = stop.value
-            except GeothermoError as exc:   # without the frames it left
-                results[i] = exc.with_traceback(None)
-            else:
-                still.append(i)
-        live = still
-        if live:
-            answers = evaluate(live, trials)
-    return results
 
 
 def one_point(batch):
@@ -387,28 +337,39 @@ def _tables(nvars: int, order: int, top=None) -> _Tables:
 
 
 class _FloatBackend:
-    """Long double coefficients, NumPy element-wise functions, products as
+    """Float64 coefficients, NumPy element-wise functions, products as
     gathers (see :meth:`_Tables._product`): padded below
     :data:`STAIRCASE_WIDTH` points, in staircase blocks from there on, with
     the same bits either way."""
 
-    dtype = DTYPE
-    result_dtype = float        # derivatives leave jet_eval as float64
+    dtype = np.float64
     number = float
-    k, sign, inv_factorial = _K, _SIGN, _INV_FACTORIAL
+    # per-degree constants of the univariate series, one row per degree k
+    k = np.arange(MAX_ORDER + 1, dtype=float)[:, None]
+    sign = (-1.0) ** k
+    inv_factorial = 1.0 / np.cumprod(np.maximum(k, 1.0), axis=0)    # 1/k!
     log, exp, sinh, cosh = np.log, np.exp, np.sinh, np.cosh
     isfinite, zeros = np.isfinite, np.zeros
     det, inv = staticmethod(np.linalg.det), staticmethod(np.linalg.inv)
 
     @staticmethod
     def asarray(values):
-        return np.asarray(values, dtype=DTYPE)
+        return np.asarray(values, dtype=np.float64)
 
     @staticmethod
     def masked(values, bad):
         """``values`` for the points that go on; IEEE arithmetic already
         carries the failed points along without raising."""
         return values
+
+    @staticmethod
+    def weights(t):
+        return t.weights
+
+    def fractional_powers(self, u0, r, order):
+        """Rows u0^(r - k), k = 0..order, one pow each.  (A running product
+        of 1/u0 would turn the zero rows of u0 = inf into NaN.)"""
+        return u0 ** (r - self.k[:order + 1])
 
     @staticmethod
     def product(table, a, b):
@@ -502,23 +463,54 @@ class _MpBackend:
     fractional power of a negative number.
     """
 
-    dtype = result_dtype = object
-    k = np.array([[mp.mpf(k)] for k in range(MAX_ORDER + 1)], dtype=object)
-    sign = np.array([[mp.mpf((-1) ** k)] for k in range(MAX_ORDER + 1)],
-                    dtype=object)
+    dtype = object
     log, exp, sinh, cosh = (np.frompyfunc(f, 1, 1)
                             for f in (mp.log, mp.exp, mp.sinh, mp.cosh))
     _isfinite = np.frompyfunc(mp.isfinite, 1, 1)
     _mpf = np.frompyfunc(mp.mpf, 1, 1)
     number = mp.mpf
+    k, sign = _mpf(_FloatBackend.k), _mpf(_FloatBackend.sign)
+
+    _inv_factorials = {}
+    _weights = {}
 
     @property
     def inv_factorial(self):
-        return np.array([[mp.mpf(1) / math.factorial(k)]
-                         for k in range(MAX_ORDER + 1)], dtype=object)
+        """The column 1/k!, k = 0..MAX_ORDER, at the working precision,
+        built once per precision."""
+        prec = mp.mp.prec
+        if prec not in self._inv_factorials:
+            self._inv_factorials[prec] = np.array(
+                [[mp.mpf(1) / math.factorial(k)]
+                 for k in range(MAX_ORDER + 1)], dtype=object)
+        return self._inv_factorials[prec]
+
+    def weights(self, t):
+        """``t.weights`` as mpmath numbers, built once per set: small
+        integers and NaN, exact at every precision, so a product with them
+        has the bits of a product with the floats."""
+        if t not in self._weights:
+            self._weights[t] = self.asarray(t.weights)
+        return self._weights[t]
 
     def isfinite(self, values):
         return self._isfinite(values).astype(bool)
+
+    def fractional_powers(self, u0, r, order):
+        """Rows u0^(r - k), k = 0..order: one pow, u0^r, then a running
+        product of 1/u0, in place of a pow per row (a non-integer power
+        is the costliest mpmath function the jets call).  A point at
+        u0 = inf, where 1/u0 is 0 and the product would be NaN, takes a
+        pow per row."""
+        out = np.empty((order + 1, len(u0)), dtype=object)
+        out[0] = u0 ** r
+        inv = 1 / u0
+        for k in range(1, order + 1):
+            out[k] = out[k - 1] * inv
+        at_inf = inv == 0
+        if at_inf.any():
+            out[:, at_inf] = u0[at_inf] ** (r - self.k[:order + 1])
+        return out
 
     @staticmethod
     def zeros(shape, dtype):
@@ -727,6 +719,8 @@ class Jet:
         if not isinstance(other, Jet):
             if not isinstance(other, float):
                 other = self.bk.asarray(other)
+            elif self.bk is MPMATH:     # once, not once per coefficient
+                other = mp.make_mpf(from_float(other))
             return self._like(self.c * other, self.affine)
         if self.order == 0:
             return self._like(self.c * other.c)
@@ -758,9 +752,9 @@ class Jet:
         bad = u0 <= 0.0
         self.faults.flag(bad, lambda i: DomainViolation(
             f"fractional power of non-positive base {_at(u0, i)!r}"))
-        k = bk.k[:self.order + 1]
         return self._compose(_binomials(bk.number(r), self.order)
-                             * bk.masked(u0, bad) ** (r - k))
+                             * bk.fractional_powers(bk.masked(u0, bad), r,
+                                                    self.order))
 
     def __rpow__(self, base):
         # constant base, jet exponent: a^w = exp(w ln a)
@@ -821,9 +815,9 @@ class Jet:
         When self is tagged affine in x_i (a variable shifted, negated or
         scaled by constants; see :class:`Jet`) and the order is at least 2,
         no product is made: see :meth:`_compose_affine`.  That takes the
-        catalog relations from 99 products per order-4 jet to 45 (vdw_s
+        catalog relations from 101 products per order-4 jet to 47 (vdw_s
         9 -> 3, vdw_u 13 -> 4, vdw_F 10 -> 1, ideal_s 6 -> 0, ising_f
-        21 -> 18, chap_s 5 -> 5; all ten in the module docstring).  The
+        23 -> 20, chap_s 5 -> 5; all ten in the module docstring).  The
         result is untagged, as every composition's is.
         """
         if self.order == 0:
@@ -996,7 +990,7 @@ class Jet:
                 first[m] = self.c[k]
         flat = [kp for terms in placed for kp in terms]
         rows = delta.t.powers[other].tolist()
-        units = np.zeros((len(flat), delta.t.size + 1), dtype=DTYPE)
+        units = np.zeros((len(flat), delta.t.size + 1), dtype=np.float64)
         for n, (_, p) in enumerate(flat):
             if p <= len(rows):
                 units[n, rows[p - 1]] = 1.0
@@ -1163,7 +1157,7 @@ def jet_partials(field, points, order: int, faults, backend=FLOAT,
     Call under ``np.errstate(all="ignore")``."""
     t = _tables(points.shape[1], order, top)
     jet = jet_poly(field, points, order, faults, backend, top)
-    derivs = (jet.c * t.weights).T.astype(backend.result_dtype)
+    derivs = (jet.c * backend.weights(t)).T
     finite = backend.isfinite(derivs[:, :-1])
     faults.flag(~finite.all(axis=1), lambda i: NonFinite(
         _coefficient_message(t, finite[i])))
@@ -1262,103 +1256,3 @@ def divide(x, y):
     if not isinstance(y, Jet) and not isinstance(x, Jet) and y == 0.0:
         raise SingularDenominator(f"division of {x!r} by zero")
     return x / y
-
-
-# the fourth-order central first difference
-# (f(x - 2h) - 8 f(x - h) + 8 f(x + h) - f(x + 2h)) / (12 h): its nodes'
-# offsets in units of h
-_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
-
-
-def fd_jet4(field, points) -> Jet4:
-    """Every partial through order 4 at each row of the (batch, n) array
-    ``points`` (one point is a batch of one) by nested central differences
-    on the field's float path, sharing no code with the jet propagation.
-
-    An order-k partial along the axes a_1 <= ... <= a_k nests the stencil
-    of :data:`_STENCIL` once per axis, with the step
-    h_a = eps^(1/(k+4)) * max(1, |x_a|) along axis a: the stencil is
-    fourth-order accurate, so this balances its h^4 truncation against
-    round-off.  Its 4^k nodes are built as arrays (see :func:`_stencil`),
-    and its differences are reduced axis by axis from the last, so each
-    entry has the bits of the recursion over the axes.  Stencil order runs
-    point by point, and within a point monomial by monomial as
-    :class:`_Tables` numbers them (the point itself first).  Every distinct
-    node, keyed by its bits (-0.0 apart from 0.0), is evaluated once per
-    call, in that order, and the first that fails raises its failure; a
-    non-finite entry raises NonFinite.  The entries go through the same
-    scatter as a jet's (:func:`_jet4`).
-    """
-    x = np.array(points, dtype=float, ndmin=2)
-    t = _tables(x.shape[1], MAX_ORDER)
-    # the step of an order-k partial along axis a at row i: steps[k, i, a]
-    steps = np.array([EPS ** (1.0 / (k + 4)) for k in range(MAX_ORDER + 1)]
-                     )[:, None, None] * np.maximum(1.0, np.abs(x))
-    with np.errstate(all="ignore"):
-        derivs = _nested_differences(_values_once(field, np.concatenate(
-            [_stencil(x, e, steps) for e in t.exps], axis=1)), t.exps, steps)
-    if not np.isfinite(derivs).all():
-        raise NonFinite("finite-difference estimate is not finite")
-    return _jet4(t, np.column_stack(derivs + [np.full(len(x), math.nan)]),
-                 Faults(len(x)))
-
-
-def _stencil(x, exps, steps):
-    """The 4^k nodes of the nested stencil of the order-k monomial ``exps``
-    at each row of ``x``: a (batch, 4^k, n) array, the offsets along the
-    first axis outermost.  Each level adds its offsets to the coordinates
-    the levels before it left, as a recursion over the axes adds them."""
-    nodes = x[:, None]
-    for a in np.repeat(range(len(exps)), exps):     # the axes, sorted
-        nodes = np.repeat(nodes[:, :, None], 4, axis=2)
-        nodes[..., a] += _STENCIL * steps[sum(exps), :, a, None, None]
-        nodes = nodes.reshape(len(x), 4 * nodes.shape[1], x.shape[1])
-    return nodes
-
-
-def _values_once(field, nodes):
-    """``field`` on its float path at each node of the (batch, count, n)
-    array ``nodes``, a (batch, count) array.  Each distinct node, keyed by
-    its bits (-0.0 apart from 0.0), is evaluated once, in first-occurrence
-    order, and the first that fails raises its failure.
-
-    A field whose float path is an order-0 jet evaluation of a batch of one
-    (it sets ``float_batch``, as a Newton-derived field does) evaluates
-    every distinct node in one order-0 batch instead, with the same bits:
-    a point decides from its own values alone."""
-    number = {}
-    inverse = [number.setdefault(bits, len(number)) for bits in nodes.view(
-        np.dtype((np.void, 8 * nodes.shape[-1]))).ravel().tolist()]
-    if getattr(field, "float_batch", False):
-        batch = jet_eval(field, np.frombuffer(b"".join(number)).reshape(
-            len(number), nodes.shape[-1]), 0)
-        error = batch.faults.pop_first()
-        if error is not None:
-            # a raised failure keeps this frame alive, but not the stencils
-            del nodes, number, inverse, batch
-            raise error
-        values = batch.value
-    else:
-        values = []
-        try:
-            for bits in number:
-                values.append(float(field(np.frombuffer(bits).tolist())))
-        except GeothermoError:
-            del nodes, number, inverse, values
-            raise
-    return np.asarray(values)[inverse].reshape(nodes.shape[:-1])
-
-
-def _nested_differences(values, exps, steps):
-    """The partials of the (batch, count) node values of the stencils of
-    the monomials ``exps`` in turn, each in :func:`_stencil`'s order and
-    reduced axis by axis from the last: one (batch,) array per monomial."""
-    out = []
-    for e, d in zip(exps, np.split(values, np.cumsum(
-            [4 ** sum(e) for e in exps])[:-1], axis=1)):
-        for a in np.repeat(range(len(e)), e)[::-1]:
-            d = d.reshape(len(d), d.shape[1] // 4, 4)
-            d = (d[..., 0] - 8.0 * d[..., 1] + 8.0 * d[..., 2]
-                 - d[..., 3]) / (12.0 * steps[sum(e), :, a, None])
-        out.append(d[:, 0])
-    return out

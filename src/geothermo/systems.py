@@ -199,7 +199,8 @@ _CATALOG = {
         meta={"partial_legendre_of": "vdw_u"}),
     "ising_f": _Entry(
         (_int("T"), _int("H")), "f", 0,
-        "-T*ln(cosh(H/T) + sqrt(sinh(H/T)^2 + exp(-(4*J)/T)))",
+        "-H - T*ln(1 + 2*exp(-(4*J + 2*H)/T)/(1 - exp(-(2*H)/T)"
+        " + sqrt((1 - exp(-(2*H)/T))^2 + 4*exp(-(4*J + 2*H)/T))))",
         {"J": 1.0},
         ("T > 0", "H > 0"), ((0.5, 5.0), (0.5, 2.0)),
         meta={"total_legendre_of": "internal energy",

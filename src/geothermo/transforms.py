@@ -13,7 +13,7 @@ partial Legendre transform.  Building one samples the base along slot
 lines in one batch: the line through the box centre certifies that the map
 is monotone and gives the new sample box, and it and the seed lines around
 it seed each solve.  The float solves of a batch advance in lockstep
-(:func:`jets.lockstep`), each pass one evaluation of the base field over
+(:func:`lockstep`), each pass one evaluation of the base field over
 every live trial, checked against the base predicates that read the solved
 slot; the others are checked once per point, before the first trial.  A
 trial reads f and f' from the coefficient rows of that evaluation
@@ -61,7 +61,7 @@ import numpy as np
 from . import systems
 from .errors import (DomainViolation, GeothermoError, InversionFailure,
                      PreconditionFailure)
-from .jets import (Faults, Jet, jet_eval, jet_partials, jet_poly, lockstep,
+from .jets import (Faults, Jet, jet_eval, jet_partials, jet_poly,
                    monomial_number)
 from .systems import (EXTENSIVE, INTENSIVE, Coordinate, SystemSpec,
                       domain_check, evaluate)
@@ -107,6 +107,34 @@ def _box(spec: SystemSpec):
         return (list(spec.sample_box),
                 [0.5 * (lo + hi) for lo, hi in spec.sample_box])
     return [(0.5, 2.0)] * spec.n, [1.0] * spec.n
+
+
+def lockstep(searches, evaluate):
+    """Results of coroutine searches run in lockstep passes.
+
+    A search yields trials, is sent the answer to each, and returns its
+    result, or raises a GeothermoError, which is then its result.  A pass
+    is one call ``evaluate(live, trials)`` on the live searches' indices
+    and latest trials, returning one answer per trial.  A search decides
+    only from its own answers, so its result does not depend on the others.
+    """
+    results = [None] * len(searches)
+    live, answers = range(len(searches)), [None] * len(searches)
+    while live:
+        still, trials = [], []
+        for i, answer in zip(live, answers):
+            try:
+                trials.append(searches[i].send(answer))
+            except StopIteration as stop:
+                results[i] = stop.value
+            except GeothermoError as exc:   # without the frames it left
+                results[i] = exc.with_traceback(None)
+            else:
+                still.append(i)
+        live = still
+        if live:
+            answers = evaluate(live, trials)
+    return results
 
 
 def _newton_solve(seed, lo, hi, target):
@@ -254,7 +282,7 @@ class _ImplicitField:
     The new potential is the solved z for inversion and Phi - I z, from the
     same series, for a Legendre transform.  A call on floats is a batch of
     one at order 0 whose failure raises (so ``float_batch`` lets
-    :func:`jets.fd_jet4` run its stencil nodes as one batch); a call on jets
+    :func:`fd.fd_jet4` run its stencil nodes as one batch); a call on jets
     records failures in their evaluation's fault record.
     """
 

@@ -10,8 +10,9 @@ import pytest
 from geothermo import analysis as an
 from geothermo.errors import (DegenerateMetric, DomainViolation, EmptyGrid,
                               NonFinite, PreconditionFailure)
+from geothermo.fd import fd_jet4
 from geothermo.geometry import curvature_at, natural_metric
-from geothermo.jets import Faults, fd_jet4, jet_eval
+from geothermo.jets import Faults, jet_eval
 from geothermo.systems import evaluate, get_system
 from geothermo.transforms import (invert_representation, partial_legendre,
                                   total_legendre)

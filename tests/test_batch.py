@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from geothermo import analysis as an
-from geothermo import cli, jets
+from geothermo import cli, fd, jets
 from geothermo.errors import (DegenerateMetric, DomainViolation,
                               GeothermoError, NonFinite, SingularDenominator)
 from geothermo.geometry import CHUNK, curvature_at, metric_at
@@ -135,15 +135,19 @@ def test_point_domain_check_matches_its_batch(key):
 
 
 def test_boundary_point_passes_as_in_its_batch():
-    # u + a/v is +1.85e-17 in exact arithmetic at (-1/3, 3); float64 rounds
-    # it to 0, the long double predicate jets do not
+    # u + a/v is 2^-55 (2.8e-17) at (-0.24999999999999997, 4), exactly in
+    # float64, where a/v = 1/4 is exact: the point passes the domain alone
+    # and in its batch, and its value is 1.5 ln(2^-55) + ln(3).  (At
+    # (-1/3, 3), the boundary point this test used before, float64 rounds
+    # u + a/v to 0.)
     spec = SPECS["vdw_s"]
-    x = (-1.0 / 3.0, 3.0)
+    x = (-0.24999999999999997, 4.0)
     assert not domain_check(spec, x).errors
     assert not domain_check(spec, np.array([x])).errors
     value = evaluate(spec, x)
     assert value == evaluate(spec, np.array([x]))[0]
-    assert value == pytest.approx(-57.09896063467854, rel=1e-12)
+    assert value == pytest.approx(-82.5 * math.log(2.0) + math.log(3.0),
+                                  rel=1e-12)
     with pytest.raises(DegenerateMetric):
         curvature_at(spec, x)
     batch = curvature_at(spec, np.array([x, (2.0, 3.0)]))
@@ -235,7 +239,7 @@ def test_failed_stencil_node_does_not_keep_the_stencils():
     # otherwise) and keeps its frames, the points and their steps
     points = np.column_stack([np.full(4, 1e-3), np.linspace(1.0, 2.0, 4)])
     assert _kept_bytes_per_failure(
-        lambda: jets.fd_jet4(lambda a: jets.ln(a[0]), points)) < 8000
+        lambda: fd.fd_jet4(lambda a: jets.ln(a[0]), points)) < 8000
 
 
 def test_failed_derived_stencil_node_does_not_keep_the_stencils():
@@ -246,7 +250,7 @@ def test_failed_derived_stencil_node_does_not_keep_the_stencils():
     points = np.column_stack([np.full(4, spec.sample_box[0][0]),
                               np.linspace(1.0 + 2e-4, 2.0, 4)])
     assert _kept_bytes_per_failure(
-        lambda: jets.fd_jet4(spec.field, points)) < 8000
+        lambda: fd.fd_jet4(spec.field, points)) < 8000
 
 
 def test_kept_degenerate_metric_does_not_keep_its_chunk():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geothermo import analysis, cli, dsl, systems
+from geothermo.cli import build_parser
 from geothermo.errors import DomainViolation
 from geothermo.oracle import oracle_eval
 
@@ -87,6 +88,23 @@ def test_exit_code_usage(tmp_path, capsys):
         assert (code, out) == (1, ""), argv
         assert err.startswith("geothermo: error: "), argv
         assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    # main parses every call with one parser; a call leaves nothing on it:
+    # an argparse error prints the same usage twice, and repeated --param
+    # flags do not pile up across calls
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    first = run(["scan", "--system", "vdw_s"], capsys)
+    assert first[0] == 1 and first[2].startswith("usage: geothermo scan")
+    assert run(["scan", "--system", "vdw_s"], capsys) == first
+    argv = ["curvature", "--system", "vdw_s", "--param", "a=1.5", "--param",
+            "b=0.5", "--at", "u=2,v=3"]
+    assert run(argv, capsys) == run(argv, capsys)
+    assert built == [1]
 
 
 @pytest.mark.parametrize("system,param", [

@@ -169,11 +169,12 @@ def test_empty_relation_rejected():
 @pytest.mark.parametrize("backend", [jets.FLOAT, jets.MPMATH],
                          ids=["float", "mpmath"])
 def test_ising_f_jet_shares_its_repeated_nodes(monkeypatch, backend):
-    # ising_f divides H by T twice and divides by T three times: one H/T
-    # and one reciprocal of T leave 18 products of order-4 jets, where
-    # evaluating every occurrence makes 19 (a second H/T product).  The
+    # ising_f takes E = exp(-(4J + 2H)/T) and D = 1 - exp(-2H/T) twice
+    # each and divides by T twice: one E, one D and one reciprocal of T
+    # leave 20 products of order-4 jets, where evaluating every occurrence
+    # makes 28 (a second E and a second D, 4 products each).  The
     # reciprocal of the bare T makes none, since its argument is affine in
-    # T; through the Horner loop it makes 3, for 21 and 28.  A Horner loop
+    # T; through the Horner loop it makes 3, for 23 and 31.  A Horner loop
     # counts one product per step, however its backend makes them
     calls = []
     product, horner = backend.product, backend.horner
@@ -190,7 +191,7 @@ def test_ising_f_jet_shares_its_repeated_nodes(monkeypatch, backend):
     with mp.workdps(30):
         jet_eval(get_system("ising_f").field, np.array([[1.0, 0.5]]), 4,
                  backend=backend)
-    assert len(calls) == 18
+    assert len(calls) == 20
 
 
 def test_repeated_subexpression_is_evaluated_once(monkeypatch):

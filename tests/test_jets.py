@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from geothermo.errors import DomainViolation, NonFinite, SingularDenominator
-from geothermo.jets import EPS, Faults, Jet, fd_jet4, jet_eval, jet_poly
+from geothermo.fd import EPS, fd_jet4
+from geothermo.jets import Faults, Jet, jet_eval, jet_poly
 from geothermo import analysis, geometry, jets
 from geothermo.systems import get_system
 from geothermo.transforms import invert_representation, partial_legendre
@@ -366,7 +367,7 @@ def test_placed_series_has_the_bits_of_the_products(order, top, batch,
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e-308,
                2.5, -3.0]
     t = jets._tables(2, max(order, 2))
-    c = rng.choice(special, size=(t.size + 1, batch)).astype(jets.DTYPE)
+    c = rng.choice(special, size=(t.size + 1, batch)).astype(jets.FLOAT.dtype)
     c[rng.integers(1, t.size, 3)] = 0.0
     c[-1] = 0.0
     poly = Jet(t, c, Faults(batch))
@@ -469,8 +470,8 @@ def test_overflow_is_nonfinite():
 
 @pytest.mark.parametrize("name", ["exp", "sinh", "cosh"])
 def test_overflow_fails_its_point_with_a_message(name):
-    # the value overflows at 12000 even in long double; the point fails
-    # naming the function and the argument, and its neighbour keeps its bits
+    # the value overflows at 12000; the point fails naming the function and
+    # the argument, and its neighbour keeps its bits
     def field(a):
         return getattr(jets, name)(a[0])
 
@@ -602,7 +603,7 @@ def _affine_jet(rng, nvars, order, batch, backend):
             return np.array([mp.mpf(s)], dtype=object)
     else:
         def k(s):
-            return np.array([np.longdouble(s)])
+            return np.array([np.float64(s)])
     index = order % nvars
     cols = []
     for b in range(batch):
@@ -696,7 +697,7 @@ def _product_factor(rng, rows, batch):
     m[pick > 0.97] = rng.choice([math.inf, -math.inf, math.nan],
                                 np.count_nonzero(pick > 0.97))
     m[-1] = rng.choice([0.0, -0.0, math.nan], batch, p=[0.6, 0.3, 0.1])
-    return m.astype(jets.DTYPE)
+    return m.astype(jets.FLOAT.dtype)
 
 
 @pytest.mark.parametrize("batch", [4, 70, 256])
@@ -1038,7 +1039,7 @@ def test_surface_jet4_is_nan_where_the_set_holds_no_monomial():
         u, v = args
         return jets.ln(u) * jets.exp(v / 2.0) + jets.ln(v) + u * u * v * v
 
-    x = np.array([[2.0, 3.0], [1.0, 1e-90]])
+    x = np.array([[2.0, 3.0], [1.0, 1e-77]])
     got = jet_eval(f, x, 4, top=SURFACE)
     want = jet_eval(f, x, 4)
     for name in ("value", "grad", "hess", "third"):
@@ -1051,16 +1052,19 @@ def test_surface_jet4_is_nan_where_the_set_holds_no_monomial():
     assert np.isnan(got.fourth[:, ~held]).all()
     assert (got.top, want.top) == (SURFACE, None)
     assert got.point(0).top == SURFACE
-    # a point fails only on a coefficient its jet holds: d^4/dv^4 ln v
-    # overflows float64 at v = 1e-90, and the set does not hold v^4
+    # a point fails only on a coefficient its jet holds: at v = 1e-77 the
+    # Taylor coefficient -1/(4 v^4) of ln v is finite, but the partial
+    # d^4/dv^4 ln v, 24 times as large, overflows float64, and the set does
+    # not hold v^4
     assert list(want.faults.errors) == [1] and got.faults.ok.all()
     assert str(want.faults.errors[1]) == (
         "non-finite Taylor coefficient for index (0, 4)")
     # the failure names the exponents of the set's own row: u^2 v^2, whose
-    # row is 10 there, the row of u^4 in the full set
-    x = np.array([[1e-90, 1e-90]])
+    # row is 10 there, the row of u^4 in the full set.  Scaled after the
+    # product, the coefficients of degree 4 overflow and those below do not
+    x = np.array([[1e-3, 1e-3]])
     def g(args):
-        return jets.ln(args[0]) * jets.ln(args[1])
+        return jets.ln(args[0]) * jets.ln(args[1]) * 1e297
 
     assert [str(jet_eval(g, x, 4, top=top).faults.errors[0])
             for top in (None, SURFACE)] == [
@@ -1069,8 +1073,8 @@ def test_surface_jet4_is_nan_where_the_set_holds_no_monomial():
 
 
 def test_mpmath_ising_point_sums_fewer_product_pairs(monkeypatch):
-    # the pairs the exact integer kernel walks per extended-precision
-    # ising_f point, on the 2-D curvature's set and on full jets
+    # the pairs the exact integer kernel walks per mpmath ising_f point,
+    # on the 2-D curvature's set and on full jets
     walked = []
     dot = jets._dot
 
@@ -1085,4 +1089,4 @@ def test_mpmath_ising_point_sums_fewer_product_pairs(monkeypatch):
         walked.clear()
         analysis.ising_curvature(1.0, 0.5)
         counts.append(sum(walked))
-    assert counts == [467, 655]
+    assert counts == [555, 795]

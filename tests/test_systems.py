@@ -29,9 +29,9 @@ def test_catalog_complete():
 # products of order-4 jets per evaluation of each catalog relation: a
 # composition whose argument is affine in one coordinate (ln(u), 1/v,
 # ln(v - b), (v - b)^(2/3), exp((2/3)*s)) makes none, where the Horner loop
-# makes 3, for 99 in all
+# makes 3, for 101 in all
 PRODUCTS = {"ideal_s": 0, "ideal_u": 4, "ideal_F": 1, "ideal_g": 5,
-            "vdw_s": 3, "vdw_u": 4, "vdw_F": 1, "ising_f": 18, "chap_s": 5,
+            "vdw_s": 3, "vdw_u": 4, "vdw_F": 1, "ising_f": 20, "chap_s": 5,
             "chap_u": 4}
 
 
