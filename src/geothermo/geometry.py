@@ -79,8 +79,14 @@ NONFINITE_R = 1e12           # |R| beyond this is reported, not trusted
 # and G_uu (see _chunk)
 SURFACE_TOP = ((2, 2),)
 # points per pass of the batched pipeline: wider passes share out each
-# pass's fixed NumPy cost, against jet transients of about 5.5 KB per point
-CHUNK = 256
+# pass's fixed NumPy cost, against float64 transients that peak at 0.8-2.6
+# KB per point on the catalog's 2-D systems (0.97 KB on vdw_s, 2.6 KB on
+# ising_f).  On a 2-vCPU Xeon VM with numpy 2.4, a vdw_s pass took 0.31 ms
+# at 1 point, 0.55 ms at 256 and 1.7 ms at 1024, and curvature_at of the
+# 3600-point vdw_s box of perfbench's grid_scan 8.7 ms in passes of 256
+# points, 5.8 ms of 512, 4.5 ms of 1024 and 4.6 ms of 2048, every width
+# with the same bits
+CHUNK = 1024
 
 
 @dataclass

@@ -36,8 +36,8 @@ blocks that hold each monomial's own pairs and at most one padding pair, 85
 terms instead of 144 for the full product of two variables at order 4,
 gathered and multiplied block by block.  A single point keeps the
 rectangle, whose one reduce costs less than the staircase's per-block
-calls; a grid pass of 256 points adds less than half the terms, in
-temporaries no larger than one coefficient array.
+calls; a grid pass (up to :data:`geometry.CHUNK` points) adds less than
+half the terms, in temporaries no larger than one coefficient array.
 
 A composition whose argument is affine in one variable makes no product at
 all.  A :meth:`Jet.variable` is tagged with its variable; a shift by a

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -266,9 +267,15 @@ def test_kept_degenerate_metric_does_not_keep_its_chunk():
     assert on_grid <= alone
 
 
+# the side of the smallest square grid that spans more than two chunks and
+# ends in a chunk of at least STAIRCASE_WIDTH points, whatever their sizes
+CROSSING_SIDE = next(n for n in itertools.count(math.isqrt(2 * CHUNK) + 1)
+                     if n * n % CHUNK >= STAIRCASE_WIDTH)
+
+
 def test_batch_crosses_chunks():
     spec = get_system("vdw_s")
-    points = _grid(spec, 40)          # 1600 points, several chunks
+    points = _grid(spec, CROSSING_SIDE)
     assert len(points) > 2 * CHUNK
     whole = curvature_at(spec, points)
     for start in (0, CHUNK - 1, CHUNK, len(points) - 1):
@@ -287,7 +294,7 @@ def test_chunk_width_changes_no_bit(key):
     # whole grid's passes sum jet products in staircase blocks, the slices'
     # in the padded rectangle
     spec = SPECS[key]
-    points = _grid(spec, 25)
+    points = _grid(spec, CROSSING_SIDE)
     assert len(points) > 2 * CHUNK
     width = 32
     assert width < STAIRCASE_WIDTH <= len(points) % CHUNK

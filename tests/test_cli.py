@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,40 @@ def test_unwritable_sidecar_exits_4(tmp_path, capsys):
     assert exc.value.code == 4
     assert capsys.readouterr().err.startswith(
         f"cannot write {tmp_path / 's.csv.loci.json'}: ")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["scan", "--system", "vdw_s", "--grid", "u=0.05:5:60", "--grid",
+      "v=1.2:6:60", "-o", "-"], 1),
+    (["figure", "--recipe", "vdW1", "-o", "-"], 0),
+    (["curvature", "--system", "vdw_s", "--at", "u=2,v=3"], 0),
+    (["check", "homogeneity"], 0),
+], ids=["scan", "figure", "curvature", "check"])
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_4(argv, read, unbuffered):
+    # the reader takes ``read`` lines and closes the pipe: the scan's CSV
+    # outgrows the pipe's buffer, and the other outputs find it closed; each
+    # command exits 4 with one line on stderr, no traceback and no
+    # "Exception ignored" from the interpreter's last flush, with stdout
+    # buffered (the default) or not
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "geothermo.cli"] + argv,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        for _ in range(read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 4
+    assert err == "cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_system_file_loading(tmp_path, capsys):
